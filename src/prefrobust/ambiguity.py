@@ -126,8 +126,8 @@ class KantorovichBallSpec:
     def __init__(self, nominal: PiecewiseLinearUtility, radius, L=DEFAULT_L,
                  L_tilde=DEFAULT_LTILDE, concave=True):
         _check_caps(L, L_tilde)
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= radius < math.inf:
+            raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
         L_obs, _ = nominal.lipschitz_moduli()
         if L_obs > L + 1e-9:
             log.warning(

@@ -148,8 +148,9 @@ class ExperimentConfig:
             raise ValueError("need at least 2 breakpoints")
         if self.n_true < 2:
             raise ValueError("need at least 2 fine breakpoints")
-        if self.radius < 0:
-            raise ValueError("the ball radius must be nonnegative")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(
+                f"the ball radius must be finite and nonnegative, got {self.radius!r}")
         if self.questionnaires < 0:
             raise ValueError("the questionnaire count must be nonnegative")
         if self.model not in MODELS:

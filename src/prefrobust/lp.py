@@ -2,11 +2,21 @@
 
 Every reformulation in this package (metric computations, one-stage worst
 cases, scenario-tree programs) bottoms out in a sparse LP assembled row by
-row and handed to a single deterministic backend.  The default backend is
-HiGHS dual simplex via scipy.optimize.linprog: it handles free variables and
-equality rows natively, reports row/bound marginals, and is bit-stable for a
-fixed input.  The backend is pluggable through ``solve(backend=...)`` so a
-different engine can be swapped in without touching the builders.
+row.  The default backend is HiGHS dual simplex via scipy.optimize.linprog:
+it handles free variables and equality rows natively, reports row/bound
+marginals, and is bit-stable for a fixed input.  The backend is pluggable
+through ``solve(backend=...)`` so a different engine can be swapped in
+without touching the builders.
+
+The second backend is a warm session (:func:`warm_session`): one program is
+loaded into HiGHS once, and each later solve pushes only the changed
+objective coefficients and re-runs dual simplex from the last basis.  It is
+meant for sequences of solves over one fixed polytope, such as the two
+reward-range LPs per reward that certify a multistage problem.  Every status
+other than optimal is re-solved cold through the linprog backend, so
+infeasible, unbounded and failed programs are classified exactly alike.  The
+session needs scipy's private HiGHS binding; where the installed scipy lacks
+it, :func:`warm_session` returns ``None`` and callers stay on linprog.
 
 The module also provides a mechanical dualizer.  Several published dual
 formulations in this problem family carry typographical sign slips, so
@@ -25,6 +35,22 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+
+# scipy >= 1.15 exposes its HiGHS binding as a private module; only the warm
+# session uses it, and certification falls back to linprog without it.
+try:
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        MatrixFormat,
+        _Highs,
+        simplex_constants,
+    )
+except ImportError:
+    _Highs = None
+
+_SESSION_API = ("passModel", "changeColsCost", "run", "getModelStatus", "getSolution",
+                "setOptionValue")
 
 log = logging.getLogger(__name__)
 
@@ -277,31 +303,153 @@ def _solve_highs(lp: LinearProgram, tol: float) -> LpSolution:
         log.warning("LP %s: solver breakdown (%s)", lp.name or "<unnamed>", res.message)
         return LpSolution(LpStatus.FAILED, message=res.message)
 
-    x = np.asarray(res.x)
-    obj = float(lp.objective @ x)
-
-    # Reassemble one dual per original row; scipy reports marginals for the
-    # minimized, <=-oriented problem, so undo the sense flip and row flips.
+    # scipy reports marginals for the minimized, <=-oriented problem; undo
+    # the row flips here and the sense flip in _optimal_solution.
     duals = np.zeros(lp.num_rows)
     if A_ub is not None:
         duals[ub_mask] = flip * res.ineqlin.marginals
     if A_eq is not None:
         duals[is_eq] = res.eqlin.marginals
-    duals *= sign
+    return _optimal_solution(lp, np.asarray(res.x), duals, np.asarray(res.lower.marginals),
+                             np.asarray(res.upper.marginals), res.message)
 
-    rc = sign * (np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals))
 
+def _optimal_solution(lp, x, duals, lower_m, upper_m, message):
+    """Orient the multipliers of ``min sign * objective`` as :class:`LpSolution`
+    documents them.  ``duals`` holds one multiplier per original row."""
+    sign = 1.0 if lp.sense == "min" else -1.0
+    obj = float(lp.objective @ x)
+    duals = duals * sign
+    rc = sign * (lower_m + upper_m)
+
+    rhs = lp.rhs
     dual_obj = float(rhs @ duals)
     lo, hi = lp.lower, lp.upper
-    lo_m = sign * np.asarray(res.lower.marginals)
-    hi_m = sign * np.asarray(res.upper.marginals)
+    lo_m = sign * lower_m
+    hi_m = sign * upper_m
     finite_lo = lo > -math.inf
     finite_hi = hi < math.inf
     dual_obj += float(lo[finite_lo] @ lo_m[finite_lo])
     dual_obj += float(hi[finite_hi] @ hi_m[finite_hi])
 
     return LpSolution(LpStatus.OPTIMAL, objective=obj, x=x, duals=duals,
-                      reduced_costs=rc, dual_objective=dual_obj, message=res.message)
+                      reduced_costs=rc, dual_objective=dual_obj, message=message)
+
+
+# ---------------------------------------------------------------- warm session
+# The slack linprog's own post-solve check allows: 10 * sqrt(its default tol 1e-9).
+_SESSION_CHECK_TOL = 10 * math.sqrt(1e-9)
+
+
+def warm_session(lp):
+    """A :class:`HighsSession` for ``lp``, or ``None`` when the installed scipy
+    lacks the HiGHS binding it needs."""
+    if _Highs is None or not all(hasattr(_Highs, name) for name in _SESSION_API):
+        return None
+    return HighsSession(lp)
+
+
+class HighsSession:
+    """One program kept loaded in HiGHS across objective changes.
+
+    Pass it as ``lp.solve(backend=session)``.  The first call loads rows,
+    bounds and costs with the options of :func:`_solve_highs` (dual simplex,
+    the same feasibility tolerances); later calls push only the changed costs
+    and re-run warm from the last basis.  Adding rows or variables, or asking
+    for another tolerance, reloads the model.  A solve that HiGHS does not
+    report optimal, that fails linprog's own feasibility check, or whose
+    bound multipliers cannot be placed, is re-solved cold by
+    :func:`_solve_highs` and the next call reloads.
+    """
+
+    def __init__(self, lp):
+        self.lp = lp
+        self._highs = None
+        self._key = None
+        self._cost = None
+
+    def __call__(self, lp, tol):
+        if lp is not self.lp:
+            raise ValueError("a HighsSession solves only the program it was built for")
+        cost = (1.0 if lp.sense == "min" else -1.0) * lp.objective
+        key = (lp.num_rows, lp.num_vars, tol)
+        if self._highs is None or key != self._key:
+            self._load(cost, tol)
+            self._key = key
+        else:
+            changed = np.flatnonzero(cost != self._cost)
+            if changed.size:
+                self._highs.changeColsCost(
+                    changed.size, changed.astype(np.int32), cost[changed])
+        self._cost = cost
+
+        h = self._highs
+        h.run()
+        if h.getModelStatus() != HighsModelStatus.kOptimal:
+            self._highs = None
+            return _solve_highs(lp, tol)
+        sol = h.getSolution()
+        x = np.array(sol.col_value)
+        rows = np.array(sol.row_value)
+        lower, upper = self._lower, self._upper
+        slack = _SESSION_CHECK_TOL
+        if not (np.all(np.isfinite(x))
+                and np.all(x >= lower - slack) and np.all(x <= upper + slack)
+                and np.all(rows >= self._row_lower - slack)
+                and np.all(rows <= self._row_upper + slack)):
+            self._highs = None
+            return _solve_highs(lp, tol)
+
+        # linprog books a nonbasic column's dual on the bound its basis status
+        # names.  HiGHS leaves such a column exactly on that bound and zeroes
+        # the dual of a basic one, so x tells the bound without reading the
+        # basis; a dual off every bound of a bounded column goes cold.
+        col_dual = np.array(sol.col_dual)
+        at_lower = x == lower
+        at_upper = ~at_lower & (x == upper)
+        if np.any((col_dual != 0.0) & ~at_lower & ~at_upper
+                  & (np.isfinite(lower) | np.isfinite(upper))):
+            self._highs = None
+            return _solve_highs(lp, tol)
+        return _optimal_solution(
+            lp, x, np.array(sol.row_dual), np.where(at_lower, col_dual, 0.0),
+            np.where(at_upper, col_dual, 0.0), "Optimal (warm HiGHS session)")
+
+    def _load(self, cost, tol):
+        lp = self.lp
+        rels = np.asarray(lp.relations)
+        rhs = lp.rhs
+        self._row_lower = np.where(rels == LEQ, -math.inf, rhs)
+        self._row_upper = np.where(rels == GEQ, math.inf, rhs)
+        self._lower, self._upper = lp.lower, lp.upper
+        A = lp.row_matrix().tocsc()
+
+        model = HighsLp()
+        model.num_col_ = lp.num_vars
+        model.num_row_ = lp.num_rows
+        model.a_matrix_.format_ = MatrixFormat.kColwise
+        model.a_matrix_.num_col_ = lp.num_vars
+        model.a_matrix_.num_row_ = lp.num_rows
+        model.a_matrix_.start_ = A.indptr
+        model.a_matrix_.index_ = A.indices
+        model.a_matrix_.value_ = A.data
+        model.col_cost_ = cost
+        model.col_lower_ = self._lower
+        model.col_upper_ = self._upper
+        model.row_lower_ = self._row_lower
+        model.row_upper_ = self._row_upper
+
+        h = _Highs()
+        for name, value in (
+                ("output_flag", False),
+                ("log_to_console", False),
+                ("solver", "simplex"),
+                ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+                ("primal_feasibility_tolerance", float(tol)),
+                ("dual_feasibility_tolerance", float(tol))):
+            h.setOptionValue(name, value)
+        h.passModel(model)
+        self._highs = h
 
 
 # --------------------------------------------------------------------- duality

@@ -14,7 +14,6 @@ enter exactly the dual rows that price the children rewards.  Worst-case
 utilities are then read back from the row marginals of those blocks.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +28,7 @@ from .ambiguity import (
     feasibility_check,
 )
 from .blocks import append_ball_membership, append_pairwise_rows
-from .lp import LinearProgram, LpStatus, dualize
+from .lp import LinearProgram, LpStatus, dualize, warm_session
 from .utility import PiecewiseLinearUtility, project
 from .worst_case import (
     OutcomeDistribution,
@@ -39,11 +38,6 @@ from .worst_case import (
     worst_case_pairwise,
 )
 
-log = logging.getLogger(__name__)
-
-# Reward ranges are certified with two small LPs per reward at build time;
-# past this many rewards the check is skipped rather than stall construction.
-_CERTIFY_LIMIT = 600
 _REWARD_TOL = 1e-7
 
 
@@ -110,8 +104,10 @@ class MultistageProblem:
     ``(coef, offset)`` pair), ``ambiguity`` is a single spec shared by all
     nodes, a callable ``(tree, node_id) -> spec``, or a prebuilt
     :class:`StateDependentAmbiguity`.  ``grid`` is the utility grid; every
-    reward must stay inside its span, which is certified at build time with
-    a pair of LPs per reward unless ``check_rewards`` is off.
+    reward must stay inside its span.  Unless ``check_rewards`` is off, every
+    reward of every tree, whatever its size, is certified at build time by
+    minimizing and maximizing it over the decision set: two LPs per reward,
+    re-solved warm in one HiGHS session per build.
     """
 
     def __init__(self, tree, decision_bounds, rewards, ambiguity, grid,
@@ -223,25 +219,25 @@ class MultistageProblem:
         raise InfeasibleProblemError("decision constraints are infeasible")
 
     def _certify_rewards(self):
-        if len(self.rewards) > _CERTIFY_LIMIT:
-            log.info("skipping reward range certification (%d rewards)", len(self.rewards))
-            return
         lp, xvar = self._decision_lp()
+        # Every extreme shares the decision polytope, so one warm HiGHS model
+        # serves them all; without the binding each LP goes through linprog.
+        session = warm_session(lp)
         a, b = float(self.grid[0]), float(self.grid[-1])
         for i in sorted(self.rewards):
             rm = self.rewards[i]
             cols = xvar[self.tree.nodes[i].parent]
-            lo = self._reward_extreme(lp, cols, rm.coef, +1.0, i) + rm.offset
-            hi = self._reward_extreme(lp, cols, rm.coef, -1.0, i) + rm.offset
+            lo = self._reward_extreme(lp, cols, rm.coef, +1.0, i, session) + rm.offset
+            hi = self._reward_extreme(lp, cols, rm.coef, -1.0, i, session) + rm.offset
             if lo < a - _REWARD_TOL or hi > b + _REWARD_TOL:
                 raise ValueError(
                     f"reward at node {i} spans [{lo:.6g}, {hi:.6g}], outside the "
                     f"utility domain [{a:g}, {b:g}]")
 
-    def _reward_extreme(self, lp, cols, coef, sign, node):
+    def _reward_extreme(self, lp, cols, coef, sign, node, session):
         for k in range(coef.size):
             lp.set_obj(int(cols[k]), sign * float(coef[k]))
-        sol = lp.solve()
+        sol = lp.solve(backend=session)
         for k in range(coef.size):
             lp.set_obj(int(cols[k]), 0.0)
         if sol.status is LpStatus.INFEASIBLE:

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -160,8 +161,9 @@ def test_spec_validation_and_warnings(caplog):
         PairwiseComparisonSpec([(w, y, 2)])
     with pytest.raises(ValueError):
         PairwiseComparisonSpec([], L=-1.0)
-    with pytest.raises(ValueError):
-        KantorovichBallSpec(PiecewiseLinearUtility([0.0, 1.0], [0.0, 1.0]), -0.1)
+    for radius in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            KantorovichBallSpec(PiecewiseLinearUtility([0.0, 1.0], [0.0, 1.0]), radius)
 
     steep = PiecewiseLinearUtility([0.0, 0.1, 1.0], [0.0, 0.9, 1.0])  # slope 9 > L
     with caplog.at_level(logging.WARNING, logger="prefrobust.ambiguity"):

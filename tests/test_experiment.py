@@ -121,6 +121,16 @@ def test_rewards_certified_inside_the_unit_interval():
             tree, replace(cfg, scale_override=problem.reward_scale / 4.0))
 
 
+def test_trees_past_600_rewards_are_certified():
+    tree = generate_tree((25, 25), 11)
+    cfg = ExperimentConfig(branching=(25, 25))
+    problem = build_investment_consumption(tree, cfg)
+    assert len(problem.rewards) == 650
+    with pytest.raises(ValueError, match="outside the utility domain"):
+        build_investment_consumption(
+            tree, replace(cfg, scale_override=problem.reward_scale / 4.0))
+
+
 def test_regime_assignment_follows_the_decision_node_price():
     tree = generate_tree((3, 3, 3), 11)
     cfg = ExperimentConfig(model="pro_kan")
@@ -250,6 +260,9 @@ def test_config_dict_round_trip():
         config_from_dict({"radius": 0.1, "volatility": 3})
     with pytest.raises(ValueError, match="unknown model"):
         ExperimentConfig(model="msp_exact")
+    for radius in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            ExperimentConfig(radius=radius)
 
 
 def test_policy_table_round_trip():

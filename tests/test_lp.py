@@ -3,14 +3,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prefrobust.lp import (
     DEFAULT_TOL,
     LP_TOL_ENV,
     LinearProgram,
     LpStatus,
+    _solve_highs,
     dualize,
     solver_tolerance,
+    warm_session,
 )
 from oracles import lp_vertex_oracle
 
@@ -150,6 +154,98 @@ def test_tolerance_env_override(monkeypatch):
     assert solver_tolerance(1e-6) == 1e-6
     monkeypatch.setenv(LP_TOL_ENV, "1e-10")
     assert solver_tolerance() == 1e-10
+
+
+# --------------------------------------------------------------- warm session
+
+_BOUNDS = {"nonneg": (0.0, math.inf), "free": (-math.inf, math.inf)}
+
+
+@st.composite
+def session_programs(draw):
+    """A small LP over nonnegative, free and boxed variables with <=, = and
+    >= rows, plus a sequence of objectives to drive one session through.
+
+    Right-hand sides come from a point inside the bounds, so most programs
+    are feasible; free variables let some objectives run unbounded."""
+    n = draw(st.integers(1, 5))
+    lp = LinearProgram(draw(st.sampled_from(["min", "max"])))
+    x0 = []
+    for j in range(n):
+        kind = draw(st.sampled_from(["nonneg", "free", "boxed"]))
+        if kind == "boxed":
+            lo = draw(st.integers(-3, 2)) / 2.0
+            lb, ub = lo, lo + draw(st.integers(1, 4)) / 2.0
+        else:
+            lb, ub = _BOUNDS[kind]
+        lp.add_var(f"x{j}", lb=lb, ub=ub)
+        x0.append(min(max(draw(st.integers(-4, 4)) / 2.0, lb), ub))
+    x0 = np.array(x0)
+    for _ in range(draw(st.integers(0, 5))):
+        a = np.array([draw(st.integers(-3, 3)) for _ in range(n)], dtype=float)
+        rel = draw(st.sampled_from(["<=", "=", ">="]))
+        slack = 0.0 if rel == "=" else draw(st.integers(0, 3)) / 2.0
+        lp.add_row((np.arange(n), a), rel, a @ x0 + (slack if rel == "<=" else -slack))
+    costs = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=2, max_size=5))
+    return lp, costs
+
+
+def _assert_feasible(lp, x, tol=1e-7):
+    assert np.all(x >= lp.lower - tol) and np.all(x <= lp.upper + tol)
+    act = lp.row_matrix() @ x
+    for k, rel in enumerate(lp.relations):
+        if rel != ">=":
+            assert act[k] <= lp.rhs[k] + tol
+        if rel != "<=":
+            assert act[k] >= lp.rhs[k] - tol
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(session_programs())
+def test_warm_session_matches_cold_solves(case):
+    lp, costs = case
+    session = warm_session(lp)
+    assert session is not None
+    for cost in costs:
+        for j, c in enumerate(cost):
+            lp.set_obj(j, float(c))
+        warm = lp.solve(backend=session)
+        cold = _solve_highs(lp, DEFAULT_TOL)
+        assert warm.status is cold.status
+        if cold.is_optimal:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.dual_objective == pytest.approx(cold.dual_objective, abs=1e-9)
+            _assert_feasible(lp, warm.x)
+            assert warm.duals.shape == (lp.num_rows,)
+            assert warm.reduced_costs.shape == (lp.num_vars,)
+
+
+def test_warm_session_classifies_like_the_cold_backend():
+    infeasible = LinearProgram("min")
+    x = infeasible.add_var("x", obj=1.0)
+    infeasible.add_row({x: 1.0}, "<=", -1.0)
+    unbounded = LinearProgram("max")
+    unbounded.add_var("x", lb=-math.inf, ub=math.inf, obj=1.0)
+    for lp, status in ((infeasible, LpStatus.INFEASIBLE), (unbounded, LpStatus.UNBOUNDED)):
+        assert _solve_highs(lp, DEFAULT_TOL).status is status
+        assert lp.solve(backend=warm_session(lp)).status is status
+
+    # a row added after an unbounded solve reloads the model
+    session = warm_session(unbounded)
+    assert unbounded.solve(backend=session).status is LpStatus.UNBOUNDED
+    unbounded.add_row({0: 1.0}, "<=", 2.5)
+    sol = unbounded.solve(backend=session)
+    assert sol.is_optimal and sol.objective == pytest.approx(2.5, abs=1e-9)
+
+
+def test_warm_session_serves_one_program_only():
+    lp = LinearProgram("min")
+    lp.add_var("x", obj=1.0)
+    other = LinearProgram("min")
+    other.add_var("x", obj=1.0)
+    with pytest.raises(ValueError, match="only the program"):
+        other.solve(backend=warm_session(lp))
 
 
 # ------------------------------------------------------------------- duality

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import prefrobust.lp as lp_module
 from prefrobust.ambiguity import (
     FiniteUtilitySet,
     KantorovichBallSpec,
@@ -357,7 +358,19 @@ def test_sequence_global_requires_finite_sets():
         evaluate_policy_worst_case(problem, dec, "sequence_global")
 
 
-def test_infeasibility_names_the_offending_node():
+@pytest.fixture(params=["session", "binding unavailable"])
+def certify_backend(request, monkeypatch):
+    """Certify reward ranges in a warm HiGHS session, or, with scipy's HiGHS
+    binding taken away, through one linprog call per LP."""
+    if request.param == "binding unavailable":
+        monkeypatch.setattr(lp_module, "_Highs", None)
+    probe = lp_module.LinearProgram("min")
+    probe.add_var("x")
+    assert (lp_module.warm_session(probe) is None) == (request.param != "session")
+    return request.param
+
+
+def test_infeasibility_names_the_offending_node(certify_backend):
     tree = balanced_tree([2, 2])
     y = uniform_grid(0.0, 1.0, 5)
     identity = PiecewiseLinearUtility(y, y)
@@ -381,7 +394,7 @@ def test_infeasibility_names_the_offending_node():
     assert err.value.node == 2
 
 
-def test_reward_ranges_are_certified_at_build_time():
+def test_reward_ranges_are_certified_at_build_time(certify_backend):
     tree = balanced_tree([2])
     y = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)

@@ -51,6 +51,9 @@ class DiscreteLottery:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support and probs must be non-empty and match")
+        if not all(math.isfinite(v) for v in (*self.support, *self.probs)):
+            raise ValueError(
+                f"lottery support {self.support!r} and probs {self.probs!r} must be finite")
         if any(p < 0 for p in self.probs):
             raise ValueError("lottery probabilities must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-12:
@@ -182,21 +185,33 @@ def elicit_pairwise(true_utility, K, grid, seed, L=DEFAULT_L, L_tilde=DEFAULT_LT
     Each lottery has two outcomes drawn without replacement from the grid
     and a head probability from {0.1, ..., 0.9}.  Draws are sequential, so
     for a fixed seed the first K pairs do not depend on the total count —
-    questionnaire sets grow by refinement as K increases.
+    questionnaire sets grow by refinement as K increases.  ``true_utility``
+    is called once, on the array of all drawn outcomes; each answer is the
+    :func:`preference_sign` of its pair.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     y = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pairs = []
-    for _ in range(K):
-        w_out = rng.choice(y, size=2, replace=False)
-        w_p = rng.integers(1, 10) / 10.0
-        y_out = rng.choice(y, size=2, replace=False)
-        y_p = rng.integers(1, 10) / 10.0
-        w = DiscreteLottery.two_outcome(w_out[0], w_out[1], w_p)
-        yk = DiscreteLottery.two_outcome(y_out[0], y_out[1], y_p)
-        pairs.append((w, yk, preference_sign(true_utility, w, yk)))
+    # per pair: W's two outcomes, Y's two outcomes; W's and Y's head probability
+    outcomes = np.empty((K, 4))
+    heads = np.empty((K, 2))
+    for k in range(K):
+        outcomes[k, :2] = rng.choice(y, size=2, replace=False)
+        heads[k, 0] = rng.integers(1, 10) / 10.0
+        outcomes[k, 2:] = rng.choice(y, size=2, replace=False)
+        heads[k, 1] = rng.integers(1, 10) / 10.0
+    u = np.asarray(true_utility(outcomes.ravel()), dtype=float).reshape(K, 4)
+    # the arithmetic of DiscreteLottery.expectation, one pair per entry
+    gap = (heads[:, 0] * u[:, 0] + (1.0 - heads[:, 0]) * u[:, 1]) - (
+        heads[:, 1] * u[:, 2] + (1.0 - heads[:, 1]) * u[:, 3])
+    answers = np.where(gap > 0, 1, -1)
+    answers[np.abs(gap) < INDIFFERENCE_TOL] = 0
+    pairs = [
+        (DiscreteLottery.two_outcome(w1, w2, pw), DiscreteLottery.two_outcome(y1, y2, py), z)
+        for (w1, w2, y1, y2), (pw, py), z in zip(
+            outcomes.tolist(), heads.tolist(), answers.tolist())
+    ]
     return PairwiseComparisonSpec(pairs, L=L, L_tilde=L_tilde, concave=concave)
 
 

@@ -155,25 +155,38 @@ def append_ball_membership(lp: LinearProgram, beta, nominal_slopes, grid, radius
     return {"lam": lam, "mu": mu, "rho": rho, "phi": phi, "rows": rows}
 
 
-def lottery_grid_probs(grid, lottery):
-    """Probability mass of a lottery on each grid point (support must lie on
-    the grid within 1e-9)."""
-    y = np.asarray(grid, dtype=float)
-    mass = np.zeros(y.size)
-    for x, p in zip(lottery.support, lottery.probs):
-        j = int(np.argmin(np.abs(y - x)))
-        if abs(y[j] - x) > 1e-9:
-            raise ValueError(f"lottery outcome {x!r} is not a grid point")
-        mass[j] += p
-    return mass
-
-
 def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0, tag="pc"):
     """One row per elicited comparison (W_k, Y_k, z_k):
-    z_k * sum_j (P[W_k = y_j] - P[Y_k = y_j]) * alpha_j >= margin."""
-    rows = []
+    z_k * sum_j (P[W_k = y_j] - P[Y_k = y_j]) * alpha_j >= margin.
+
+    Each lottery outcome is matched to its nearest grid point (ties to the
+    lower index) and must lie within 1e-9 of it.  Masses on one point add up
+    in support order, coefficients that cancel to zero are left out, and all
+    rows enter the program in one block.  Returns the row indices.
+    """
+    y = np.asarray(grid, dtype=float)
+    support, mass, owner, signs = [], [], [], []
     for k, (w, yk, z) in enumerate(pairs):
-        diff = lottery_grid_probs(grid, w) - lottery_grid_probs(grid, yk)
-        coefs = {alpha[j]: z * diff[j] for j in range(len(alpha)) if diff[j] != 0.0}
-        rows.append(lp.add_row(coefs, ">=", margin, name=f"{tag}[{k}]"))
-    return rows
+        signs.append(z)
+        for lottery, side in ((w, 0), (yk, 1)):
+            support.extend(lottery.support)
+            mass.extend(lottery.probs)
+            owner.extend([2 * k + side] * len(lottery.support))
+    x = np.asarray(support, dtype=float)
+    dist = np.abs(y[None, :] - x[:, None])
+    j = np.argmin(dist, axis=1)
+    # written so that a NaN outcome fails the check too
+    off = ~(dist[np.arange(x.size), j] <= 1e-9)
+    if off.any():
+        raise ValueError(f"lottery outcome {float(x[off][0])!r} is not a grid point")
+
+    K = len(pairs)
+    grid_mass = np.zeros((2 * K, y.size))
+    np.add.at(grid_mass, (np.asarray(owner, dtype=np.int64), j), mass)
+    diff = grid_mass[0::2] - grid_mass[1::2]
+    keep = diff != 0.0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    coefs = (np.asarray(signs, dtype=float)[:, None] * diff)[keep]
+    cols = np.broadcast_to(np.asarray(alpha), diff.shape)[keep]
+    return lp.add_rows(indptr, cols, coefs, ">=", margin,
+                       [f"{tag}[{k}]" for k in range(K)])

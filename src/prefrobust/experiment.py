@@ -59,7 +59,7 @@ from .multistage import (
     solve_holistic_pairwise,
     solve_nominal,
 )
-from .tree import ScenarioTree, TreeNode
+from .tree import ScenarioTree, TreeNode, TreeSchemaError
 from .utility import project, uniform_grid
 
 __all__ = [
@@ -234,6 +234,16 @@ def tree_to_json(tree: ScenarioTree) -> str:
 
 def tree_from_json(text: str) -> ScenarioTree:
     payload = json.loads(text)
+    if not isinstance(payload, dict) or "nodes" not in payload:
+        raise TreeSchemaError("tree: missing field 'nodes'")
+    for i, n in enumerate(payload["nodes"]):
+        if not isinstance(n, dict):
+            raise TreeSchemaError(f"node {i}: must be an object")
+        for key in ("id", "parent", "stage", "prob", "realization"):
+            if key not in n:
+                raise TreeSchemaError(f"node {i}: missing field {key!r}")
+        if not isinstance(n["realization"], dict):
+            raise TreeSchemaError(f"node {i}: realization must be an object")
     nodes = [
         TreeNode(
             int(n["id"]),

@@ -192,6 +192,46 @@ class LinearProgram:
         self._row_names.append(name)
         return len(self._rhs) - 1
 
+    def add_rows(self, indptr, indices, values, rels, rhs, names):
+        """Add a block of rows in CSR form: row ``k`` has the coefficients
+        ``values[indptr[k]:indptr[k+1]]`` on the variables
+        ``indices[indptr[k]:indptr[k+1]]``.  ``rels`` and ``rhs`` give one
+        entry per row, or one for all; ``names`` gives one per row.
+        The rows equal those of an :meth:`add_row` call per row with the same
+        coefficients in the same order.  Returns the row indices."""
+        indptr = np.asarray(indptr, dtype=np.int64)
+        idx = np.array(indices, dtype=np.int64)
+        val = np.array(values, dtype=float)
+        m = indptr.size - 1
+        if (indptr.ndim != 1 or m < 0 or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+                or indptr[-1] != idx.size):
+            raise ValueError("indptr must run from 0 to the entry count, nondecreasing")
+        if idx.shape != val.shape or idx.ndim != 1:
+            raise ValueError("index and value lists differ in length")
+        rels = [rels] * m if isinstance(rels, str) else list(rels)
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim == 0:
+            rhs = np.full(m, float(rhs))
+        names = list(names)
+        if not (len(rels) == len(names) == m and rhs.shape == (m,)):
+            raise ValueError(f"a block of {m} rows needs {m} relations, rhs and names")
+        bad = set(rels).difference(_RELS)
+        if bad:
+            raise ValueError(f"relation must be one of {_RELS}, got {sorted(bad)!r}")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
+            first = np.flatnonzero((idx < 0) | (idx >= self.num_vars))[0]
+            row = int(np.searchsorted(indptr, first, side="right")) - 1
+            raise ValueError(f"row {names[row]!r} references undeclared variable")
+        start = self.num_rows
+        if m == 0:
+            return np.arange(start, start)
+        self._row_cols.extend(np.split(idx, indptr[1:-1]))
+        self._row_vals.extend(np.split(val, indptr[1:-1]))
+        self._rels.extend(rels)
+        self._rhs.extend(rhs.tolist())
+        self._row_names.extend(names)
+        return np.arange(start, start + m)
+
     # ---------------------------------------------------------------- access
     @property
     def objective(self):
@@ -499,14 +539,12 @@ def dualize(lp: LinearProgram) -> LinearProgram:
 
     # Column view of the primal matrix for the stationarity rows.
     A_csc = lp.row_matrix().tocsc()
-    c = lp.objective
-    for j in range(n):
-        stype = _sign_type(lp.lower[j], lp.upper[j], lp.var_name(j))
-        if sense == "min":
-            rel = {_SIGN_NONNEG: LEQ, _SIGN_FREE: EQ, _SIGN_NONPOS: GEQ}[stype]
-        else:
-            rel = {_SIGN_NONNEG: GEQ, _SIGN_FREE: EQ, _SIGN_NONPOS: LEQ}[stype]
-        start, end = A_csc.indptr[j], A_csc.indptr[j + 1]
-        dual.add_row((A_csc.indices[start:end], A_csc.data[start:end]),
-                     rel, c[j], name=f"stat_{lp.var_name(j)}")
+    lower, upper = lp.lower, lp.upper
+    if sense == "min":
+        rel_of = {_SIGN_NONNEG: LEQ, _SIGN_FREE: EQ, _SIGN_NONPOS: GEQ}
+    else:
+        rel_of = {_SIGN_NONNEG: GEQ, _SIGN_FREE: EQ, _SIGN_NONPOS: LEQ}
+    rels = [rel_of[_sign_type(lower[j], upper[j], lp.var_name(j))] for j in range(n)]
+    dual.add_rows(A_csc.indptr, A_csc.indices, A_csc.data, rels, lp.objective,
+                  [f"stat_{lp.var_name(j)}" for j in range(n)])
     return dual

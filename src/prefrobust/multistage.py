@@ -272,13 +272,14 @@ class _NodeBlock:
     prob: float
 
 
-def _copy_dual_block(big, dual, obj_scale, extra_row_coefs, prefix):
+def _copy_dual_block(big, dual, obj_scale, extra, prefix):
     """Append a dualized one-stage block to the big LP.
 
-    Objective coefficients are scaled by the node probability; rows listed in
-    ``extra_row_coefs`` (keyed by source row index = inner primal variable
-    index) pick up additional big-LP columns, which is how the decision
-    variables enter the reward-pricing rows.
+    Objective coefficients are scaled by the node probability.  ``extra`` is
+    ``(rows, cols, values)``: each entry appends ``values`` on the big-LP
+    column ``cols`` to the end of source row ``rows`` (source row index =
+    inner primal variable index), which is how the decision variables enter
+    the reward-pricing rows.  Entries of one row keep their order.
     """
     lower, upper, obj = dual.lower, dual.upper, dual.objective
     vmap = np.array(
@@ -289,18 +290,16 @@ def _copy_dual_block(big, dual, obj_scale, extra_row_coefs, prefix):
         ],
         dtype=int,
     )
-    mat = dual.row_matrix().tocsr()
-    rel, rhs = dual.relations, dual.rhs
-    rmap = np.empty(dual.num_rows, dtype=int)
-    for k in range(dual.num_rows):
-        lo, hi = mat.indptr[k], mat.indptr[k + 1]
-        coefs = {
-            int(vmap[j]): float(v)
-            for j, v in zip(mat.indices[lo:hi], mat.data[lo:hi])
-        }
-        for col, v in extra_row_coefs.get(k, {}).items():
-            coefs[col] = coefs.get(col, 0.0) + v
-        rmap[k] = big.add_row(coefs, rel[k], rhs[k], name=f"{prefix}.{dual.row_name(k)}")
+    mat = dual.row_matrix()
+    order = np.argsort(extra[0], kind="stable")
+    rows, cols, vals = (np.asarray(a)[order] for a in extra)
+    # np.insert keeps the given order among entries bound for one position
+    at = mat.indptr[rows + 1]
+    indices = np.insert(vmap[mat.indices], at, cols)
+    values = np.insert(mat.data, at, vals)
+    indptr = mat.indptr + np.searchsorted(rows, np.arange(dual.num_rows + 1))
+    names = [f"{prefix}.{dual.row_name(k)}" for k in range(dual.num_rows)]
+    rmap = big.add_rows(indptr, indices, values, dual.relations, dual.rhs, names)
     return vmap, rmap
 
 
@@ -347,17 +346,14 @@ def _solve_holistic(problem, builder):
         probs = np.array([tree.nodes[i].prob for i in kids])
         offsets = np.array([problem.rewards[i].offset for i in kids])
         inner, ublock, eps = builder(s, offsets, probs)
-        extra = {}
+        rows, cols, vals = [], [], []
         for pos, i in enumerate(kids):
             coef = problem.rewards[i].coef
-            cols = xvar[s]
-            entries = {
-                int(cols[k]): -probs[pos] * float(coef[k])
-                for k in range(coef.size)
-                if coef[k] != 0.0
-            }
-            if entries:
-                extra[int(eps[pos])] = entries
+            nz = np.flatnonzero(coef)
+            rows.append(np.full(nz.size, eps[pos]))
+            cols.append(xvar[s][nz])
+            vals.append(-probs[pos] * coef[nz])
+        extra = (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
         vmap, rmap = _copy_dual_block(big, dualize(inner), float(pu[s]), extra, f"n{s}")
         blocks[s] = _NodeBlock(vmap, rmap[ublock.alpha], float(pu[s]))
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefrobust.ambiguity import (
     DEFAULT_L,
@@ -45,6 +47,18 @@ def test_lottery_validation():
     assert w.expectation(ClosedFormUtility.linear()) == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("support, probs", [
+    ((0.0, 1.0), (math.nan, math.nan)),
+    ((math.nan, 1.0), (0.5, 0.5)),
+    ((0.0, math.inf), (0.5, 0.5)),
+    ((-math.inf,), (1.0,)),
+    ((0.0, 1.0), (math.inf, -math.inf)),
+])
+def test_lottery_rejects_non_finite_entries(support, probs):
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteLottery(support, probs)
+
+
 def test_preference_sign_examples():
     quad = ClosedFormUtility.quadratic()
     top = DiscreteLottery.point_mass(1.0)
@@ -76,6 +90,76 @@ def test_elicitation_deterministic_and_prefix_nested():
     assert other.table() != spec.table()
 
     assert len(elicit_pairwise(quad, 0, grid, seed=1)) == 0
+
+
+def _elicit_reference(true_utility, K, grid, seed):
+    """The scalar elicitation loop: one lottery pair and one answer at a time."""
+    y = np.asarray(grid, dtype=float)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pairs = []
+    for _ in range(K):
+        w_out = rng.choice(y, size=2, replace=False)
+        w_p = rng.integers(1, 10) / 10.0
+        y_out = rng.choice(y, size=2, replace=False)
+        y_p = rng.integers(1, 10) / 10.0
+        w = DiscreteLottery.two_outcome(w_out[0], w_out[1], w_p)
+        yk = DiscreteLottery.two_outcome(y_out[0], y_out[1], y_p)
+        pairs.append((w, yk, preference_sign(true_utility, w, yk)))
+    return PairwiseComparisonSpec(pairs)
+
+
+@st.composite
+def increasing_points(draw, n, lo=0.0, hi=1.0):
+    """``n`` strictly increasing points from ``lo`` to ``hi``."""
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    cum = np.concatenate(([0.0], np.cumsum(steps)))
+    pts = lo + (hi - lo) * cum / cum[-1]
+    pts[-1] = hi
+    return pts
+
+
+@st.composite
+def true_utilities(draw):
+    kind = draw(st.sampled_from(["linear", "exponential", "quadratic", "min_affine", "pl"]))
+    if kind == "linear":
+        return ClosedFormUtility.linear()
+    if kind == "exponential":
+        return ClosedFormUtility.exponential(draw(st.floats(0.05, 12.0)))
+    if kind == "quadratic":
+        return ClosedFormUtility.quadratic()
+    if kind == "min_affine":
+        steep = draw(st.floats(1.0, 6.0))
+        flat = draw(st.floats(0.0, 1.0))
+        return ClosedFormUtility.min_affine([(steep, 0.0), (flat, 1.0 - flat)])
+    n = draw(st.integers(2, 12))
+    values = np.concatenate(([0.0], np.sort(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))), [1.0]))
+    return PiecewiseLinearUtility(draw(increasing_points(n)), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(truth=true_utilities(), n=st.integers(2, 41), K=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_elicitation_matches_the_scalar_reference(truth, n, K, seed, data):
+    grid = data.draw(increasing_points(n))
+    spec = elicit_pairwise(truth, K, grid, seed=seed)
+    ref = _elicit_reference(truth, K, grid, seed)
+    assert spec.pairs == ref.pairs
+    for w, yk, z in spec.pairs:
+        assert z == preference_sign(truth, w, yk)
+
+
+def test_elicitation_evaluates_the_utility_once():
+    calls = []
+    quad = ClosedFormUtility.quadratic()
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return quad(x)
+
+    spec = elicit_pairwise(counted, 200, uniform_grid(0.0, 1.0, 20), seed=3)
+    assert calls == [(800,)]
+    assert spec.pairs == elicit_pairwise(quad, 200, uniform_grid(0.0, 1.0, 20), seed=3).pairs
 
 
 def test_true_utility_is_feasible_for_its_answers():

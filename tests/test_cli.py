@@ -17,6 +17,7 @@ from prefrobust.experiment import (
     generate_tree,
     solve_model,
     tree_from_json,
+    tree_to_json,
 )
 
 
@@ -181,3 +182,29 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "all quantities match" in proc.stdout
+
+
+@pytest.mark.parametrize("field", ["id", "parent", "stage", "prob", "realization"])
+def test_tree_file_missing_a_node_field_exits_cleanly(tmp_path, capsys, field):
+    payload = json.loads(tree_to_json(generate_tree((2, 2), 3)))
+    del payload["nodes"][0][field]
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(payload))
+    assert main(["solve", "--tree", str(tree_file), "--model", "pro_kan"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: node 0: missing field '{field}'\n"
+    with pytest.raises(ValueError, match=f"node 0: missing field '{field}'"):
+        tree_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "tree: missing field 'nodes'"),
+    ('{"nodes": [1]}', "node 0: must be an object"),
+    ('{"nodes": [{"id": 0, "parent": null, "stage": 0, "prob": 1.0, "realization": [1]}]}',
+     "node 0: realization must be an object"),
+])
+def test_malformed_tree_file_exits_cleanly(tmp_path, capsys, text, message):
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(text)
+    assert main(["solve", "--tree", str(tree_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

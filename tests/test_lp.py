@@ -318,3 +318,127 @@ def test_dual_of_dual_value_roundtrip():
         v0 = lp.solve().objective
         v2 = dualize(dualize(lp)).solve().objective
         assert v2 == pytest.approx(v0, abs=1e-8)
+
+
+def _assert_same_rows(a, b):
+    ma, mb = a.row_matrix(), b.row_matrix()
+    assert ma.shape == mb.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ma, part), getattr(mb, part))
+    assert a.relations == b.relations
+    assert a.rhs.tobytes() == b.rhs.tobytes()
+    assert [a.row_name(k) for k in range(a.num_rows)] == \
+        [b.row_name(k) for k in range(b.num_rows)]
+
+
+@st.composite
+def csr_blocks(draw):
+    """A row block over ``n`` variables: CSR arrays, relations, rhs, names."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 6))
+    rows = [draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(-5, 5)), max_size=6))
+            for _ in range(m)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = [j for r in rows for j, _ in r]
+    values = [v for r in rows for _, v in r]
+    rels = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.floats(-10, 10), min_size=m, max_size=m))
+    names = draw(st.one_of(st.just([None] * m), st.just([f"b[{k}]" for k in range(m)])))
+    return n, indptr, indices, values, rels, rhs, names
+
+
+@settings(max_examples=150, deadline=None)
+@given(csr_blocks())
+def test_add_rows_equals_a_loop_of_add_row(block):
+    n, indptr, indices, values, rels, rhs, names = block
+    bulk, loop = LinearProgram("min"), LinearProgram("min")
+    for lp in (bulk, loop):
+        lp.add_vars(n, "x")
+        lp.add_row({0: 1.0}, "<=", 1.0, name="before")
+    rows = bulk.add_rows(indptr, indices, values, rels, rhs, names)
+    for k in range(len(rels)):
+        lo, hi = indptr[k], indptr[k + 1]
+        loop.add_row((indices[lo:hi], values[lo:hi]), rels[k], rhs[k], name=names[k])
+    assert list(rows) == list(range(1, 1 + len(rels)))
+    _assert_same_rows(bulk, loop)
+
+
+def test_add_rows_broadcasts_one_relation_and_rhs():
+    lp = LinearProgram("min")
+    lp.add_vars(3, "x")
+    rows = lp.add_rows([0, 2, 3], [0, 2, 1], [1.0, -1.0, 2.0], ">=", 0.5, ["a", "b"])
+    assert list(rows) == [0, 1]
+    assert lp.relations == [">=", ">="]
+    assert list(lp.rhs) == [0.5, 0.5]
+    assert lp.row_matrix().toarray().tolist() == [[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]
+
+
+@pytest.mark.parametrize("args, match", [
+    (([0, 1], [0], [1.0], ["<"], [0.0], ["a"]), "relation"),
+    (([0, 1], [3], [1.0], ["<="], [0.0], ["a"]), "undeclared"),
+    (([0, 1], [-1], [1.0], ["<="], [0.0], ["a"]), "undeclared"),
+    (([0, 1, 2], [0, 1], [1.0], ["<="] * 2, [0.0] * 2, ["a", "b"]), "differ in length"),
+    (([0, 2], [0], [1.0], ["<="], [0.0], ["a"]), "indptr"),
+    (([0, 1], [0], [1.0], ["<=", "<="], [0.0], ["a"]), "needs 1 relations"),
+    (([0, 1], [0], [1.0], ["<="], [0.0, 1.0], ["a"]), "needs 1 relations"),
+    (([0, 1], [0], [1.0], ["<="], [0.0], ["a", "b"]), "needs 1 relations"),
+])
+def test_add_rows_rejects_bad_blocks(args, match):
+    lp = LinearProgram("min")
+    lp.add_vars(3, "x")
+    with pytest.raises(ValueError, match=match):
+        lp.add_rows(*args)
+    assert lp.num_rows == 0
+
+
+def test_add_rows_names_the_row_with_an_undeclared_variable():
+    lp = LinearProgram("min")
+    lp.add_vars(2, "x")
+    with pytest.raises(ValueError, match="'second'"):
+        lp.add_rows([0, 1, 1, 2], [0, 5], [1.0, 1.0], "=", 0.0, ["first", "empty", "second"])
+
+
+def _dualize_reference(lp):
+    """The stationarity rows of :func:`dualize` added one ``add_row`` at a time."""
+    sense = lp.sense
+    dual = LinearProgram(sense="max" if sense == "min" else "min")
+    for k, rel in enumerate(lp.relations):
+        if sense == "min":
+            lo, hi = {"<=": (-math.inf, 0.0), "=": (-math.inf, math.inf),
+                      ">=": (0.0, math.inf)}[rel]
+        else:
+            lo, hi = {"<=": (0.0, math.inf), "=": (-math.inf, math.inf),
+                      ">=": (-math.inf, 0.0)}[rel]
+        dual.add_var(name=f"y_{lp.row_name(k)}", lb=lo, ub=hi, obj=lp.rhs[k])
+    A = lp.row_matrix().tocsc()
+    for j in range(lp.num_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        stype = "nonneg" if lo == 0.0 else ("free" if hi == math.inf else "nonpos")
+        rel = {"nonneg": "<=", "free": "=", "nonpos": ">="}[stype]
+        if sense == "max":
+            rel = {"<=": ">=", "=": "=", ">=": "<="}[rel]
+        s, e = A.indptr[j], A.indptr[j + 1]
+        dual.add_row((A.indices[s:e], A.data[s:e]), rel, lp.objective[j],
+                     name=f"stat_{lp.var_name(j)}")
+    return dual
+
+
+def test_dualize_rows_equal_the_row_by_row_reference():
+    rng = np.random.default_rng(11)
+    bounds = [(0.0, math.inf), (-math.inf, math.inf), (-math.inf, 0.0)]
+    for sense in ("min", "max"):
+        for _ in range(10):
+            lp = LinearProgram(sense)
+            n = int(rng.integers(1, 6))
+            for j in range(n):
+                lo, hi = bounds[int(rng.integers(0, 3))]
+                lp.add_var(f"x{j}", lb=lo, ub=hi, obj=float(rng.normal()))
+            for _ in range(int(rng.integers(0, 5))):
+                cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                lp.add_row((cols, rng.normal(size=cols.size)),
+                           ["<=", "=", ">="][int(rng.integers(0, 3))], float(rng.normal()))
+            dual, ref = dualize(lp), _dualize_reference(lp)
+            _assert_same_rows(dual, ref)
+            assert dual.objective.tobytes() == ref.objective.tobytes()
+            assert np.array_equal(dual.lower, ref.lower)
+            assert np.array_equal(dual.upper, ref.upper)

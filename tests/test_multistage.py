@@ -11,6 +11,8 @@ from prefrobust.ambiguity import (
     StateDependentAmbiguity,
     elicit_pairwise,
 )
+from prefrobust.blocks import append_ball_membership
+from prefrobust.lp import LinearProgram, dualize
 from prefrobust.multistage import (
     InfeasibleProblemError,
     MultistageProblem,
@@ -20,6 +22,7 @@ from prefrobust.multistage import (
     solve_holistic_kantorovich,
     solve_holistic_pairwise,
     solve_nominal,
+    _copy_dual_block,
     subtree_problem,
 )
 from prefrobust.tree import ScenarioTree, TreeNode
@@ -31,6 +34,7 @@ from prefrobust.utility import (
 )
 from prefrobust.worst_case import (
     OutcomeDistribution,
+    supporting_line_primal,
     worst_case_kantorovich_primal,
     worst_case_pairwise,
 )
@@ -439,3 +443,59 @@ def test_policy_table_lists_every_decision_node():
         xs = np.array([float(v) for v in dec.split(",")])
         assert np.allclose(xs, pol.decisions[int(node)])
         float(value)
+
+
+def _copy_dual_block_reference(big, dual, obj_scale, extra_row_coefs, prefix):
+    """One ``add_row`` per dual row, extra coefficients merged by dict."""
+    vmap = np.array([
+        big.add_var(f"{prefix}.{dual.var_name(j)}", lb=dual.lower[j], ub=dual.upper[j],
+                    obj=obj_scale * dual.objective[j])
+        for j in range(dual.num_vars)])
+    mat = dual.row_matrix()
+    rmap = []
+    for k in range(dual.num_rows):
+        lo, hi = mat.indptr[k], mat.indptr[k + 1]
+        coefs = {int(vmap[j]): float(v) for j, v in zip(mat.indices[lo:hi], mat.data[lo:hi])}
+        for col, v in extra_row_coefs.get(k, {}).items():
+            coefs[col] = coefs.get(col, 0.0) + v
+        rmap.append(big.add_row(coefs, dual.relations[k], dual.rhs[k],
+                                name=f"{prefix}.{dual.row_name(k)}"))
+    return vmap, np.array(rmap)
+
+
+def test_dual_block_copy_matches_the_row_by_row_reference(monkeypatch):
+    y = uniform_grid(0.0, 1.0, 6)
+    inner, block, eps = supporting_line_primal(
+        [0.2, 0.5, 0.9], [0.3, 0.3, 0.4], y, 3.0, 9.0, True)
+    append_ball_membership(inner, block.beta, np.ones(5), y, 0.05)
+    dual = dualize(inner)
+    # decision columns 0..2 enter the rows of eps[2] and eps[0], listed out of order
+    entries = [(eps[2], 1, -0.4), (eps[2], 0, 0.25), (eps[0], 2, -0.3)]
+    programs = []
+    for _ in range(2):
+        big = LinearProgram("max")
+        big.add_vars(3, "x")
+        big.add_row({0: 1.0, 1: 1.0}, "<=", 1.0, name="budget")
+        programs.append(big)
+    calls = []
+    real_add_row = LinearProgram.add_row
+    monkeypatch.setattr(LinearProgram, "add_row", lambda *a, **k: calls.append(a))
+    vmap, rmap = _copy_dual_block(
+        programs[0], dual, 0.5, tuple(np.array(col) for col in zip(*entries)), "n0")
+    assert calls == []
+    monkeypatch.setattr(LinearProgram, "add_row", real_add_row)
+    extra = {}
+    for row, col, val in entries:
+        extra.setdefault(int(row), {})[col] = val
+    ref_vmap, ref_rmap = _copy_dual_block_reference(programs[1], dual, 0.5, extra, "n0")
+
+    assert np.array_equal(vmap, ref_vmap) and np.array_equal(rmap, ref_rmap)
+    bulk, ref = programs
+    a, b = bulk.row_matrix(), ref.row_matrix()
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, part), getattr(b, part))
+    assert bulk.relations == ref.relations
+    assert bulk.rhs.tobytes() == ref.rhs.tobytes()
+    assert bulk.objective.tobytes() == ref.objective.tobytes()
+    assert [bulk.row_name(k) for k in range(bulk.num_rows)] == \
+        [ref.row_name(k) for k in range(ref.num_rows)]

@@ -57,8 +57,7 @@ from .multistage import (
     TimeConsistencyReport,
     check_time_consistency,
     evaluate_policy_worst_case,
-    solve_holistic_kantorovich,
-    solve_holistic_pairwise,
+    solve_holistic,
     solve_nominal,
     subtree_problem,
 )

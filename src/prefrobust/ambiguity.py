@@ -143,6 +143,17 @@ class KantorovichBallSpec:
         self.L_tilde = float(L_tilde)
         self.concave = bool(concave)
 
+    def nominal_on(self, grid):
+        """The nominal utility on ``grid``: itself when its breakpoints are
+        the grid (to 1e-9), otherwise its projection onto the grid."""
+        y = np.asarray(grid, dtype=float)
+        nominal = self.nominal
+        if nominal.breakpoints.size != y.size or not np.allclose(
+            nominal.breakpoints, y, atol=1e-9
+        ):
+            nominal = project(nominal, y)
+        return nominal
+
 
 class FiniteUtilitySet:
     """An explicit list of candidate utilities (closed-form or PL)."""
@@ -237,12 +248,7 @@ def feasibility_check(spec, grid):
     lp = LinearProgram("min", name="feasibility")
     block = append_utility_block(lp, y, spec.L, spec.L_tilde, spec.concave)
     if isinstance(spec, KantorovichBallSpec):
-        nominal = spec.nominal
-        if nominal.breakpoints.size != y.size or not np.allclose(
-            nominal.breakpoints, y, atol=1e-9
-        ):
-            nominal = project(nominal, y)
-        append_ball_membership(lp, block.beta, nominal.slopes, y, spec.radius)
+        append_ball_membership(lp, block.beta, spec.nominal_on(y).slopes, y, spec.radius)
     elif isinstance(spec, PairwiseComparisonSpec):
         append_pairwise_rows(lp, block.alpha, y, spec.pairs, margin=FEASIBILITY_MARGIN)
     else:

@@ -55,8 +55,7 @@ from .multistage import (
     MultistageProblem,
     NodeConstraint,
     Policy,
-    solve_holistic_kantorovich,
-    solve_holistic_pairwise,
+    solve_holistic,
     solve_nominal,
 )
 from .tree import ScenarioTree, TreeNode, TreeSchemaError
@@ -376,10 +375,8 @@ def build_investment_consumption(
 
 
 def solve_model(problem: MultistageProblem, config: ExperimentConfig) -> Policy:
-    if config.model == "pro_kan":
-        return solve_holistic_kantorovich(problem)
-    if config.model == "pro_pc":
-        return solve_holistic_pairwise(problem)
+    if config.model in ("pro_kan", "pro_pc"):
+        return solve_holistic(problem)
     utilities = {
         s: problem.ambiguity.for_node(s).members[0]
         for s in problem.tree.nonleaf_ids()

@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,22 +58,7 @@ EQ = "="
 GEQ = ">="
 _RELS = (LEQ, EQ, GEQ)
 
-#: Environment variable overriding the solver feasibility tolerances.
-LP_TOL_ENV = "PREFROBUST_LP_TOL"
 DEFAULT_TOL = 1e-8
-
-
-def solver_tolerance(explicit=None):
-    """Resolve the solver tolerance: explicit argument > env var > default."""
-    if explicit is not None:
-        return float(explicit)
-    raw = os.environ.get(LP_TOL_ENV)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            log.warning("ignoring non-numeric %s=%r", LP_TOL_ENV, raw)
-    return DEFAULT_TOL
 
 
 class LpStatus(enum.Enum):
@@ -295,7 +279,7 @@ class LinearProgram:
         if self.num_vars == 0:
             raise ValueError("cannot solve an LP with no variables")
         backend = backend or _solve_highs
-        return backend(self, solver_tolerance(tol))
+        return backend(self, DEFAULT_TOL if tol is None else float(tol))
 
 
 def _solve_highs(lp: LinearProgram, tol: float) -> LpSolution:

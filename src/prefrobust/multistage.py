@@ -27,18 +27,26 @@ from .ambiguity import (
     build_state_dependent,
     feasibility_check,
 )
-from .blocks import append_ball_membership, append_pairwise_rows
 from .lp import LinearProgram, LpStatus, dualize, warm_session
-from .utility import PiecewiseLinearUtility, project
+from .utility import PiecewiseLinearUtility
 from .worst_case import (
     OutcomeDistribution,
-    supporting_line_primal,
+    node_primal,
     worst_case_finite,
     worst_case_kantorovich_primal,
     worst_case_pairwise,
 )
 
+# Used only by perfbench/layers.py, which wraps these module globals by name.
+from .blocks import append_ball_membership, append_pairwise_rows  # noqa: F401
+from .utility import project  # noqa: F401
+from .worst_case import supporting_line_primal  # noqa: F401
+
 _REWARD_TOL = 1e-7
+# strong-duality gap allowed on a tree-wide LP, relative to 1 + |objective|
+_GAP_TOL = 1e-7
+# how far a plan handed to the evaluator may stray from its bounds and rows
+_PLAN_TOL = 1e-7
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -188,13 +196,13 @@ class MultistageProblem:
         return NodeConstraint(con.node, con.rel, float(con.rhs), cs, cp)
 
     # ------------------------------------------------------------ decisions
-    def _decision_lp(self, last_node=None):
-        """Box bounds plus constraint rows only (zero objective).
+    def add_decisions(self, lp, last_node=None):
+        """Add the decision columns ``x[s][k]`` with their box bounds and the
+        constraint rows to ``lp``; return the column indices per node.
 
         ``last_node`` keeps just the rows attached to nodes up to that id,
         which the infeasibility diagnosis uses to locate the first offender.
         """
-        lp = LinearProgram("min", name="decisions")
         xvar = {}
         for s in self.tree.nonleaf_ids():
             lb, ub = self.decision_bounds[s]
@@ -206,7 +214,12 @@ class MultistageProblem:
             if last_node is not None and con.node > last_node:
                 continue
             _add_constraint_row(lp, xvar, self.tree, con, idx)
-        return lp, xvar
+        return xvar
+
+    def _decision_lp(self, last_node=None):
+        """Box bounds plus constraint rows only (zero objective)."""
+        lp = LinearProgram("min", name="decisions")
+        return lp, self.add_decisions(lp, last_node)
 
     def _raise_decision_infeasible(self):
         for cutoff in sorted({con.node for con in self.constraints}):
@@ -326,26 +339,46 @@ def _diagnose_and_raise(problem, message):
     raise InfeasibleProblemError(message)
 
 
-def _solve_holistic(problem, builder):
+def _solve_big(problem, big, xvar, label):
+    """Solve a tree-wide LP, certify its duality gap and read back decisions."""
+    sol = big.solve()
+    if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
+        _diagnose_and_raise(problem, f"{label} solve ended {sol.status.value}")
+    if not sol.is_optimal:
+        raise RuntimeError(f"{label} solve ended {sol.status.value}: {sol.message}")
+    gap = abs(sol.objective - sol.dual_objective)
+    if gap > _GAP_TOL * (1.0 + abs(sol.objective)):
+        raise RuntimeError(
+            f"{label} solve: primal objective {sol.objective!r} and dual objective "
+            f"{sol.dual_objective!r} differ by {gap:.3g}")
+    decisions = {s: np.array([sol.x[j] for j in xvar[s]]) for s in xvar}
+    return sol, decisions
+
+
+def solve_holistic(problem):
+    """Maximin policy when every node carries a Kantorovich ball or elicited
+    pairwise comparisons; one tree may mix the two."""
+    # perfbench/layers.py times this layer by wrapping _solve_holistic by name
+    return _solve_holistic(problem)
+
+
+def _solve_holistic(problem):
     tree = problem.tree
     pu = tree.unconditional_probs()
     big = LinearProgram("max", name="tree")
-    xvar = {}
-    for s in tree.nonleaf_ids():
-        lb, ub = problem.decision_bounds[s]
-        xvar[s] = np.array(
-            [big.add_var(f"x[{s}][{k}]", lb=lb[k], ub=ub[k]) for k in range(lb.size)],
-            dtype=int,
-        )
-    for idx, con in enumerate(problem.constraints):
-        _add_constraint_row(big, xvar, tree, con, idx)
+    xvar = problem.add_decisions(big)
 
     blocks = {}
     for s in tree.nonleaf_ids():
+        spec = problem.ambiguity.for_node(s)
+        if not isinstance(spec, (KantorovichBallSpec, PairwiseComparisonSpec)):
+            raise TypeError(
+                f"node {s}: expected a Kantorovich ball or pairwise comparisons, "
+                f"got {type(spec).__name__}")
         kids = tree.children[s]
         probs = np.array([tree.nodes[i].prob for i in kids])
         offsets = np.array([problem.rewards[i].offset for i in kids])
-        inner, ublock, eps = builder(s, offsets, probs)
+        inner, ublock, eps = node_primal(offsets, probs, spec, problem.grid)
         rows, cols, vals = [], [], []
         for pos, i in enumerate(kids):
             coef = problem.rewards[i].coef
@@ -357,14 +390,8 @@ def _solve_holistic(problem, builder):
         vmap, rmap = _copy_dual_block(big, dualize(inner), float(pu[s]), extra, f"n{s}")
         blocks[s] = _NodeBlock(vmap, rmap[ublock.alpha], float(pu[s]))
 
-    sol = big.solve()
-    if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
-        _diagnose_and_raise(problem, f"holistic solve ended {sol.status.value}")
-    if not sol.is_optimal:
-        raise RuntimeError(f"holistic solve ended {sol.status.value}: {sol.message}")
-
+    sol, decisions = _solve_big(problem, big, xvar, "holistic")
     obj = big.objective
-    decisions = {s: np.array([sol.x[j] for j in xvar[s]]) for s in xvar}
     per_node = {}
     for s, nb in blocks.items():
         val = float(np.dot(obj[nb.vmap], sol.x[nb.vmap])) / nb.prob
@@ -372,47 +399,6 @@ def _solve_holistic(problem, builder):
         per_node[s] = NodeValue(
             tree.nodes[s].stage, val, _utility_from_marginals(problem.grid, alpha))
     return Policy(decisions, float(sol.objective), per_node)
-
-
-def _nominal_on(spec, y):
-    nominal = spec.nominal
-    if nominal.breakpoints.size != y.size or not np.allclose(nominal.breakpoints, y, atol=1e-9):
-        nominal = project(nominal, y)
-    return nominal
-
-
-def solve_holistic_kantorovich(problem):
-    """Maximin policy when every node carries a Kantorovich ball."""
-
-    def builder(s, offsets, probs):
-        spec = problem.ambiguity.for_node(s)
-        if not isinstance(spec, KantorovichBallSpec):
-            raise TypeError(
-                f"node {s}: expected a Kantorovich ball, got {type(spec).__name__}")
-        y = problem.grid
-        lp, block, eps = supporting_line_primal(
-            offsets, probs, y, spec.L, spec.L_tilde, spec.concave)
-        append_ball_membership(lp, block.beta, _nominal_on(spec, y).slopes, y, spec.radius)
-        return lp, block, eps
-
-    return _solve_holistic(problem, builder)
-
-
-def solve_holistic_pairwise(problem):
-    """Maximin policy when every node carries elicited pairwise comparisons."""
-
-    def builder(s, offsets, probs):
-        spec = problem.ambiguity.for_node(s)
-        if not isinstance(spec, PairwiseComparisonSpec):
-            raise TypeError(
-                f"node {s}: expected pairwise comparisons, got {type(spec).__name__}")
-        y = problem.grid
-        lp, block, eps = supporting_line_primal(
-            offsets, probs, y, spec.L, spec.L_tilde, spec.concave)
-        append_pairwise_rows(lp, block.alpha, y, spec.pairs)
-        return lp, block, eps
-
-    return _solve_holistic(problem, builder)
 
 
 # ------------------------------------------------------------------ nominal
@@ -439,15 +425,7 @@ def solve_nominal(problem, utilities):
         util[s] = u
 
     big = LinearProgram("max", name="nominal")
-    xvar = {}
-    for s in tree.nonleaf_ids():
-        lb, ub = problem.decision_bounds[s]
-        xvar[s] = np.array(
-            [big.add_var(f"x[{s}][{k}]", lb=lb[k], ub=ub[k]) for k in range(lb.size)],
-            dtype=int,
-        )
-    for idx, con in enumerate(problem.constraints):
-        _add_constraint_row(big, xvar, tree, con, idx)
+    xvar = problem.add_decisions(big)
 
     for node in tree.nodes:
         if node.parent is None:
@@ -468,13 +446,7 @@ def solve_nominal(problem, utilities):
                 coefs, "<=", float(vals[j] + beta[j] * (rm.offset - y[j])),
                 name=f"hyp[{node.id},{j}]")
 
-    sol = big.solve()
-    if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
-        _diagnose_and_raise(problem, f"nominal solve ended {sol.status.value}")
-    if not sol.is_optimal:
-        raise RuntimeError(f"nominal solve ended {sol.status.value}: {sol.message}")
-
-    decisions = {s: np.array([sol.x[j] for j in xvar[s]]) for s in xvar}
+    sol, decisions = _solve_big(problem, big, xvar, "nominal")
     per_node = {}
     for s in tree.nonleaf_ids():
         kids = tree.children[s]
@@ -511,16 +483,51 @@ def _node_worst_case(problem, s, dist):
     raise TypeError(f"node {s}: unsupported ambiguity type {type(spec).__name__}")
 
 
+def _check_decisions(problem, decisions):
+    """Refuse a plan that misses a node or breaks a bound or a row."""
+    tree = problem.tree
+    x = {}
+    for s in tree.nonleaf_ids():
+        if s not in decisions:
+            raise ValueError(f"node {s}: the plan has no decision")
+        x[s] = np.asarray(decisions[s], dtype=float)
+        if x[s].shape != (problem.dim(s),):
+            raise ValueError(
+                f"node {s}: decision has shape {x[s].shape}, expected ({problem.dim(s)},)")
+        lb, ub = problem.decision_bounds[s]
+        # written so that a NaN decision fails too
+        off = np.flatnonzero(~((x[s] >= lb - _PLAN_TOL) & (x[s] <= ub + _PLAN_TOL)))
+        if off.size:
+            k = off[0]
+            raise ValueError(
+                f"node {s}: x[{s}][{k}] = {float(x[s][k])!r} is outside "
+                f"[{lb[k]:g}, {ub[k]:g}]")
+    for idx, con in enumerate(problem.constraints):
+        lhs = sum(v * x[con.node][k] for k, v in con.coef_self.items())
+        if con.coef_parent:
+            par = x[tree.nodes[con.node].parent]
+            lhs += sum(v * par[k] for k, v in con.coef_parent.items())
+        slack = {"<=": con.rhs - lhs, ">=": lhs - con.rhs, "=": -abs(lhs - con.rhs)}[con.rel]
+        if not slack >= -_PLAN_TOL:
+            raise ValueError(f"row con{idx}[{con.node}] does not hold: "
+                             f"{float(lhs)!r} {con.rel} {con.rhs!r}")
+
+
 def evaluate_policy_worst_case(problem, decisions, mode="nested"):
     """Worst-case value of fixed decisions.
 
     ``nested`` re-minimizes at every node separately (each node may face its
-    own adversary), which is the quantity the holistic solvers maximize under
+    own adversary), which is the quantity the holistic solver maximizes under
     per-node ambiguity.  ``sequence_global`` forces one utility per stage
     across all that stage's nodes and minimizes over whole assignments; it is
     only available when every node shares one finite utility set, where the
     minimum splits by stage because the objective is a sum over stages.
+
+    The plan must give every non-leaf node a decision of the node's length
+    that meets its bounds and every constraint row within 1e-7; otherwise a
+    ``ValueError`` names the node or the row.
     """
+    _check_decisions(problem, decisions)
     tree = problem.tree
     pu = tree.unconditional_probs()
     if mode == "nested":
@@ -622,15 +629,6 @@ class TimeConsistencyReport:
         return self.max_discrepancy <= self.tol
 
 
-def _default_holistic_solver(problem):
-    spec = problem.ambiguity.for_node(0)
-    if isinstance(spec, KantorovichBallSpec):
-        return solve_holistic_kantorovich
-    if isinstance(spec, PairwiseComparisonSpec):
-        return solve_holistic_pairwise
-    raise ValueError("pass subtree_solver for this ambiguity type")
-
-
 def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     """Compare each subtree's re-solved optimum with what the policy achieves.
 
@@ -638,11 +636,12 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     that node is reached — the plan is time-inconsistent there.  Per-node
     ambiguity keeps every discrepancy at solver noise; a shared
     state-independent set need not.  ``subtree_solver`` overrides the solver
-    used on subtrees (required for ambiguity types without a holistic solver);
-    it receives a :class:`MultistageProblem` and must return an object with a
-    ``value`` attribute.
+    used on subtrees instead of :func:`solve_holistic` (required for
+    ambiguity types it does not cover); it receives a
+    :class:`MultistageProblem` and must return an object with a ``value``
+    attribute.
     """
-    solver = subtree_solver or _default_holistic_solver(problem)
+    solver = subtree_solver or solve_holistic
     tree = problem.tree
     entries = []
     for s in tree.nonleaf_ids():

@@ -277,16 +277,16 @@ def _metric_lp(u, v):
     return build_kantorovich_lp(y, beta_u, beta_v)
 
 
-def kantorovich_lp(u, v, tol=None):
-    sol = _metric_lp(u, v).solve(tol=tol)
+def kantorovich_lp(u, v):
+    sol = _metric_lp(u, v).solve()
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"Kantorovich LP ended {sol.status.value}: {sol.message}")
     return float(sol.objective)
 
 
-def kantorovich_lp_dual(u, v, tol=None):
+def kantorovich_lp_dual(u, v):
     """Same value as :func:`kantorovich_lp`, computed on the mechanical dual."""
-    sol = dualize(_metric_lp(u, v)).solve(tol=tol)
+    sol = dualize(_metric_lp(u, v)).solve()
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"Kantorovich dual LP ended {sol.status.value}: {sol.message}")
     return float(sol.objective)

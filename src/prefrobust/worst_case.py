@@ -23,7 +23,9 @@ import numpy as np
 from .ambiguity import FiniteUtilitySet, KantorovichBallSpec, PairwiseComparisonSpec
 from .blocks import append_ball_membership, append_pairwise_rows, append_utility_block
 from .lp import LinearProgram, LpStatus, dualize
-from .utility import PiecewiseLinearUtility, project
+# ``project`` is used here only by perfbench/layers.py, which wraps this
+# module global by name.
+from .utility import PiecewiseLinearUtility, project  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -107,24 +109,30 @@ def supporting_line_primal(values, probs, y, L, L_tilde, concave):
     return lp, block, eps
 
 
-def _kantorovich_primal(dist, spec, grid):
-    y = _grid_for(spec, grid)
-    _check_outcomes(dist, y)
-    nominal = spec.nominal
-    if nominal.breakpoints.size != y.size or not np.allclose(nominal.breakpoints, y, atol=1e-9):
-        nominal = project(nominal, y)
-    lp, block, _ = supporting_line_primal(
-        dist.values, dist.probs, y, spec.L, spec.L_tilde, spec.concave)
-    append_ball_membership(lp, block.beta, nominal.slopes, y, spec.radius)
-    return lp, block, y
+def node_primal(values, probs, spec, y):
+    """One-stage worst-case LP of a ball or questionnaire node: the
+    supporting-line base of :func:`supporting_line_primal` plus the set's own
+    rows (ball membership around the nominal on ``y``, or one row per
+    answer).  Returns what :func:`supporting_line_primal` returns."""
+    lp, block, eps = supporting_line_primal(
+        values, probs, y, spec.L, spec.L_tilde, spec.concave)
+    if isinstance(spec, KantorovichBallSpec):
+        append_ball_membership(lp, block.beta, spec.nominal_on(y).slopes, y, spec.radius)
+    elif isinstance(spec, PairwiseComparisonSpec):
+        append_pairwise_rows(lp, block.alpha, y, spec.pairs)
+    else:
+        raise TypeError(f"no one-stage worst-case LP for {type(spec).__name__}")
+    return lp, block, eps
 
 
 def _utility_from(y, alpha_values):
     return PiecewiseLinearUtility(y, np.asarray(alpha_values, dtype=float))
 
 
-def worst_case_kantorovich_primal(dist, spec, grid=None):
-    lp, block, y = _kantorovich_primal(dist, spec, grid)
+def _worst_case_primal(dist, spec, grid):
+    y = _grid_for(spec, grid)
+    _check_outcomes(dist, y)
+    lp, block, _ = node_primal(dist.values, dist.probs, spec, y)
     sol = lp.solve()
     if sol.status is LpStatus.INFEASIBLE:
         return WorstCaseResult("infeasible")
@@ -136,11 +144,17 @@ def worst_case_kantorovich_primal(dist, spec, grid=None):
     )
 
 
+def worst_case_kantorovich_primal(dist, spec, grid=None):
+    return _worst_case_primal(dist, spec, grid)
+
+
 def worst_case_kantorovich_dual(dist, spec, grid=None):
     """Solve the mechanical dual of the worst-case LP.  The worst-case
     utility is read off the dual solution's row marginals, which recover a
     primal optimizer."""
-    lp, block, y = _kantorovich_primal(dist, spec, grid)
+    y = _grid_for(spec, grid)
+    _check_outcomes(dist, y)
+    lp, block, _ = node_primal(dist.values, dist.probs, spec, y)
     dual = dualize(lp)
     sol = dual.solve()
     if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
@@ -156,20 +170,7 @@ def worst_case_kantorovich_dual(dist, spec, grid=None):
 
 
 def worst_case_pairwise(dist, spec: PairwiseComparisonSpec, grid):
-    y = np.asarray(grid, dtype=float)
-    _check_outcomes(dist, y)
-    lp, block, _ = supporting_line_primal(
-        dist.values, dist.probs, y, spec.L, spec.L_tilde, spec.concave)
-    append_pairwise_rows(lp, block.alpha, y, spec.pairs)
-    sol = lp.solve()
-    if sol.status is LpStatus.INFEASIBLE:
-        return WorstCaseResult("infeasible")
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"worst-case LP ended {sol.status.value}: {sol.message}")
-    duals = {lp.row_name(k): float(sol.duals[k]) for k in range(lp.num_rows)}
-    return WorstCaseResult(
-        "optimal", float(sol.objective), _utility_from(y, sol.x[block.alpha]), duals=duals
-    )
+    return _worst_case_primal(dist, spec, grid)
 
 
 def worst_case_finite(dist, uset: FiniteUtilitySet):

@@ -30,7 +30,7 @@ from prefrobust.experiment import (
     sweep,
 )
 from prefrobust.lp import LinearProgram, LpStatus
-from prefrobust.multistage import check_time_consistency, solve_holistic_kantorovich
+from prefrobust.multistage import check_time_consistency, solve_holistic
 from prefrobust.utility import (
     ClosedFormUtility,
     PiecewiseLinearUtility,
@@ -232,7 +232,7 @@ def test_per_node_ambiguity_is_time_consistent_unlike_the_shared_set(worked_exam
             )
             tree = generate_tree(branching, tree_seed, cfg.returns)
             problem = build_investment_consumption(tree, cfg)
-            policy = solve_holistic_kantorovich(problem)
+            policy = solve_holistic(problem)
             report = check_time_consistency(problem, policy)
             worst = max(worst, max(abs(e.discrepancy) for e in report.entries))
             count += 1

@@ -1,6 +1,7 @@
 """Command-line driver: subcommand wiring, precedence, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -152,6 +153,39 @@ def test_eval_scores_a_stored_policy(tmp_path, capsys):
                "--mode", "sequence_global"])
     assert rc == 2
     assert "finite utility sets" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_plan_off_the_decision_set(tmp_path, capsys):
+    tree_file = tmp_path / "tree.json"
+    main(["gen-tree", "--branching", "2,2", "--tree-seed", "3",
+          "--out", str(tree_file)])
+    flags = ["--tree", str(tree_file), "--model", "pro_kan", "--radius", "0.01",
+             "--breakpoints", "10", "--branching", "2,2"]
+    cfg = config_from_dict(
+        {"branching": [2, 2], "tree_seed": 3, "model": "pro_kan",
+         "radius": 0.01, "n_breakpoints": 10})
+    problem = build_investment_consumption(tree_from_json(tree_file.read_text()), cfg)
+    header, *rows = solve_model(problem, cfg).export_table().strip().split("\n")
+    capsys.readouterr()
+
+    def table(rows):
+        return "\n".join([header, *rows]) + "\n"
+
+    # 5% more than the optimal plan at every node breaks the root budget row
+    over = []
+    for row in rows:
+        node, stage, dec, value = row.split("\t")
+        dec = ",".join(repr(1.05 * float(v)) for v in dec.split(","))
+        over.append("\t".join([node, stage, dec, value]))
+    cases = [(over, r"error: row con0\[0\] does not hold"),
+             (rows[:-1], "error: node 2: the plan has no decision")]
+    for plan, message in cases:
+        policy_file = tmp_path / "policy.tsv"
+        policy_file.write_text(table(plan))
+        assert main(["eval", "--policy", str(policy_file), *flags]) == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert "Traceback" not in err
 
 
 def test_timing_env_fills_the_ms_column(monkeypatch, capsys):

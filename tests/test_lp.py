@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -8,12 +7,10 @@ from hypothesis import strategies as st
 
 from prefrobust.lp import (
     DEFAULT_TOL,
-    LP_TOL_ENV,
     LinearProgram,
     LpStatus,
     _solve_highs,
     dualize,
-    solver_tolerance,
     warm_session,
 )
 from oracles import lp_vertex_oracle
@@ -146,14 +143,6 @@ def test_dump_lists_each_row():
     text = lp.dump()
     assert "half: 2*x >= 1" in text
     assert text.splitlines()[0].startswith("min")
-
-
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.delenv(LP_TOL_ENV, raising=False)
-    assert solver_tolerance() == DEFAULT_TOL
-    assert solver_tolerance(1e-6) == 1e-6
-    monkeypatch.setenv(LP_TOL_ENV, "1e-10")
-    assert solver_tolerance() == 1e-10
 
 
 # --------------------------------------------------------------- warm session

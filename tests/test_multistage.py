@@ -19,8 +19,7 @@ from prefrobust.multistage import (
     NodeConstraint,
     check_time_consistency,
     evaluate_policy_worst_case,
-    solve_holistic_kantorovich,
-    solve_holistic_pairwise,
+    solve_holistic,
     solve_nominal,
     _copy_dual_block,
     subtree_problem,
@@ -101,7 +100,7 @@ def test_fixed_decisions_match_the_one_stage_solver():
     problem = MultistageProblem(
         tree, {0: (xfix, xfix)}, {1: (g[0], c[0]), 2: (g[1], c[1])}, spec, y)
 
-    pol = solve_holistic_kantorovich(problem)
+    pol = solve_holistic(problem)
     ref = worst_case_kantorovich_primal(
         OutcomeDistribution(g @ xfix + c, [0.55, 0.45]), spec)
     assert pol.value == pytest.approx(ref.value, abs=1e-7)
@@ -120,7 +119,7 @@ def test_fixed_decisions_match_the_one_stage_pairwise_solver():
         tree, {0: (xfix, xfix)},
         {i + 1: (g[i], 0.1) for i in range(3)}, spec, y)
 
-    pol = solve_holistic_pairwise(problem)
+    pol = solve_holistic(problem)
     ref = worst_case_pairwise(
         OutcomeDistribution(g @ xfix + 0.1, [0.5, 0.3, 0.2]), spec, y)
     assert pol.value == pytest.approx(ref.value, abs=1e-7)
@@ -141,7 +140,7 @@ def test_identity_nominal_spends_the_whole_budget():
     problem = MultistageProblem(
         tree, {0: (np.zeros(1), np.ones(1))},
         {1: (np.array([1.0]), 0.0), 2: (np.array([1.0]), 0.0)}, spec, y)
-    pol = solve_holistic_kantorovich(problem)
+    pol = solve_holistic(problem)
     assert pol.value == pytest.approx(1.0, abs=1e-8)
     assert pol.decisions[0][0] == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(pol.per_node[0].utility.values, y, atol=1e-6)
@@ -151,7 +150,7 @@ def test_zero_radius_matches_the_nominal_solver():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         problem, spec = random_ball_problem(rng, radius=0.0)
-        robust = solve_holistic_kantorovich(problem)
+        robust = solve_holistic(problem)
         plain = solve_nominal(problem, spec.nominal)
         assert robust.value == pytest.approx(plain.value, abs=1e-7)
 
@@ -159,7 +158,7 @@ def test_zero_radius_matches_the_nominal_solver():
 def test_regrouped_blocks_reproduce_the_holistic_value():
     rng = np.random.default_rng(3)
     problem, spec = random_ball_problem(rng, radius=0.08)
-    pol = solve_holistic_kantorovich(problem)
+    pol = solve_holistic(problem)
 
     nested = evaluate_policy_worst_case(problem, pol.decisions, "nested")
     assert nested == pytest.approx(pol.value, abs=1e-7)
@@ -198,7 +197,7 @@ def test_value_never_grows_with_the_radius():
     for r in (0.0, 0.01, 0.1, 0.3):
         spec = KantorovichBallSpec(nominal, r, L=1.25 * L_obs, L_tilde=1.5 * Lt_obs + 0.5)
         problem = MultistageProblem(tree, bounds, rewards, spec, y, cons)
-        values.append(solve_holistic_kantorovich(problem).value)
+        values.append(solve_holistic(problem).value)
     assert all(values[k + 1] <= values[k] + 1e-9 for k in range(len(values) - 1))
 
 
@@ -215,7 +214,7 @@ def test_more_elicited_answers_never_hurt():
         problem = MultistageProblem(
             tree, {0: (np.zeros(2), np.ones(2))}, rewards, spec, y,
             [NodeConstraint(0, "<=", 1.0, coef_self={0: 1.0, 1: 1.0})])
-        values.append(solve_holistic_pairwise(problem).value)
+        values.append(solve_holistic(problem).value)
     # questionnaires grow by refinement, so feasible sets only shrink
     assert all(values[k + 1] >= values[k] - 1e-9 for k in range(len(values) - 1))
 
@@ -260,8 +259,8 @@ def test_sibling_order_is_cosmetic():
                                coef_parent={0: -1.0, 1: -1.0})]
         return MultistageProblem(tree, bounds, rewards, amb, y, cons)
 
-    va = solve_holistic_kantorovich(build("ab")).value
-    vb = solve_holistic_kantorovich(build("ba")).value
+    va = solve_holistic(build("ab")).value
+    vb = solve_holistic(build("ba")).value
     assert va == pytest.approx(vb, abs=1e-9)
 
 
@@ -289,7 +288,7 @@ def test_per_node_ambiguity_is_time_consistent():
                    for n in tree.nodes if n.parent is not None}
         problem = MultistageProblem(tree, bounds, rewards, per_node, y, cons)
 
-        pol = solve_holistic_kantorovich(problem)
+        pol = solve_holistic(problem)
         report = check_time_consistency(problem, pol, tol=1e-6)
         assert report.consistent
         for entry in report.entries:
@@ -300,7 +299,7 @@ def test_per_node_ambiguity_is_time_consistent():
 def test_subtree_rows_fold_the_fixed_history():
     rng = np.random.default_rng(5)
     problem, _ = random_ball_problem(rng, radius=0.05)
-    pol = solve_holistic_kantorovich(problem)
+    pol = solve_holistic(problem)
     sub, orig = subtree_problem(problem, 1, pol.decisions)
     assert orig[0] == 1
     # the carry-over row at the new root became a pure budget row
@@ -394,7 +393,7 @@ def test_infeasibility_names_the_offending_node(certify_backend):
     amb = StateDependentAmbiguity({0: sane, 1: sane, 2: steep})
     problem = MultistageProblem(tree, bounds, rewards, amb, y)
     with pytest.raises(InfeasibleProblemError) as err:
-        solve_holistic_pairwise(problem)
+        solve_holistic(problem)
     assert err.value.node == 2
 
 
@@ -433,7 +432,7 @@ def test_nominal_solver_rejects_unusable_utilities():
 def test_policy_table_lists_every_decision_node():
     rng = np.random.default_rng(1)
     problem, _ = random_ball_problem(rng, radius=0.05)
-    pol = solve_holistic_kantorovich(problem)
+    pol = solve_holistic(problem)
     lines = pol.export_table().strip().split("\n")
     assert lines[0] == "node\tstage\tdecision\tvalue"
     assert len(lines) == 1 + len(problem.tree.nonleaf_ids())
@@ -499,3 +498,82 @@ def test_dual_block_copy_matches_the_row_by_row_reference(monkeypatch):
     assert bulk.objective.tobytes() == ref.objective.tobytes()
     assert [bulk.row_name(k) for k in range(bulk.num_rows)] == \
         [ref.row_name(k) for k in range(ref.num_rows)]
+
+
+def _reassigned(problem, assignment):
+    return MultistageProblem(
+        problem.tree, problem.decision_bounds, problem.rewards,
+        StateDependentAmbiguity(assignment), problem.grid, problem.constraints)
+
+
+def test_one_tree_mixes_balls_and_questionnaires():
+    rng = np.random.default_rng(7)
+    problem, spec = random_ball_problem(rng, branching=(2, 2, 2), radius=0.05)
+    asked = elicit_pairwise(
+        spec.nominal, K=30, grid=problem.grid, seed=3, L=spec.L, L_tilde=spec.L_tilde)
+    # siblings differ, and every re-rooted subtree mixes the two set types
+    mixed = _reassigned(
+        problem, {s: spec if s % 2 else asked for s in problem.tree.nonleaf_ids()})
+    pol = solve_holistic(mixed)
+    nested = evaluate_policy_worst_case(mixed, pol.decisions, "nested")
+    assert abs(pol.value - nested) <= 1e-6
+    report = check_time_consistency(mixed, pol)
+    assert report.max_discrepancy <= 1e-6
+    assert len(report.entries) == len(mixed.tree.nonleaf_ids())
+
+
+def test_holistic_solver_names_a_node_it_cannot_price():
+    rng = np.random.default_rng(8)
+    problem, spec = random_ball_problem(rng, radius=0.05)
+    finite = FiniteUtilitySet((spec.nominal,))
+    with pytest.raises(TypeError, match="node 2: .*FiniteUtilitySet"):
+        solve_holistic(_reassigned(problem, {0: spec, 1: spec, 2: finite}))
+
+
+@pytest.mark.parametrize("shift, fails", [(1e-5, True), (1e-9, False)])
+def test_big_solves_check_the_duality_gap(monkeypatch, shift, fails):
+    rng = np.random.default_rng(3)
+    problem, spec = random_ball_problem(rng, radius=0.05)
+    solve = lp_module.LinearProgram.solve
+
+    def perturbed(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        if self.name in ("tree", "nominal"):
+            sol.dual_objective += shift
+        return sol
+
+    monkeypatch.setattr(lp_module.LinearProgram, "solve", perturbed)
+    for run in (lambda: solve_holistic(problem),
+                lambda: solve_nominal(problem, spec.nominal)):
+        if fails:
+            with pytest.raises(RuntimeError, match="dual objective"):
+                run()
+        else:
+            run()
+
+
+def test_evaluation_refuses_plans_off_the_decision_set():
+    rng = np.random.default_rng(4)
+    problem, _ = random_ball_problem(rng, radius=0.05)
+    pol = solve_holistic(problem)
+    dec = pol.decisions
+    assert evaluate_policy_worst_case(problem, dec) == pytest.approx(pol.value, abs=1e-6)
+
+    def plan(**nodes):
+        out = {s: x.copy() for s, x in dec.items()}
+        out.update({int(s[1:]): x for s, x in nodes.items()})
+        return out
+
+    # the root budget row allows 1 + 1e-7 in total
+    assert np.isfinite(evaluate_policy_worst_case(problem, plan(n0=np.array([0.5 + 9e-8, 0.5]))))
+    cases = [
+        (plan(n0=np.array([0.6, 0.5])), r"row con0\[0\]"),
+        (plan(n0=np.array([-0.5, 0.5])), r"node 0: x\[0\]\[0\] = -0.5"),
+        (plan(n0=np.array([math.nan, 0.5])), r"node 0: x\[0\]\[0\] = nan"),
+        (plan(n1=np.zeros(3)), r"node 1: decision has shape \(3,\)"),
+        ({s: x for s, x in dec.items() if s != 2}, "node 2: the plan has no decision"),
+    ]
+    for bad, message in cases:
+        for mode in ("nested", "sequence_global"):
+            with pytest.raises(ValueError, match=message):
+                evaluate_policy_worst_case(problem, bad, mode)

@@ -85,7 +85,5 @@ from .experiment import (
     run_one,
     solve_model,
     sweep,
-    tree_from_json,
-    tree_to_json,
     write_csv,
 )

@@ -30,11 +30,10 @@ from .experiment import (
     rows_to_csv,
     run_one,
     sweep,
-    tree_from_json,
-    tree_to_json,
     aggregate,
 )
 from .multistage import evaluate_policy_worst_case
+from .tree import ScenarioTree
 
 TIMING_ENV = "PREFROBUST_TIMING"
 
@@ -104,7 +103,7 @@ def _config_from_args(args):
 def _load_tree(args, config):
     if getattr(args, "tree", None):
         with open(args.tree, encoding="utf-8") as fh:
-            return tree_from_json(fh.read())
+            return ScenarioTree.from_json(fh.read())
     return generate_tree(config.branching, config.tree_seed, config.returns)
 
 
@@ -119,7 +118,7 @@ def _emit(text, out):
 def _cmd_gen_tree(args):
     config = _config_from_args(args)
     tree = generate_tree(config.branching, config.tree_seed, config.returns)
-    _emit(tree_to_json(tree), config.out)
+    _emit(tree.to_json(), config.out)
     print(
         f"tree: {len(tree)} nodes, horizon {tree.horizon}, seed {config.tree_seed}",
         file=sys.stderr,

@@ -58,7 +58,7 @@ from .multistage import (
     solve_holistic,
     solve_nominal,
 )
-from .tree import ScenarioTree, TreeNode, TreeSchemaError
+from .tree import ScenarioTree, SeriesModel, generate_synthetic
 from .utility import project, uniform_grid
 
 __all__ = [
@@ -78,8 +78,6 @@ __all__ = [
     "run_one",
     "solve_model",
     "sweep",
-    "tree_from_json",
-    "tree_to_json",
     "write_csv",
 ]
 
@@ -108,6 +106,10 @@ class ReturnModel:
     def __post_init__(self):
         object.__setattr__(self, "drift", tuple(float(d) for d in self.drift))
         object.__setattr__(self, "vol", tuple(float(v) for v in self.vol))
+        for name in ("drift", "vol", "oil_drift", "oil_vol", "p0"):
+            value = getattr(self, name)
+            if not all(math.isfinite(v) for v in np.atleast_1d(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if len(self.drift) != len(self.vol) or not self.drift:
             raise ValueError("drift and vol must be equal-length, non-empty")
         if any(v < 0 for v in self.vol) or self.oil_vol < 0:
@@ -192,69 +194,9 @@ def generate_tree(branching, seed, returns: Optional[ReturnModel] = None) -> Sce
     truncations share the common prefix.
     """
     rm = returns or ReturnModel()
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    zeros = {f"r{k + 1}": 0.0 for k in range(rm.n_assets)}
-    nodes = [TreeNode(0, None, 0, 1.0, {**zeros, _OIL: rm.p0})]
-    frontier = [0]
-    next_id = 1
-    for stage, width in enumerate(branching, start=1):
-        grown = []
-        for parent in frontier:
-            price = nodes[parent].realization[_OIL]
-            for _ in range(width):
-                z = rng.standard_normal(rm.n_assets + 1)
-                real = {
-                    f"r{k + 1}": math.exp(rm.drift[k] + rm.vol[k] * z[k]) - 1.0
-                    for k in range(rm.n_assets)
-                }
-                real[_OIL] = price * math.exp(rm.oil_drift + rm.oil_vol * z[-1])
-                nodes.append(TreeNode(next_id, parent, stage, 1.0 / width, real))
-                grown.append(next_id)
-                next_id += 1
-        frontier = grown
-    return ScenarioTree(nodes)
-
-
-def tree_to_json(tree: ScenarioTree) -> str:
-    payload = {
-        "nodes": [
-            {
-                "id": n.id,
-                "parent": n.parent,
-                "stage": n.stage,
-                "prob": n.prob,
-                "realization": {k: float(v) for k, v in sorted(n.realization.items())},
-            }
-            for n in tree.nodes
-        ]
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def tree_from_json(text: str) -> ScenarioTree:
-    payload = json.loads(text)
-    if not isinstance(payload, dict) or "nodes" not in payload:
-        raise TreeSchemaError("tree: missing field 'nodes'")
-    for i, n in enumerate(payload["nodes"]):
-        if not isinstance(n, dict):
-            raise TreeSchemaError(f"node {i}: must be an object")
-        for key in ("id", "parent", "stage", "prob", "realization"):
-            if key not in n:
-                raise TreeSchemaError(f"node {i}: missing field {key!r}")
-        if not isinstance(n["realization"], dict):
-            raise TreeSchemaError(f"node {i}: realization must be an object")
-    nodes = [
-        TreeNode(
-            int(n["id"]),
-            None if n["parent"] is None else int(n["parent"]),
-            int(n["stage"]),
-            float(n["prob"]),
-            {k: float(v) for k, v in n["realization"].items()},
-        )
-        for n in payload["nodes"]
-    ]
-    nodes.sort(key=lambda n: n.id)
-    return ScenarioTree(nodes)
+    series = [SeriesModel(f"r{k + 1}", d, v) for k, (d, v) in enumerate(zip(rm.drift, rm.vol))]
+    series.append(SeriesModel(_OIL, rm.oil_drift, rm.oil_vol, kind="price", initial=rm.p0))
+    return generate_synthetic(branching, series, int(seed))
 
 
 # ------------------------------------------------------- problem assembly
@@ -267,8 +209,10 @@ def _check_series(tree: ScenarioTree, n_assets: int):
     if missing:
         raise ValueError(f"tree is missing series {missing}; found {sorted(have)}")
     for node in tree.nodes:
-        if node.realization[_OIL] <= 0:
-            raise ValueError(f"non-positive commodity price at node {node.id}")
+        price = node.realization[_OIL]
+        if not 0 < price < math.inf:
+            raise ValueError(
+                f"commodity price at node {node.id} must be positive and finite, got {price!r}")
 
 
 def _reward_scale(tree: ScenarioTree, n_assets: int) -> float:

@@ -83,7 +83,7 @@ class ScenarioTree:
         root = self.nodes[0]
         if root.id != 0 or root.parent is not None or root.stage != 0:
             raise ValueError("node 0 must be the root (no parent, stage 0)")
-        if abs(root.prob - 1.0) > 1e-12:
+        if not abs(root.prob - 1.0) <= 1e-12:
             raise ValueError("root conditional probability must be 1")
         names = set(root.realization)
         prev_stage = 0
@@ -173,61 +173,71 @@ class ScenarioTree:
         return ScenarioTree(nodes)
 
     # ------------------------------------------------------------------- io
-    def to_dict(self):
-        return {
-            "horizon": self.horizon,
-            "series": self.series,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "parent": n.parent,
-                    "stage": n.stage,
-                    # decimal strings so a save/load round trip is bit-exact
-                    "prob": repr(n.prob),
-                    "realization": {k: n.realization[k] for k in sorted(n.realization)},
-                }
-                for n in self.nodes
-            ],
-        }
+    def to_json(self):
+        """The tree file format: ``{"nodes": [...]}`` with sorted keys.
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        ``json`` writes floats with ``repr``, so a round trip is bit-exact.
+        """
+        nodes = [
+            {
+                "id": n.id,
+                "parent": n.parent,
+                "stage": n.stage,
+                "prob": n.prob,
+                "realization": {k: float(v) for k, v in n.realization.items()},
+            }
+            for n in self.nodes
+        ]
+        return json.dumps({"nodes": nodes}, sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data):
-        for key in ("horizon", "series", "nodes"):
-            if key not in data:
-                raise TreeSchemaError(f"tree: missing field {key!r}")
-        nodes = []
-        for i, raw in enumerate(data["nodes"]):
-            for key in ("id", "parent", "stage", "prob", "realization"):
-                if key not in raw:
-                    raise TreeSchemaError(f"node {i}: missing field {key!r}")
-            try:
-                prob = float(raw["prob"])
-            except (TypeError, ValueError):
-                raise TreeSchemaError(f"node {i}: prob {raw['prob']!r} is not numeric")
-            realization = raw["realization"]
-            if not isinstance(realization, dict):
-                raise TreeSchemaError(f"node {i}: realization must be an object")
-            nodes.append(TreeNode(
-                id=int(raw["id"]),
-                parent=None if raw["parent"] is None else int(raw["parent"]),
-                stage=int(raw["stage"]),
-                prob=prob,
-                realization={str(k): float(v) for k, v in realization.items()},
-            ))
+    def from_json(cls, text):
+        """Parse :meth:`to_json` output; unknown top-level keys are ignored.
+
+        Every malformed node raises :class:`TreeSchemaError` naming the node
+        (its position in the file) and the field.
+        """
+        data = json.loads(text)
+        if not isinstance(data, dict) or "nodes" not in data:
+            raise TreeSchemaError("tree: missing field 'nodes'")
+        if not isinstance(data["nodes"], list):
+            raise TreeSchemaError("tree: field 'nodes' must be a list")
+        nodes = [_parse_node(i, raw) for i, raw in enumerate(data["nodes"])]
+        nodes.sort(key=lambda n: n.id)
         try:
             return cls(nodes)
         except ValueError as exc:
             raise TreeSchemaError(str(exc)) from exc
 
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+
+def _parse_node(i, raw):
+    if not isinstance(raw, dict):
+        raise TreeSchemaError(f"node {i}: must be an object")
+    for key in ("id", "parent", "stage", "prob", "realization"):
+        if key not in raw:
+            raise TreeSchemaError(f"node {i}: missing field {key!r}")
+    if not isinstance(raw["realization"], dict):
+        raise TreeSchemaError(f"node {i}: realization must be an object")
+
+    def parse(kind, name, value):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            noun = "an integer" if kind is int else "a number"
+            raise TreeSchemaError(f"node {i}: {name} is {value!r}, not {noun}") from None
+
+    node = TreeNode(
+        id=parse(int, "id", raw["id"]),
+        parent=None if raw["parent"] is None else parse(int, "parent", raw["parent"]),
+        stage=parse(int, "stage", raw["stage"]),
+        prob=parse(float, "prob", raw["prob"]),
+    )
+    for k, v in raw["realization"].items():
+        value = parse(float, f"realization {k!r}", v)
+        if not math.isfinite(value):
+            raise TreeSchemaError(f"node {i}: realization {k!r} is {value!r}")
+        node.realization[k] = value
+    return node
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Command-line driver: subcommand wiring, precedence, exit codes."""
 
 import json
+import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ from prefrobust.experiment import (
     config_from_dict,
     generate_tree,
     solve_model,
-    tree_from_json,
-    tree_to_json,
 )
+from prefrobust.tree import ScenarioTree
+
+PINNED_TREE = Path(__file__).parent / "data" / "tree_2x2_seed3.json"
 
 
 def test_counterexample_exits_zero_and_reports_match(capsys):
@@ -44,7 +47,7 @@ def test_gen_tree_writes_deterministic_json(tmp_path, capsys):
             "--out", str(out)]
     assert main(argv) == 0
     first = out.read_text()
-    tree = tree_from_json(first)
+    tree = ScenarioTree.from_json(first)
     assert len(tree) == 7 and tree.horizon == 2
     assert main(argv) == 0
     assert out.read_text() == first
@@ -84,7 +87,7 @@ def test_solve_emits_csv_matching_the_library(tmp_path, capsys):
         {"branching": [2, 2], "tree_seed": 3, "model": "pro_kan",
          "radius": 0.01, "n_breakpoints": 10})
     problem = build_investment_consumption(
-        tree_from_json(tree_file.read_text()), cfg)
+        ScenarioTree.from_json(tree_file.read_text()), cfg)
     policy = solve_model(problem, cfg)
     fields = lines[1].split(",")
     assert fields[1:7] == ["pro_kan", "2", "10", "0.01", "0", "0"]
@@ -133,7 +136,7 @@ def test_eval_scores_a_stored_policy(tmp_path, capsys):
     cfg = config_from_dict(
         {"branching": [2, 2], "tree_seed": 3, "model": "pro_kan",
          "radius": 0.01, "n_breakpoints": 10})
-    tree = tree_from_json(tree_file.read_text())
+    tree = ScenarioTree.from_json(tree_file.read_text())
     problem = build_investment_consumption(tree, cfg)
     policy = solve_model(problem, cfg)
     policy_file = tmp_path / "policy.tsv"
@@ -164,7 +167,7 @@ def test_eval_refuses_a_plan_off_the_decision_set(tmp_path, capsys):
     cfg = config_from_dict(
         {"branching": [2, 2], "tree_seed": 3, "model": "pro_kan",
          "radius": 0.01, "n_breakpoints": 10})
-    problem = build_investment_consumption(tree_from_json(tree_file.read_text()), cfg)
+    problem = build_investment_consumption(ScenarioTree.from_json(tree_file.read_text()), cfg)
     header, *rows = solve_model(problem, cfg).export_table().strip().split("\n")
     capsys.readouterr()
 
@@ -220,7 +223,7 @@ def test_module_entry_point_runs():
 
 @pytest.mark.parametrize("field", ["id", "parent", "stage", "prob", "realization"])
 def test_tree_file_missing_a_node_field_exits_cleanly(tmp_path, capsys, field):
-    payload = json.loads(tree_to_json(generate_tree((2, 2), 3)))
+    payload = json.loads(generate_tree((2, 2), 3).to_json())
     del payload["nodes"][0][field]
     tree_file = tmp_path / "tree.json"
     tree_file.write_text(json.dumps(payload))
@@ -228,7 +231,18 @@ def test_tree_file_missing_a_node_field_exits_cleanly(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err == f"error: node 0: missing field '{field}'\n"
     with pytest.raises(ValueError, match=f"node 0: missing field '{field}'"):
-        tree_from_json(json.dumps(payload))
+        ScenarioTree.from_json(json.dumps(payload))
+
+
+def pinned_tree_with(node, field, value):
+    """The pinned tree file with one node field (or realization entry) set."""
+    data = json.loads(PINNED_TREE.read_text())
+    target = data["nodes"][node]
+    if field in target:
+        target[field] = value
+    else:
+        target["realization"][field] = value
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -236,9 +250,44 @@ def test_tree_file_missing_a_node_field_exits_cleanly(tmp_path, capsys, field):
     ('{"nodes": [1]}', "node 0: must be an object"),
     ('{"nodes": [{"id": 0, "parent": null, "stage": 0, "prob": 1.0, "realization": [1]}]}',
      "node 0: realization must be an object"),
+    pytest.param(pinned_tree_with(0, "r2", math.nan), "node 0: realization 'r2' is nan",
+                 id="nan-r2-at-root"),
+    pytest.param(pinned_tree_with(3, "oil", math.nan), "node 3: realization 'oil' is nan",
+                 id="nan-oil"),
+    pytest.param(pinned_tree_with(2, "r1", math.inf), "node 2: realization 'r1' is inf",
+                 id="inf-r1"),
+    pytest.param(pinned_tree_with(1, "prob", None), "node 1: prob is None, not a number",
+                 id="null-prob"),
+    pytest.param(pinned_tree_with(1, "id", "abc"), "node 1: id is 'abc', not an integer",
+                 id="text-id"),
+    pytest.param(pinned_tree_with(1, "prob", "abc"), "node 1: prob is 'abc', not a number",
+                 id="text-prob"),
+    pytest.param(pinned_tree_with(4, "r1", "abc"),
+                 "node 4: realization 'r1' is 'abc', not a number", id="text-realization"),
+    pytest.param(pinned_tree_with(5, "parent", math.inf), "node 5: parent is inf, not an integer",
+                 id="inf-parent"),
+    pytest.param(pinned_tree_with(0, "prob", math.nan), "root conditional probability must be 1",
+                 id="nan-root-prob"),
+    pytest.param('{"nodes": {}}', "tree: field 'nodes' must be a list", id="nodes-not-a-list"),
 ])
 def test_malformed_tree_file_exits_cleanly(tmp_path, capsys, text, message):
     tree_file = tmp_path / "tree.json"
     tree_file.write_text(text)
     assert main(["solve", "--tree", str(tree_file)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tree_file_format_is_pinned(tmp_path, capsys):
+    out = tmp_path / "tree.json"
+    assert main(["gen-tree", "--branching", "2,2", "--tree-seed", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == PINNED_TREE.read_bytes()
+    tree = ScenarioTree.from_json(PINNED_TREE.read_text())
+    assert len(tree) == 7 and tree.to_json() == PINNED_TREE.read_text()
+    capsys.readouterr()
+    flags = ["--branching", "2,2", "--tree-seed", "3", "--seeds", "0,1"]
+    assert main(["solve", *flags]) == 0
+    generated = capsys.readouterr().out
+    assert main(["solve", "--tree", str(PINNED_TREE), *flags]) == 0
+    assert capsys.readouterr().out == generated
+

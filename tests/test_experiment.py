@@ -21,8 +21,6 @@ from prefrobust.experiment import (
     run_one,
     solve_model,
     sweep,
-    tree_from_json,
-    tree_to_json,
 )
 from prefrobust.tree import ScenarioTree, TreeNode
 from prefrobust.utility import PiecewiseLinearUtility
@@ -47,6 +45,61 @@ def flat_market_tree(branching, price=1.0):
 
 ONE_ASSET = ReturnModel(drift=(0.0,), vol=(0.0,))
 SMALL = ExperimentConfig(branching=(2, 2), n_breakpoints=10, seeds=(0,))
+
+
+def reference_generate_tree(branching, seed, returns=None):
+    """The market generator's own draw loop, kept as the reference for
+    ``generate_tree`` now that it delegates to ``generate_synthetic``."""
+    rm = returns or ReturnModel()
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    zeros = {f"r{k + 1}": 0.0 for k in range(rm.n_assets)}
+    nodes = [TreeNode(0, None, 0, 1.0, {**zeros, "oil": rm.p0})]
+    frontier = [0]
+    next_id = 1
+    for stage, width in enumerate(branching, start=1):
+        grown = []
+        for parent in frontier:
+            price = nodes[parent].realization["oil"]
+            for _ in range(width):
+                z = rng.standard_normal(rm.n_assets + 1)
+                real = {
+                    f"r{k + 1}": math.exp(rm.drift[k] + rm.vol[k] * z[k]) - 1.0
+                    for k in range(rm.n_assets)
+                }
+                real["oil"] = price * math.exp(rm.oil_drift + rm.oil_vol * z[-1])
+                nodes.append(TreeNode(next_id, parent, stage, 1.0 / width, real))
+                grown.append(next_id)
+                next_id += 1
+        frontier = grown
+    return ScenarioTree(nodes)
+
+
+def bits(realization):
+    return [(k, float(v).hex()) for k, v in realization.items()]
+
+
+REFERENCE_MARKETS = [
+    None,
+    ReturnModel(drift=(0.01,), vol=(0.1,)),
+    ReturnModel(drift=(0.0, 0.03, -0.01), vol=(0.0, 0.3, 0.05),
+                oil_drift=0.02, oil_vol=0.0, p0=61.5),
+    ReturnModel(drift=(0.02, 0.05), vol=(0.0, 0.0), oil_vol=0.0, p0=55),
+]
+
+
+@pytest.mark.parametrize("branching", [
+    (2, 2), (3, 3, 3), (4, 4, 4, 4), (5, 5, 5), (3, 3, 3, 3), (25, 25), (1, 3, 2)])
+def test_generate_tree_matches_the_reference_draw_loop(branching):
+    for seed in (0, 3, 11, 12, 2**40 + 7):
+        for rm in REFERENCE_MARKETS:
+            got = generate_tree(branching, seed, rm)
+            want = reference_generate_tree(branching, seed, rm)
+            assert len(got) == len(want)
+            for a, b in zip(got.nodes, want.nodes):
+                assert (a.id, a.parent, a.stage) == (b.id, b.parent, b.stage)
+                assert a.prob.hex() == b.prob.hex()
+                # bit-equal values in the same key order
+                assert bits(a.realization) == bits(b.realization)
 
 
 def test_single_period_consumes_everything():
@@ -241,14 +294,14 @@ def test_reported_consumption_is_the_root_decision():
 
 def test_tree_json_round_trip():
     tree = generate_tree((2, 3), 5)
-    text = tree_to_json(tree)
-    back = tree_from_json(text)
+    text = tree.to_json()
+    back = ScenarioTree.from_json(text)
     assert len(back) == len(tree)
     for a, b in zip(tree.nodes, back.nodes):
         assert (a.id, a.parent, a.stage) == (b.id, b.parent, b.stage)
         assert a.prob == pytest.approx(b.prob, abs=0)
         assert a.realization == b.realization
-    assert tree_to_json(back) == text
+    assert back.to_json() == text
 
 
 def test_config_dict_round_trip():
@@ -286,6 +339,13 @@ def test_market_validation_errors():
     with pytest.raises(ValueError, match="missing series"):
         build_investment_consumption(ScenarioTree(nodes), cfg)
 
-    bad_price = flat_market_tree([2], price=-3.0)
-    with pytest.raises(ValueError, match="non-positive commodity price"):
-        build_investment_consumption(bad_price, replace(cfg, branching=(2,)))
+    for price in (-3.0, 0.0, math.nan, math.inf):
+        bad_price = flat_market_tree([2], price=price)
+        with pytest.raises(ValueError, match="commodity price at node 0 must be positive"):
+            build_investment_consumption(bad_price, replace(cfg, branching=(2,)))
+
+    for name, value in [("drift", (math.nan,)), ("vol", (math.inf,)), ("oil_drift", math.nan),
+                        ("oil_vol", math.inf), ("p0", math.nan), ("p0", -math.inf)]:
+        fields = {"drift": (0.0,), "vol": (0.1,), name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ReturnModel(**fields)

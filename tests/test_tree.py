@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -90,30 +91,49 @@ def test_truncate_keeps_prefix():
         tree.truncate(5)
 
 
-def test_save_load_round_trip_bit_exact(tmp_path):
+def test_save_load_round_trip_bit_exact():
     series = [SeriesModel("r1", 0.01, 0.2), SeriesModel("oil", 0.0, 0.15, kind="price", initial=58.0)]
     tree = generate_synthetic([3, 2], series, seed=123)
-    path = tmp_path / "tree.json"
-    tree.save(path)
-    back = ScenarioTree.load(path)
+    text = tree.to_json()
+    back = ScenarioTree.from_json(text)
     assert len(back) == len(tree)
     for a, b in zip(back.nodes, tree.nodes):
         assert a.prob == b.prob  # bit-equal, not approx
         assert a.realization == b.realization
         assert (a.id, a.parent, a.stage) == (b.id, b.parent, b.stage)
+    assert back.to_json() == text
 
 
-def test_load_rejects_missing_field(tmp_path):
+def test_load_rejects_missing_field():
     series = [SeriesModel("r1", 0.0, 0.1)]
     tree = generate_synthetic([2], series, seed=1)
-    data = tree.to_dict()
+    data = json.loads(tree.to_json())
     del data["nodes"][1]["parent"]
-    import json
-
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
     with pytest.raises(TreeSchemaError, match="node 1: missing field 'parent'"):
-        ScenarioTree.load(path)
+        ScenarioTree.from_json(json.dumps(data))
+
+
+def test_files_written_by_the_old_save_still_load():
+    # the retired writer added "horizon"/"series" and wrote probs as strings
+    text = """{
+ "horizon": 1,
+ "series": ["r1"],
+ "nodes": [
+  {"id": 0, "parent": null, "stage": 0, "prob": "1.0", "realization": {"r1": 0.0}},
+  {"id": 1, "parent": 0, "stage": 1, "prob": "0.3", "realization": {"r1": 0.1}},
+  {"id": 2, "parent": 0, "stage": 1, "prob": "0.7", "realization": {"r1": -0.2}}
+ ]
+}
+"""
+    tree = ScenarioTree.from_json(text)
+    assert [n.prob for n in tree.nodes] == [1.0, 0.3, 0.7]
+    assert tree.nodes[2].realization == {"r1": -0.2}
+
+
+def test_load_sorts_nodes_by_id():
+    data = json.loads(two_stage_tree().to_json())
+    data["nodes"].reverse()
+    assert ScenarioTree.from_json(json.dumps(data)).to_json() == two_stage_tree().to_json()
 
 
 def test_generate_synthetic_structure_and_determinism():

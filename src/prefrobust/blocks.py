@@ -30,6 +30,18 @@ class UtilityBlock:
     rows: dict = field(default_factory=dict)
 
 
+def add_band(lp: LinearProgram, cols, vals, rel, rhs, names):
+    """Add rows of equal width in one block: row ``k`` has the coefficients
+    ``vals[k]`` on the variables ``cols[k]``, in that order.  ``cols`` is an
+    m x width index array and ``vals`` broadcasts to its shape; ``rel``,
+    ``rhs`` and ``names`` are as for ``LinearProgram.add_rows``.  Returns the
+    row indices."""
+    cols = np.asarray(cols)
+    m, width = cols.shape
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), cols.shape)
+    return lp.add_rows(np.arange(m + 1) * width, cols.ravel(), vals.ravel(), rel, rhs, names)
+
+
 def append_utility_block(lp: LinearProgram, grid, L, L_tilde, concave=True, tag="u"):
     """Add alpha/beta variables and the shape rows of the utility class.
 
@@ -50,42 +62,31 @@ def append_utility_block(lp: LinearProgram, grid, L, L_tilde, concave=True, tag=
 
     alpha = lp.add_vars(y.size, f"{tag}.alpha", lb=-math.inf)
     beta = lp.add_vars(n_seg, f"{tag}.beta", lb=0.0)
+    a0, a1, b0, b1 = alpha[:-1], alpha[1:], beta[:-1], beta[1:]
+    one, seg, inner = np.ones(n_seg), range(n_seg), range(n_seg - 1)
+    norm = add_band(lp, [[alpha[0]], [alpha[-1]]], 1.0, "=", [0.0, 1.0],
+                    [f"{tag}.norm0", f"{tag}.norm1"])
     rows = {
-        "norm0": lp.add_row({alpha[0]: 1.0}, "=", 0.0, name=f"{tag}.norm0"),
-        "norm1": lp.add_row({alpha[-1]: 1.0}, "=", 1.0, name=f"{tag}.norm1"),
-        "link": [
-            lp.add_row(
-                {alpha[i + 1]: 1.0, alpha[i]: -1.0, beta[i]: -delta[i]},
-                "=",
-                0.0,
-                name=f"{tag}.link[{i}]",
-            )
-            for i in range(n_seg)
-        ],
-        "lip": [
-            lp.add_row({beta[i]: 1.0}, "<=", L, name=f"{tag}.lip[{i}]")
-            for i in range(n_seg)
-        ],
+        "norm0": int(norm[0]),
+        "norm1": int(norm[1]),
+        "link": add_band(lp, np.column_stack([a1, a0, beta]),
+                         np.column_stack([one, -one, -delta]), "=", 0.0,
+                         [f"{tag}.link[{i}]" for i in seg]).tolist(),
+        "lip": add_band(lp, beta[:, None], 1.0, "<=", L,
+                        [f"{tag}.lip[{i}]" for i in seg]).tolist(),
     }
     if concave:
-        rows["concave"] = [
-            lp.add_row(
-                {alpha[i + 1]: 1.0, alpha[i]: -1.0, beta[i + 1]: -delta[i]},
-                ">=",
-                0.0,
-                name=f"{tag}.concave[{i}]",
-            )
-            for i in range(n_seg - 1)
-        ]
-    rows["curve_lo"], rows["curve_hi"] = [], []
-    for i in range(n_seg - 1):
-        cap = L_tilde * (y[i + 2] - y[i])
-        rows["curve_hi"].append(
-            lp.add_row({beta[i + 1]: 1.0, beta[i]: -1.0}, "<=", cap, name=f"{tag}.curve_hi[{i}]")
-        )
-        rows["curve_lo"].append(
-            lp.add_row({beta[i + 1]: -1.0, beta[i]: 1.0}, "<=", cap, name=f"{tag}.curve_lo[{i}]")
-        )
+        rows["concave"] = add_band(
+            lp, np.column_stack([a1[:-1], a0[:-1], b1]),
+            np.column_stack([one[1:], -one[1:], -delta[:-1]]), ">=", 0.0,
+            [f"{tag}.concave[{i}]" for i in inner]).tolist()
+    # curve_hi[i] and curve_lo[i] alternate, both over (beta[i+1], beta[i])
+    cap = L_tilde * (y[2:] - y[:-2])
+    curve = add_band(
+        lp, np.column_stack([np.repeat(b1, 2), np.repeat(b0, 2)]),
+        np.tile([[1.0, -1.0], [-1.0, 1.0]], (n_seg - 1, 1)), "<=", np.repeat(cap, 2),
+        [f"{tag}.{side}[{i}]" for i in inner for side in ("curve_hi", "curve_lo")])
+    rows["curve_hi"], rows["curve_lo"] = curve[0::2].tolist(), curve[1::2].tolist()
     return UtilityBlock(grid=y, alpha=alpha, beta=beta, rows=rows)
 
 
@@ -114,44 +115,23 @@ def append_ball_membership(lp: LinearProgram, beta, nominal_slopes, grid, radius
     rho = lp.add_vars(n_seg, f"{tag}.rho")
     phi = lp.add_vars(n_seg, f"{tag}.phi")
 
-    budget = {}
-    for i in range(n_seg):
-        half = 0.5 * delta[i] ** 2
-        for v in (lam[i], mu[i], rho[i], phi[i]):
-            budget[v] = half
-    rows = {"budget": lp.add_row(budget, "<=", float(radius), name=f"{tag}.budget")}
-    rows["match"] = [
-        lp.add_row(
-            {beta[i]: -1.0, lam[i]: 1.0, mu[i]: -1.0, rho[i]: 1.0, phi[i]: -1.0},
-            "=",
-            -bnom[i],
-            name=f"{tag}.match[{i}]",
-        )
-        for i in range(n_seg)
-    ]
-    rows["left"] = lp.add_row(
-        {mu[0]: delta[0], lam[0]: -delta[0]}, "=", 0.0, name=f"{tag}.left"
-    )
-    rows["mid"] = [
-        lp.add_row(
-            {
-                mu[i + 1]: delta[i + 1],
-                lam[i + 1]: -delta[i + 1],
-                phi[i]: delta[i],
-                rho[i]: -delta[i],
-            },
-            "=",
-            0.0,
-            name=f"{tag}.mid[{i}]",
-        )
-        for i in range(n_seg - 1)
-    ]
-    rows["right"] = lp.add_row(
-        {phi[n_seg - 1]: delta[n_seg - 1], rho[n_seg - 1]: -delta[n_seg - 1]},
-        "=",
-        0.0,
-        name=f"{tag}.right",
-    )
+    half = np.repeat([0.5 * d ** 2 for d in delta], 4)
+    budget = np.column_stack([lam, mu, rho, phi]).ravel()
+    rows = {
+        "budget": int(add_band(lp, budget[None, :], half, "<=", float(radius),
+                               [f"{tag}.budget"])[0]),
+        "match": add_band(lp, np.column_stack([beta, lam, mu, rho, phi]),
+                          [-1.0, 1.0, -1.0, 1.0, -1.0], "=", -bnom,
+                          [f"{tag}.match[{i}]" for i in range(n_seg)]).tolist(),
+        "left": int(add_band(lp, [[mu[0], lam[0]]], [delta[0], -delta[0]], "=", 0.0,
+                             [f"{tag}.left"])[0]),
+        "mid": add_band(
+            lp, np.column_stack([mu[1:], lam[1:], phi[:-1], rho[:-1]]),
+            np.column_stack([delta[1:], -delta[1:], delta[:-1], -delta[:-1]]), "=", 0.0,
+            [f"{tag}.mid[{i}]" for i in range(n_seg - 1)]).tolist(),
+        "right": int(add_band(lp, [[phi[-1], rho[-1]]], [delta[-1], -delta[-1]], "=", 0.0,
+                              [f"{tag}.right"])[0]),
+    }
     return {"lam": lam, "mu": mu, "rho": rho, "phi": phi, "rows": rows}
 
 

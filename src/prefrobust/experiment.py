@@ -39,7 +39,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import os
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -87,6 +90,20 @@ MODELS = ("msp_true", "msp_pln", "pro_kan", "pro_pc")
 _OIL = "oil"
 
 
+def _number(value, name):
+    """``value`` if it is a real number; a bool or a string names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(value, name):
+    """``value`` as a tuple of real numbers; anything else names ``name``."""
+    if isinstance(value, (str, bytes, dict)) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{name}[{k}]") for k, v in enumerate(value))
+
+
 @dataclass(frozen=True)
 class ReturnModel:
     """Per-period Gaussian log-return generator for the synthetic market.
@@ -104,8 +121,10 @@ class ReturnModel:
     p0: float = 55.0
 
     def __post_init__(self):
-        object.__setattr__(self, "drift", tuple(float(d) for d in self.drift))
-        object.__setattr__(self, "vol", tuple(float(v) for v in self.vol))
+        object.__setattr__(self, "drift", tuple(float(d) for d in _numbers(self.drift, "drift")))
+        object.__setattr__(self, "vol", tuple(float(v) for v in _numbers(self.vol, "vol")))
+        for name in ("oil_drift", "oil_vol", "p0"):
+            _number(getattr(self, name), name)
         for name in ("drift", "vol", "oil_drift", "oil_vol", "p0"):
             value = getattr(self, name)
             if not all(math.isfinite(v) for v in np.atleast_1d(value)):
@@ -141,8 +160,18 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        self.branching = tuple(int(b) for b in self.branching)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.branching = tuple(int(b) for b in _numbers(self.branching, "branching"))
+        self.seeds = tuple(int(s) for s in _numbers(self.seeds, "seeds"))
+        for name in ("n_breakpoints", "radius", "questionnaires", "tree_seed", "n_true"):
+            _number(getattr(self, name), name)
+        if self.scale_override is not None:
+            _number(self.scale_override, "scale_override")
+        if not isinstance(self.returns, ReturnModel):
+            raise ValueError(f"returns must be a ReturnModel, got {self.returns!r}")
+        if not isinstance(self.model, str):
+            raise ValueError(f"model must be a string, got {self.model!r}")
+        if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
+            raise ValueError(f"out must be a path, got {self.out!r}")
         if not self.branching or any(b < 1 for b in self.branching):
             raise ValueError("branching must be a non-empty vector of positive counts")
         if self.n_breakpoints < 2:
@@ -178,7 +207,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     stray = set(d) - known
     if stray:
         raise ValueError(f"unknown config keys: {sorted(stray)}")
-    returns = ReturnModel(**raw) if isinstance(raw, dict) else (raw or ReturnModel())
+    if isinstance(raw, dict):
+        stray = set(raw) - {f.name for f in ReturnModel.__dataclass_fields__.values()}
+        if stray:
+            raise ValueError(f"unknown returns keys: {sorted(stray)}")
+        returns = ReturnModel(**raw)
+    elif raw is None or isinstance(raw, ReturnModel):
+        returns = raw or ReturnModel()
+    else:
+        raise ValueError(f"returns must be an object, got {raw!r}")
     return ExperimentConfig(returns=returns, **d)
 
 

@@ -121,6 +121,7 @@ class LinearProgram:
         self._rels = []
         self._rhs = []
         self._row_names = []
+        self._matrix = None  # row_matrix() until the next row or variable
 
     # ------------------------------------------------------------------ build
     @property
@@ -135,6 +136,7 @@ class LinearProgram:
         """Add one variable, returning its index."""
         if not (lb <= ub):
             raise ValueError(f"variable {name!r}: lb {lb} > ub {ub}")
+        self._matrix = None
         self._obj.append(float(obj))
         self._lb.append(float(lb))
         self._ub.append(float(ub))
@@ -169,6 +171,7 @@ class LinearProgram:
             raise ValueError("index and value lists differ in length")
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
             raise ValueError(f"row {name!r} references undeclared variable")
+        self._matrix = None
         self._row_cols.append(idx)
         self._row_vals.append(val)
         self._rels.append(rel)
@@ -209,8 +212,9 @@ class LinearProgram:
         start = self.num_rows
         if m == 0:
             return np.arange(start, start)
-        self._row_cols.extend(np.split(idx, indptr[1:-1]))
-        self._row_vals.extend(np.split(val, indptr[1:-1]))
+        self._matrix = None
+        self._row_cols.extend(_split_rows(idx, indptr))
+        self._row_vals.extend(_split_rows(val, indptr))
         self._rels.extend(rels)
         self._rhs.extend(rhs.tolist())
         self._row_names.extend(names)
@@ -238,15 +242,49 @@ class LinearProgram:
         return np.asarray(self._rhs, dtype=float)
 
     def row_matrix(self):
-        """The full constraint matrix as CSR (one row per added row)."""
-        m, n = self.num_rows, self.num_vars
-        if m == 0:
-            return sp.csr_matrix((0, n))
-        counts = [c.size for c in self._row_cols]
-        rows = np.repeat(np.arange(m), counts)
-        cols = np.concatenate(self._row_cols) if rows.size else np.empty(0, dtype=np.int64)
-        vals = np.concatenate(self._row_vals) if rows.size else np.empty(0)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
+        """The full constraint matrix as CSR (one row per added row, column
+        indices sorted).  It is built once per shape and shared by every
+        caller until a row or variable is added, so callers must not modify it.
+        """
+        if self._matrix is None:
+            m, n = self.num_rows, self.num_vars
+            if m == 0:
+                self._matrix = sp.csr_matrix((0, n))
+            else:
+                counts = [c.size for c in self._row_cols]
+                rows = np.repeat(np.arange(m), counts)
+                cols = (np.concatenate(self._row_cols) if rows.size
+                        else np.empty(0, dtype=np.int64))
+                vals = np.concatenate(self._row_vals) if rows.size else np.empty(0)
+                self._matrix = sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
+        return self._matrix
+
+    def restricted(self, rows, cols, objective, rhs):
+        """A new program made of the rows ``rows`` over the variables ``cols``
+        (index arrays, kept in the given order), with the costs ``objective``
+        and right-hand sides ``rhs``.  Coefficients on variables outside
+        ``cols`` are dropped; names, bounds and relations are copied."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        objective = np.asarray(objective, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if objective.shape != cols.shape or rhs.shape != rows.shape:
+            raise ValueError("need one cost per variable and one rhs per row")
+        mat = self.row_matrix()[rows][:, cols]
+        if not mat.has_sorted_indices:
+            mat.sort_indices()
+        sub = LinearProgram(self.sense, self.name)
+        sub._obj = objective.tolist()
+        sub._lb = [self._lb[j] for j in cols]
+        sub._ub = [self._ub[j] for j in cols]
+        sub._var_names = [self._var_names[j] for j in cols]
+        sub._row_cols = _split_rows(mat.indices.astype(np.int64), mat.indptr)
+        sub._row_vals = _split_rows(mat.data, mat.indptr)
+        sub._rels = [self._rels[k] for k in rows]
+        sub._rhs = rhs.tolist()
+        sub._row_names = [self._row_names[k] for k in rows]
+        sub._matrix = mat
+        return sub
 
     def var_name(self, j):
         return self._var_names[j] or f"x{j}"
@@ -280,6 +318,12 @@ class LinearProgram:
             raise ValueError("cannot solve an LP with no variables")
         backend = backend or _solve_highs
         return backend(self, DEFAULT_TOL if tol is None else float(tol))
+
+
+def _split_rows(arr, indptr):
+    """``arr`` cut at the CSR row pointer ``indptr``, one view per row."""
+    bounds = indptr.tolist()
+    return [arr[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _solve_highs(lp: LinearProgram, tol: float) -> LpSolution:

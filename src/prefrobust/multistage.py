@@ -47,6 +47,8 @@ _REWARD_TOL = 1e-7
 _GAP_TOL = 1e-7
 # how far a plan handed to the evaluator may stray from its bounds and rows
 _PLAN_TOL = 1e-7
+# how far the x of a tree-wide solve may stray from its rows and bounds
+_RESIDUAL_TOL = 1e-7
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -122,6 +124,8 @@ class MultistageProblem:
                  constraints=(), check_rewards=True):
         self.tree = tree
         self.grid = np.asarray(grid, dtype=float)
+        if self.grid.ndim == 1:
+            _require_finite(self.grid, "grid", "y")
         if self.grid.ndim != 1 or self.grid.size < 2 or np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be a strictly increasing 1-d array")
 
@@ -132,7 +136,8 @@ class MultistageProblem:
                 raise ValueError(f"missing decision bounds for node {s}")
             lb = np.atleast_1d(np.asarray(decision_bounds[s][0], dtype=float))
             ub = np.atleast_1d(np.asarray(decision_bounds[s][1], dtype=float))
-            if lb.shape != ub.shape or np.any(lb > ub):
+            # written so that a NaN bound fails too
+            if lb.shape != ub.shape or not np.all(lb <= ub):
                 raise ValueError(f"bad decision bounds at node {s}")
             self.decision_bounds[s] = (lb, ub)
         stray = set(decision_bounds) - set(nonleaf)
@@ -154,6 +159,8 @@ class MultistageProblem:
             if rm.coef.shape != (dim,):
                 raise ValueError(
                     f"reward coefficient at node {node.id} must have length {dim}")
+            _require_finite(rm.coef, f"reward at node {node.id}", "coef")
+            _require_finite([rm.offset], f"reward at node {node.id}", "offset", index=False)
             self.rewards[node.id] = rm
 
         self.constraints = [self._checked_constraint(c) for c in constraints]
@@ -193,6 +200,11 @@ class MultistageProblem:
                     f"constraint at node {con.node} indexes past x({node.parent})")
         if con.rel not in ("<=", ">=", "="):
             raise ValueError(f"unknown relation {con.rel!r}")
+        where = f"constraint at node {con.node}"
+        for name, coefs in (("coef_self", cs), ("coef_parent", cp)):
+            for k, v in coefs.items():
+                _require_finite([v], where, f"{name}[{k}]", index=False)
+        _require_finite([float(con.rhs)], where, "rhs", index=False)
         return NodeConstraint(con.node, con.rel, float(con.rhs), cs, cp)
 
     # ------------------------------------------------------------ decisions
@@ -264,6 +276,15 @@ class MultistageProblem:
         return sign * sol.objective
 
 
+def _require_finite(values, where, field, index=True):
+    """Refuse a NaN or infinite entry, naming where it sits and the field."""
+    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+    if bad.size:
+        k = bad[0]
+        name = f"{field}[{k}]" if index else field
+        raise ValueError(f"{where}: {name} is {float(values[k])!r}")
+
+
 def _add_constraint_row(lp, xvar, tree, con, idx):
     coefs = {}
     for k, v in con.coef_self.items():
@@ -280,9 +301,11 @@ def _add_constraint_row(lp, xvar, tree, con, idx):
 # ---------------------------------------------------------------- holistic
 @dataclass
 class _NodeBlock:
-    vmap: np.ndarray        # big-LP columns of this node's dual block
-    alpha_rows: np.ndarray  # big-LP rows whose marginals carry p_s * alpha
-    prob: float
+    cols: np.ndarray   # tree-LP columns of this node's dual block
+    rows: np.ndarray   # tree-LP rows of this node's dual block
+    alpha: np.ndarray  # positions in ``rows`` whose marginals carry p_s * alpha
+    cost: np.ndarray   # dual costs before scaling by the node probability
+    prob: float        # the scale applied to ``cost`` in this LP
 
 
 def _copy_dual_block(big, dual, obj_scale, extra, prefix):
@@ -339,20 +362,40 @@ def _diagnose_and_raise(problem, message):
     raise InfeasibleProblemError(message)
 
 
-def _solve_big(problem, big, xvar, label):
-    """Solve a tree-wide LP, certify its duality gap and read back decisions."""
-    sol = big.solve()
-    if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
-        _diagnose_and_raise(problem, f"{label} solve ended {sol.status.value}")
-    if not sol.is_optimal:
-        raise RuntimeError(f"{label} solve ended {sol.status.value}: {sol.message}")
+def _primal_residual(lp, x):
+    """Largest violation of a row or a bound of ``lp`` by ``x`` (NaN if ``x``
+    holds a NaN)."""
+    ax = lp.row_matrix() @ x
+    rhs = lp.rhs
+    rels = np.asarray(lp.relations)
+    rows = np.where(rels == "<=", ax - rhs, np.where(rels == ">=", rhs - ax, np.abs(ax - rhs)))
+    return float(np.max(np.concatenate([rows, lp.lower - x, x - lp.upper]), initial=0.0))
+
+
+def _certified(big, sol, xvar, label):
+    """Check an optimal solve of a tree-wide LP: its duality gap and the
+    largest row or bound violation of its ``x``.  Returns it with the
+    decisions read back."""
     gap = abs(sol.objective - sol.dual_objective)
     if gap > _GAP_TOL * (1.0 + abs(sol.objective)):
         raise RuntimeError(
             f"{label} solve: primal objective {sol.objective!r} and dual objective "
             f"{sol.dual_objective!r} differ by {gap:.3g}")
+    residual = _primal_residual(big, sol.x)
+    if not residual <= _RESIDUAL_TOL:
+        raise RuntimeError(f"{label} solve: x violates a row or bound by {residual:.3g}")
     decisions = {s: np.array([sol.x[j] for j in xvar[s]]) for s in xvar}
     return sol, decisions
+
+
+def _solve_big(problem, big, xvar, label):
+    """Solve a tree-wide LP, certify it and read back decisions."""
+    sol = big.solve()
+    if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
+        _diagnose_and_raise(problem, f"{label} solve ended {sol.status.value}")
+    if not sol.is_optimal:
+        raise RuntimeError(f"{label} solve ended {sol.status.value}: {sol.message}")
+    return _certified(big, sol, xvar, label)
 
 
 def solve_holistic(problem):
@@ -363,6 +406,15 @@ def solve_holistic(problem):
 
 
 def _solve_holistic(problem):
+    big, xvar, blocks = _assemble_holistic(problem)
+    sol, decisions = _solve_big(problem, big, xvar, "holistic")
+    return _holistic_policy(problem, big, blocks, sol, decisions)
+
+
+def _assemble_holistic(problem):
+    """The tree LP: decision columns and constraint rows first (constraint
+    ``k`` on row ``k``), then one dual block per non-leaf node in id order.
+    Returns it with the decision columns and the blocks per node."""
     tree = problem.tree
     pu = tree.unconditional_probs()
     big = LinearProgram("max", name="tree")
@@ -387,17 +439,23 @@ def _solve_holistic(problem):
             cols.append(xvar[s][nz])
             vals.append(-probs[pos] * coef[nz])
         extra = (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-        vmap, rmap = _copy_dual_block(big, dualize(inner), float(pu[s]), extra, f"n{s}")
-        blocks[s] = _NodeBlock(vmap, rmap[ublock.alpha], float(pu[s]))
+        dual = dualize(inner)
+        vmap, rmap = _copy_dual_block(big, dual, float(pu[s]), extra, f"n{s}")
+        blocks[s] = _NodeBlock(vmap, rmap, ublock.alpha, dual.objective, float(pu[s]))
+    return big, xvar, blocks
 
-    sol, decisions = _solve_big(problem, big, xvar, "holistic")
+
+def _holistic_policy(problem, big, blocks, sol, decisions):
+    """Policy read back from a certified solve of an assembled tree LP: each
+    node's value from its block's costs, its worst-case utility from the
+    marginals of its alpha rows."""
     obj = big.objective
     per_node = {}
     for s, nb in blocks.items():
-        val = float(np.dot(obj[nb.vmap], sol.x[nb.vmap])) / nb.prob
-        alpha = np.array([sol.duals[r] for r in nb.alpha_rows]) / nb.prob
+        val = float(np.dot(obj[nb.cols], sol.x[nb.cols])) / nb.prob
+        alpha = np.array([sol.duals[r] for r in nb.rows[nb.alpha]]) / nb.prob
         per_node[s] = NodeValue(
-            tree.nodes[s].stage, val, _utility_from_marginals(problem.grid, alpha))
+            problem.tree.nodes[s].stage, val, _utility_from_marginals(problem.grid, alpha))
     return Policy(decisions, float(sol.objective), per_node)
 
 
@@ -513,6 +571,18 @@ def _check_decisions(problem, decisions):
                              f"{float(lhs)!r} {con.rel} {con.rhs!r}")
 
 
+def _nested_worst_cases(problem, decisions):
+    """Each non-leaf node's one-stage worst case under ``decisions``, which
+    depends only on the node's decision, children and spec."""
+    wc = {}
+    for s in problem.tree.nonleaf_ids():
+        res = _node_worst_case(problem, s, _node_outcomes(problem, s, decisions))
+        if res.status != "optimal":
+            raise InfeasibleProblemError(f"worst case at node {s} is {res.status}", node=s)
+        wc[s] = res.value
+    return wc
+
+
 def evaluate_policy_worst_case(problem, decisions, mode="nested"):
     """Worst-case value of fixed decisions.
 
@@ -532,12 +602,8 @@ def evaluate_policy_worst_case(problem, decisions, mode="nested"):
     pu = tree.unconditional_probs()
     if mode == "nested":
         total = 0.0
-        for s in tree.nonleaf_ids():
-            res = _node_worst_case(problem, s, _node_outcomes(problem, s, decisions))
-            if res.status != "optimal":
-                raise InfeasibleProblemError(
-                    f"worst case at node {s} is {res.status}", node=s)
-            total += pu[s] * res.value
+        for s, value in _nested_worst_cases(problem, decisions).items():
+            total += pu[s] * value
         return float(total)
     if mode == "sequence_global":
         specs = [problem.ambiguity.for_node(s) for s in tree.nonleaf_ids()]
@@ -567,6 +633,13 @@ def evaluate_policy_worst_case(problem, decisions, mode="nested"):
 
 
 # --------------------------------------------------------- time consistency
+def _folded_rhs(con, parent_decision):
+    """Right-hand side of ``con`` once the parent decision is fixed and its
+    part of the row moved over."""
+    fixed = np.asarray(parent_decision, dtype=float)
+    return con.rhs - sum(fixed[k] * v for k, v in con.coef_parent.items())
+
+
 def subtree_problem(problem, node_id, decisions):
     """Re-rooted copy of the problem with the history fixed.
 
@@ -591,10 +664,9 @@ def subtree_problem(problem, node_id, decisions):
         if con.node not in new_of:
             continue
         if con.node == node_id and con.coef_parent:
-            fixed = np.asarray(decisions[parent], dtype=float)
-            shift = sum(fixed[k] * v for k, v in con.coef_parent.items())
             cons.append(NodeConstraint(
-                new_of[con.node], con.rel, con.rhs - shift, dict(con.coef_self), {}))
+                new_of[con.node], con.rel, _folded_rhs(con, decisions[parent]),
+                dict(con.coef_self), {}))
         else:
             cons.append(NodeConstraint(
                 new_of[con.node], con.rel, con.rhs,
@@ -635,24 +707,97 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     A positive discrepancy at a node means the policy stops being optimal once
     that node is reached — the plan is time-inconsistent there.  Per-node
     ambiguity keeps every discrepancy at solver noise; a shared
-    state-independent set need not.  ``subtree_solver`` overrides the solver
-    used on subtrees instead of :func:`solve_holistic` (required for
-    ambiguity types it does not cover); it receives a
-    :class:`MultistageProblem` and must return an object with a ``value``
-    attribute.
+    state-independent set need not.
+
+    The plan is checked once, and each non-leaf node's one-stage worst case
+    under it is solved once: a subtree's achieved value is the sum of its
+    nodes' worst cases weighted by their probabilities given the subtree's
+    root, which is exactly what :func:`evaluate_policy_worst_case` returns
+    on the re-rooted problem.  The re-solves share one assembly of the tree
+    LP: the root is re-solved on it, and every other subtree's LP is sliced
+    from it (the subtree's rows and columns, the fixed parent decision folded
+    into the root rows, the block costs rescaled to the subtree), then solved
+    and certified like the tree LP.  A slice that does not solve to optimality
+    is rebuilt through :func:`subtree_problem` and :func:`solve_holistic`,
+    which report the failure.  ``subtree_solver`` replaces that solver
+    (required for ambiguity types it does not cover): it receives the
+    re-rooted :class:`MultistageProblem` of every subtree and must return an
+    object with a ``value`` attribute.
     """
-    solver = subtree_solver or solve_holistic
     tree = problem.tree
+    decisions = policy.decisions
+    _check_decisions(problem, decisions)
+    wc = _nested_worst_cases(problem, decisions)
+    assembled = _assemble_holistic(problem) if subtree_solver is None else None
     entries = []
     for s in tree.nonleaf_ids():
-        sub, orig = subtree_problem(problem, s, policy.decisions)
-        subdec = {
-            n: policy.decisions[o]
-            for n, o in enumerate(orig)
-            if not tree.is_leaf(o)
-        }
-        achieved = evaluate_policy_worst_case(sub, subdec, "nested")
-        local = float(solver(sub).value)
+        order = tree.descendants(s)
+        # probabilities given s, root-down as unconditional_probs() on the subtree
+        pu = {s: 1.0}
+        for n in order[1:]:
+            pu[n] = pu[tree.nodes[n].parent] * tree.nodes[n].prob
+        achieved = 0.0
+        for n in order:
+            if n in wc:
+                achieved += pu[n] * wc[n]
+        if subtree_solver is None:
+            local = _resolve_subtree(problem, assembled, order, pu, decisions)
+        else:
+            local = float(subtree_solver(subtree_problem(problem, s, decisions)[0]).value)
+        achieved = float(achieved)
         entries.append(TimeConsistencyEntry(
             s, tree.nodes[s].stage, local, achieved, local - achieved))
     return TimeConsistencyReport(entries, tol)
+
+
+def _resolve_subtree(problem, assembled, order, pu, decisions):
+    """Optimal value of the subtree LP whose nodes are ``order`` (breadth
+    first from its root) and whose probabilities given the root are ``pu``.
+    It is solved on a slice of the assembled tree LP when one can be made
+    and ends optimal, and rebuilt by :func:`subtree_problem` otherwise."""
+    sliced = _subtree_slice(problem, assembled, order, pu, decisions)
+    if sliced is not None:
+        lp, xvar, blocks = sliced
+        sol = lp.solve()
+        if sol.is_optimal:
+            sol, dec = _certified(lp, sol, xvar, f"subtree {order[0]}")
+            return _holistic_policy(problem, lp, blocks, sol, dec).value
+    return solve_holistic(subtree_problem(problem, order[0], decisions)[0]).value
+
+
+def _subtree_slice(problem, assembled, order, pu, decisions):
+    """The LP that :func:`subtree_problem` and :func:`_assemble_holistic`
+    build for the subtree ``order``, cut from the assembled tree LP (names
+    keep the tree's ids), with its decision columns and node blocks; the
+    tree LP itself when the subtree is the whole tree in its own order.
+    ``None`` when the rebuild would refuse the subtree."""
+    big, xvar, blocks = assembled
+    tree = problem.tree
+    if order == list(range(len(tree))):
+        return assembled
+    s, inside = order[0], set(order)
+    nodes = [n for n in order if n in blocks]
+    cons = [k for k, con in enumerate(problem.constraints) if con.node in inside]
+    rows = np.concatenate([np.asarray(cons, dtype=np.int64)] + [blocks[n].rows for n in nodes])
+    cols = np.concatenate([xvar[n] for n in nodes] + [blocks[n].cols for n in nodes])
+    rhs = big.rhs[rows]
+    for pos, k in enumerate(cons):
+        con = problem.constraints[k]
+        if con.node == s and con.coef_parent:
+            if not con.coef_self:
+                return None  # a row with no coefficients left
+            rhs[pos] = _folded_rhs(con, decisions[tree.nodes[s].parent])
+
+    sub_x, sub_blocks, at = {}, {}, 0
+    for n in nodes:
+        sub_x[n] = np.arange(at, at + xvar[n].size)
+        at += xvar[n].size
+    cost, row = [np.zeros(at)], len(cons)
+    for n in nodes:
+        nb = blocks[n]
+        sub_blocks[n] = _NodeBlock(np.arange(at, at + nb.cols.size),
+                                   np.arange(row, row + nb.rows.size), nb.alpha, nb.cost, pu[n])
+        cost.append(pu[n] * nb.cost)
+        at += nb.cols.size
+        row += nb.rows.size
+    return big.restricted(rows, cols, np.concatenate(cost), rhs), sub_x, sub_blocks

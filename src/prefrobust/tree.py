@@ -133,6 +133,14 @@ class ScenarioTree:
         return probs
 
     # ---------------------------------------------------------- operations
+    def descendants(self, node_id):
+        """``node_id`` and every node below it, breadth first: the node order
+        of :meth:`subtree`."""
+        order = [node_id]
+        for cur in order:
+            order.extend(self.children[cur])
+        return order
+
     def subtree(self, node_id):
         """Re-root at ``node_id``.
 
@@ -141,12 +149,7 @@ class ScenarioTree:
         path root -> node_id in original ids and the new-id -> original-id
         map, which state-dependent ambiguity lookups need.
         """
-        order = []
-        queue = [node_id]
-        while queue:
-            cur = queue.pop(0)
-            order.append(cur)
-            queue.extend(self.children[cur])
+        order = self.descendants(node_id)
         new_id = {old: new for new, old in enumerate(order)}
         base_stage = self.nodes[node_id].stage
         nodes = []

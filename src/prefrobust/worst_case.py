@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import FiniteUtilitySet, KantorovichBallSpec, PairwiseComparisonSpec
-from .blocks import append_ball_membership, append_pairwise_rows, append_utility_block
+from .blocks import (
+    add_band,
+    append_ball_membership,
+    append_pairwise_rows,
+    append_utility_block,
+)
 from .lp import LinearProgram, LpStatus, dualize
 # ``project`` is used here only by perfbench/layers.py, which wraps this
 # module global by name.
@@ -99,13 +104,10 @@ def supporting_line_primal(values, probs, y, L, L_tilde, concave):
     for i, (h, q) in enumerate(zip(values, probs)):
         lp.set_obj(eps[i], q * h)
         lp.set_obj(fee[i], q)
-        for j in range(y.size):
-            lp.add_row(
-                {eps[i]: y[j], fee[i]: 1.0, block.alpha[j]: -1.0},
-                ">=",
-                0.0,
-                name=f"sup[{i},{j}]",
-            )
+    N = y.size
+    add_band(lp, np.column_stack([np.repeat(eps, N), np.repeat(fee, N), np.tile(block.alpha, S)]),
+             np.column_stack([np.tile(y, S), np.ones(S * N), -np.ones(S * N)]), ">=", 0.0,
+             [f"sup[{i},{j}]" for i in range(S) for j in range(N)])
     return lp, block, eps
 
 

@@ -291,3 +291,23 @@ def test_tree_file_format_is_pinned(tmp_path, capsys):
     assert main(["solve", "--tree", str(PINNED_TREE), *flags]) == 0
     assert capsys.readouterr().out == generated
 
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"returns": {"p0": "abc"}}, "p0 must be a number, got 'abc'"),
+    ({"returns": {"drift": 0.1}}, "drift must be a list of numbers, got 0.1"),
+    ({"returns": {"drift": [0.1, "x"], "vol": [0.1, 0.2]}}, "drift[1] must be a number, got 'x'"),
+    ({"returns": {"oil_vol": True}}, "oil_vol must be a number, got True"),
+    ({"returns": {"spread": 1}}, "unknown returns keys: ['spread']"),
+    ({"returns": [0.1]}, "returns must be an object, got [0.1]"),
+    ({"radius": "0.1"}, "radius must be a number, got '0.1'"),
+    ({"n_breakpoints": None}, "n_breakpoints must be a number, got None"),
+    ({"seeds": 3}, "seeds must be a list of numbers, got 3"),
+    ({"model": ["pro_kan"]}, "model must be a string, got ['pro_kan']"),
+    ({"out": 5}, "out must be a path, got 5"),
+])
+def test_wrongly_typed_config_exits_cleanly(tmp_path, capsys, config, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(cfg), "--branching", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

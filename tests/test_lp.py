@@ -431,3 +431,41 @@ def test_dualize_rows_equal_the_row_by_row_reference():
             assert dual.objective.tobytes() == ref.objective.tobytes()
             assert np.array_equal(dual.lower, ref.lower)
             assert np.array_equal(dual.upper, ref.upper)
+
+
+def test_row_matrix_follows_every_added_row_and_variable():
+    lp = LinearProgram("min")
+    lp.add_vars(2, "x")
+    lp.add_row({0: 1.0, 1: 2.0}, "<=", 1.0)
+    first = lp.row_matrix()
+    assert lp.row_matrix() is first
+    lp.add_rows([0, 1], [1], [3.0], ">=", 0.0, ["r1"])
+    assert lp.row_matrix().toarray().tolist() == [[1.0, 2.0], [0.0, 3.0]]
+    lp.add_var("z")
+    assert lp.row_matrix().shape == (2, 3)
+    lp.add_row({2: -1.0}, "=", 0.0)
+    assert lp.row_matrix().toarray().tolist() == [[1.0, 2.0, 0.0], [0.0, 3.0, 0.0],
+                                                  [0.0, 0.0, -1.0]]
+
+
+def test_restricted_program_keeps_the_chosen_rows_and_columns():
+    lp = LinearProgram("max", name="full")
+    lp.add_var("a", ub=4.0)
+    lp.add_var("b", lb=-1.0)
+    lp.add_var("c")
+    lp.add_row({0: 1.0, 2: 5.0}, "<=", 3.0, name="r0")
+    lp.add_row({1: 2.0, 2: 0.0}, ">=", -1.0, name="r1")
+    lp.add_row({0: 7.0, 1: 1.0}, "=", 2.0, name="r2")
+    sub = lp.restricted([2, 0], [0, 2], [1.5, -2.0], [9.0, 8.0])
+    assert (sub.sense, sub.name) == ("max", "full")
+    assert sub.row_matrix().toarray().tolist() == [[7.0, 0.0], [1.0, 5.0]]
+    assert sub.relations == ["=", "<="] and sub.rhs.tolist() == [9.0, 8.0]
+    assert sub.objective.tolist() == [1.5, -2.0]
+    assert sub.lower.tolist() == [0.0, 0.0] and sub.upper.tolist() == [4.0, math.inf]
+    assert [sub.row_name(k) for k in range(2)] == ["r2", "r0"]
+    assert [sub.var_name(j) for j in range(2)] == ["a", "c"]
+    # the explicit zero of r1 survives the cut, as in the full matrix
+    kept = lp.restricted([1], [1, 2], [0.0, 0.0], [-1.0])
+    assert kept.row_matrix().nnz == 2
+    with pytest.raises(ValueError, match="one cost per variable"):
+        lp.restricted([0], [0, 1], [1.0], [0.0])

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefrobust.lp as lp_module
+import prefrobust.multistage as multistage_module
 from prefrobust.ambiguity import (
     FiniteUtilitySet,
     KantorovichBallSpec,
@@ -21,6 +24,7 @@ from prefrobust.multistage import (
     evaluate_policy_worst_case,
     solve_holistic,
     solve_nominal,
+    _assemble_holistic,
     _copy_dual_block,
     subtree_problem,
 )
@@ -37,6 +41,7 @@ from prefrobust.worst_case import (
     worst_case_kantorovich_primal,
     worst_case_pairwise,
 )
+from test_blocks import assert_same_program
 
 
 def balanced_tree(branching, probs=None):
@@ -577,3 +582,178 @@ def test_evaluation_refuses_plans_off_the_decision_set():
         for mode in ("nested", "sequence_global"):
             with pytest.raises(ValueError, match=message):
                 evaluate_policy_worst_case(problem, bad, mode)
+
+
+@pytest.mark.parametrize("shift, fails", [(1e-5, True), (math.nan, True), (1e-10, False)])
+def test_big_solves_check_the_primal_residual(monkeypatch, shift, fails):
+    rng = np.random.default_rng(3)
+    problem, spec = random_ball_problem(rng, radius=0.05)
+    pol = solve_holistic(problem)
+    solve = lp_module.LinearProgram.solve
+
+    def perturbed(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        if self.name in ("tree", "nominal"):
+            sol.x = sol.x.copy()
+            sol.x[0] += shift
+        return sol
+
+    monkeypatch.setattr(lp_module.LinearProgram, "solve", perturbed)
+    # the two big solves, and the re-solves of the check (root and slices)
+    for run in (lambda: solve_holistic(problem),
+                lambda: solve_nominal(problem, spec.nominal),
+                lambda: check_time_consistency(problem, pol)):
+        if fails:
+            with pytest.raises(RuntimeError, match="violates a row or bound"):
+                run()
+        else:
+            run()
+
+
+def _reference_report(problem, policy):
+    """Time consistency as it was first checked: every subtree rebuilt by
+    subtree_problem, its plan evaluated and its LP solved from scratch."""
+    tree = problem.tree
+    entries = []
+    for s in tree.nonleaf_ids():
+        sub, orig = subtree_problem(problem, s, policy.decisions)
+        subdec = {n: policy.decisions[o] for n, o in enumerate(orig) if not tree.is_leaf(o)}
+        achieved = evaluate_policy_worst_case(sub, subdec, "nested")
+        local = float(solve_holistic(sub).value)
+        entries.append((s, tree.nodes[s].stage, local, achieved, local - achieved))
+    return entries
+
+
+def _mixed_problem(rng, branching, asked_nodes, radius=0.05, tree=None):
+    problem, spec = random_ball_problem(rng, branching=branching, radius=radius)
+    if tree is not None:
+        problem = MultistageProblem(tree, problem.decision_bounds, problem.rewards, spec,
+                                    problem.grid, problem.constraints)
+    asked = elicit_pairwise(
+        spec.nominal, K=20, grid=problem.grid, seed=3, L=spec.L, L_tilde=spec.L_tilde)
+    return _reassigned(
+        problem, {s: asked if s in asked_nodes else spec for s in problem.tree.nonleaf_ids()})
+
+
+def _crossed_tree():
+    """Decision nodes 3 and 4 out of breadth-first order (3 hangs under 2, 4
+    under 1), so even the whole tree is re-rooted in another order."""
+    return ScenarioTree([
+        TreeNode(0, None, 0, 1.0, {}), TreeNode(1, 0, 1, 0.4, {}), TreeNode(2, 0, 1, 0.6, {}),
+        TreeNode(3, 2, 2, 1.0, {}), TreeNode(4, 1, 2, 1.0, {}),
+        TreeNode(5, 3, 3, 1.0, {}), TreeNode(6, 4, 3, 1.0, {}),
+    ])
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: _mixed_problem(rng, (2, 3, 2), asked_nodes={1, 5, 6}),
+    lambda rng: _mixed_problem(rng, (2, 1, 1), asked_nodes={2, 4}, tree=_crossed_tree()),
+])
+def test_sliced_subtree_lps_equal_the_rebuilt_ones(monkeypatch, make):
+    problem = make(np.random.default_rng(11))
+    tree = problem.tree
+    pol = solve_holistic(problem)
+    sliced = []
+    real_slice = multistage_module._subtree_slice
+
+    def spy(*args):
+        sliced.append((args[2], real_slice(*args), args[1]))
+        return sliced[-1][1]
+
+    monkeypatch.setattr(multistage_module, "_subtree_slice", spy)
+    report = check_time_consistency(problem, pol)
+    monkeypatch.undo()
+    assert [(e.node, e.stage, e.local_value, e.achieved_value, e.discrepancy)
+            for e in report.entries] == _reference_report(problem, pol)
+    assert [order[0] for order, _, _ in sliced] == tree.nonleaf_ids()
+    for order, (lp, xvar, blocks), assembled in sliced:
+        sub, orig = subtree_problem(problem, order[0], pol.decisions)
+        assert orig == order
+        rebuilt, rx, rblocks = _assemble_holistic(sub)
+        assert_same_program(lp, rebuilt, names=False)  # slices keep the tree's names
+        nodes = [n for n in order if n in blocks]
+        assert [orig[n] for n in rblocks] == nodes
+        for n, (new, rb) in zip(nodes, rblocks.items()):
+            assert np.array_equal(xvar[n], rx[new])
+            nb = blocks[n]
+            assert np.array_equal(nb.cols, rb.cols) and np.array_equal(nb.rows, rb.rows)
+            assert np.array_equal(nb.alpha, rb.alpha) and nb.prob == rb.prob
+        # the whole tree in its own order is re-solved on the assembly itself
+        assert (lp is assembled[0]) == (order == list(range(len(tree))))
+
+
+def test_subtrees_the_slice_cannot_serve_are_rebuilt(monkeypatch):
+    rng = np.random.default_rng(11)
+    problem, _ = random_ball_problem(rng, branching=(2, 2), radius=0.05)
+    pol = solve_holistic(problem)
+    # a row at node 1 on the parent decision alone: the rebuild refuses it
+    parent_only = MultistageProblem(
+        problem.tree, problem.decision_bounds, problem.rewards, problem.ambiguity,
+        problem.grid, [*problem.constraints,
+                       NodeConstraint(1, "<=", 1.0, coef_parent={0: 1.0})])
+    with pytest.raises(ValueError, match="constraint at node 0 has no coefficients"):
+        check_time_consistency(parent_only, pol)
+
+    # a slice that ends without an optimum is rebuilt, whose solve reports it
+    solve, full = lp_module.LinearProgram.solve, _assemble_holistic(problem)[0].num_rows
+    failed = []
+
+    def failing(self, *args, **kwargs):
+        if self.name == "tree" and self.num_rows < full:
+            failed.append(self.num_rows)
+            return lp_module.LpSolution(lp_module.LpStatus.FAILED, message="stalled")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(lp_module.LinearProgram, "solve", failing)
+    with pytest.raises(RuntimeError, match="holistic solve ended failed: stalled"):
+        check_time_consistency(problem, pol)
+    # the slice of node 1 failed first, then its rebuild, which has as many rows
+    assert len(failed) == 2 and failed[0] == failed[1]
+
+
+@st.composite
+def small_mixed_problems(draw):
+    """A 2- or 3-stage tree of branching 1 to 3 per stage whose nodes carry
+    Kantorovich balls or elicited answers, drawn node by node."""
+    branching = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    n_nonleaf = sum(int(np.prod(branching[:t])) for t in range(len(branching)))
+    asked = draw(st.lists(st.booleans(), min_size=n_nonleaf, max_size=n_nonleaf))
+    seed = draw(st.integers(0, 2**16))
+    radius = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    rng = np.random.default_rng(seed)
+    return _mixed_problem(rng, branching, {s for s, a in enumerate(asked) if a}, radius)
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_mixed_problems())
+def test_one_pass_check_equals_the_subtree_rebuilds(problem):
+    pol = solve_holistic(problem)
+    report = check_time_consistency(problem, pol)
+    got = [(e.node, e.stage, e.local_value, e.achieved_value, e.discrepancy)
+           for e in report.entries]
+    assert got == _reference_report(problem, pol)
+    assert report.max_discrepancy <= 1e-6
+    assert abs(pol.value - evaluate_policy_worst_case(problem, pol.decisions)) <= 1e-6
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(grid=np.array([0.0, 0.25, math.nan, 0.75, 1.0])), r"grid: y\[2\] is nan"),
+    (dict(rewards={2: (np.array([math.nan, 0.1]), 0.07)}), r"reward at node 2: coef\[0\] is nan"),
+    (dict(rewards={3: (np.array([0.1, 0.1]), math.nan)}), "reward at node 3: offset is nan"),
+    (dict(rewards={1: (np.array([0.1, math.inf]), 0.0)}), r"reward at node 1: coef\[1\] is inf"),
+    (dict(bounds={1: (np.array([math.nan, 0.0]), np.ones(2))}), "bad decision bounds at node 1"),
+    (dict(cons=[NodeConstraint(0, "<=", math.nan, coef_self={0: 1.0})]),
+     "constraint at node 0: rhs is nan"),
+    (dict(cons=[NodeConstraint(0, "<=", 1.0, coef_self={1: math.inf})]),
+     r"constraint at node 0: coef_self\[1\] is inf"),
+])
+def test_problem_refuses_non_finite_inputs(change, message):
+    rng = np.random.default_rng(2)
+    problem, spec = random_ball_problem(rng, radius=0.05)
+    kw = dict(grid=problem.grid, rewards=dict(problem.rewards),
+              bounds=dict(problem.decision_bounds), cons=problem.constraints)
+    for key, value in change.items():
+        kw[key] = {**kw[key], **value} if isinstance(value, dict) else value
+    with pytest.raises(ValueError, match=message):
+        MultistageProblem(problem.tree, kw["bounds"], kw["rewards"], spec, kw["grid"],
+                          kw["cons"])

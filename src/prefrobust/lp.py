@@ -134,22 +134,30 @@ class LinearProgram:
 
     def add_var(self, name=None, lb=0.0, ub=math.inf, obj=0.0):
         """Add one variable, returning its index."""
-        if not (lb <= ub):
-            raise ValueError(f"variable {name!r}: lb {lb} > ub {ub}")
-        self._matrix = None
-        self._obj.append(float(obj))
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._var_names.append(name)
-        return len(self._obj) - 1
+        return int(self.add_vars(1, [name], lb=lb, ub=ub, obj=obj)[0])
 
     def add_vars(self, n, name=None, lb=0.0, ub=math.inf, obj=0.0):
-        """Add ``n`` variables sharing bounds; returns an index array."""
+        """Add ``n`` variables in one call; returns an index array.  ``name``
+        is a prefix (names ``name[i]``), a list of ``n`` names, or ``None``;
+        ``lb``, ``ub`` and ``obj`` are scalars or arrays of ``n`` entries."""
+        lb, ub, obj = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (lb, ub, obj))
+        if name is None or isinstance(name, str):
+            names = [None if name is None else f"{name}[{i}]" for i in range(n)]
+        elif len(name) == n:
+            names = list(name)
+        else:
+            raise ValueError(f"{n} variables need {n} names, got {len(name)}")
+        # written so that a NaN bound fails too
+        bad = np.flatnonzero(~(lb <= ub))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"variable {names[k]!r}: lb {lb[k]} > ub {ub[k]}")
         base = self.num_vars
-        objs = np.broadcast_to(np.asarray(obj, dtype=float), (n,))
-        for i in range(n):
-            nm = f"{name}[{i}]" if name is not None else None
-            self.add_var(nm, lb=lb, ub=ub, obj=float(objs[i]))
+        self._matrix = None
+        self._obj.extend(obj.tolist())
+        self._lb.extend(lb.tolist())
+        self._ub.extend(ub.tolist())
+        self._var_names.extend(names)
         return np.arange(base, base + n)
 
     def set_obj(self, idx, coef):
@@ -553,17 +561,12 @@ def dualize(lp: LinearProgram) -> LinearProgram:
     dual = LinearProgram(sense="max" if sense == "min" else "min",
                          name=f"dual({lp.name})" if lp.name else "dual")
 
-    rels = lp.relations
-    rhs = lp.rhs
-    for k in range(m):
-        rel = rels[k]
-        if sense == "min":
-            lo, hi = {LEQ: (-math.inf, 0.0), EQ: (-math.inf, math.inf),
-                      GEQ: (0.0, math.inf)}[rel]
-        else:
-            lo, hi = {LEQ: (0.0, math.inf), EQ: (-math.inf, math.inf),
-                      GEQ: (-math.inf, 0.0)}[rel]
-        dual.add_var(name=f"y_{lp.row_name(k)}", lb=lo, ub=hi, obj=rhs[k])
+    # a row's relation fixes the sign of its multiplier
+    rels = np.array(lp.relations, dtype=str)
+    nonneg, nonpos = (GEQ, LEQ) if sense == "min" else (LEQ, GEQ)
+    dual.add_vars(m, [f"y_{lp.row_name(k)}" for k in range(m)],
+                  lb=np.where(rels == nonneg, 0.0, -math.inf),
+                  ub=np.where(rels == nonpos, 0.0, math.inf), obj=lp.rhs)
 
     # Column view of the primal matrix for the stationarity rows.
     A_csc = lp.row_matrix().tocsc()

@@ -15,6 +15,7 @@ utilities are then read back from the row marginals of those blocks.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,8 +117,11 @@ class MultistageProblem:
     :class:`StateDependentAmbiguity`.  ``grid`` is the utility grid; every
     reward must stay inside its span.  Unless ``check_rewards`` is off, every
     reward of every tree, whatever its size, is certified at build time by
-    minimizing and maximizing it over the decision set: two LPs per reward,
-    re-solved warm in one HiGHS session per build.
+    minimizing and maximizing it over the decision set.  A reward
+    ``coef . x(parent) + offset`` is ``lam * (d . x(parent)) + offset`` with
+    ``lam = max |coef|``, so rewards share their range LPs when they share
+    the parent and the direction ``d``: two LPs per distinct (parent,
+    direction), re-solved warm in one HiGHS session per build.
     """
 
     def __init__(self, tree, decision_bounds, rewards, ambiguity, grid,
@@ -218,10 +222,7 @@ class MultistageProblem:
         xvar = {}
         for s in self.tree.nonleaf_ids():
             lb, ub = self.decision_bounds[s]
-            xvar[s] = np.array(
-                [lp.add_var(f"x[{s}][{k}]", lb=lb[k], ub=ub[k]) for k in range(lb.size)],
-                dtype=int,
-            )
+            xvar[s] = lp.add_vars(lb.size, f"x[{s}]", lb=lb, ub=ub)
         for idx, con in enumerate(self.constraints):
             if last_node is not None and con.node > last_node:
                 continue
@@ -249,11 +250,18 @@ class MultistageProblem:
         # serves them all; without the binding each LP goes through linprog.
         session = warm_session(lp)
         a, b = float(self.grid[0]), float(self.grid[-1])
+        extremes = {}  # (parent, direction bytes) -> (min, max) of d . x(parent)
         for i in sorted(self.rewards):
             rm = self.rewards[i]
-            cols = xvar[self.tree.nodes[i].parent]
-            lo = self._reward_extreme(lp, cols, rm.coef, +1.0, i, session) + rm.offset
-            hi = self._reward_extreme(lp, cols, rm.coef, -1.0, i, session) + rm.offset
+            parent = self.tree.nodes[i].parent
+            lam = float(np.max(np.abs(rm.coef), initial=0.0)) or 1.0
+            d = rm.coef / lam
+            key = (parent, d.tobytes())
+            if key not in extremes:
+                cols = xvar[parent]
+                extremes[key] = (self._reward_extreme(lp, cols, d, +1.0, i, session),
+                                 self._reward_extreme(lp, cols, d, -1.0, i, session))
+            lo, hi = (lam * v + rm.offset for v in extremes[key])
             if lo < a - _REWARD_TOL or hi > b + _REWARD_TOL:
                 raise ValueError(
                     f"reward at node {i} spans [{lo:.6g}, {hi:.6g}], outside the "
@@ -308,24 +316,20 @@ class _NodeBlock:
     prob: float        # the scale applied to ``cost`` in this LP
 
 
-def _copy_dual_block(big, dual, obj_scale, extra, prefix):
-    """Append a dualized one-stage block to the big LP.
+def _copy_dual_block(big, dual, cost, rhs, obj_scale, extra, prefix):
+    """Append a dualized one-stage block to the big LP: the matrix, bounds,
+    relations and names of ``dual`` with the costs ``cost`` and right-hand
+    sides ``rhs``.
 
-    Objective coefficients are scaled by the node probability.  ``extra`` is
+    Costs are scaled by the node probability ``obj_scale``.  ``extra`` is
     ``(rows, cols, values)``: each entry appends ``values`` on the big-LP
     column ``cols`` to the end of source row ``rows`` (source row index =
     inner primal variable index), which is how the decision variables enter
     the reward-pricing rows.  Entries of one row keep their order.
     """
-    lower, upper, obj = dual.lower, dual.upper, dual.objective
-    vmap = np.array(
-        [
-            big.add_var(f"{prefix}.{dual.var_name(j)}", lb=lower[j], ub=upper[j],
-                        obj=obj_scale * obj[j])
-            for j in range(dual.num_vars)
-        ],
-        dtype=int,
-    )
+    vmap = big.add_vars(
+        dual.num_vars, [f"{prefix}.{dual.var_name(j)}" for j in range(dual.num_vars)],
+        lb=dual.lower, ub=dual.upper, obj=obj_scale * np.asarray(cost))
     mat = dual.row_matrix()
     order = np.argsort(extra[0], kind="stable")
     rows, cols, vals = (np.asarray(a)[order] for a in extra)
@@ -335,7 +339,7 @@ def _copy_dual_block(big, dual, obj_scale, extra, prefix):
     values = np.insert(mat.data, at, vals)
     indptr = mat.indptr + np.searchsorted(rows, np.arange(dual.num_rows + 1))
     names = [f"{prefix}.{dual.row_name(k)}" for k in range(dual.num_rows)]
-    rmap = big.add_rows(indptr, indices, values, dual.relations, dual.rhs, names)
+    rmap = big.add_rows(indptr, indices, values, dual.relations, rhs, names)
     return vmap, rmap
 
 
@@ -411,37 +415,64 @@ def _solve_holistic(problem):
     return _holistic_policy(problem, big, blocks, sol, decisions)
 
 
+def _template_key(spec, n_children):
+    """Nodes with equal keys have one-stage LPs with the same matrix, bounds,
+    relations and names; only their costs and right-hand sides differ."""
+    key = (type(spec), n_children, spec.L, spec.L_tilde, spec.concave)
+    return key + (spec,) if isinstance(spec, PairwiseComparisonSpec) else key
+
+
 def _assemble_holistic(problem):
     """The tree LP: decision columns and constraint rows first (constraint
     ``k`` on row ``k``), then one dual block per non-leaf node in id order.
-    Returns it with the decision columns and the blocks per node."""
+    Returns it with the decision columns and the blocks per node.
+
+    Each shape of one-stage LP (see :func:`_template_key`) is built by
+    :func:`node_primal` and dualized once per call; every node of that shape
+    then stamps its own data into copies of the template's arrays: its
+    primal costs become the dual's right-hand sides and its primal
+    right-hand sides the dual's costs.  A template is dropped after the last
+    node of its shape, so one-off shapes (questionnaires with their own
+    answers) do not pile up."""
     tree = problem.tree
     pu = tree.unconditional_probs()
-    big = LinearProgram("max", name="tree")
-    xvar = problem.add_decisions(big)
-
-    blocks = {}
+    keys = {}
     for s in tree.nonleaf_ids():
         spec = problem.ambiguity.for_node(s)
         if not isinstance(spec, (KantorovichBallSpec, PairwiseComparisonSpec)):
             raise TypeError(
                 f"node {s}: expected a Kantorovich ball or pairwise comparisons, "
                 f"got {type(spec).__name__}")
+        keys[s] = _template_key(spec, len(tree.children[s]))
+    uses = Counter(keys.values())
+    big = LinearProgram("max", name="tree")
+    xvar = problem.add_decisions(big)
+
+    blocks, templates = {}, {}
+    for s, key in keys.items():
+        spec = problem.ambiguity.for_node(s)
         kids = tree.children[s]
         probs = np.array([tree.nodes[i].prob for i in kids])
         offsets = np.array([problem.rewards[i].offset for i in kids])
-        inner, ublock, eps = node_primal(offsets, probs, spec, problem.grid)
+        if key not in templates:
+            node = node_primal(offsets, probs, spec, problem.grid)
+            templates[key] = node, dualize(node.lp)
+        node, dual = templates[key]
+        uses[key] -= 1
+        if not uses[key]:
+            del templates[key]
+        primal_cost, primal_rhs = node.stamped(offsets, probs, spec, problem.grid)
         rows, cols, vals = [], [], []
         for pos, i in enumerate(kids):
             coef = problem.rewards[i].coef
             nz = np.flatnonzero(coef)
-            rows.append(np.full(nz.size, eps[pos]))
+            rows.append(np.full(nz.size, node.eps[pos]))
             cols.append(xvar[s][nz])
             vals.append(-probs[pos] * coef[nz])
         extra = (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-        dual = dualize(inner)
-        vmap, rmap = _copy_dual_block(big, dual, float(pu[s]), extra, f"n{s}")
-        blocks[s] = _NodeBlock(vmap, rmap, ublock.alpha, dual.objective, float(pu[s]))
+        vmap, rmap = _copy_dual_block(
+            big, dual, primal_rhs, primal_cost, float(pu[s]), extra, f"n{s}")
+        blocks[s] = _NodeBlock(vmap, rmap, node.block.alpha, primal_rhs, float(pu[s]))
     return big, xvar, blocks
 
 
@@ -565,10 +596,16 @@ def _check_decisions(problem, decisions):
         if con.coef_parent:
             par = x[tree.nodes[con.node].parent]
             lhs += sum(v * par[k] for k, v in con.coef_parent.items())
-        slack = {"<=": con.rhs - lhs, ">=": lhs - con.rhs, "=": -abs(lhs - con.rhs)}[con.rel]
-        if not slack >= -_PLAN_TOL:
-            raise ValueError(f"row con{idx}[{con.node}] does not hold: "
-                             f"{float(lhs)!r} {con.rel} {con.rhs!r}")
+        _check_row(con, idx, lhs)
+
+
+def _check_row(con, idx, lhs):
+    """Refuse a row ``con`` (constraint ``idx``) whose left-hand side
+    ``lhs`` misses it by more than the plan tolerance."""
+    slack = {"<=": con.rhs - lhs, ">=": lhs - con.rhs, "=": -abs(lhs - con.rhs)}[con.rel]
+    if not slack >= -_PLAN_TOL:
+        raise ValueError(f"row con{idx}[{con.node}] does not hold: "
+                         f"{float(lhs)!r} {con.rel} {con.rhs!r}")
 
 
 def _nested_worst_cases(problem, decisions):
@@ -644,8 +681,10 @@ def subtree_problem(problem, node_id, decisions):
     """Re-rooted copy of the problem with the history fixed.
 
     Rows at the new root that referenced the parent decision have that part
-    folded into their right-hand sides using ``decisions``.  Returns the new
-    problem together with the new-id -> original-id map.
+    folded into their right-hand sides using ``decisions``.  A root row on
+    the parent decision alone is then a constant: it is dropped when it
+    holds within 1e-7 and refused with a ``ValueError`` naming it otherwise.
+    Returns the new problem together with the new-id -> original-id map.
     """
     tree = problem.tree
     if tree.is_leaf(node_id):
@@ -660,10 +699,13 @@ def subtree_problem(problem, node_id, decisions):
 
     parent = tree.nodes[node_id].parent
     cons = []
-    for con in problem.constraints:
+    for idx, con in enumerate(problem.constraints):
         if con.node not in new_of:
             continue
-        if con.node == node_id and con.coef_parent:
+        if con.node == node_id and not con.coef_self:
+            fixed = np.asarray(decisions[parent], dtype=float)
+            _check_row(con, idx, sum(v * fixed[k] for k, v in con.coef_parent.items()))
+        elif con.node == node_id and con.coef_parent:
             cons.append(NodeConstraint(
                 new_of[con.node], con.rel, _folded_rhs(con, decisions[parent]),
                 dict(con.coef_self), {}))
@@ -753,15 +795,13 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
 def _resolve_subtree(problem, assembled, order, pu, decisions):
     """Optimal value of the subtree LP whose nodes are ``order`` (breadth
     first from its root) and whose probabilities given the root are ``pu``.
-    It is solved on a slice of the assembled tree LP when one can be made
-    and ends optimal, and rebuilt by :func:`subtree_problem` otherwise."""
-    sliced = _subtree_slice(problem, assembled, order, pu, decisions)
-    if sliced is not None:
-        lp, xvar, blocks = sliced
-        sol = lp.solve()
-        if sol.is_optimal:
-            sol, dec = _certified(lp, sol, xvar, f"subtree {order[0]}")
-            return _holistic_policy(problem, lp, blocks, sol, dec).value
+    It is solved on a slice of the assembled tree LP when that ends optimal,
+    and rebuilt by :func:`subtree_problem` otherwise."""
+    lp, xvar, blocks = _subtree_slice(problem, assembled, order, pu, decisions)
+    sol = lp.solve()
+    if sol.is_optimal:
+        sol, dec = _certified(lp, sol, xvar, f"subtree {order[0]}")
+        return _holistic_policy(problem, lp, blocks, sol, dec).value
     return solve_holistic(subtree_problem(problem, order[0], decisions)[0]).value
 
 
@@ -770,22 +810,22 @@ def _subtree_slice(problem, assembled, order, pu, decisions):
     build for the subtree ``order``, cut from the assembled tree LP (names
     keep the tree's ids), with its decision columns and node blocks; the
     tree LP itself when the subtree is the whole tree in its own order.
-    ``None`` when the rebuild would refuse the subtree."""
+    Root rows on the parent decision alone are left out, as the rebuild
+    drops them; the plan check has seen them hold."""
     big, xvar, blocks = assembled
     tree = problem.tree
     if order == list(range(len(tree))):
         return assembled
     s, inside = order[0], set(order)
     nodes = [n for n in order if n in blocks]
-    cons = [k for k, con in enumerate(problem.constraints) if con.node in inside]
+    cons = [k for k, con in enumerate(problem.constraints)
+            if con.node in inside and (con.node != s or con.coef_self)]
     rows = np.concatenate([np.asarray(cons, dtype=np.int64)] + [blocks[n].rows for n in nodes])
     cols = np.concatenate([xvar[n] for n in nodes] + [blocks[n].cols for n in nodes])
     rhs = big.rhs[rows]
     for pos, k in enumerate(cons):
         con = problem.constraints[k]
         if con.node == s and con.coef_parent:
-            if not con.coef_self:
-                return None  # a row with no coefficients left
             rhs[pos] = _folded_rhs(con, decisions[tree.nodes[s].parent])
 
     sub_x, sub_blocks, at = {}, {}, 0

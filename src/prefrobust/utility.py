@@ -50,6 +50,10 @@ class PiecewiseLinearUtility:
         v = np.asarray(values, dtype=float)
         if y.ndim != 1 or y.size < 2 or v.shape != y.shape:
             raise ValueError("need matching 1-D breakpoints/values with N >= 2")
+        for field, arr in (("breakpoints", y), ("values", v)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValueError(f"{field}[{bad[0]}] is {float(arr[bad[0]])!r}")
         if np.any(np.diff(y) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if abs(v[0]) > tol or abs(v[-1] - 1.0) > tol:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .ambiguity import FiniteUtilitySet, KantorovichBallSpec, PairwiseComparisonSpec
 from .blocks import (
+    UtilityBlock,
     add_band,
     append_ball_membership,
     append_pairwise_rows,
@@ -94,8 +95,8 @@ def _check_outcomes(dist, y):
 def supporting_line_primal(values, probs, y, L, L_tilde, concave):
     """Base LP: minimize sum_i q_i (eps_i h_i + fee_i) over the utility block
     plus one over-line (eps_i, fee_i) per outcome, pinned above the utility
-    at every breakpoint.  Returns the eps indices too; the tree solver splices
-    decision columns into the dual rows of exactly those variables."""
+    at every breakpoint.  Returns the eps and fee indices too; the tree
+    solver splices decision columns into the dual rows of the eps variables."""
     lp = LinearProgram("min", name="worst-case")
     block = append_utility_block(lp, y, L, L_tilde, concave)
     S = len(values)
@@ -108,23 +109,56 @@ def supporting_line_primal(values, probs, y, L, L_tilde, concave):
     add_band(lp, np.column_stack([np.repeat(eps, N), np.repeat(fee, N), np.tile(block.alpha, S)]),
              np.column_stack([np.tile(y, S), np.ones(S * N), -np.ones(S * N)]), ">=", 0.0,
              [f"sup[{i},{j}]" for i in range(S) for j in range(N)])
-    return lp, block, eps
+    return lp, block, eps, fee
+
+
+@dataclass
+class NodeLP:
+    """A one-stage node LP and where its node data sit.  Outcome ``i`` is
+    priced on ``eps[i]`` at ``q_i h_i`` and on ``fee[i]`` at ``q_i``; a ball's
+    radius is the right-hand side of row ``budget`` and its negated nominal
+    slopes those of rows ``match``.  Everything else depends only on the
+    grid, the child count, ``L``, ``L_tilde``, concavity and (for
+    questionnaires) the answers."""
+
+    lp: LinearProgram
+    block: UtilityBlock
+    eps: np.ndarray
+    fee: np.ndarray
+    budget: int | None = None
+    match: np.ndarray | None = None
+
+    def stamped(self, values, probs, spec, y):
+        """The costs and right-hand sides of ``node_primal(values, probs,
+        spec, y)``, written into copies of this LP's, for a node whose LP
+        has this one's matrix.  They are the right-hand sides and costs of
+        its mechanical dual."""
+        q = np.asarray(probs, dtype=float)
+        cost, rhs = self.lp.objective, self.lp.rhs
+        cost[self.eps] = q * np.asarray(values, dtype=float)
+        cost[self.fee] = q
+        if self.budget is not None:
+            rhs[self.budget] = spec.radius
+            rhs[self.match] = -spec.nominal_on(y).slopes
+        return cost, rhs
 
 
 def node_primal(values, probs, spec, y):
     """One-stage worst-case LP of a ball or questionnaire node: the
     supporting-line base of :func:`supporting_line_primal` plus the set's own
     rows (ball membership around the nominal on ``y``, or one row per
-    answer).  Returns what :func:`supporting_line_primal` returns."""
-    lp, block, eps = supporting_line_primal(
+    answer), as a :class:`NodeLP`.  The tree solver builds it once per
+    shape and stamps every other node of that shape from it."""
+    lp, block, eps, fee = supporting_line_primal(
         values, probs, y, spec.L, spec.L_tilde, spec.concave)
     if isinstance(spec, KantorovichBallSpec):
-        append_ball_membership(lp, block.beta, spec.nominal_on(y).slopes, y, spec.radius)
-    elif isinstance(spec, PairwiseComparisonSpec):
+        rows = append_ball_membership(
+            lp, block.beta, spec.nominal_on(y).slopes, y, spec.radius)["rows"]
+        return NodeLP(lp, block, eps, fee, rows["budget"], np.asarray(rows["match"]))
+    if isinstance(spec, PairwiseComparisonSpec):
         append_pairwise_rows(lp, block.alpha, y, spec.pairs)
-    else:
-        raise TypeError(f"no one-stage worst-case LP for {type(spec).__name__}")
-    return lp, block, eps
+        return NodeLP(lp, block, eps, fee)
+    raise TypeError(f"no one-stage worst-case LP for {type(spec).__name__}")
 
 
 def _utility_from(y, alpha_values):
@@ -134,7 +168,8 @@ def _utility_from(y, alpha_values):
 def _worst_case_primal(dist, spec, grid):
     y = _grid_for(spec, grid)
     _check_outcomes(dist, y)
-    lp, block, _ = node_primal(dist.values, dist.probs, spec, y)
+    node = node_primal(dist.values, dist.probs, spec, y)
+    lp, block = node.lp, node.block
     sol = lp.solve()
     if sol.status is LpStatus.INFEASIBLE:
         return WorstCaseResult("infeasible")
@@ -156,8 +191,8 @@ def worst_case_kantorovich_dual(dist, spec, grid=None):
     primal optimizer."""
     y = _grid_for(spec, grid)
     _check_outcomes(dist, y)
-    lp, block, _ = node_primal(dist.values, dist.probs, spec, y)
-    dual = dualize(lp)
+    node = node_primal(dist.values, dist.probs, spec, y)
+    dual, block = dualize(node.lp), node.block
     sol = dual.solve()
     if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
         # an unbounded dual certifies an infeasible primal (empty ambiguity set)

@@ -230,7 +230,7 @@ def test_block_rows_equal_the_row_by_row_reference(case):
     assert ball["rows"] == ref_ball["rows"]
     assert_same_program(bulk, ref)
 
-    lp, _, _ = supporting_line_primal(values, probs, grid, L, L_tilde, concave)
+    lp = supporting_line_primal(values, probs, grid, L, L_tilde, concave)[0]
     assert_same_program(lp, supporting_line_reference(values, probs, grid, L, L_tilde, concave))
 
 
@@ -238,6 +238,6 @@ def test_block_rows_make_no_single_row_calls(monkeypatch):
     grid = np.linspace(0.0, 1.0, 6)
     calls = []
     monkeypatch.setattr(LinearProgram, "add_row", lambda *a, **k: calls.append(a))
-    lp, block, _ = supporting_line_primal([0.2, 0.7], [0.5, 0.5], grid, 3.0, 9.0, True)
+    lp, block = supporting_line_primal([0.2, 0.7], [0.5, 0.5], grid, 3.0, 9.0, True)[:2]
     append_ball_membership(lp, block.beta, np.ones(5), grid, 0.05)
     assert calls == [] and lp.num_rows == 48

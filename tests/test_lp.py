@@ -469,3 +469,32 @@ def test_restricted_program_keeps_the_chosen_rows_and_columns():
     assert kept.row_matrix().nnz == 2
     with pytest.raises(ValueError, match="one cost per variable"):
         lp.restricted([0], [0, 1], [1.0], [0.0])
+
+
+def test_add_vars_takes_arrays_and_names():
+    lp = LinearProgram("min")
+    lp.add_var("before")
+    lb, ub = np.array([0.0, -math.inf, -1.5]), np.array([math.inf, 0.0, 2.0])
+    named = lp.add_vars(3, ["a", "b", "c"], lb=lb, ub=ub, obj=[0.1, -0.0, 3.0])
+    prefixed = lp.add_vars(2, "z", ub=4.0)
+    unnamed = lp.add_vars(2, obj=np.array([1.0, 2.0]))
+    assert [list(v) for v in (named, prefixed, unnamed)] == [[1, 2, 3], [4, 5], [6, 7]]
+    inf = math.inf
+    assert lp.lower.tolist() == [0.0, 0.0, -inf, -1.5, 0.0, 0.0, 0.0, 0.0]
+    assert lp.upper.tolist() == [inf, inf, 0.0, 2.0, 4.0, 4.0, inf, inf]
+    assert lp.objective.tobytes() == np.array([0.0, 0.1, -0.0, 3.0, 0, 0, 1.0, 2.0]).tobytes()
+    assert [lp.var_name(j) for j in range(8)] == \
+        ["before", "a", "b", "c", "z[0]", "z[1]", "x6", "x7"]
+
+
+@pytest.mark.parametrize("lb, ub, names, match", [
+    ([0.0, 2.0], [1.0, 1.0], ["a", "b"], r"variable 'b': lb 2\.0 > ub 1\.0"),
+    ([0.0, math.nan], 1.0, "x", r"variable 'x\[1\]': lb nan > ub 1\.0"),
+    (0.0, [math.nan, 1.0], None, r"variable None: lb 0\.0 > ub nan"),
+    (0.0, 1.0, ["a"], "2 variables need 2 names"),
+])
+def test_add_vars_rejects_bad_bounds_and_names(lb, ub, names, match):
+    lp = LinearProgram("min")
+    with pytest.raises(ValueError, match=match):
+        lp.add_vars(2, names, lb=lb, ub=ub)
+    assert lp.num_vars == 0

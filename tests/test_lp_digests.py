@@ -1,0 +1,73 @@
+"""sha256 digests of the tree-wide LPs handed to HiGHS.
+
+Each digest covers one LP exactly as ``multistage._solve_big`` receives it:
+sense, the CSR matrix (data, indices, indptr), right-hand sides, relations,
+bounds, costs and the row and variable names.  The recorded values in
+``data/lp_digests.json`` pin the LPs of pro_kan, pro_pc (K=20) and msp_pln
+on the (3,3,3) tree with tree seed 11, so a refactor of the assembly can
+show that it hands the solver the same programs bit for bit.  To record
+them again after an intended change of the LPs, run from the repo root:
+
+    PYTHONPATH=src python tests/test_lp_digests.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from prefrobust import experiment, multistage
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "lp_digests.json"
+BRANCHING, TREE_SEED = (3, 3, 3), 11
+MODELS = (("pro_kan", 0), ("pro_pc", 20), ("msp_pln", 0))
+
+
+def lp_digest(lp):
+    """sha256 of every array and name that defines ``lp``."""
+    h = hashlib.sha256()
+    mat = lp.row_matrix()
+    for arr in (mat.data, mat.indices.astype(np.int64), mat.indptr.astype(np.int64),
+                lp.rhs, lp.lower, lp.upper, lp.objective):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    names = [lp.sense, lp.relations,
+             [lp.var_name(j) for j in range(lp.num_vars)],
+             [lp.row_name(k) for k in range(lp.num_rows)]]
+    h.update(json.dumps(names).encode())
+    return h.hexdigest()
+
+
+def current_digests():
+    """Digest of each model's tree LP, keyed by model name."""
+    tree = experiment.generate_tree(BRANCHING, TREE_SEED)
+    real = multistage._solve_big
+    seen = []
+
+    def capture(problem, big, xvar, label):
+        seen.append(lp_digest(big))
+        return real(problem, big, xvar, label)
+
+    out = {}
+    try:
+        multistage._solve_big = capture
+        for model, k in MODELS:
+            config = experiment.ExperimentConfig(
+                branching=BRANCHING, model=model, questionnaires=k, seeds=(0,),
+                tree_seed=TREE_SEED)
+            problem = experiment.build_investment_consumption(tree, config)
+            experiment.solve_model(problem, config)
+            assert len(seen) == 1, f"{model}: expected one tree-wide solve, saw {len(seen)}"
+            out[model] = seen.pop()
+    finally:
+        multistage._solve_big = real
+    return out
+
+
+def test_tree_lps_match_the_recorded_digests():
+    assert current_digests() == json.loads(DIGESTS.read_text())
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(current_digests(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")

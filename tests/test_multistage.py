@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import prefrobust.lp as lp_module
 import prefrobust.multistage as multistage_module
+from prefrobust import experiment
 from prefrobust.ambiguity import (
     FiniteUtilitySet,
     KantorovichBallSpec,
@@ -37,6 +39,7 @@ from prefrobust.utility import (
 )
 from prefrobust.worst_case import (
     OutcomeDistribution,
+    node_primal,
     supporting_line_primal,
     worst_case_kantorovich_primal,
     worst_case_pairwise,
@@ -469,7 +472,7 @@ def _copy_dual_block_reference(big, dual, obj_scale, extra_row_coefs, prefix):
 
 def test_dual_block_copy_matches_the_row_by_row_reference(monkeypatch):
     y = uniform_grid(0.0, 1.0, 6)
-    inner, block, eps = supporting_line_primal(
+    inner, block, eps, _ = supporting_line_primal(
         [0.2, 0.5, 0.9], [0.3, 0.3, 0.4], y, 3.0, 9.0, True)
     append_ball_membership(inner, block.beta, np.ones(5), y, 0.05)
     dual = dualize(inner)
@@ -484,8 +487,8 @@ def test_dual_block_copy_matches_the_row_by_row_reference(monkeypatch):
     calls = []
     real_add_row = LinearProgram.add_row
     monkeypatch.setattr(LinearProgram, "add_row", lambda *a, **k: calls.append(a))
-    vmap, rmap = _copy_dual_block(
-        programs[0], dual, 0.5, tuple(np.array(col) for col in zip(*entries)), "n0")
+    vmap, rmap = _copy_dual_block(programs[0], dual, dual.objective, dual.rhs, 0.5,
+                                  tuple(np.array(col) for col in zip(*entries)), "n0")
     assert calls == []
     monkeypatch.setattr(LinearProgram, "add_row", real_add_row)
     extra = {}
@@ -645,9 +648,17 @@ def _crossed_tree():
     ])
 
 
+def _with_parent_only_row(problem):
+    """``problem`` plus a row at node 1 on its parent's decision alone."""
+    return MultistageProblem(
+        problem.tree, problem.decision_bounds, problem.rewards, problem.ambiguity,
+        problem.grid, [*problem.constraints, NodeConstraint(1, "<=", 1.0, coef_parent={0: 1.0})])
+
+
 @pytest.mark.parametrize("make", [
     lambda rng: _mixed_problem(rng, (2, 3, 2), asked_nodes={1, 5, 6}),
     lambda rng: _mixed_problem(rng, (2, 1, 1), asked_nodes={2, 4}, tree=_crossed_tree()),
+    lambda rng: _with_parent_only_row(_mixed_problem(rng, (2, 2), asked_nodes={2})),
 ])
 def test_sliced_subtree_lps_equal_the_rebuilt_ones(monkeypatch, make):
     problem = make(np.random.default_rng(11))
@@ -686,13 +697,18 @@ def test_subtrees_the_slice_cannot_serve_are_rebuilt(monkeypatch):
     rng = np.random.default_rng(11)
     problem, _ = random_ball_problem(rng, branching=(2, 2), radius=0.05)
     pol = solve_holistic(problem)
-    # a row at node 1 on the parent decision alone: the rebuild refuses it
-    parent_only = MultistageProblem(
-        problem.tree, problem.decision_bounds, problem.rewards, problem.ambiguity,
-        problem.grid, [*problem.constraints,
-                       NodeConstraint(1, "<=", 1.0, coef_parent={0: 1.0})])
-    with pytest.raises(ValueError, match="constraint at node 0 has no coefficients"):
-        check_time_consistency(parent_only, pol)
+    # a row at node 1 on the parent decision alone is a constant once that
+    # decision is fixed: the slice and the rebuild drop it when it holds
+    k = len(problem.constraints)
+    parent_only = _with_parent_only_row(problem)
+    report = check_time_consistency(parent_only, pol)
+    assert report.consistent and len(report.entries) == len(problem.tree.nonleaf_ids())
+    sub, _ = subtree_problem(parent_only, 1, pol.decisions)
+    assert len(sub.constraints) == len(subtree_problem(problem, 1, pol.decisions)[0].constraints)
+    assert solve_holistic(sub).value == pytest.approx(report.entries[1].local_value, abs=1e-9)
+    # and a re-rooting that breaks it names the row
+    with pytest.raises(ValueError, match=rf"row con{k}\[1\] does not hold: 1\.5 <= 1\.0"):
+        subtree_problem(parent_only, 1, {0: np.array([1.5, 0.0])})
 
     # a slice that ends without an optimum is rebuilt, whose solve reports it
     solve, full = lp_module.LinearProgram.solve, _assemble_holistic(problem)[0].num_rows
@@ -757,3 +773,198 @@ def test_problem_refuses_non_finite_inputs(change, message):
     with pytest.raises(ValueError, match=message):
         MultistageProblem(problem.tree, kw["bounds"], kw["rewards"], spec, kw["grid"],
                           kw["cons"])
+
+
+def _count_reward_extremes(monkeypatch):
+    """Record (node, sign) of every reward-range LP a build solves."""
+    calls = []
+    real = MultistageProblem._reward_extreme
+
+    def spy(self, lp, cols, coef, sign, node, session):
+        calls.append((node, sign))
+        return real(self, lp, cols, coef, sign, node, session)
+
+    monkeypatch.setattr(MultistageProblem, "_reward_extreme", spy)
+    return calls
+
+
+def test_certification_solves_two_lps_per_parent_and_direction(monkeypatch):
+    config = experiment.ExperimentConfig(branching=(4, 4), model="pro_kan", tree_seed=11)
+    tree = experiment.generate_tree(config.branching, config.tree_seed)
+    calls = _count_reward_extremes(monkeypatch)
+    problem = experiment.build_investment_consumption(tree, config)
+    pairs = {(tree.nodes[i].parent, (rm.coef / np.max(np.abs(rm.coef))).tobytes())
+             for i, rm in problem.rewards.items()}
+    assert len(calls) == 2 * len(pairs) < 2 * len(problem.rewards)
+
+
+def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_backend):
+    tree = balanced_tree([5])
+    y = uniform_grid(0.0, 1.0, 5)
+    spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
+    bounds = {0: (np.zeros(2), np.ones(2))}
+    # 1 and 2 are positive multiples, so are 3 and 5, which point the other
+    # way; 4 points elsewhere
+    rewards = {1: ([0.25, 0.125], 0.1), 2: ([0.5, 0.25], 0.0),
+               3: ([-0.25, -0.125], 0.5), 4: ([0.125, 0.5], 0.0), 5: ([-0.5, -0.25], 0.75)}
+    calls = _count_reward_extremes(monkeypatch)
+    MultistageProblem(tree, bounds, rewards, spec, y)
+    assert calls == [(1, 1.0), (1, -1.0), (3, 1.0), (3, -1.0), (4, 1.0), (4, -1.0)]
+
+    # a shared range is scaled to each reward, so the wider one is refused
+    rewards[2] = ([2.0, 1.0], 0.0)
+    with pytest.raises(ValueError, match=r"reward at node 2 spans \[0, 3\], outside"):
+        MultistageProblem(tree, bounds, rewards, spec, y)
+
+
+def test_certification_names_the_same_node_as_one_lp_pair_per_reward(certify_backend):
+    tree = balanced_tree([3])
+    y = uniform_grid(0.0, 1.0, 5)
+    spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
+    half_open = {0: (np.zeros(2), np.array([1.0, math.inf]))}
+    # node 2 shares node 1's direction, which is bounded; node 3's is not
+    rewards = {1: ([0.5, 0.0], 0.0), 2: ([0.25, 0.0], 0.0), 3: ([0.0, 0.5], 0.0)}
+    with pytest.raises(ValueError, match="reward at node 3 is unbounded"):
+        MultistageProblem(tree, half_open, rewards, spec, y)
+
+    # zero rewards still solve their LP, which finds the empty decision set
+    tree = balanced_tree([2, 2])
+    bounds = {s: (np.zeros(1), np.ones(1)) for s in tree.nonleaf_ids()}
+    zero = {n.id: (np.zeros(1), 0.5) for n in tree.nodes if n.parent is not None}
+    clash = [NodeConstraint(2, ">=", 0.8, coef_self={0: 1.0}),
+             NodeConstraint(2, "<=", 0.2, coef_self={0: 1.0})]
+    with pytest.raises(InfeasibleProblemError) as err:
+        MultistageProblem(tree, bounds, zero, spec, y, clash)
+    assert err.value.node == 2
+
+
+def _random_problem(rng, branching, assign):
+    """The instance of :func:`random_ball_problem` with random conditional
+    probabilities and reward offsets; the spec at node ``s`` is
+    ``assign(rng, s, shared)``, ``shared`` being that instance's ball."""
+    base, shared = random_ball_problem(rng, branching=branching, radius=0.05)
+    prob = {0: 1.0}
+    for s in base.tree.nonleaf_ids():
+        kids = base.tree.children[s]
+        prob.update(zip(kids, rng.dirichlet(np.full(len(kids), 2.0))))
+    tree = ScenarioTree([TreeNode(n.id, n.parent, n.stage, float(prob[n.id]), {})
+                         for n in base.tree.nodes])
+    rewards = {i: (rm.coef, float(rng.uniform(0.0, 0.1))) for i, rm in base.rewards.items()}
+    specs = {s: assign(rng, s, shared) for s in tree.nonleaf_ids()}
+    return MultistageProblem(tree, base.decision_bounds, rewards,
+                             StateDependentAmbiguity(specs), base.grid, base.constraints)
+
+
+@st.composite
+def stamped_problems(draw):
+    """A 2- or 3-stage tree of branching 1 to 3 whose nodes carry, drawn node
+    by node: one shared ball, a ball of their own (another nominal, on a finer
+    grid, and radius), the shared ball's nominal with another ``L``,
+    ``L_tilde`` or concavity, one shared questionnaire, or a questionnaire of
+    their own."""
+    branching = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    n_nonleaf = sum(int(np.prod(branching[:t])) for t in range(len(branching)))
+    kinds = draw(st.lists(st.integers(0, 6), min_size=n_nonleaf, max_size=n_nonleaf))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    asked = {}
+
+    def assign(rng, s, shared):
+        kind = kinds[s]
+        if kind == 1:
+            own = random_concave_pl(rng, uniform_grid(0.0, 1.0, 13))
+            return KantorovichBallSpec(own, float(rng.uniform(0.0, 0.2)),
+                                       L=shared.L, L_tilde=shared.L_tilde)
+        other = {2: {"concave": False}, 3: {"L": 2 * shared.L},
+                 4: {"L_tilde": 2 * shared.L_tilde}}
+        if kind in other:
+            caps = {"L": shared.L, "L_tilde": shared.L_tilde, **other[kind]}
+            return KantorovichBallSpec(shared.nominal, 0.1, **caps)
+        if kind in (5, 6):
+            seed = 3 if kind == 5 else 100 + s
+            if seed not in asked:
+                asked[seed] = elicit_pairwise(shared.nominal, K=8, grid=shared.nominal.breakpoints,
+                                              seed=seed, L=shared.L, L_tilde=shared.L_tilde)
+            return asked[seed]
+        return shared
+
+    return _random_problem(rng, branching, assign)
+
+
+def _assemble_reference(problem):
+    """The tree LP as it was assembled before templates: :func:`node_primal`,
+    :func:`dualize` and a row-by-row block copy at every node.  Returns it
+    with the dual costs per node."""
+    tree = problem.tree
+    pu = tree.unconditional_probs()
+    big = LinearProgram("max", name="tree")
+    xvar = problem.add_decisions(big)
+    costs = {}
+    for s in tree.nonleaf_ids():
+        kids = tree.children[s]
+        probs = np.array([tree.nodes[i].prob for i in kids])
+        offsets = np.array([problem.rewards[i].offset for i in kids])
+        node = node_primal(offsets, probs, problem.ambiguity.for_node(s), problem.grid)
+        extra = {}
+        for pos, i in enumerate(kids):
+            coef = problem.rewards[i].coef
+            for k in np.flatnonzero(coef):
+                extra.setdefault(int(node.eps[pos]), {})[int(xvar[s][k])] = \
+                    -probs[pos] * coef[k]
+        dual = dualize(node.lp)
+        _copy_dual_block_reference(big, dual, float(pu[s]), extra, f"n{s}")
+        costs[s] = dual.objective
+    return big, costs
+
+
+def _with_data(lp, cost, rhs):
+    """``lp`` with its costs and right-hand sides replaced."""
+    return lp.restricted(np.arange(lp.num_rows), np.arange(lp.num_vars), cost, rhs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(stamped_problems())
+def test_stamped_node_blocks_equal_their_own_builds(problem):
+    tree, y = problem.tree, problem.grid
+    templates = {}
+    for s in tree.nonleaf_ids():
+        spec = problem.ambiguity.for_node(s)
+        kids = tree.children[s]
+        probs = np.array([tree.nodes[i].prob for i in kids])
+        offsets = np.array([problem.rewards[i].offset for i in kids])
+        own = node_primal(offsets, probs, spec, y)
+        key = multistage_module._template_key(spec, len(kids))
+        tpl, dual = templates.setdefault(key, (own, dualize(own.lp)))
+        cost, rhs = tpl.stamped(offsets, probs, spec, y)
+        assert_same_program(_with_data(tpl.lp, cost, rhs), own.lp)
+        assert_same_program(_with_data(dual, rhs, cost), dualize(own.lp))
+        for part in ("eps", "fee", "match"):
+            assert np.array_equal(getattr(tpl, part), getattr(own, part))
+        assert tpl.budget == own.budget
+        assert np.array_equal(tpl.block.alpha, own.block.alpha)
+
+    big, _, blocks = _assemble_holistic(problem)
+    ref, costs = _assemble_reference(problem)
+    assert_same_program(big, ref)
+    for s, nb in blocks.items():
+        assert nb.cost.tobytes() == costs[s].tobytes()
+
+
+def test_templates_are_dropped_after_the_last_node_of_their_shape(monkeypatch):
+    # every node asks its own questionnaire, so no template is ever reused
+    problem = _random_problem(
+        np.random.default_rng(5), (2, 2),
+        lambda rng, s, shared: elicit_pairwise(shared.nominal, K=8, grid=shared.nominal.breakpoints,
+                                               seed=s, L=shared.L, L_tilde=shared.L_tilde))
+    built, alive = [], []
+    real = multistage_module.node_primal
+
+    def spy(*args):
+        alive.append(sum(ref() is not None for ref in built))
+        node = real(*args)
+        built.append(weakref.ref(node))
+        return node
+
+    monkeypatch.setattr(multistage_module, "node_primal", spy)
+    _assemble_holistic(problem)
+    # only the previous node's template may still be held, by a local name
+    assert len(built) == 3 and max(alive) <= 1

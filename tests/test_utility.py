@@ -150,6 +150,17 @@ def test_constructor_rejects_bad_inputs():
         )
 
 
+@pytest.mark.parametrize("breakpoints, values, match", [
+    ([0.0, 0.5, 1.0], [0.0, math.nan, 1.0], r"values\[1\] is nan"),
+    ([0.0, math.nan, 1.0], [0.0, 0.5, 1.0], r"breakpoints\[1\] is nan"),
+    ([0.0, 0.5, math.inf], [0.0, 0.5, 1.0], r"breakpoints\[2\] is inf"),
+    ([0.0, 0.5, 1.0], [0.0, -math.inf, 1.0], r"values\[1\] is -inf"),
+])
+def test_constructor_names_a_non_finite_entry(breakpoints, values, match):
+    with pytest.raises(ValueError, match=match):
+        PiecewiseLinearUtility(breakpoints, values)
+
+
 def test_concavity_flag():
     assert PiecewiseLinearUtility([0.0, 0.5, 1.0], [0.0, 1.0, 1.0]).is_concave()
     assert not PiecewiseLinearUtility([0.0, 0.2, 1.0], [0.0, 0.1, 1.0]).is_concave()

@@ -19,10 +19,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .blocks import append_ball_membership, append_pairwise_rows, append_utility_block
+from .blocks import (
+    PairArrays,
+    append_ball_membership,
+    append_pairwise_rows,
+    append_utility_block,
+)
 from .lp import LinearProgram, LpStatus
 from .utility import ClosedFormUtility, PiecewiseLinearUtility, project
 
@@ -89,10 +95,12 @@ def _check_caps(L, L_tilde):
 
 class PairwiseComparisonSpec:
     """Elicited preferences plus class bounds.  Pairs with z=0 carry no
-    information (the answer row is multiplied by z) and are dropped."""
+    information (the answer row is multiplied by z) and are dropped.
+
+    The kept comparisons are held as :class:`PairArrays` in ``arrays``,
+    which the LP rows read; ``pairs`` lists them as lottery triples."""
 
     def __init__(self, pairs, L=DEFAULT_L, L_tilde=DEFAULT_LTILDE, concave=True):
-        _check_caps(L, L_tilde)
         kept = []
         for w, y, z in pairs:
             if z not in (-1, 0, 1):
@@ -100,12 +108,36 @@ class PairwiseComparisonSpec:
             if z != 0:
                 kept.append((w, y, int(z)))
         self.pairs = tuple(kept)
+        self._set(PairArrays.from_pairs(kept), L, L_tilde, concave)
+
+    @classmethod
+    def _from_arrays(cls, arrays, L, L_tilde, concave):
+        """A spec over comparisons already in flat form, answered -1 or +1
+        and checked as :class:`DiscreteLottery` checks each lottery."""
+        spec = cls.__new__(cls)
+        spec._set(arrays, L, L_tilde, concave)
+        return spec
+
+    def _set(self, arrays, L, L_tilde, concave):
+        _check_caps(L, L_tilde)
+        self.arrays = arrays
         self.L = float(L)
         self.L_tilde = float(L_tilde)
         self.concave = bool(concave)
 
+    @cached_property
+    def pairs(self):
+        """The kept comparisons as (W, Y, z) triples, built from ``arrays``
+        when first asked for."""
+        a = self.arrays
+        ends = np.searchsorted(a.owner, np.arange(2 * len(self) + 1)).tolist()
+        xs, ps = a.outcomes.tolist(), a.masses.tolist()
+        lotteries = [DiscreteLottery(tuple(xs[i:j]), tuple(ps[i:j]))
+                     for i, j in zip(ends[:-1], ends[1:])]
+        return tuple(zip(lotteries[0::2], lotteries[1::2], a.signs.tolist()))
+
     def __len__(self):
-        return len(self.pairs)
+        return self.arrays.signs.size
 
     def table(self):
         """Answers as plain rows for export: one dict per kept pair."""
@@ -189,6 +221,91 @@ class StateDependentAmbiguity:
             raise KeyError(f"no ambiguity spec assigned to node {node_id}") from None
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class _Words:
+    """The 32-bit words a ``Generator`` seeded with ``seed`` draws from:
+    PCG64's ``next_uint32`` stream, each 64-bit output low half first."""
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(np.random.SeedSequence(seed))
+        self._words = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+
+    def peek(self, m):
+        """The next ``m`` words, not yet consumed."""
+        short = self._pos + m - self._words.size
+        if short > 0:
+            raw = self._bitgen.random_raw((short + 1) // 2)
+            fresh = np.column_stack((raw & _LOW32, raw >> np.uint64(32))).ravel()
+            self._words = np.concatenate((self._words[self._pos:], fresh))
+            self._pos = 0
+        return self._words[self._pos:self._pos + m]
+
+    def skip(self, m):
+        self._pos += m
+
+
+def _bounded(words, r):
+    """One draw on [0, r[i]] per entry of ``r`` (each below 2**32), in order,
+    as numpy's bounded integers draw it (Lemire's method): with ``m = word *
+    (r + 1)`` the draw is ``m >> 32`` unless the low 32 bits of ``m`` are
+    below ``(2**32 - 1 - r) % (r + 1)``, and then the next word is tried;
+    ``r = 0`` takes no word.  Vectorized up to each rejection."""
+    shape = np.shape(r)
+    r = np.asarray(r, dtype=np.uint64).ravel()
+    out = np.zeros(r.size, dtype=np.uint64)
+    todo = np.flatnonzero(r)
+    span = r[todo] + np.uint64(1)
+    threshold = (_LOW32 - r[todo]) % span
+    done = 0
+    while done < todo.size:
+        m = words.peek(todo.size - done) * span[done:]
+        rejected = np.flatnonzero((m & _LOW32) < threshold[done:])
+        stop = rejected[0] if rejected.size else m.size
+        out[todo[done:done + stop]] = m[:stop] >> np.uint64(32)
+        words.skip(stop + min(rejected.size, 1))
+        done += stop
+    return out.astype(np.int64).reshape(shape)
+
+
+def _two_picks(draws, n):
+    """``choice(n, 2, replace=False)`` from its three bounded draws (a on
+    [0, n-2], b on [0, n-1], s on [0, 1]) in the last axis: Floyd's
+    algorithm takes a, then b, or n-1 when b == a; the shuffle that follows
+    swaps the two when s is 0."""
+    a, b, s = np.moveaxis(draws, -1, 0)
+    b = np.where(b == a, n - 1, b)
+    return np.where((s == 0)[..., None], np.stack((b, a), -1), np.stack((a, b), -1))
+
+
+def _check_grid(y):
+    if y.ndim != 1:
+        raise ValueError(f"the grid must be one-dimensional, got shape {y.shape}")
+    if y.size < 2:
+        raise ValueError(f"the grid needs at least 2 points, got {y.size}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"grid[{bad[0]}] is {float(y[bad[0]])!r}")
+
+
+def _check_lotteries(arrays):
+    """What :class:`DiscreteLottery` checks, over all lotteries at once."""
+    a = arrays
+    bad = np.flatnonzero(~(np.isfinite(a.outcomes) & np.isfinite(a.masses)))
+    if bad.size:
+        raise ValueError(f"pair {a.owner[bad[0]] // 2}: lottery outcomes and "
+                         "probabilities must be finite")
+    if np.any(a.masses < 0):
+        raise ValueError("lottery probabilities must be nonnegative")
+    total = np.bincount(a.owner, weights=a.masses, minlength=2 * a.signs.size)
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-12))
+    if bad.size:
+        raise ValueError(f"pair {bad[0] // 2}: lottery probabilities sum to "
+                         f"{float(total[bad[0]])!r}, not 1")
+
+
 def elicit_pairwise(true_utility, K, grid, seed, L=DEFAULT_L, L_tilde=DEFAULT_LTILDE,
                     concave=True):
     """Simulate K lottery questionnaires answered by ``true_utility``.
@@ -198,32 +315,47 @@ def elicit_pairwise(true_utility, K, grid, seed, L=DEFAULT_L, L_tilde=DEFAULT_LT
     for a fixed seed the first K pairs do not depend on the total count —
     questionnaire sets grow by refinement as K increases.  ``true_utility``
     is called once, on the array of all drawn outcomes; each answer is the
-    :func:`preference_sign` of its pair.
+    :func:`preference_sign` of its pair.  A grid of fewer than two points
+    or with a non-finite point, and a non-finite utility value, are refused.
+
+    The questionnaires are those of ``rng = np.random.default_rng(
+    np.random.SeedSequence(seed))`` calling, per pair, ``rng.choice(grid, 2,
+    replace=False)`` and ``rng.integers(1, 10) / 10`` for W, then the same
+    for Y; they are read straight off the generator's 32-bit words, i.e.
+    PCG64's ``next_uint32`` (each 64-bit output low half first).  Every
+    draw on [0, r] is numpy's Lemire draw (:func:`_bounded`): one word,
+    another after each rejection, none when r = 0.  A choice is Floyd's
+    algorithm, as ``Generator.choice`` runs it for two picks, then its
+    shuffle (:func:`_two_picks`): draws on [0, n-2], [0, n-1] and [0, 1] for
+    a grid of n points.  A head probability is one draw on [0, 8].  So a
+    pair takes eight words when nothing is rejected.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     y = np.asarray(grid, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    # per pair: W's two outcomes, Y's two outcomes; W's and Y's head probability
-    outcomes = np.empty((K, 4))
-    heads = np.empty((K, 2))
-    for k in range(K):
-        outcomes[k, :2] = rng.choice(y, size=2, replace=False)
-        heads[k, 0] = rng.integers(1, 10) / 10.0
-        outcomes[k, 2:] = rng.choice(y, size=2, replace=False)
-        heads[k, 1] = rng.integers(1, 10) / 10.0
+    _check_grid(y)
+    n = y.size
+    # per pair and lottery (W, then Y): the choice's three draws, the head's
+    draws = _bounded(_Words(seed), np.tile([n - 2, n - 1, 1, 8], 2 * K)).reshape(K, 2, 4)
+    outcomes = y[_two_picks(draws[..., :3], n)].reshape(K, 4)
+    heads = (draws[..., 3] + 1) / 10.0
     u = np.asarray(true_utility(outcomes.ravel()), dtype=float).reshape(K, 4)
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"true utility is {float(u.flat[i])!r} at outcome "
+                         f"{float(outcomes.flat[i])!r} (pair {i // 4})")
     # the arithmetic of DiscreteLottery.expectation, one pair per entry
     gap = (heads[:, 0] * u[:, 0] + (1.0 - heads[:, 0]) * u[:, 1]) - (
         heads[:, 1] * u[:, 2] + (1.0 - heads[:, 1]) * u[:, 3])
     answers = np.where(gap > 0, 1, -1)
-    answers[np.abs(gap) < INDIFFERENCE_TOL] = 0
-    pairs = [
-        (DiscreteLottery.two_outcome(w1, w2, pw), DiscreteLottery.two_outcome(y1, y2, py), z)
-        for (w1, w2, y1, y2), (pw, py), z in zip(
-            outcomes.tolist(), heads.tolist(), answers.tolist())
-    ]
-    return PairwiseComparisonSpec(pairs, L=L, L_tilde=L_tilde, concave=concave)
+    kept = ~(np.abs(gap) < INDIFFERENCE_TOL)
+    heads = heads[kept]
+    masses = np.stack((heads, 1.0 - heads), -1).reshape(-1)
+    arrays = PairArrays(outcomes[kept].ravel(), masses,
+                        np.repeat(np.arange(2 * heads.shape[0]), 2), answers[kept])
+    _check_lotteries(arrays)
+    return PairwiseComparisonSpec._from_arrays(arrays, L, L_tilde, concave)
 
 
 def regime_nominal(oil_price, domain=(0.0, 1.0)):
@@ -250,7 +382,7 @@ def feasibility_check(spec, grid):
     if isinstance(spec, KantorovichBallSpec):
         append_ball_membership(lp, block.beta, spec.nominal_on(y).slopes, y, spec.radius)
     elif isinstance(spec, PairwiseComparisonSpec):
-        append_pairwise_rows(lp, block.alpha, y, spec.pairs, margin=FEASIBILITY_MARGIN)
+        append_pairwise_rows(lp, block.alpha, y, spec.arrays, margin=FEASIBILITY_MARGIN)
     else:
         raise TypeError(f"unsupported ambiguity spec {type(spec).__name__}")
     # the margin sits below the default solver tolerance, so emptiness from

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,24 +136,43 @@ def append_ball_membership(lp: LinearProgram, beta, nominal_slopes, grid, radius
     return {"lam": lam, "mu": mu, "rho": rho, "phi": phi, "rows": rows}
 
 
+class PairArrays(NamedTuple):
+    """Comparisons (W_k, Y_k, z_k) in flat form: every lottery's outcomes and
+    masses in support order, W_k's then Y_k's, the owner ``2k + side`` of
+    each entry (side 0 for W_k, 1 for Y_k), and the answers z_k."""
+
+    outcomes: np.ndarray
+    masses: np.ndarray
+    owner: np.ndarray
+    signs: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        support, mass, owner, signs = [], [], [], []
+        for k, (w, yk, z) in enumerate(pairs):
+            signs.append(z)
+            for lottery, side in ((w, 0), (yk, 1)):
+                support.extend(lottery.support)
+                mass.extend(lottery.probs)
+                owner.extend([2 * k + side] * len(lottery.support))
+        return cls(np.asarray(support, dtype=float), np.asarray(mass, dtype=float),
+                   np.asarray(owner, dtype=np.int64), np.asarray(signs, dtype=np.int64))
+
+
 def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0, tag="pc"):
     """One row per elicited comparison (W_k, Y_k, z_k):
     z_k * sum_j (P[W_k = y_j] - P[Y_k = y_j]) * alpha_j >= margin.
 
+    ``pairs`` is a :class:`PairArrays` or a sequence of (W_k, Y_k, z_k).
     Each lottery outcome is matched to its nearest grid point (ties to the
     lower index) and must lie within 1e-9 of it.  Masses on one point add up
     in support order, coefficients that cancel to zero are left out, and all
     rows enter the program in one block.  Returns the row indices.
     """
+    if not isinstance(pairs, PairArrays):
+        pairs = PairArrays.from_pairs(pairs)
     y = np.asarray(grid, dtype=float)
-    support, mass, owner, signs = [], [], [], []
-    for k, (w, yk, z) in enumerate(pairs):
-        signs.append(z)
-        for lottery, side in ((w, 0), (yk, 1)):
-            support.extend(lottery.support)
-            mass.extend(lottery.probs)
-            owner.extend([2 * k + side] * len(lottery.support))
-    x = np.asarray(support, dtype=float)
+    x = pairs.outcomes
     dist = np.abs(y[None, :] - x[:, None])
     j = np.argmin(dist, axis=1)
     # written so that a NaN outcome fails the check too
@@ -160,13 +180,14 @@ def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0, tag=
     if off.any():
         raise ValueError(f"lottery outcome {float(x[off][0])!r} is not a grid point")
 
-    K = len(pairs)
-    grid_mass = np.zeros((2 * K, y.size))
-    np.add.at(grid_mass, (np.asarray(owner, dtype=np.int64), j), mass)
+    K = pairs.signs.size
+    # bincount adds the masses of one point in input order, from 0.0
+    grid_mass = np.bincount(pairs.owner * y.size + j, weights=pairs.masses,
+                            minlength=2 * K * y.size).reshape(2 * K, y.size)
     diff = grid_mass[0::2] - grid_mass[1::2]
     keep = diff != 0.0
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    coefs = (np.asarray(signs, dtype=float)[:, None] * diff)[keep]
+    coefs = (pairs.signs.astype(float)[:, None] * diff)[keep]
     cols = np.broadcast_to(np.asarray(alpha), diff.shape)[keep]
     return lp.add_rows(indptr, cols, coefs, ">=", margin,
                        [f"{tag}[{k}]" for k in range(K)])

@@ -28,6 +28,7 @@ from .ambiguity import (
     build_state_dependent,
     feasibility_check,
 )
+from .blocks import add_band
 from .lp import LinearProgram, LpStatus, dualize, warm_session
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
@@ -523,17 +524,13 @@ def solve_nominal(problem, utilities):
         u = util[s]
         y, vals, beta = u.breakpoints, u.values, u.slopes
         rm = problem.rewards[node.id]
-        cols = xvar[s]
+        nz = np.flatnonzero(rm.coef)
         t = big.add_var(f"t[{node.id}]", lb=-math.inf, obj=float(pu[node.id]))
-        for j in range(beta.size):
-            coefs = {t: 1.0}
-            for k in range(rm.coef.size):
-                if rm.coef[k] != 0.0:
-                    key = int(cols[k])
-                    coefs[key] = coefs.get(key, 0.0) - float(beta[j] * rm.coef[k])
-            big.add_row(
-                coefs, "<=", float(vals[j] + beta[j] * (rm.offset - y[j])),
-                name=f"hyp[{node.id},{j}]")
+        # row j: t - beta_j * (coef . x) <= vals_j + beta_j * (offset - y_j)
+        add_band(big, np.tile(np.concatenate(([t], xvar[s][nz])), (beta.size, 1)),
+                 np.column_stack((np.ones(beta.size), 0.0 - np.outer(beta, rm.coef[nz]))),
+                 "<=", vals[:-1] + beta * (rm.offset - y[:-1]),
+                 [f"hyp[{node.id},{j}]" for j in range(beta.size)])
 
     sol, decisions = _solve_big(problem, big, xvar, "nominal")
     per_node = {}

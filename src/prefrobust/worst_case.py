@@ -156,7 +156,7 @@ def node_primal(values, probs, spec, y):
             lp, block.beta, spec.nominal_on(y).slopes, y, spec.radius)["rows"]
         return NodeLP(lp, block, eps, fee, rows["budget"], np.asarray(rows["match"]))
     if isinstance(spec, PairwiseComparisonSpec):
-        append_pairwise_rows(lp, block.alpha, y, spec.pairs)
+        append_pairwise_rows(lp, block.alpha, y, spec.arrays)
         return NodeLP(lp, block, eps, fee)
     raise TypeError(f"no one-stage worst-case LP for {type(spec).__name__}")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefrobust import ambiguity
 from prefrobust.ambiguity import (
     DEFAULT_L,
     DEFAULT_LTILDE,
@@ -19,6 +20,8 @@ from prefrobust.ambiguity import (
     preference_sign,
     regime_nominal,
 )
+from prefrobust.blocks import append_pairwise_rows
+from prefrobust.lp import LinearProgram
 from prefrobust.tree import ScenarioTree, TreeNode
 from prefrobust.utility import ClosedFormUtility, PiecewiseLinearUtility, project, uniform_grid
 
@@ -160,6 +163,74 @@ def test_elicitation_evaluates_the_utility_once():
     spec = elicit_pairwise(counted, 200, uniform_grid(0.0, 1.0, 20), seed=3)
     assert calls == [(800,)]
     assert spec.pairs == elicit_pairwise(quad, 200, uniform_grid(0.0, 1.0, 20), seed=3).pairs
+
+
+def _words_used(rng, seed):
+    """How many 32-bit words ``rng``, seeded with ``seed``, has handed out."""
+    state = rng.bit_generator.state
+    for outputs in range(200):
+        fresh = np.random.PCG64(np.random.SeedSequence(seed)).advance(outputs)
+        if fresh.state["state"] == state["state"]:
+            return 2 * outputs - state["has_uint32"]
+    raise AssertionError("more than 200 outputs drawn")
+
+
+# in [2**31, 2**32 - 2] Lemire's method rejects up to half of the words; the
+# small ranges include [0, 0], which takes no word, and the choice from 2
+@pytest.mark.parametrize("seed", range(30))
+def test_word_draws_match_the_generator(seed):
+    rs = np.random.default_rng([7, seed]).integers(2**31, 2**32 - 1, size=20)
+    rs[[3, 11]] = 0, 8
+    ns = rs[::2] + 1
+    ns[[2, 7]] = 2, 20
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    want = [rng.integers(0, r + 1) for r in rs.tolist()]
+    picks = [rng.choice(n, 2, replace=False) for n in ns.tolist()]
+    used = _words_used(rng, seed)
+
+    words = ambiguity._Words(seed)
+    assert ambiguity._bounded(words, rs).tolist() == want
+    draws = ambiguity._bounded(words, np.column_stack([ns - 2, ns - 1, np.ones_like(ns)]))
+    assert ambiguity._two_picks(draws, ns).tolist() == np.array(picks).tolist()
+    # both streams are at the same word: the next full word agrees
+    assert ambiguity._bounded(words, [2**32 - 1]) == rng.integers(0, 2**32)
+    # every seed hit a rejection
+    assert used > np.count_nonzero(rs) + 3 * ns.size - np.count_nonzero(ns == 2)
+
+
+def _rows(arrays):
+    grid = uniform_grid(0.0, 1.0, 20)
+    lp = LinearProgram("min")
+    alpha = lp.add_vars(grid.size, "alpha")
+    append_pairwise_rows(lp, alpha, grid, arrays)
+    mat = lp.row_matrix()
+    return (mat.data.tobytes(), mat.indices.tolist(), mat.indptr.tolist(), lp.rhs.tobytes(),
+            lp.relations, [lp.row_name(k) for k in range(lp.num_rows)])
+
+
+def test_elicited_spec_equals_the_spec_built_from_its_pairs():
+    spec = elicit_pairwise(regime_nominal(50.0), 200, uniform_grid(0.0, 1.0, 20), seed=(0, 3))
+    again = PairwiseComparisonSpec(spec.pairs)
+    assert 0 < len(spec) == len(again) < 200  # indifferent pairs were dropped
+    assert spec.pairs == again.pairs and spec.table() == again.table()
+    for part, other in zip(spec.arrays, again.arrays):
+        assert part.dtype == other.dtype and part.tobytes() == other.tobytes()
+    assert _rows(spec.arrays) == _rows(again.arrays) == _rows(spec.pairs)
+
+
+@pytest.mark.parametrize("utility, grid, message", [
+    (lambda x: np.full(np.shape(x), np.nan), np.linspace(0.0, 1.0, 5),
+     r"true utility is nan at outcome 0\.75 \(pair 0\)"),
+    (lambda x: np.where(x > 0.5, np.inf, x), np.linspace(0.0, 1.0, 5),
+     r"true utility is inf at outcome 0\.75 \(pair 0\)"),
+    (lambda x: x, [0.0, math.nan, 1.0], r"grid\[1\] is nan"),
+    (lambda x: x, [0.5], "at least 2 points, got 1"),
+    (lambda x: x, [], "at least 2 points, got 0"),
+])
+def test_elicitation_refuses_non_finite_utilities_and_bad_grids(utility, grid, message):
+    with pytest.raises(ValueError, match=message):
+        elicit_pairwise(utility, 5, grid, seed=0)
 
 
 def test_true_utility_is_feasible_for_its_answers():

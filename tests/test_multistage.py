@@ -627,13 +627,13 @@ def _reference_report(problem, policy):
     return entries
 
 
-def _mixed_problem(rng, branching, asked_nodes, radius=0.05, tree=None):
+def _mixed_problem(rng, branching, asked_nodes, radius=0.05, tree=None, K=20):
     problem, spec = random_ball_problem(rng, branching=branching, radius=radius)
     if tree is not None:
         problem = MultistageProblem(tree, problem.decision_bounds, problem.rewards, spec,
                                     problem.grid, problem.constraints)
     asked = elicit_pairwise(
-        spec.nominal, K=20, grid=problem.grid, seed=3, L=spec.L, L_tilde=spec.L_tilde)
+        spec.nominal, K=K, grid=problem.grid, seed=3, L=spec.L, L_tilde=spec.L_tilde)
     return _reassigned(
         problem, {s: asked if s in asked_nodes else spec for s in problem.tree.nonleaf_ids()})
 
@@ -750,6 +750,34 @@ def test_one_pass_check_equals_the_subtree_rebuilds(problem):
     assert got == _reference_report(problem, pol)
     assert report.max_discrepancy <= 1e-6
     assert abs(pol.value - evaluate_policy_worst_case(problem, pol.decisions)) <= 1e-6
+
+
+@st.composite
+def questionnaire_trees(draw):
+    """A 1- to 3-stage tree of branching 1 to 3 whose nodes carry, drawn node
+    by node, a Kantorovich ball or the shared questionnaire of
+    :func:`_mixed_problem` (at least one node asks), built at two or three
+    questionnaire lengths K, shortest first."""
+    branching = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n_nonleaf = sum(int(np.prod(branching[:t])) for t in range(len(branching)))
+    asked = draw(st.lists(st.booleans(), min_size=n_nonleaf, max_size=n_nonleaf)
+                 .filter(any))
+    ks = sorted(draw(st.lists(st.integers(0, 40), min_size=2, max_size=3, unique=True)))
+    seed = draw(st.integers(0, 2**16))
+    return [_mixed_problem(np.random.default_rng(seed), branching,
+                           {s for s, a in enumerate(asked) if a}, K=K) for K in ks]
+
+
+@settings(max_examples=10, deadline=None)
+@given(questionnaire_trees())
+def test_questionnaire_values_grow_with_k_and_equal_their_nested_evaluation(problems):
+    values = []
+    for problem in problems:
+        pol = solve_holistic(problem)
+        assert abs(pol.value - evaluate_policy_worst_case(problem, pol.decisions)) <= 1e-6
+        values.append(pol.value)
+    # longer questionnaires extend shorter ones, so the sets only shrink
+    assert all(values[k + 1] >= values[k] - 1e-9 for k in range(len(values) - 1))
 
 
 @pytest.mark.parametrize("change, message", [

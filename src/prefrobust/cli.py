@@ -27,6 +27,7 @@ from .experiment import (
     config_from_dict,
     generate_tree,
     read_policy_table,
+    reward_scale,
     rows_to_csv,
     run_one,
     sweep,
@@ -129,8 +130,7 @@ def _cmd_gen_tree(args):
 def _cmd_solve(args):
     config = _config_from_args(args)
     tree = _load_tree(args, config)
-    problem = build_investment_consumption(tree, config)
-    print(f"reward scale C = {problem.reward_scale:.10g}", file=sys.stderr)
+    print(f"reward scale C = {reward_scale(tree, config):.10g}", file=sys.stderr)
     rows = [run_one(tree, config, seed) for seed in config.seeds]
     _emit(rows_to_csv(rows), config.out)
     return 0

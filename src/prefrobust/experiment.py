@@ -252,13 +252,21 @@ def _check_series(tree: ScenarioTree, n_assets: int):
                 f"commodity price at node {node.id} must be positive and finite, got {price!r}")
 
 
-def _reward_scale(tree: ScenarioTree, n_assets: int) -> float:
-    """Smallest C with q(s) p(i) / C <= 1 for every feasible plan.
+def reward_scale(tree: ScenarioTree, config: ExperimentConfig) -> float:
+    """The reward-scaling constant C of :func:`build_investment_consumption`,
+    after the same checks of the tree: ``config.scale_override`` when set,
+    else the smallest C with q(s) p(i) / C <= 1 for every feasible plan.
 
     Wealth at a node can exceed the parent's wealth by at most the best
     gross return among the assets, so propagating that cap down the tree
     and taking the extreme consumption-value ratio bounds every reward.
     """
+    n_assets = config.returns.n_assets
+    _check_series(tree, n_assets)
+    if tree.horizon < 1:
+        raise ValueError("the tree needs at least one period")
+    if config.scale_override:
+        return float(config.scale_override)
     cap = np.zeros(len(tree))
     cap[0] = 1.0
     for node in tree.nodes[1:]:
@@ -297,13 +305,9 @@ def build_investment_consumption(
     ``pro_pc`` model, ``elicit_seed`` (default: the first configured seed)
     feeds the per-node questionnaire simulation.
     """
-    rm = config.returns
-    n = rm.n_assets
-    _check_series(tree, n)
+    C = reward_scale(tree, config)
+    n = config.returns.n_assets
     T = tree.horizon
-    if T < 1:
-        raise ValueError("the tree needs at least one period")
-    C = float(config.scale_override) if config.scale_override else _reward_scale(tree, n)
     grid = uniform_grid(0.0, 1.0, config.n_breakpoints)
 
     bounds, constraints = {}, []

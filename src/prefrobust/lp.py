@@ -1,8 +1,9 @@
 """Deterministic linear-programming layer.
 
 Every reformulation in this package (metric computations, one-stage worst
-cases, scenario-tree programs) bottoms out in a sparse LP assembled row by
-row.  The default backend is HiGHS dual simplex via scipy.optimize.linprog:
+cases, scenario-tree programs) bottoms out in a sparse LP assembled from
+blocks of rows in CSR form, kept as given until the solver needs the matrix.
+The default backend is HiGHS dual simplex via scipy.optimize.linprog:
 it handles free variables and equality rows natively, reports row/bound
 marginals, and is bit-stable for a fixed input.  The backend is pluggable
 through ``solve(backend=...)`` so a different engine can be swapped in
@@ -104,7 +105,9 @@ class LinearProgram:
     Variables carry plain box bounds (default ``[0, inf)``); rows are
     ``coefs . x  rel  rhs`` with ``rel`` one of ``<=``, ``=``, ``>=``.
     Rows and variables keep their insertion indices, which is what the
-    dualizer's positional correspondence relies on.
+    dualizer's positional correspondence relies on.  Rows are stored as the
+    CSR blocks :meth:`add_rows` receives, with one relation, right-hand side
+    and name per row; :meth:`row_matrix` stacks them into one matrix.
     """
 
     def __init__(self, sense="min", name=""):
@@ -116,8 +119,7 @@ class LinearProgram:
         self._lb = []
         self._ub = []
         self._var_names = []
-        self._row_cols = []
-        self._row_vals = []
+        self._blocks = []  # (indptr, indices, values) per add_rows call
         self._rels = []
         self._rhs = []
         self._row_names = []
@@ -166,35 +168,17 @@ class LinearProgram:
     def add_row(self, coefs, rel, rhs, name=None):
         """Add a row.  ``coefs`` is a mapping var index -> coefficient or a
         pair of (indices, values) sequences.  Returns the row index."""
-        if rel not in _RELS:
-            raise ValueError(f"relation must be one of {_RELS}, got {rel!r}")
-        if isinstance(coefs, dict):
-            idx = np.fromiter(coefs.keys(), dtype=np.int64, count=len(coefs))
-            val = np.fromiter(coefs.values(), dtype=float, count=len(coefs))
-        else:
-            idx, val = coefs
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=float)
-        if idx.size != val.size:
-            raise ValueError("index and value lists differ in length")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
-            raise ValueError(f"row {name!r} references undeclared variable")
-        self._matrix = None
-        self._row_cols.append(idx)
-        self._row_vals.append(val)
-        self._rels.append(rel)
-        self._rhs.append(float(rhs))
-        self._row_names.append(name)
-        return len(self._rhs) - 1
+        idx, val = (list(coefs), list(coefs.values())) if isinstance(coefs, dict) else coefs
+        return int(self.add_rows([0, np.size(idx)], idx, val, [rel], [rhs], [name])[0])
 
     def add_rows(self, indptr, indices, values, rels, rhs, names):
         """Add a block of rows in CSR form: row ``k`` has the coefficients
         ``values[indptr[k]:indptr[k+1]]`` on the variables
         ``indices[indptr[k]:indptr[k+1]]``.  ``rels`` and ``rhs`` give one
-        entry per row, or one for all; ``names`` gives one per row.
-        The rows equal those of an :meth:`add_row` call per row with the same
-        coefficients in the same order.  Returns the row indices."""
-        indptr = np.asarray(indptr, dtype=np.int64)
+        entry per row, or one for all; ``names`` gives one per row.  The
+        block is stored as given; a column repeated within a row is summed
+        when :meth:`row_matrix` stacks the blocks.  Returns the row indices."""
+        indptr = np.array(indptr, dtype=np.int64)
         idx = np.array(indices, dtype=np.int64)
         val = np.array(values, dtype=float)
         m = indptr.size - 1
@@ -221,8 +205,7 @@ class LinearProgram:
         if m == 0:
             return np.arange(start, start)
         self._matrix = None
-        self._row_cols.extend(_split_rows(idx, indptr))
-        self._row_vals.extend(_split_rows(val, indptr))
+        self._blocks.append((indptr, idx, val))
         self._rels.extend(rels)
         self._rhs.extend(rhs.tolist())
         self._row_names.extend(names)
@@ -250,21 +233,23 @@ class LinearProgram:
         return np.asarray(self._rhs, dtype=float)
 
     def row_matrix(self):
-        """The full constraint matrix as CSR (one row per added row, column
-        indices sorted).  It is built once per shape and shared by every
-        caller until a row or variable is added, so callers must not modify it.
+        """The full constraint matrix as CSR: the row blocks stacked, column
+        indices sorted and repeated columns of a row summed.  It is built
+        once per shape and shared by every caller until a row or variable is
+        added, so callers must not modify it.
         """
         if self._matrix is None:
             m, n = self.num_rows, self.num_vars
             if m == 0:
                 self._matrix = sp.csr_matrix((0, n))
             else:
-                counts = [c.size for c in self._row_cols]
-                rows = np.repeat(np.arange(m), counts)
-                cols = (np.concatenate(self._row_cols) if rows.size
-                        else np.empty(0, dtype=np.int64))
-                vals = np.concatenate(self._row_vals) if rows.size else np.empty(0)
-                self._matrix = sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
+                indptrs, indices, values = zip(*self._blocks)
+                ends = np.cumsum([0] + [p[-1] for p in indptrs])
+                indptr = np.concatenate([[0]] + [p[1:] + e for p, e in zip(indptrs, ends)])
+                mat = sp.csr_matrix((np.concatenate(values), np.concatenate(indices), indptr),
+                                    shape=(m, n))
+                mat.sum_duplicates()
+                self._matrix = mat
         return self._matrix
 
     def restricted(self, rows, cols, objective, rhs):
@@ -279,18 +264,12 @@ class LinearProgram:
         if objective.shape != cols.shape or rhs.shape != rows.shape:
             raise ValueError("need one cost per variable and one rhs per row")
         mat = self.row_matrix()[rows][:, cols]
-        if not mat.has_sorted_indices:
-            mat.sort_indices()
+        mat.sort_indices()
         sub = LinearProgram(self.sense, self.name)
-        sub._obj = objective.tolist()
-        sub._lb = [self._lb[j] for j in cols]
-        sub._ub = [self._ub[j] for j in cols]
-        sub._var_names = [self._var_names[j] for j in cols]
-        sub._row_cols = _split_rows(mat.indices.astype(np.int64), mat.indptr)
-        sub._row_vals = _split_rows(mat.data, mat.indptr)
-        sub._rels = [self._rels[k] for k in rows]
-        sub._rhs = rhs.tolist()
-        sub._row_names = [self._row_names[k] for k in rows]
+        sub.add_vars(cols.size, [self._var_names[j] for j in cols], lb=self.lower[cols],
+                     ub=self.upper[cols], obj=objective)
+        sub.add_rows(mat.indptr, mat.indices, mat.data, [self._rels[k] for k in rows], rhs,
+                     [self._row_names[k] for k in rows])
         sub._matrix = mat
         return sub
 
@@ -304,10 +283,12 @@ class LinearProgram:
         """Plain-text rendering, one constraint per line (debugging aid)."""
         out = [f"{self.sense} " + " + ".join(
             f"{c:g}*{self.var_name(j)}" for j, c in enumerate(self._obj) if c != 0.0)]
+        mat = self.row_matrix()
         for k in range(self.num_rows):
+            lo, hi = mat.indptr[k], mat.indptr[k + 1]
             terms = " + ".join(
                 f"{v:g}*{self.var_name(j)}"
-                for j, v in zip(self._row_cols[k], self._row_vals[k]))
+                for j, v in zip(mat.indices[lo:hi], mat.data[lo:hi]))
             out.append(f"{self.row_name(k)}: {terms or '0'} {self._rels[k]} {self._rhs[k]:g}")
         for j in range(self.num_vars):
             lo, hi = self._lb[j], self._ub[j]
@@ -326,12 +307,6 @@ class LinearProgram:
             raise ValueError("cannot solve an LP with no variables")
         backend = backend or _solve_highs
         return backend(self, DEFAULT_TOL if tol is None else float(tol))
-
-
-def _split_rows(arr, indptr):
-    """``arr`` cut at the CSR row pointer ``indptr``, one view per row."""
-    bounds = indptr.tolist()
-    return [arr[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _solve_highs(lp: LinearProgram, tol: float) -> LpSolution:

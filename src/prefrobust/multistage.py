@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .ambiguity import (
     FiniteUtilitySet,
@@ -219,15 +220,25 @@ class MultistageProblem:
 
         ``last_node`` keeps just the rows attached to nodes up to that id,
         which the infeasibility diagnosis uses to locate the first offender.
+        Row ``con{idx}[{node}]`` holds constraint ``idx``: its own
+        coefficients, then its parent's.
         """
         xvar = {}
         for s in self.tree.nonleaf_ids():
             lb, ub = self.decision_bounds[s]
             xvar[s] = lp.add_vars(lb.size, f"x[{s}]", lb=lb, ub=ub)
-        for idx, con in enumerate(self.constraints):
-            if last_node is not None and con.node > last_node:
-                continue
-            _add_constraint_row(lp, xvar, self.tree, con, idx)
+        kept = [(idx, con) for idx, con in enumerate(self.constraints)
+                if last_node is None or con.node <= last_node]
+        cols, vals, indptr = [], [], [0]
+        for _, con in kept:
+            parent = self.tree.nodes[con.node].parent
+            cols += [xvar[con.node][k] for k in con.coef_self]
+            cols += [xvar[parent][k] for k in con.coef_parent]
+            vals += [*con.coef_self.values(), *con.coef_parent.values()]
+            indptr.append(len(cols))
+        lp.add_rows(indptr, cols, vals, [con.rel for _, con in kept],
+                    [con.rhs for _, con in kept],
+                    [f"con{idx}[{con.node}]" for idx, con in kept])
         return xvar
 
     def _decision_lp(self, last_node=None):
@@ -294,19 +305,6 @@ def _require_finite(values, where, field, index=True):
         raise ValueError(f"{where}: {name} is {float(values[k])!r}")
 
 
-def _add_constraint_row(lp, xvar, tree, con, idx):
-    coefs = {}
-    for k, v in con.coef_self.items():
-        j = int(xvar[con.node][k])
-        coefs[j] = coefs.get(j, 0.0) + v
-    if con.coef_parent:
-        par = tree.nodes[con.node].parent
-        for k, v in con.coef_parent.items():
-            j = int(xvar[par][k])
-            coefs[j] = coefs.get(j, 0.0) + v
-    lp.add_row(coefs, con.rel, con.rhs, name=f"con{idx}[{con.node}]")
-
-
 # ---------------------------------------------------------------- holistic
 @dataclass
 class _NodeBlock:
@@ -323,33 +321,33 @@ def _copy_dual_block(big, dual, cost, rhs, obj_scale, extra, prefix):
     sides ``rhs``.
 
     Costs are scaled by the node probability ``obj_scale``.  ``extra`` is
-    ``(rows, cols, values)``: each entry appends ``values`` on the big-LP
-    column ``cols`` to the end of source row ``rows`` (source row index =
-    inner primal variable index), which is how the decision variables enter
-    the reward-pricing rows.  Entries of one row keep their order.
+    ``(rows, cols, values)``: each entry puts ``values`` on the big-LP column
+    ``cols`` of source row ``rows`` (source row index = inner primal
+    variable index), which is how the decision variables enter the
+    reward-pricing rows.
     """
     vmap = big.add_vars(
         dual.num_vars, [f"{prefix}.{dual.var_name(j)}" for j in range(dual.num_vars)],
         lb=dual.lower, ub=dual.upper, obj=obj_scale * np.asarray(cost))
-    mat = dual.row_matrix()
-    order = np.argsort(extra[0], kind="stable")
-    rows, cols, vals = (np.asarray(a)[order] for a in extra)
-    # np.insert keeps the given order among entries bound for one position
-    at = mat.indptr[rows + 1]
-    indices = np.insert(vmap[mat.indices], at, cols)
-    values = np.insert(mat.data, at, vals)
-    indptr = mat.indptr + np.searchsorted(rows, np.arange(dual.num_rows + 1))
+    mat = dual.row_matrix().tocoo()
+    rows, cols, vals = extra
+    block = sp.csr_matrix(
+        (np.concatenate([mat.data, vals]),
+         (np.concatenate([mat.row, rows]), np.concatenate([vmap[mat.col], cols]))),
+        shape=(dual.num_rows, big.num_vars))
     names = [f"{prefix}.{dual.row_name(k)}" for k in range(dual.num_rows)]
-    rmap = big.add_rows(indptr, indices, values, dual.relations, rhs, names)
+    rmap = big.add_rows(block.indptr, block.indices, block.data, dual.relations, rhs, names)
     return vmap, rmap
 
 
-def _utility_from_marginals(y, raw):
-    """Row marginals carry solver noise; snap tiny violations, refuse big ones."""
+def _utility_from_marginals(y, raw, node):
+    """Row marginals carry solver noise; snap tiny violations, refuse big
+    ones, naming the node."""
     raw = np.asarray(raw, dtype=float)
     vals = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
-    if np.max(np.abs(vals - raw)) > 1e-6:
-        raise RuntimeError("worst-case utility marginals are too noisy to trust")
+    err = np.max(np.abs(vals - raw))
+    if not err <= 1e-6:
+        raise RuntimeError(f"node {node}: worst-case utility marginals are off by {err:.3g}")
     vals[0], vals[-1] = 0.0, 1.0
     return PiecewiseLinearUtility(y, vals)
 
@@ -463,14 +461,9 @@ def _assemble_holistic(problem):
         if not uses[key]:
             del templates[key]
         primal_cost, primal_rhs = node.stamped(offsets, probs, spec, problem.grid)
-        rows, cols, vals = [], [], []
-        for pos, i in enumerate(kids):
-            coef = problem.rewards[i].coef
-            nz = np.flatnonzero(coef)
-            rows.append(np.full(nz.size, node.eps[pos]))
-            cols.append(xvar[s][nz])
-            vals.append(-probs[pos] * coef[nz])
-        extra = (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        coef = np.array([problem.rewards[i].coef for i in kids])
+        pos, k = np.nonzero(coef)
+        extra = (node.eps[pos], xvar[s][k], -probs[pos] * coef[pos, k])
         vmap, rmap = _copy_dual_block(
             big, dual, primal_rhs, primal_cost, float(pu[s]), extra, f"n{s}")
         blocks[s] = _NodeBlock(vmap, rmap, node.block.alpha, primal_rhs, float(pu[s]))
@@ -487,7 +480,7 @@ def _holistic_policy(problem, big, blocks, sol, decisions):
         val = float(np.dot(obj[nb.cols], sol.x[nb.cols])) / nb.prob
         alpha = np.array([sol.duals[r] for r in nb.rows[nb.alpha]]) / nb.prob
         per_node[s] = NodeValue(
-            problem.tree.nodes[s].stage, val, _utility_from_marginals(problem.grid, alpha))
+            problem.tree.nodes[s].stage, val, _utility_from_marginals(problem.grid, alpha, s))
     return Policy(decisions, float(sol.objective), per_node)
 
 

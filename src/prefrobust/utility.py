@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import add_band
 from .lp import LinearProgram, LpStatus, dualize
 
 log = logging.getLogger(__name__)
@@ -261,16 +262,15 @@ def build_kantorovich_lp(y, beta_u, beta_v):
     coef = np.asarray(beta_u, dtype=float) - np.asarray(beta_v, dtype=float)
 
     lp = LinearProgram("max", name="kantorovich")
-    w = lp.add_vars(n_seg, "w", lb=-math.inf)
+    w = lp.add_vars(n_seg, "w", lb=-math.inf, obj=coef)
     z = lp.add_vars(n_seg + 1, "z", lb=-math.inf)
-    for i in range(n_seg):
-        lp.set_obj(w[i], coef[i])
-        half = 0.5 * delta[i] ** 2
-        lp.add_row({w[i]: 1.0, z[i]: -delta[i]}, "<=", half)
-        lp.add_row({w[i]: -1.0, z[i]: delta[i]}, "<=", half)
-        lp.add_row({w[i]: 1.0, z[i + 1]: -delta[i]}, "<=", half)
-        lp.add_row({w[i]: -1.0, z[i + 1]: delta[i]}, "<=", half)
-    lp.add_row({z[0]: 1.0}, "=", 0.0, name="gauge")
+    # per segment: +-(w_i - delta_i z_i) <= delta_i**2 / 2, then the same with z_{i+1}
+    sign = np.tile([1.0, -1.0, 1.0, -1.0], n_seg)
+    d = np.repeat(delta, 4)
+    z_end = np.column_stack([z[:-1], z[:-1], z[1:], z[1:]]).ravel()
+    add_band(lp, np.column_stack([np.repeat(w, 4), z_end]), np.column_stack([sign, -sign * d]),
+             "<=", 0.5 * d ** 2, [None] * (4 * n_seg))
+    add_band(lp, [[z[0]]], 1.0, "=", 0.0, ["gauge"])
     return lp
 
 

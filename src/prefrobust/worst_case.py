@@ -8,10 +8,11 @@ that fall between breakpoints are handled by one supporting line per
 outcome, valid because concavity is always imposed.  For finite sets the
 minimum is taken by direct enumeration.
 
-Every LP here is available in two forms: the primal built row by row, and
-the mechanical dual produced by the generic dualizer.  The two must agree to
-solver tolerance — the multistage assembly consumes the dual blocks, so this
-agreement is what ties the tree solver back to the definition.
+Every LP here is available in two forms: the primal, built from blocks of
+rows, and the mechanical dual produced by the generic dualizer.  The two
+must agree to solver tolerance — the multistage assembly consumes the dual
+blocks, so this agreement is what ties the tree solver back to the
+definition.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class WorstCaseResult:
     value: float | None = None
     utility: object = None
     member_index: int | None = None
-    duals: dict | None = None
 
     @property
     def is_optimal(self):
@@ -100,11 +100,9 @@ def supporting_line_primal(values, probs, y, L, L_tilde, concave):
     lp = LinearProgram("min", name="worst-case")
     block = append_utility_block(lp, y, L, L_tilde, concave)
     S = len(values)
-    eps = lp.add_vars(S, "eps", lb=0.0)
-    fee = lp.add_vars(S, "fee", lb=-np.inf)
-    for i, (h, q) in enumerate(zip(values, probs)):
-        lp.set_obj(eps[i], q * h)
-        lp.set_obj(fee[i], q)
+    q = np.asarray(probs, dtype=float)
+    eps = lp.add_vars(S, "eps", lb=0.0, obj=q * np.asarray(values, dtype=float))
+    fee = lp.add_vars(S, "fee", lb=-np.inf, obj=q)
     N = y.size
     add_band(lp, np.column_stack([np.repeat(eps, N), np.repeat(fee, N), np.tile(block.alpha, S)]),
              np.column_stack([np.tile(y, S), np.ones(S * N), -np.ones(S * N)]), ">=", 0.0,
@@ -175,10 +173,7 @@ def _worst_case_primal(dist, spec, grid):
         return WorstCaseResult("infeasible")
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"worst-case LP ended {sol.status.value}: {sol.message}")
-    duals = {lp.row_name(k): float(sol.duals[k]) for k in range(lp.num_rows)}
-    return WorstCaseResult(
-        "optimal", float(sol.objective), _utility_from(y, sol.x[block.alpha]), duals=duals
-    )
+    return WorstCaseResult("optimal", float(sol.objective), _utility_from(y, sol.x[block.alpha]))
 
 
 def worst_case_kantorovich_primal(dist, spec, grid=None):
@@ -200,10 +195,7 @@ def worst_case_kantorovich_dual(dist, spec, grid=None):
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"worst-case dual LP ended {sol.status.value}: {sol.message}")
     alpha = [sol.duals[j] for j in block.alpha]
-    duals = {dual.var_name(j): float(sol.x[j]) for j in range(dual.num_vars)}
-    return WorstCaseResult(
-        "optimal", float(sol.objective), _utility_from(y, alpha), duals=duals
-    )
+    return WorstCaseResult("optimal", float(sol.objective), _utility_from(y, alpha))
 
 
 def worst_case_pairwise(dist, spec: PairwiseComparisonSpec, grid):

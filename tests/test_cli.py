@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import prefrobust.cli as cli
+import prefrobust.experiment as experiment_module
+from prefrobust import multistage
 from prefrobust.cli import main
 from prefrobust.counterexample import solve_counterexample
 from prefrobust.experiment import (
@@ -94,6 +96,29 @@ def test_solve_emits_csv_matching_the_library(tmp_path, capsys):
     assert float(fields[7]) == pytest.approx(policy.value, abs=1e-9)
     assert float(fields[8]) == pytest.approx(policy.decisions[0][-1], abs=1e-9)
     assert fields[9] == "0"
+
+
+def test_solve_builds_each_problem_once(monkeypatch, capsys):
+    built, asked = [], []
+    real_init, real_elicit = multistage.MultistageProblem.__init__, experiment_module.elicit_pairwise
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def counted_elicit(*args, **kwargs):
+        asked.append(1)
+        return real_elicit(*args, **kwargs)
+
+    monkeypatch.setattr(multistage.MultistageProblem, "__init__", counted_init)
+    monkeypatch.setattr(experiment_module, "elicit_pairwise", counted_elicit)
+    assert main(["solve", "--branching", "3,3", "--model", "pro_pc",
+                 "--questionnaires", "50", "--seeds", "0"]) == 0
+    assert (len(built), len(asked)) == (1, 4)
+    tree = generate_tree((3, 3), config_from_dict({}).tree_seed)
+    scale = build_investment_consumption(
+        tree, config_from_dict({"branching": [3, 3]})).reward_scale
+    assert f"reward scale C = {scale:.10g}" in capsys.readouterr().err
 
 
 def test_flags_override_the_config_file(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -350,6 +351,78 @@ def test_add_rows_equals_a_loop_of_add_row(block):
         loop.add_row((indices[lo:hi], values[lo:hi]), rels[k], rhs[k], name=names[k])
     assert list(rows) == list(range(1, 1 + len(rels)))
     _assert_same_rows(bulk, loop)
+
+
+def _coo_reference(n, indptr, indices, values):
+    """The matrix of one CSR block as rows were first stacked: through COO."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return sp.coo_matrix((np.asarray(values, dtype=float), (rows, np.asarray(indices, dtype=int))),
+                         shape=(len(indptr) - 1, n)).tocsr()
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert a.data.tobytes() == b.data.tobytes()
+    for part in ("indices", "indptr"):
+        assert np.array_equal(getattr(a, part), getattr(b, part))
+
+
+def test_a_repeated_column_sums_as_the_coo_build_did():
+    # three repeats on column 2, and 1e16 + 1 - 1e16, whose sum depends on its order
+    indptr = [0, 5, 5, 8]
+    indices = [2, 0, 2, 1, 2, 1, 1, 1]
+    values = [0.1, 1.0, 0.2, -3.0, 0.3, 1e16, 1.0, -1e16]
+    lp = LinearProgram("min")
+    lp.add_vars(3, "x")
+    lp.add_rows(indptr, indices, values, "<=", 0.0, ["a", "b", "c"])
+    _assert_same_csr(lp.row_matrix(), _coo_reference(3, indptr, indices, values))
+    assert lp.row_matrix().nnz == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(csr_blocks())
+def test_row_matrix_equals_the_coo_build(block):
+    n, indptr, indices, values, rels, rhs, names = block
+    lp = LinearProgram("min")
+    lp.add_vars(n, "x")
+    lp.add_rows(indptr, indices, values, rels, rhs, names)
+    _assert_same_csr(lp.row_matrix(), _coo_reference(n, indptr, indices, values))
+
+
+def test_blocks_added_between_columns_stack_like_one_block():
+    rng = np.random.default_rng(4)
+    staged, whole = LinearProgram("min"), LinearProgram("min")
+    whole.add_vars(6, "x")
+    parts = []
+    for width, rows in ((2, 3), (3, 2), (1, 4)):
+        staged.add_vars(width, "x")
+        n = staged.num_vars
+        counts = rng.integers(0, 4, size=rows)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        indices = rng.integers(0, n, size=indptr[-1])
+        values = rng.normal(size=indptr[-1])
+        names = [f"r{len(parts)}[{k}]" for k in range(rows)]
+        staged.add_rows(indptr, indices, values, ">=", 1.0, names)
+        staged.add_row((indices[:2], values[:2]), "=", -1.0, name=f"one{len(parts)}")
+        parts.append((np.append(counts, min(2, indices.size)),
+                      np.concatenate([indices, indices[:2]]),
+                      np.concatenate([values, values[:2]]),
+                      [">="] * rows + ["="], [1.0] * rows + [-1.0], names + [f"one{len(parts)}"]))
+    counts, indices, values, rels, rhs, names = (
+        [x for part in parts for x in part[i]] for i in range(6))
+    whole.add_rows(np.concatenate(([0], np.cumsum(counts))), indices, values, rels, rhs, names)
+    _assert_same_rows(staged, whole)
+    m = whole.num_rows
+    for rows, cols in (([0, 4, 2], [5, 0, 1]), (range(m), range(6)), ([m - 1, 0], [3])):
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        cost, b = np.arange(cols.size, dtype=float), np.arange(rows.size, dtype=float)
+        a, ref = staged.restricted(rows, cols, cost, b), whole.restricted(rows, cols, cost, b)
+        _assert_same_rows(a, ref)
+        # rows added to a slice stack after the slice, as on any program
+        for sub in (a, ref):
+            sub.add_rows([0, 2], [0, 0], [1.0, 0.5], "<=", 2.0, ["extra"])
+        _assert_same_rows(a, ref)
+        assert a.row_matrix()[rows.size, 0] == 1.5
 
 
 def test_add_rows_broadcasts_one_relation_and_rhs():

@@ -5,8 +5,12 @@ sense, the CSR matrix (data, indices, indptr), right-hand sides, relations,
 bounds, costs and the row and variable names.  The recorded values in
 ``data/lp_digests.json`` pin the LPs of pro_kan, pro_pc (K=20) and msp_pln
 on the (3,3,3) tree with tree seed 11, so a refactor of the assembly can
-show that it hands the solver the same programs bit for bit.  To record
-them again after an intended change of the LPs, run from the repo root:
+show that it hands the solver the same programs bit for bit.  They also pin
+each model's decision LP (``problem._decision_lp()``, keyed
+``decisions/<model>``), which reward certification solves, and the metric
+LP of ``utility.build_kantorovich_lp`` for one fixed utility pair (keyed
+``kantorovich``).  To record them again after an intended change of the
+LPs, run from the repo root:
 
     PYTHONPATH=src python tests/test_lp_digests.py
 """
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from prefrobust import experiment, multistage
+from prefrobust import experiment, multistage, utility
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "lp_digests.json"
 BRANCHING, TREE_SEED = (3, 3, 3), 11
@@ -59,8 +63,13 @@ def current_digests():
             experiment.solve_model(problem, config)
             assert len(seen) == 1, f"{model}: expected one tree-wide solve, saw {len(seen)}"
             out[model] = seen.pop()
+            out[f"decisions/{model}"] = lp_digest(problem._decision_lp()[0])
     finally:
         multistage._solve_big = real
+    y = utility.uniform_grid(0.0, 1.0, 9)
+    u = utility.project(utility.ClosedFormUtility.exponential(3.0), y)
+    v = utility.project(utility.ClosedFormUtility.quadratic(), y)
+    out["kantorovich"] = lp_digest(utility.build_kantorovich_lp(y, u.slopes, v.slopes))
     return out
 
 

@@ -452,6 +452,94 @@ def test_policy_table_lists_every_decision_node():
         float(value)
 
 
+def _add_decisions_reference(problem, lp, last_node=None):
+    """Decision columns, then one ``add_row`` per kept constraint with its
+    coefficients merged by dict, as the rows were first added."""
+    xvar = {}
+    for s in problem.tree.nonleaf_ids():
+        lb, ub = problem.decision_bounds[s]
+        xvar[s] = lp.add_vars(lb.size, f"x[{s}]", lb=lb, ub=ub)
+    for idx, con in enumerate(problem.constraints):
+        if last_node is not None and con.node > last_node:
+            continue
+        coefs = {}
+        for k, v in con.coef_self.items():
+            j = int(xvar[con.node][k])
+            coefs[j] = coefs.get(j, 0.0) + v
+        if con.coef_parent:
+            par = problem.tree.nodes[con.node].parent
+            for k, v in con.coef_parent.items():
+                j = int(xvar[par][k])
+                coefs[j] = coefs.get(j, 0.0) + v
+        lp.add_row(coefs, con.rel, con.rhs, name=f"con{idx}[{con.node}]")
+    return xvar
+
+
+def _counting_add_row(monkeypatch):
+    calls = []
+    real = LinearProgram.add_row
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(LinearProgram, "add_row", counted)
+    return calls
+
+
+def test_decision_rows_equal_one_add_row_per_constraint(monkeypatch):
+    problem, _ = random_ball_problem(np.random.default_rng(2), branching=(2, 2))
+    # a parent-only row, rows at leaves 5 and 3 (listed out of node order),
+    # and a row whose own coefficients come in reverse index order
+    extra = [NodeConstraint(1, "<=", 1.0, coef_parent={1: 0.5, 0: 1.0}),
+             NodeConstraint(5, ">=", 0.0, coef_parent={1: 2.0}),
+             NodeConstraint(3, "<=", 0.9, coef_parent={0: 1.0, 1: 1.0}),
+             NodeConstraint(2, "=", 0.25, coef_self={1: -1.0, 0: 3.0}, coef_parent={1: 0.5})]
+    problem = MultistageProblem(problem.tree, problem.decision_bounds, problem.rewards,
+                                problem.ambiguity, problem.grid,
+                                [*problem.constraints, *extra], check_rewards=False)
+    calls = _counting_add_row(monkeypatch)
+    for last_node in (None, 0, 1, 2, 3, 5):
+        lp, xvar = problem._decision_lp(last_node)
+        assert calls == []
+        ref = LinearProgram("min", name="decisions")
+        ref_x = _add_decisions_reference(problem, ref, last_node)
+        calls.clear()
+        assert_same_program(lp, ref)
+        assert all(np.array_equal(xvar[s], ref_x[s]) for s in ref_x)
+
+
+@pytest.mark.parametrize("model", ["pro_kan", "pro_pc", "msp_pln"])
+def test_build_solve_and_check_add_no_single_rows(monkeypatch, model):
+    calls = _counting_add_row(monkeypatch)
+    config = experiment.ExperimentConfig(
+        branching=(2, 2), n_breakpoints=10, model=model, questionnaires=20, seeds=(0,),
+        tree_seed=11)
+    tree = experiment.generate_tree(config.branching, config.tree_seed)
+    problem = experiment.build_investment_consumption(tree, config)
+    policy = experiment.solve_model(problem, config)
+    solver = (lambda sub: experiment.solve_model(sub, config)) if model == "msp_pln" else None
+    report = check_time_consistency(problem, policy, subtree_solver=solver)
+    assert len(report.entries) == 3
+    assert calls == []
+
+
+def test_noisy_marginals_name_their_node(monkeypatch):
+    problem, _ = random_ball_problem(np.random.default_rng(5), branching=(2, 2))
+    real = multistage_module._holistic_policy
+
+    def noisy(problem, big, blocks, sol, decisions):
+        nb = blocks[2]
+        sol.duals = sol.duals.copy()
+        sol.duals[nb.rows[nb.alpha[1]]] = -0.25 * nb.prob
+        return real(problem, big, blocks, sol, decisions)
+
+    monkeypatch.setattr(multistage_module, "_holistic_policy", noisy)
+    with pytest.raises(RuntimeError,
+                       match=r"^node 2: worst-case utility marginals are off by 0\.25$"):
+        solve_holistic(problem)
+
+
 def _copy_dual_block_reference(big, dual, obj_scale, extra_row_coefs, prefix):
     """One ``add_row`` per dual row, extra coefficients merged by dict."""
     vmap = np.array([

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from prefrobust.lp import LinearProgram
 from prefrobust.utility import (
     ClosedFormUtility,
     PiecewiseLinearUtility,
+    build_kantorovich_lp,
     kantorovich_exact,
     kantorovich_lp,
     kantorovich_lp_dual,
@@ -17,6 +19,7 @@ from prefrobust.utility import (
 )
 
 from oracles import pl_l1_distance
+from test_blocks import assert_same_program
 
 
 def random_pl(rng, n=None, domain=(0.0, 1.0)):
@@ -172,3 +175,36 @@ def test_out_of_domain_warns_and_clamps(caplog):
         val = u(1.5)
     assert val == 1.0
     assert any("clamping" in r.message for r in caplog.records)
+
+
+def _kantorovich_lp_reference(y, beta_u, beta_v):
+    """The metric LP as it was first built: costs one at a time, one
+    ``add_row`` per inequality."""
+    y = np.asarray(y, dtype=float)
+    delta = np.diff(y)
+    coef = np.asarray(beta_u, dtype=float) - np.asarray(beta_v, dtype=float)
+    lp = LinearProgram("max", name="kantorovich")
+    w = lp.add_vars(delta.size, "w", lb=-math.inf)
+    z = lp.add_vars(delta.size + 1, "z", lb=-math.inf)
+    for i in range(delta.size):
+        lp.set_obj(w[i], coef[i])
+        half = 0.5 * delta[i] ** 2
+        lp.add_row({w[i]: 1.0, z[i]: -delta[i]}, "<=", half)
+        lp.add_row({w[i]: -1.0, z[i]: delta[i]}, "<=", half)
+        lp.add_row({w[i]: 1.0, z[i + 1]: -delta[i]}, "<=", half)
+        lp.add_row({w[i]: -1.0, z[i + 1]: delta[i]}, "<=", half)
+    lp.add_row({z[0]: 1.0}, "=", 0.0, name="gauge")
+    return lp
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_metric_lp_equals_the_row_by_row_build(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    y = np.sort(rng.uniform(-1.0, 3.0, size=n))
+    beta_u, beta_v = rng.uniform(0.0, 2.0, size=(2, n - 1))
+    ref = _kantorovich_lp_reference(y, beta_u, beta_v)
+    calls = []
+    monkeypatch.setattr(LinearProgram, "add_row", lambda *a, **k: calls.append(a))
+    assert_same_program(build_kantorovich_lp(y, beta_u, beta_v), ref)
+    assert calls == []

@@ -43,10 +43,10 @@ def add_band(lp: LinearProgram, cols, vals, rel, rhs, names):
     return lp.add_rows(np.arange(m + 1) * width, cols.ravel(), vals.ravel(), rel, rhs, names)
 
 
-def append_utility_block(lp: LinearProgram, grid, L, L_tilde, concave=True, tag="u"):
+def append_utility_block(lp: LinearProgram, grid, L, L_tilde, concave=True):
     """Add alpha/beta variables and the shape rows of the utility class.
 
-    Rows (names prefixed by ``tag``): ``norm0``/``norm1`` pin alpha at the
+    Rows (names prefixed by ``u.``): ``norm0``/``norm1`` pin alpha at the
     endpoints to 0 and 1; ``link[i]`` ties alpha increments to beta; with
     ``concave`` the rows ``concave[i]``: alpha_{i+1} - alpha_i -
     beta_{i+1} * delta_i >= 0 force nonincreasing slopes; ``lip[i]`` caps
@@ -61,37 +61,37 @@ def append_utility_block(lp: LinearProgram, grid, L, L_tilde, concave=True, tag=
     delta = np.diff(y)
     n_seg = delta.size
 
-    alpha = lp.add_vars(y.size, f"{tag}.alpha", lb=-math.inf)
-    beta = lp.add_vars(n_seg, f"{tag}.beta", lb=0.0)
+    alpha = lp.add_vars(y.size, "u.alpha", lb=-math.inf)
+    beta = lp.add_vars(n_seg, "u.beta", lb=0.0)
     a0, a1, b0, b1 = alpha[:-1], alpha[1:], beta[:-1], beta[1:]
     one, seg, inner = np.ones(n_seg), range(n_seg), range(n_seg - 1)
     norm = add_band(lp, [[alpha[0]], [alpha[-1]]], 1.0, "=", [0.0, 1.0],
-                    [f"{tag}.norm0", f"{tag}.norm1"])
+                    ["u.norm0", "u.norm1"])
     rows = {
         "norm0": int(norm[0]),
         "norm1": int(norm[1]),
         "link": add_band(lp, np.column_stack([a1, a0, beta]),
                          np.column_stack([one, -one, -delta]), "=", 0.0,
-                         [f"{tag}.link[{i}]" for i in seg]).tolist(),
+                         [f"u.link[{i}]" for i in seg]).tolist(),
         "lip": add_band(lp, beta[:, None], 1.0, "<=", L,
-                        [f"{tag}.lip[{i}]" for i in seg]).tolist(),
+                        [f"u.lip[{i}]" for i in seg]).tolist(),
     }
     if concave:
         rows["concave"] = add_band(
             lp, np.column_stack([a1[:-1], a0[:-1], b1]),
             np.column_stack([one[1:], -one[1:], -delta[:-1]]), ">=", 0.0,
-            [f"{tag}.concave[{i}]" for i in inner]).tolist()
+            [f"u.concave[{i}]" for i in inner]).tolist()
     # curve_hi[i] and curve_lo[i] alternate, both over (beta[i+1], beta[i])
     cap = L_tilde * (y[2:] - y[:-2])
     curve = add_band(
         lp, np.column_stack([np.repeat(b1, 2), np.repeat(b0, 2)]),
         np.tile([[1.0, -1.0], [-1.0, 1.0]], (n_seg - 1, 1)), "<=", np.repeat(cap, 2),
-        [f"{tag}.{side}[{i}]" for i in inner for side in ("curve_hi", "curve_lo")])
+        [f"u.{side}[{i}]" for i in inner for side in ("curve_hi", "curve_lo")])
     rows["curve_hi"], rows["curve_lo"] = curve[0::2].tolist(), curve[1::2].tolist()
     return UtilityBlock(grid=y, alpha=alpha, beta=beta, rows=rows)
 
 
-def append_ball_membership(lp: LinearProgram, beta, nominal_slopes, grid, radius, tag="ball"):
+def append_ball_membership(lp: LinearProgram, beta, nominal_slopes, grid, radius):
     """Rows certifying that the slopes ``beta`` stay within LP-Kantorovich
     distance ``radius`` of ``nominal_slopes``.
 
@@ -101,6 +101,7 @@ def append_ball_membership(lp: LinearProgram, beta, nominal_slopes, grid, radius
     per segment tying multipliers to beta - nominal, and telescoping rows
     at the left end, between consecutive segments, and at the right end.
     Membership in this ball implies membership in the exact-distance ball.
+    Variables and rows are named ``ball.*``.
     """
     y = np.asarray(grid, dtype=float)
     delta = np.diff(y)
@@ -111,27 +112,27 @@ def append_ball_membership(lp: LinearProgram, beta, nominal_slopes, grid, radius
     if radius < 0:
         raise ValueError("radius must be nonnegative")
 
-    lam = lp.add_vars(n_seg, f"{tag}.lam")
-    mu = lp.add_vars(n_seg, f"{tag}.mu")
-    rho = lp.add_vars(n_seg, f"{tag}.rho")
-    phi = lp.add_vars(n_seg, f"{tag}.phi")
+    lam = lp.add_vars(n_seg, "ball.lam")
+    mu = lp.add_vars(n_seg, "ball.mu")
+    rho = lp.add_vars(n_seg, "ball.rho")
+    phi = lp.add_vars(n_seg, "ball.phi")
 
     half = np.repeat([0.5 * d ** 2 for d in delta], 4)
     budget = np.column_stack([lam, mu, rho, phi]).ravel()
     rows = {
         "budget": int(add_band(lp, budget[None, :], half, "<=", float(radius),
-                               [f"{tag}.budget"])[0]),
+                               ["ball.budget"])[0]),
         "match": add_band(lp, np.column_stack([beta, lam, mu, rho, phi]),
                           [-1.0, 1.0, -1.0, 1.0, -1.0], "=", -bnom,
-                          [f"{tag}.match[{i}]" for i in range(n_seg)]).tolist(),
+                          [f"ball.match[{i}]" for i in range(n_seg)]).tolist(),
         "left": int(add_band(lp, [[mu[0], lam[0]]], [delta[0], -delta[0]], "=", 0.0,
-                             [f"{tag}.left"])[0]),
+                             ["ball.left"])[0]),
         "mid": add_band(
             lp, np.column_stack([mu[1:], lam[1:], phi[:-1], rho[:-1]]),
             np.column_stack([delta[1:], -delta[1:], delta[:-1], -delta[:-1]]), "=", 0.0,
-            [f"{tag}.mid[{i}]" for i in range(n_seg - 1)]).tolist(),
+            [f"ball.mid[{i}]" for i in range(n_seg - 1)]).tolist(),
         "right": int(add_band(lp, [[phi[-1], rho[-1]]], [delta[-1], -delta[-1]], "=", 0.0,
-                              [f"{tag}.right"])[0]),
+                              ["ball.right"])[0]),
     }
     return {"lam": lam, "mu": mu, "rho": rho, "phi": phi, "rows": rows}
 
@@ -159,7 +160,7 @@ class PairArrays(NamedTuple):
                    np.asarray(owner, dtype=np.int64), np.asarray(signs, dtype=np.int64))
 
 
-def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0, tag="pc"):
+def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0):
     """One row per elicited comparison (W_k, Y_k, z_k):
     z_k * sum_j (P[W_k = y_j] - P[Y_k = y_j]) * alpha_j >= margin.
 
@@ -167,7 +168,8 @@ def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0, tag=
     Each lottery outcome is matched to its nearest grid point (ties to the
     lower index) and must lie within 1e-9 of it.  Masses on one point add up
     in support order, coefficients that cancel to zero are left out, and all
-    rows enter the program in one block.  Returns the row indices.
+    rows enter the program in one block, row ``k`` named ``pc[k]``.  Returns
+    the row indices.
     """
     if not isinstance(pairs, PairArrays):
         pairs = PairArrays.from_pairs(pairs)
@@ -190,4 +192,4 @@ def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0, tag=
     coefs = (pairs.signs.astype(float)[:, None] * diff)[keep]
     cols = np.broadcast_to(np.asarray(alpha), diff.shape)[keep]
     return lp.add_rows(indptr, cols, coefs, ">=", margin,
-                       [f"{tag}[{k}]" for k in range(K)])
+                       [f"pc[{k}]" for k in range(K)])

@@ -527,12 +527,33 @@ def write_csv(rows: Sequence[ResultRow], path) -> str:
 
 
 def read_policy_table(text: str) -> Dict[int, np.ndarray]:
-    """Parse the tab-separated policy export back into a decision map."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split("\t")[:3] != ["node", "stage", "decision"]:
+    """Parse the tab-separated policy export back into a decision map.
+
+    A malformed row or a node listed twice is refused with its line number
+    (blank lines count) and the field at fault."""
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not rows or rows[0][1].split("\t")[:3] != ["node", "stage", "decision"]:
         raise ValueError("not a policy table: expected a node/stage/decision header")
-    decisions = {}
-    for ln in lines[1:]:
-        node, _stage, dec = ln.split("\t")[:3]
-        decisions[int(node)] = np.array([float(tok) for tok in dec.split(",")])
+    decisions, first = {}, {}
+    for n, ln in rows[1:]:
+        fields = ln.split("\t")
+        if len(fields) < 3:
+            raise ValueError(f"line {n}: expected node, stage and decision fields, "
+                             f"got {len(fields)} field(s)")
+        try:
+            node = int(fields[0])
+        except ValueError:
+            raise ValueError(f"line {n}: node is {fields[0]!r}, not an integer") from None
+        if node in first:
+            raise ValueError(f"line {n} (node {node}): node listed again, first on "
+                             f"line {first[node]}")
+        first[node] = n
+        dec = []
+        for k, tok in enumerate(fields[2].split(",")):
+            try:
+                dec.append(float(tok))
+            except ValueError:
+                raise ValueError(f"line {n} (node {node}): decision[{k}] is {tok!r}, "
+                                 "not a number") from None
+        decisions[node] = np.array(dec)
     return decisions

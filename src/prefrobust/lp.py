@@ -3,21 +3,19 @@
 Every reformulation in this package (metric computations, one-stage worst
 cases, scenario-tree programs) bottoms out in a sparse LP assembled from
 blocks of rows in CSR form, kept as given until the solver needs the matrix.
-The default backend is HiGHS dual simplex via scipy.optimize.linprog:
-it handles free variables and equality rows natively, reports row/bound
-marginals, and is bit-stable for a fixed input.  The backend is pluggable
-through ``solve(backend=...)`` so a different engine can be swapped in
-without touching the builders.
+:meth:`LinearProgram.solve` hands every program to HiGHS dual simplex via
+scipy.optimize.linprog: it handles free variables and equality rows
+natively, reports row/bound marginals, and is bit-stable for a fixed input.
 
-The second backend is a warm session (:func:`warm_session`): one program is
-loaded into HiGHS once, and each later solve pushes only the changed
-objective coefficients and re-runs dual simplex from the last basis.  It is
-meant for sequences of solves over one fixed polytope, such as the two
-reward-range LPs per reward that certify a multistage problem.  Every status
-other than optimal is re-solved cold through the linprog backend, so
-infeasible, unbounded and failed programs are classified exactly alike.  The
-session needs scipy's private HiGHS binding; where the installed scipy lacks
-it, :func:`warm_session` returns ``None`` and callers stay on linprog.
+Reward certification alone asks for many optimal values over one fixed
+polytope, and nothing else of each solve.  For it, :func:`warm_session`
+keeps that program loaded in HiGHS: :meth:`HighsSession.minimum` pushes the
+changed costs, re-runs dual simplex from the last basis and returns the
+optimal value only.  Anything other than a checked optimum comes back as
+``None``, and the caller solves that LP cold through :meth:`LinearProgram.solve`,
+so infeasible, unbounded and failed programs are classified in one place.
+The session needs scipy's private HiGHS binding; where the installed scipy
+lacks it, :func:`warm_session` returns ``None``.
 
 The module also provides a mechanical dualizer.  Several published dual
 formulations in this problem family carry typographical sign slips, so
@@ -37,7 +35,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 # scipy >= 1.15 exposes its HiGHS binding as a private module; only the warm
-# session uses it, and certification falls back to linprog without it.
+# session uses it, and certification stays on linprog without it.
 try:
     from scipy.optimize._highspy._core import (
         HighsLp,
@@ -81,16 +79,15 @@ class LpSolution:
     * minimization: ``>=`` rows have duals >= 0, ``<=`` rows <= 0;
     * maximization: the reverse.
 
-    ``reduced_costs`` are the bound multipliers under the same orientation,
-    and ``dual_objective`` is ``b'y + l'rc_lower + u'rc_upper`` so the strong
-    duality gap ``|objective - dual_objective|`` can be checked directly.
+    ``dual_objective`` is ``b'y + l'r_lower + u'r_upper``, with the bound
+    multipliers ``r`` under the same orientation, so the strong duality gap
+    ``|objective - dual_objective|`` can be checked directly.
     """
 
     status: LpStatus
     objective: float | None = None
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     dual_objective: float | None = None
     message: str = ""
 
@@ -162,9 +159,6 @@ class LinearProgram:
         self._var_names.extend(names)
         return np.arange(base, base + n)
 
-    def set_obj(self, idx, coef):
-        self._obj[idx] = float(coef)
-
     def add_row(self, coefs, rel, rhs, name=None):
         """Add a row.  ``coefs`` is a mapping var index -> coefficient or a
         pair of (indices, values) sequences.  Returns the row index."""
@@ -215,6 +209,13 @@ class LinearProgram:
     @property
     def objective(self):
         return np.asarray(self._obj, dtype=float)
+
+    @objective.setter
+    def objective(self, cost):
+        cost = np.asarray(cost, dtype=float)
+        if cost.shape != (self.num_vars,):
+            raise ValueError(f"need {self.num_vars} costs, got shape {cost.shape}")
+        self._obj = cost.tolist()
 
     @property
     def lower(self):
@@ -297,21 +298,15 @@ class LinearProgram:
         return "\n".join(out)
 
     # ----------------------------------------------------------------- solve
-    def solve(self, tol=None, backend=None):
-        """Solve and return an :class:`LpSolution`.
-
-        ``backend`` may be a callable with the same signature as
-        :func:`_solve_highs` for tests or alternative engines.
-        """
+    def solve(self, tol=None):
+        """Solve with HiGHS dual simplex and return an :class:`LpSolution`."""
         if self.num_vars == 0:
             raise ValueError("cannot solve an LP with no variables")
-        backend = backend or _solve_highs
-        return backend(self, DEFAULT_TOL if tol is None else float(tol))
+        return _solve_highs(self, DEFAULT_TOL if tol is None else float(tol))
 
 
 def _solve_highs(lp: LinearProgram, tol: float) -> LpSolution:
-    """Default backend: HiGHS dual simplex through scipy.linprog."""
-    n = lp.num_vars
+    """HiGHS dual simplex through scipy.linprog."""
     sign = 1.0 if lp.sense == "min" else -1.0
     c = sign * lp.objective
 
@@ -355,36 +350,22 @@ def _solve_highs(lp: LinearProgram, tol: float) -> LpSolution:
         return LpSolution(LpStatus.FAILED, message=res.message)
 
     # scipy reports marginals for the minimized, <=-oriented problem; undo
-    # the row flips here and the sense flip in _optimal_solution.
+    # the row flips and the sense flip.
+    x = np.asarray(res.x)
     duals = np.zeros(lp.num_rows)
     if A_ub is not None:
         duals[ub_mask] = flip * res.ineqlin.marginals
     if A_eq is not None:
         duals[is_eq] = res.eqlin.marginals
-    return _optimal_solution(lp, np.asarray(res.x), duals, np.asarray(res.lower.marginals),
-                             np.asarray(res.upper.marginals), res.message)
-
-
-def _optimal_solution(lp, x, duals, lower_m, upper_m, message):
-    """Orient the multipliers of ``min sign * objective`` as :class:`LpSolution`
-    documents them.  ``duals`` holds one multiplier per original row."""
-    sign = 1.0 if lp.sense == "min" else -1.0
-    obj = float(lp.objective @ x)
-    duals = duals * sign
-    rc = sign * (lower_m + upper_m)
-
-    rhs = lp.rhs
-    dual_obj = float(rhs @ duals)
+    duals *= sign
     lo, hi = lp.lower, lp.upper
-    lo_m = sign * lower_m
-    hi_m = sign * upper_m
     finite_lo = lo > -math.inf
     finite_hi = hi < math.inf
-    dual_obj += float(lo[finite_lo] @ lo_m[finite_lo])
-    dual_obj += float(hi[finite_hi] @ hi_m[finite_hi])
-
-    return LpSolution(LpStatus.OPTIMAL, objective=obj, x=x, duals=duals,
-                      reduced_costs=rc, dual_objective=dual_obj, message=message)
+    dual_obj = float(rhs @ duals)
+    dual_obj += float(lo[finite_lo] @ (sign * np.asarray(res.lower.marginals))[finite_lo])
+    dual_obj += float(hi[finite_hi] @ (sign * np.asarray(res.upper.marginals))[finite_hi])
+    return LpSolution(LpStatus.OPTIMAL, objective=float(lp.objective @ x), x=x, duals=duals,
+                      dual_objective=dual_obj, message=res.message)
 
 
 # ---------------------------------------------------------------- warm session
@@ -401,32 +382,34 @@ def warm_session(lp):
 
 
 class HighsSession:
-    """One program kept loaded in HiGHS across objective changes.
+    """The rows and bounds of one program kept loaded in HiGHS, for the
+    optimal values of many objectives over them.
 
-    Pass it as ``lp.solve(backend=session)``.  The first call loads rows,
-    bounds and costs with the options of :func:`_solve_highs` (dual simplex,
-    the same feasibility tolerances); later calls push only the changed costs
-    and re-run warm from the last basis.  Adding rows or variables, or asking
-    for another tolerance, reloads the model.  A solve that HiGHS does not
-    report optimal, that fails linprog's own feasibility check, or whose
-    bound multipliers cannot be placed, is re-solved cold by
-    :func:`_solve_highs` and the next call reloads.
+    The first :meth:`minimum` loads the model with the options of
+    :func:`_solve_highs` (dual simplex, the default feasibility tolerances);
+    later calls push only the changed costs and re-run warm from the last
+    basis.  The program's own costs and sense are never read, and it must
+    not gain rows or variables while the session is in use.
     """
 
     def __init__(self, lp):
-        self.lp = lp
+        rels = np.asarray(lp.relations)
+        rhs = lp.rhs
+        self._row_lower = np.where(rels == LEQ, -math.inf, rhs)
+        self._row_upper = np.where(rels == GEQ, math.inf, rhs)
+        self._lower, self._upper = lp.lower, lp.upper
+        self._matrix = lp.row_matrix().tocsc()
         self._highs = None
-        self._key = None
         self._cost = None
 
-    def __call__(self, lp, tol):
-        if lp is not self.lp:
-            raise ValueError("a HighsSession solves only the program it was built for")
-        cost = (1.0 if lp.sense == "min" else -1.0) * lp.objective
-        key = (lp.num_rows, lp.num_vars, tol)
-        if self._highs is None or key != self._key:
-            self._load(cost, tol)
-            self._key = key
+    def minimum(self, cost):
+        """``min cost . x`` over the program, or ``None`` when HiGHS does not
+        end optimal or its ``x`` breaks a bound or a row by more than
+        linprog's own check allows; the call after a ``None`` reloads the
+        model.  ``cost`` is kept to diff the next call against, so it must
+        not be modified afterwards."""
+        if self._highs is None:
+            self._load(cost)
         else:
             changed = np.flatnonzero(cost != self._cost)
             if changed.size:
@@ -436,51 +419,28 @@ class HighsSession:
 
         h = self._highs
         h.run()
-        if h.getModelStatus() != HighsModelStatus.kOptimal:
-            self._highs = None
-            return _solve_highs(lp, tol)
-        sol = h.getSolution()
-        x = np.array(sol.col_value)
-        rows = np.array(sol.row_value)
-        lower, upper = self._lower, self._upper
-        slack = _SESSION_CHECK_TOL
-        if not (np.all(np.isfinite(x))
-                and np.all(x >= lower - slack) and np.all(x <= upper + slack)
-                and np.all(rows >= self._row_lower - slack)
-                and np.all(rows <= self._row_upper + slack)):
-            self._highs = None
-            return _solve_highs(lp, tol)
+        if h.getModelStatus() == HighsModelStatus.kOptimal:
+            sol = h.getSolution()
+            x = np.array(sol.col_value)
+            rows = np.array(sol.row_value)
+            slack = _SESSION_CHECK_TOL
+            if (np.all(np.isfinite(x))
+                    and np.all(x >= self._lower - slack) and np.all(x <= self._upper + slack)
+                    and np.all(rows >= self._row_lower - slack)
+                    and np.all(rows <= self._row_upper + slack)):
+                return float(cost @ x)
+        self._highs = None
+        return None
 
-        # linprog books a nonbasic column's dual on the bound its basis status
-        # names.  HiGHS leaves such a column exactly on that bound and zeroes
-        # the dual of a basic one, so x tells the bound without reading the
-        # basis; a dual off every bound of a bounded column goes cold.
-        col_dual = np.array(sol.col_dual)
-        at_lower = x == lower
-        at_upper = ~at_lower & (x == upper)
-        if np.any((col_dual != 0.0) & ~at_lower & ~at_upper
-                  & (np.isfinite(lower) | np.isfinite(upper))):
-            self._highs = None
-            return _solve_highs(lp, tol)
-        return _optimal_solution(
-            lp, x, np.array(sol.row_dual), np.where(at_lower, col_dual, 0.0),
-            np.where(at_upper, col_dual, 0.0), "Optimal (warm HiGHS session)")
-
-    def _load(self, cost, tol):
-        lp = self.lp
-        rels = np.asarray(lp.relations)
-        rhs = lp.rhs
-        self._row_lower = np.where(rels == LEQ, -math.inf, rhs)
-        self._row_upper = np.where(rels == GEQ, math.inf, rhs)
-        self._lower, self._upper = lp.lower, lp.upper
-        A = lp.row_matrix().tocsc()
-
+    def _load(self, cost):
+        A = self._matrix
+        m, n = A.shape
         model = HighsLp()
-        model.num_col_ = lp.num_vars
-        model.num_row_ = lp.num_rows
+        model.num_col_ = n
+        model.num_row_ = m
         model.a_matrix_.format_ = MatrixFormat.kColwise
-        model.a_matrix_.num_col_ = lp.num_vars
-        model.a_matrix_.num_row_ = lp.num_rows
+        model.a_matrix_.num_col_ = n
+        model.a_matrix_.num_row_ = m
         model.a_matrix_.start_ = A.indptr
         model.a_matrix_.index_ = A.indices
         model.a_matrix_.value_ = A.data
@@ -496,8 +456,8 @@ class HighsSession:
                 ("log_to_console", False),
                 ("solver", "simplex"),
                 ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
-                ("primal_feasibility_tolerance", float(tol)),
-                ("dual_feasibility_tolerance", float(tol))):
+                ("primal_feasibility_tolerance", DEFAULT_TOL),
+                ("dual_feasibility_tolerance", DEFAULT_TOL)):
             h.setOptionValue(name, value)
         h.passModel(model)
         self._highs = h

@@ -29,7 +29,6 @@ from .ambiguity import (
     build_state_dependent,
     feasibility_check,
 )
-from .blocks import add_band
 from .lp import LinearProgram, LpStatus, dualize, warm_session
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
@@ -280,20 +279,24 @@ class MultistageProblem:
                     f"utility domain [{a:g}, {b:g}]")
 
     def _reward_extreme(self, lp, cols, coef, sign, node, session):
-        for k in range(coef.size):
-            lp.set_obj(int(cols[k]), sign * float(coef[k]))
-        sol = lp.solve(backend=session)
-        for k in range(coef.size):
-            lp.set_obj(int(cols[k]), 0.0)
-        if sol.status is LpStatus.INFEASIBLE:
-            self._raise_decision_infeasible()
-        if sol.status is LpStatus.UNBOUNDED:
-            raise ValueError(
-                f"reward at node {node} is unbounded over the decision set; "
-                "add box bounds")
-        if not sol.is_optimal:
-            raise RuntimeError(f"reward range solve ended {sol.status.value}")
-        return sign * sol.objective
+        """``sign * min(sign * coef . x[cols])`` over the decision set ``lp``:
+        warm in ``session`` when it has the answer, else cold."""
+        cost = np.zeros(lp.num_vars)
+        cost[cols] = sign * coef
+        value = None if session is None else session.minimum(cost)
+        if value is None:
+            lp.objective = cost
+            sol = lp.solve()
+            if sol.status is LpStatus.INFEASIBLE:
+                self._raise_decision_infeasible()
+            if sol.status is LpStatus.UNBOUNDED:
+                raise ValueError(
+                    f"reward at node {node} is unbounded over the decision set; "
+                    "add box bounds")
+            if not sol.is_optimal:
+                raise RuntimeError(f"reward range solve ended {sol.status.value}")
+            value = sol.objective
+        return sign * value
 
 
 def _require_finite(values, where, field, index=True):
@@ -510,20 +513,24 @@ def solve_nominal(problem, utilities):
     big = LinearProgram("max", name="nominal")
     xvar = problem.add_decisions(big)
 
-    for node in tree.nodes:
-        if node.parent is None:
-            continue
-        s = node.parent
-        u = util[s]
-        y, vals, beta = u.breakpoints, u.values, u.slopes
+    kids = [node for node in tree.nodes if node.parent is not None]
+    t = big.add_vars(len(kids), [f"t[{node.id}]" for node in kids], lb=-math.inf,
+                     obj=[pu[node.id] for node in kids])
+    # row j of child i: t_i - beta_j * (coef . x) <= vals_j + beta_j * (offset - y_j),
+    # as wide as the parent's nonzero reward coefficients plus one
+    widths, cols, coefs, rhs, names = [], [], [], [], []
+    for ti, node in zip(t, kids):
+        u = util[node.parent]
+        beta = u.slopes
         rm = problem.rewards[node.id]
         nz = np.flatnonzero(rm.coef)
-        t = big.add_var(f"t[{node.id}]", lb=-math.inf, obj=float(pu[node.id]))
-        # row j: t - beta_j * (coef . x) <= vals_j + beta_j * (offset - y_j)
-        add_band(big, np.tile(np.concatenate(([t], xvar[s][nz])), (beta.size, 1)),
-                 np.column_stack((np.ones(beta.size), 0.0 - np.outer(beta, rm.coef[nz]))),
-                 "<=", vals[:-1] + beta * (rm.offset - y[:-1]),
-                 [f"hyp[{node.id},{j}]" for j in range(beta.size)])
+        widths += [1 + nz.size] * beta.size
+        cols += [ti, *xvar[node.parent][nz]] * beta.size
+        coefs.extend(np.column_stack((np.ones(beta.size), 0.0 - np.outer(beta, rm.coef[nz])))
+                     .ravel())
+        rhs.extend(u.values[:-1] + beta * (rm.offset - u.breakpoints[:-1]))
+        names += [f"hyp[{node.id},{j}]" for j in range(beta.size)]
+    big.add_rows(np.cumsum([0, *widths]), cols, coefs, "<=", rhs, names)
 
     sol, decisions = _solve_big(problem, big, xvar, "nominal")
     per_node = {}

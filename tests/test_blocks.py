@@ -173,11 +173,9 @@ def supporting_line_reference(values, probs, y, L, L_tilde, concave):
     lp = LinearProgram("min", name="worst-case")
     alpha, _, _ = utility_block_reference(lp, y, L, L_tilde, concave)
     S = len(values)
-    eps = lp.add_vars(S, "eps", lb=0.0)
-    fee = lp.add_vars(S, "fee", lb=-np.inf)
-    for i, (h, q) in enumerate(zip(values, probs)):
-        lp.set_obj(eps[i], q * h)
-        lp.set_obj(fee[i], q)
+    eps = lp.add_vars(S, "eps", lb=0.0, obj=[q * h for h, q in zip(values, probs)])
+    fee = lp.add_vars(S, "fee", lb=-np.inf, obj=probs)
+    for i in range(S):
         for j in range(y.size):
             lp.add_row({eps[i]: y[j], fee[i]: 1.0, alpha[j]: -1.0}, ">=", 0.0,
                        name=f"sup[{i},{j}]")

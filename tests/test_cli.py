@@ -216,6 +216,22 @@ def test_eval_refuses_a_plan_off_the_decision_set(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_eval_refuses_a_malformed_policy_table(tmp_path, capsys):
+    policy_file = tmp_path / "policy.tsv"
+    flags = ["--policy", str(policy_file), "--branching", "2,2", "--tree-seed", "3",
+             "--model", "pro_kan", "--breakpoints", "10"]
+    cases = [("0\t0\t0.5,0.5\t1\n0\t0\t0.4,0.6\t1\n",
+              "error: line 3 (node 0): node listed again, first on line 2"),
+             ("0\t0\t0.5,abc\t1\n",
+              "error: line 2 (node 0): decision[1] is 'abc', not a number")]
+    for body, message in cases:
+        policy_file.write_text("node\tstage\tdecision\tvalue\n" + body)
+        assert main(["eval", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err, err
+        assert "Traceback" not in err
+
+
 def test_timing_env_fills_the_ms_column(monkeypatch, capsys):
     argv = ["solve", "--branching", "2,2", "--tree-seed", "3",
             "--model", "pro_kan", "--breakpoints", "10"]

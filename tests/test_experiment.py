@@ -330,6 +330,18 @@ def test_policy_table_round_trip():
         read_policy_table("id,value\n0,1\n")
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0\t0\t1,2\n0\t0\t3,4\n", r"line 3 \(node 0\): node listed again, first on line 2$"),
+    ("0\t0\t1,abc\n", r"line 2 \(node 0\): decision\[1\] is 'abc', not a number$"),
+    ("\n1\t1\t0.5,\n", r"line 3 \(node 1\): decision\[1\] is '', not a number$"),
+    ("0\t0\n", r"line 2: expected node, stage and decision fields, got 2 field\(s\)$"),
+    ("x\t0\t1\n", r"line 2: node is 'x', not an integer$"),
+])
+def test_policy_table_names_the_line_and_field_at_fault(body, message):
+    with pytest.raises(ValueError, match=message):
+        read_policy_table("node\tstage\tdecision\tvalue\n" + body)
+
+
 def test_market_validation_errors():
     nodes = [
         TreeNode(0, None, 0, 1.0, {"r1": 0.0}),

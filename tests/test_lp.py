@@ -7,10 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prefrobust.lp import (
-    DEFAULT_TOL,
     LinearProgram,
     LpStatus,
-    _solve_highs,
     dualize,
     warm_session,
 )
@@ -153,13 +151,13 @@ _BOUNDS = {"nonneg": (0.0, math.inf), "free": (-math.inf, math.inf)}
 
 @st.composite
 def session_programs(draw):
-    """A small LP over nonnegative, free and boxed variables with <=, = and
-    >= rows, plus a sequence of objectives to drive one session through.
+    """A small minimization over nonnegative, free and boxed variables with
+    <=, = and >= rows, plus a sequence of costs to drive one session through.
 
     Right-hand sides come from a point inside the bounds, so most programs
-    are feasible; free variables let some objectives run unbounded."""
+    are feasible; free variables let some costs run unbounded."""
     n = draw(st.integers(1, 5))
-    lp = LinearProgram(draw(st.sampled_from(["min", "max"])))
+    lp = LinearProgram("min")
     x0 = []
     for j in range(n):
         kind = draw(st.sampled_from(["nonneg", "free", "boxed"]))
@@ -178,64 +176,40 @@ def session_programs(draw):
         lp.add_row((np.arange(n), a), rel, a @ x0 + (slack if rel == "<=" else -slack))
     costs = draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=2, max_size=5))
-    return lp, costs
-
-
-def _assert_feasible(lp, x, tol=1e-7):
-    assert np.all(x >= lp.lower - tol) and np.all(x <= lp.upper + tol)
-    act = lp.row_matrix() @ x
-    for k, rel in enumerate(lp.relations):
-        if rel != ">=":
-            assert act[k] <= lp.rhs[k] + tol
-        if rel != "<=":
-            assert act[k] >= lp.rhs[k] - tol
+    return lp, [np.array(c, dtype=float) for c in costs]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(session_programs())
-def test_warm_session_matches_cold_solves(case):
+def test_warm_minimum_matches_cold_solves(case):
     lp, costs = case
     session = warm_session(lp)
     assert session is not None
     for cost in costs:
-        for j, c in enumerate(cost):
-            lp.set_obj(j, float(c))
-        warm = lp.solve(backend=session)
-        cold = _solve_highs(lp, DEFAULT_TOL)
-        assert warm.status is cold.status
-        if cold.is_optimal:
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert warm.dual_objective == pytest.approx(cold.dual_objective, abs=1e-9)
-            _assert_feasible(lp, warm.x)
-            assert warm.duals.shape == (lp.num_rows,)
-            assert warm.reduced_costs.shape == (lp.num_vars,)
+        warm = session.minimum(cost)
+        lp.objective = cost
+        cold = lp.solve()
+        if warm is not None:
+            assert cold.is_optimal
+            assert warm == pytest.approx(cold.objective, abs=1e-9)
+        if not cold.is_optimal:
+            assert warm is None
 
 
-def test_warm_session_classifies_like_the_cold_backend():
+def test_warm_minimum_is_none_off_an_optimum_and_reloads_after():
     infeasible = LinearProgram("min")
-    x = infeasible.add_var("x", obj=1.0)
+    x = infeasible.add_var("x")
     infeasible.add_row({x: 1.0}, "<=", -1.0)
-    unbounded = LinearProgram("max")
-    unbounded.add_var("x", lb=-math.inf, ub=math.inf, obj=1.0)
-    for lp, status in ((infeasible, LpStatus.INFEASIBLE), (unbounded, LpStatus.UNBOUNDED)):
-        assert _solve_highs(lp, DEFAULT_TOL).status is status
-        assert lp.solve(backend=warm_session(lp)).status is status
+    assert warm_session(infeasible).minimum(np.array([1.0])) is None
 
-    # a row added after an unbounded solve reloads the model
-    session = warm_session(unbounded)
-    assert unbounded.solve(backend=session).status is LpStatus.UNBOUNDED
-    unbounded.add_row({0: 1.0}, "<=", 2.5)
-    sol = unbounded.solve(backend=session)
-    assert sol.is_optimal and sol.objective == pytest.approx(2.5, abs=1e-9)
-
-
-def test_warm_session_serves_one_program_only():
-    lp = LinearProgram("min")
-    lp.add_var("x", obj=1.0)
-    other = LinearProgram("min")
-    other.add_var("x", obj=1.0)
-    with pytest.raises(ValueError, match="only the program"):
-        other.solve(backend=warm_session(lp))
+    free = LinearProgram("min")
+    free.add_var("x", lb=-math.inf)
+    free.add_var("y", lb=-math.inf)
+    free.add_row({0: 1.0, 1: 1.0}, ">=", -2.0)
+    session = warm_session(free)
+    assert session.minimum(np.array([1.0, 0.0])) is None  # unbounded
+    assert session.minimum(np.array([1.0, 1.0])) == pytest.approx(-2.0, abs=1e-9)
+    assert session.minimum(np.array([2.0, 2.0])) == pytest.approx(-4.0, abs=1e-9)
 
 
 # ------------------------------------------------------------------- duality

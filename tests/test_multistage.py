@@ -1,5 +1,6 @@
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -369,15 +370,34 @@ def test_sequence_global_requires_finite_sets():
         evaluate_policy_worst_case(problem, dec, "sequence_global")
 
 
-@pytest.fixture(params=["session", "binding unavailable"])
+def _decline_every_warm_solve(monkeypatch):
+    """Make every warm session return ``None``, as if HiGHS never ended
+    optimal; returns the list its answers are recorded in."""
+    # no HiGHS run ends with this status
+    monkeypatch.setattr(lp_module, "HighsModelStatus", SimpleNamespace(kOptimal=object()))
+    answers = []
+    real = lp_module.HighsSession.minimum
+
+    def spy(self, cost):
+        answers.append(real(self, cost))
+        return answers[-1]
+
+    monkeypatch.setattr(lp_module.HighsSession, "minimum", spy)
+    return answers
+
+
+@pytest.fixture(params=["session", "session declines", "binding unavailable"])
 def certify_backend(request, monkeypatch):
-    """Certify reward ranges in a warm HiGHS session, or, with scipy's HiGHS
-    binding taken away, through one linprog call per LP."""
+    """Certify reward ranges in a warm HiGHS session; in one whose every
+    answer is ``None``, so that each LP is solved cold again; or, with
+    scipy's HiGHS binding taken away, through one linprog call per LP."""
     if request.param == "binding unavailable":
         monkeypatch.setattr(lp_module, "_Highs", None)
+    if request.param == "session declines":
+        _decline_every_warm_solve(monkeypatch)
     probe = lp_module.LinearProgram("min")
     probe.add_var("x")
-    assert (lp_module.warm_session(probe) is None) == (request.param != "session")
+    assert (lp_module.warm_session(probe) is None) == (request.param == "binding unavailable")
     return request.param
 
 
@@ -868,6 +888,29 @@ def test_questionnaire_values_grow_with_k_and_equal_their_nested_evaluation(prob
     assert all(values[k + 1] >= values[k] - 1e-9 for k in range(len(values) - 1))
 
 
+@st.composite
+def radius_ladders(draw):
+    """A 1- to 3-stage tree of branching 1 to 3 whose nodes carry, drawn node
+    by node, a Kantorovich ball or the shared questionnaire of
+    :func:`_mixed_problem`, built at two or three ball radii, smallest first."""
+    branching = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n_nonleaf = sum(int(np.prod(branching[:t])) for t in range(len(branching)))
+    asked = draw(st.lists(st.booleans(), min_size=n_nonleaf, max_size=n_nonleaf))
+    radii = sorted(draw(st.lists(st.integers(0, 40), min_size=2, max_size=3, unique=True)))
+    seed = draw(st.integers(0, 2**16))
+    return [_mixed_problem(np.random.default_rng(seed), branching,
+                           {s for s, a in enumerate(asked) if a}, radius=r / 100, K=10)
+            for r in radii]
+
+
+@settings(max_examples=25, deadline=None)
+@given(radius_ladders())
+def test_value_is_nonincreasing_in_the_ball_radius(problems):
+    values = [solve_holistic(problem).value for problem in problems]
+    # a wider ball holds every utility of a narrower one
+    assert all(values[k + 1] <= values[k] + 1e-7 for k in range(len(values) - 1))
+
+
 @pytest.mark.parametrize("change, message", [
     (dict(grid=np.array([0.0, 0.25, math.nan, 0.75, 1.0])), r"grid: y\[2\] is nan"),
     (dict(rewards={2: (np.array([math.nan, 0.1]), 0.07)}), r"reward at node 2: coef\[0\] is nan"),
@@ -952,6 +995,37 @@ def test_certification_names_the_same_node_as_one_lp_pair_per_reward(certify_bac
     with pytest.raises(InfeasibleProblemError) as err:
         MultistageProblem(tree, bounds, zero, spec, y, clash)
     assert err.value.node == 2
+
+
+def _certified_extremes(monkeypatch, tree, config):
+    """Every reward-range extreme that building the problem computes."""
+    values = []
+    real = MultistageProblem._reward_extreme
+
+    def spy(self, lp, cols, coef, sign, node, session):
+        values.append(real(self, lp, cols, coef, sign, node, session))
+        return values[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MultistageProblem, "_reward_extreme", spy)
+        experiment.build_investment_consumption(tree, config)
+    return values
+
+
+def test_a_declined_warm_solve_is_answered_cold(monkeypatch):
+    config = experiment.ExperimentConfig(branching=(3, 3), model="pro_kan", tree_seed=5)
+    tree = experiment.generate_tree(config.branching, config.tree_seed)
+    warm = _certified_extremes(monkeypatch, tree, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module, "_Highs", None)
+        cold = _certified_extremes(monkeypatch, tree, config)
+    with monkeypatch.context() as patch:
+        answers = _decline_every_warm_solve(patch)
+        declined = _certified_extremes(monkeypatch, tree, config)
+    assert len(answers) == len(cold) == len(warm) > 0
+    assert all(a is None for a in answers)
+    assert declined == cold
+    np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-9)
 
 
 def _random_problem(rng, branching, assign):

@@ -178,16 +178,14 @@ def test_out_of_domain_warns_and_clamps(caplog):
 
 
 def _kantorovich_lp_reference(y, beta_u, beta_v):
-    """The metric LP as it was first built: costs one at a time, one
-    ``add_row`` per inequality."""
+    """The metric LP as it was first built, one ``add_row`` per inequality."""
     y = np.asarray(y, dtype=float)
     delta = np.diff(y)
     coef = np.asarray(beta_u, dtype=float) - np.asarray(beta_v, dtype=float)
     lp = LinearProgram("max", name="kantorovich")
-    w = lp.add_vars(delta.size, "w", lb=-math.inf)
+    w = lp.add_vars(delta.size, "w", lb=-math.inf, obj=coef)
     z = lp.add_vars(delta.size + 1, "z", lb=-math.inf)
     for i in range(delta.size):
-        lp.set_obj(w[i], coef[i])
         half = 0.5 * delta[i] ** 2
         lp.add_row({w[i]: 1.0, z[i]: -delta[i]}, "<=", half)
         lp.add_row({w[i]: -1.0, z[i]: delta[i]}, "<=", half)

@@ -216,17 +216,19 @@ def printed_dual_value(y, q, h, bnom, L, Lt, r):
     w = lp.add_vars(N - 1, "w", lb=-inf)  # w_2 .. w_N
     z = lp.add_vars(N, "z", lb=-inf)
 
-    lp.set_obj(theta[N - 2], 1.0)
+    c = lp.objective
+    c[theta[N - 2]] = 1.0
     for i in range(S):
-        lp.set_obj(mu[i][N - 1], 1.0)
+        c[mu[i][N - 1]] = 1.0
     for j in range(N - 1):
-        lp.set_obj(eta[j], -L)
+        c[eta[j]] = -L
     for j in range(N - 2):
-        lp.set_obj(tau[j], -Lt * (y[j + 2] - y[j]))
-        lp.set_obj(sig[j], -Lt * (y[j + 2] - y[j]))
+        c[tau[j]] = -Lt * (y[j + 2] - y[j])
+        c[sig[j]] = -Lt * (y[j + 2] - y[j])
     for j in range(N - 1):
-        lp.set_obj(w[j], -bnom[j])
-    lp.set_obj(vsig, -r)
+        c[w[j]] = -bnom[j]
+    c[vsig] = -r
+    lp.objective = c
 
     for i in range(S):
         lp.add_row({mu[i][j]: y[j] for j in range(N)}, "<=", q[i] * h[i])

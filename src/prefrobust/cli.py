@@ -77,8 +77,12 @@ _FLAG_TO_FIELD = {
 }
 
 
-def _int_list(text):
-    return [int(tok) for tok in str(text).split(",") if tok != ""]
+def _int_list(text, flag):
+    """The comma-separated integers given to ``flag``."""
+    try:
+        return [int(tok) for tok in str(text).split(",") if tok != ""]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _config_from_args(args):
@@ -93,9 +97,9 @@ def _config_from_args(args):
         if val is not None:
             base[field] = val
     if getattr(args, "branching", None):
-        base["branching"] = _int_list(args.branching)
+        base["branching"] = _int_list(args.branching, "--branching")
     if getattr(args, "seeds", None):
-        base["seeds"] = _int_list(args.seeds)
+        base["seeds"] = _int_list(args.seeds, "--seeds")
     if base.get("timing") is None:
         base["timing"] = os.environ.get(TIMING_ENV, "") in ("1", "true", "yes")
     return config_from_dict(base)

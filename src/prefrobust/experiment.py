@@ -97,11 +97,19 @@ def _number(value, name):
     return value
 
 
-def _numbers(value, name):
-    """``value`` as a tuple of real numbers; anything else names ``name``."""
+def _integer(value, name):
+    """``value`` as an int if it is a whole real number; else names ``name``."""
+    if not isinstance(_number(value, name), numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(value, name, item=_number):
+    """``value`` as a tuple of ``item``-checked numbers; anything else names
+    ``name``."""
     if isinstance(value, (str, bytes, dict)) or not isinstance(value, Iterable):
         raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(_number(v, f"{name}[{k}]") for k, v in enumerate(value))
+    return tuple(item(v, f"{name}[{k}]") for k, v in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -160,12 +168,15 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        self.branching = tuple(int(b) for b in _numbers(self.branching, "branching"))
-        self.seeds = tuple(int(s) for s in _numbers(self.seeds, "seeds"))
-        for name in ("n_breakpoints", "radius", "questionnaires", "tree_seed", "n_true"):
-            _number(getattr(self, name), name)
-        if self.scale_override is not None:
-            _number(self.scale_override, "scale_override")
+        self.branching = _numbers(self.branching, "branching", _integer)
+        self.seeds = _numbers(self.seeds, "seeds", _integer)
+        for name in ("n_breakpoints", "questionnaires", "tree_seed", "n_true"):
+            setattr(self, name, _integer(getattr(self, name), name))
+        _number(self.radius, "radius")
+        if (self.scale_override is not None
+                and not 0 < _number(self.scale_override, "scale_override") < math.inf):
+            raise ValueError(
+                f"scale_override must be positive and finite, got {self.scale_override!r}")
         if not isinstance(self.returns, ReturnModel):
             raise ValueError(f"returns must be a ReturnModel, got {self.returns!r}")
         if not isinstance(self.model, str):
@@ -265,7 +276,7 @@ def reward_scale(tree: ScenarioTree, config: ExperimentConfig) -> float:
     _check_series(tree, n_assets)
     if tree.horizon < 1:
         raise ValueError("the tree needs at least one period")
-    if config.scale_override:
+    if config.scale_override is not None:
         return float(config.scale_override)
     cap = np.zeros(len(tree))
     cap[0] = 1.0
@@ -474,17 +485,17 @@ def sweep(config: ExperimentConfig, param: str, values: Sequence):
     for v in values:
         cfg, tree = config, full
         if key == "T":
-            horizon = int(v)
+            horizon = _integer(v, "horizon")
             if not 1 <= horizon <= full.horizon:
                 raise ValueError(
                     f"horizon {horizon} outside 1..{full.horizon} for this tree")
             tree = full.truncate(horizon)
         elif key == "N":
-            cfg = replace(config, n_breakpoints=int(v))
+            cfg = replace(config, n_breakpoints=v)
         elif key == "R":
             cfg = replace(config, radius=float(v))
         else:
-            cfg = replace(config, questionnaires=int(v))
+            cfg = replace(config, questionnaires=v)
         for seed in cfg.seeds:
             rows.append(run_one(tree, cfg, seed))
     return rows

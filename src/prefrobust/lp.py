@@ -3,19 +3,21 @@
 Every reformulation in this package (metric computations, one-stage worst
 cases, scenario-tree programs) bottoms out in a sparse LP assembled from
 blocks of rows in CSR form, kept as given until the solver needs the matrix.
-:meth:`LinearProgram.solve` hands every program to HiGHS dual simplex via
-scipy.optimize.linprog: it handles free variables and equality rows
-natively, reports row/bound marginals, and is bit-stable for a fixed input.
+Every program reaches HiGHS dual simplex through scipy's HiGHS binding and
+one loader, which lays the rows out and sets the options as
+``scipy.optimize.linprog`` does for ``method="highs-ds"``, so each solve
+returns linprog's answer bit for bit.  HiGHS handles free variables and
+equality rows natively and is bit-stable for a fixed input.
 
-Reward certification alone asks for many optimal values over one fixed
-polytope, and nothing else of each solve.  For it, :func:`warm_session`
-keeps that program loaded in HiGHS: :meth:`HighsSession.minimum` pushes the
-changed costs, re-runs dual simplex from the last basis and returns the
-optimal value only.  Anything other than a checked optimum comes back as
-``None``, and the caller solves that LP cold through :meth:`LinearProgram.solve`,
-so infeasible, unbounded and failed programs are classified in one place.
-The session needs scipy's private HiGHS binding; where the installed scipy
-lacks it, :func:`warm_session` returns ``None``.
+:meth:`LinearProgram.solve` reads back ``x``, row duals and the dual
+objective.  Reward certification asks for many optimal values over one
+fixed polytope, and nothing else of each solve: :class:`HighsSession` keeps
+that program loaded, and :meth:`HighsSession.minimum` pushes the changed
+costs, re-runs dual simplex from the last basis and returns the optimal
+value only.  Both paths vet HiGHS's ``x`` with one post-solve check.  A
+session answers ``None`` for anything other than a checked optimum, and the
+caller solves that LP cold, so infeasible, unbounded and failed programs
+are classified in one place.
 
 The module also provides a mechanical dualizer.  Several published dual
 formulations in this problem family carry typographical sign slips, so
@@ -28,27 +30,20 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    MatrixFormat,
+    _Highs,
+    simplex_constants,
+)
 
-# scipy >= 1.15 exposes its HiGHS binding as a private module; only the warm
-# session uses it, and certification stays on linprog without it.
-try:
-    from scipy.optimize._highspy._core import (
-        HighsLp,
-        HighsModelStatus,
-        MatrixFormat,
-        _Highs,
-        simplex_constants,
-    )
-except ImportError:
-    _Highs = None
-
-_SESSION_API = ("passModel", "changeColsCost", "run", "getModelStatus", "getSolution",
-                "setOptionValue")
+# Used only by perfbench/layers.py, which wraps this module global by name.
+from scipy.optimize import linprog  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -302,165 +297,148 @@ class LinearProgram:
         """Solve with HiGHS dual simplex and return an :class:`LpSolution`."""
         if self.num_vars == 0:
             raise ValueError("cannot solve an LP with no variables")
-        return _solve_highs(self, DEFAULT_TOL if tol is None else float(tol))
+        sign = 1.0 if self.sense == "min" else -1.0
+        session = HighsSession(self, DEFAULT_TOL if tol is None else float(tol))
+        session.load(sign * self.objective)
+        x = session.run()
+        status = session.highs.getModelStatus()
+        message = session.highs.modelStatusToString(status)
+        if status == HighsModelStatus.kInfeasible:
+            return LpSolution(LpStatus.INFEASIBLE, message=message)
+        if status == HighsModelStatus.kUnbounded:
+            return LpSolution(LpStatus.UNBOUNDED, message=message)
+        if x is None:
+            if status == HighsModelStatus.kOptimal:
+                message += f", but x strays from a bound or row by more than {_CHECK_TOL:.2e}"
+            log.warning("LP %s: solver breakdown (%s)", self.name or "<unnamed>", message)
+            return LpSolution(LpStatus.FAILED, message=message)
+
+        # HiGHS reports multipliers for the minimized, <=-oriented rows; undo
+        # the row flips and the sense flip.  A bound multiplier is the column
+        # dual of a variable sitting at that bound (a fixed one books it by
+        # the sign of its dual, as HiGHS does).
+        duals = np.zeros(self.num_rows)
+        duals[session.order] = session.flip * np.array(session.solution.row_dual)
+        duals *= sign
+        col_dual = np.array(session.solution.col_dual)
+        lo, hi = self.lower, self.upper
+        at_lo = (x == lo) & ((x != hi) | (col_dual >= 0.0))
+        at_hi = (x == hi) & ~at_lo
+        finite_lo, finite_hi = lo > -math.inf, hi < math.inf
+        dual_obj = float(self.rhs @ duals)
+        dual_obj += float(lo[finite_lo] @ (sign * np.where(at_lo, col_dual, 0.0))[finite_lo])
+        dual_obj += float(hi[finite_hi] @ (sign * np.where(at_hi, col_dual, 0.0))[finite_hi])
+        return LpSolution(LpStatus.OPTIMAL, objective=float(self.objective @ x), x=x,
+                          duals=duals, dual_objective=dual_obj, message=message)
 
 
-def _solve_highs(lp: LinearProgram, tol: float) -> LpSolution:
-    """HiGHS dual simplex through scipy.linprog."""
-    sign = 1.0 if lp.sense == "min" else -1.0
-    c = sign * lp.objective
-
-    A = lp.row_matrix()
-    rels = np.asarray(lp.relations)
-    rhs = lp.rhs
-
-    is_eq = rels == EQ
-    is_le = rels == LEQ
-    is_ge = rels == GEQ
-    # >= rows are negated into <= form; remember the flip to restore duals.
-    ub_mask = is_le | is_ge
-    flip = np.where(is_ge[ub_mask], -1.0, 1.0)
-
-    A_ub = b_ub = A_eq = b_eq = None
-    if ub_mask.any():
-        A_ub = sp.diags(flip) @ A[ub_mask]
-        b_ub = flip * rhs[ub_mask]
-    if is_eq.any():
-        A_eq = A[is_eq]
-        b_eq = rhs[is_eq]
-
-    bounds = [(lo if lo > -math.inf else None, hi if hi < math.inf else None)
-              for lo, hi in zip(lp.lower, lp.upper)]
-
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-        method="highs-ds",
-        options={
-            "primal_feasibility_tolerance": tol,
-            "dual_feasibility_tolerance": tol,
-        },
-    )
-
-    if res.status == 2:
-        return LpSolution(LpStatus.INFEASIBLE, message=res.message)
-    if res.status == 3:
-        return LpSolution(LpStatus.UNBOUNDED, message=res.message)
-    if res.status != 0 or res.x is None:
-        log.warning("LP %s: solver breakdown (%s)", lp.name or "<unnamed>", res.message)
-        return LpSolution(LpStatus.FAILED, message=res.message)
-
-    # scipy reports marginals for the minimized, <=-oriented problem; undo
-    # the row flips and the sense flip.
-    x = np.asarray(res.x)
-    duals = np.zeros(lp.num_rows)
-    if A_ub is not None:
-        duals[ub_mask] = flip * res.ineqlin.marginals
-    if A_eq is not None:
-        duals[is_eq] = res.eqlin.marginals
-    duals *= sign
-    lo, hi = lp.lower, lp.upper
-    finite_lo = lo > -math.inf
-    finite_hi = hi < math.inf
-    dual_obj = float(rhs @ duals)
-    dual_obj += float(lo[finite_lo] @ (sign * np.asarray(res.lower.marginals))[finite_lo])
-    dual_obj += float(hi[finite_hi] @ (sign * np.asarray(res.upper.marginals))[finite_hi])
-    return LpSolution(LpStatus.OPTIMAL, objective=float(lp.objective @ x), x=x, duals=duals,
-                      dual_objective=dual_obj, message=res.message)
-
-
-# ---------------------------------------------------------------- warm session
+# ----------------------------------------------------------------------- HiGHS
+# The options linprog sets for method="highs-ds"; the feasibility tolerances
+# are per model.
+_OPTIONS = (("output_flag", False), ("log_to_console", False), ("presolve", "on"),
+            ("solver", "simplex"),
+            ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
 # The slack linprog's own post-solve check allows: 10 * sqrt(its default tol 1e-9).
-_SESSION_CHECK_TOL = 10 * math.sqrt(1e-9)
+_CHECK_TOL = 10 * math.sqrt(1e-9)
 
 
-def warm_session(lp):
-    """A :class:`HighsSession` for ``lp``, or ``None`` when the installed scipy
-    lacks the HiGHS binding it needs."""
-    if _Highs is None or not all(hasattr(_Highs, name) for name in _SESSION_API):
-        return None
-    return HighsSession(lp)
+def _require_finite(lp, cost, mat):
+    """Refuse a NaN or infinite cost, coefficient or right-hand side, naming
+    the program and the entry: HiGHS would take it, and may end optimal."""
+    def coefficient(k):
+        row = int(np.searchsorted(mat.indptr, k, side="right")) - 1
+        return f"the coefficient of {lp.var_name(mat.indices[k])} in {lp.row_name(row)}"
+
+    for values, where in ((cost, lambda k: f"the cost of {lp.var_name(k)}"),
+                          (mat.data, coefficient),
+                          (lp.rhs, lambda k: f"the rhs of {lp.row_name(k)}")):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"LP {lp.name or '<unnamed>'}: {where(bad[0])} is "
+                             f"{float(values[bad[0]])!r}")
 
 
 class HighsSession:
-    """The rows and bounds of one program kept loaded in HiGHS, for the
-    optimal values of many objectives over them.
+    """The rows and bounds of one program loaded in HiGHS.
 
-    The first :meth:`minimum` loads the model with the options of
-    :func:`_solve_highs` (dual simplex, the default feasibility tolerances);
-    later calls push only the changed costs and re-run warm from the last
-    basis.  The program's own costs and sense are never read, and it must
-    not gain rows or variables while the session is in use.
+    :meth:`load` and :meth:`run` are the one path into HiGHS, for the cold
+    solves of :meth:`LinearProgram.solve` too.  :meth:`minimum` keeps the
+    model loaded for the optimal values of many objectives: later calls push
+    only the changed costs and re-run warm from the last basis.  The
+    program's own costs and sense are never read, and it must not gain rows
+    or variables while the session is in use.
     """
 
-    def __init__(self, lp):
-        rels = np.asarray(lp.relations)
-        rhs = lp.rhs
-        self._row_lower = np.where(rels == LEQ, -math.inf, rhs)
-        self._row_upper = np.where(rels == GEQ, math.inf, rhs)
-        self._lower, self._upper = lp.lower, lp.upper
-        self._matrix = lp.row_matrix().tocsc()
-        self._highs = None
-        self._cost = None
+    def __init__(self, lp, tol=DEFAULT_TOL):
+        self._lp, self._tol = lp, tol
+        self.highs = self.solution = self._cost = None
+
+    def load(self, cost):
+        """Load the program into a fresh HiGHS instance, to minimize
+        ``cost . x``.  Rows sit in linprog's layout: the ``<=`` rows and the
+        negated ``>=`` rows in program order, then the ``=`` rows; HiGHS row
+        ``k`` is program row ``order[k]`` times ``flip[k]``."""
+        lp = self._lp
+        mat = lp.row_matrix()
+        _require_finite(lp, cost, mat)
+        rels = np.asarray(lp.relations, dtype=str)
+        eq = rels == EQ
+        self.order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+        self.flip = np.where(rels[self.order] == GEQ, -1.0, 1.0)
+        rhs = self.flip * lp.rhs[self.order]
+        self.row_lower = np.where(eq[self.order], rhs, -math.inf)
+        self.row_upper = rhs
+        self.lower, self.upper = lp.lower, lp.upper
+        mat = mat[self.order]  # a copy
+        mat.data *= np.repeat(self.flip, np.diff(mat.indptr))
+        A = mat.tocsc()
+
+        model = HighsLp()
+        model.num_row_, model.num_col_ = A.shape
+        model.col_cost_, model.col_lower_, model.col_upper_ = cost, self.lower, self.upper
+        model.row_lower_, model.row_upper_ = self.row_lower, self.row_upper
+        a = model.a_matrix_  # HiGHS's own matrix, filled in place
+        a.format_, (a.num_row_, a.num_col_) = MatrixFormat.kColwise, A.shape
+        a.start_, a.index_, a.value_ = A.indptr, A.indices, A.data
+        self.highs = _Highs()
+        for name, value in _OPTIONS + (("primal_feasibility_tolerance", self._tol),
+                                       ("dual_feasibility_tolerance", self._tol)):
+            self.highs.setOptionValue(name, value)
+        self.highs.passModel(model)
+
+    def run(self):
+        """Run HiGHS; ``x``, or ``None`` unless it ends optimal with an ``x``
+        within ``_CHECK_TOL`` of every bound and row (linprog's own check)."""
+        h = self.highs
+        h.run()
+        if h.getModelStatus() != HighsModelStatus.kOptimal:
+            return None
+        self.solution = h.getSolution()
+        x = np.array(self.solution.col_value)
+        rows = np.array(self.solution.row_value)
+        if (np.all((x >= self.lower - _CHECK_TOL) & (x <= self.upper + _CHECK_TOL))
+                and np.all((rows >= self.row_lower - _CHECK_TOL)
+                           & (rows <= self.row_upper + _CHECK_TOL))):
+            return x
+        return None
 
     def minimum(self, cost):
-        """``min cost . x`` over the program, or ``None`` when HiGHS does not
-        end optimal or its ``x`` breaks a bound or a row by more than
-        linprog's own check allows; the call after a ``None`` reloads the
-        model.  ``cost`` is kept to diff the next call against, so it must
-        not be modified afterwards."""
-        if self._highs is None:
-            self._load(cost)
+        """``min cost . x`` over the program, or ``None`` when :meth:`run`
+        has no ``x``; the call after a ``None`` reloads the model.  ``cost``
+        is kept to diff the next call against, so it must not be modified
+        afterwards."""
+        if self.highs is None:
+            self.load(cost)
         else:
             changed = np.flatnonzero(cost != self._cost)
             if changed.size:
-                self._highs.changeColsCost(
-                    changed.size, changed.astype(np.int32), cost[changed])
+                self.highs.changeColsCost(changed.size, changed.astype(np.int32), cost[changed])
         self._cost = cost
-
-        h = self._highs
-        h.run()
-        if h.getModelStatus() == HighsModelStatus.kOptimal:
-            sol = h.getSolution()
-            x = np.array(sol.col_value)
-            rows = np.array(sol.row_value)
-            slack = _SESSION_CHECK_TOL
-            if (np.all(np.isfinite(x))
-                    and np.all(x >= self._lower - slack) and np.all(x <= self._upper + slack)
-                    and np.all(rows >= self._row_lower - slack)
-                    and np.all(rows <= self._row_upper + slack)):
-                return float(cost @ x)
-        self._highs = None
-        return None
-
-    def _load(self, cost):
-        A = self._matrix
-        m, n = A.shape
-        model = HighsLp()
-        model.num_col_ = n
-        model.num_row_ = m
-        model.a_matrix_.format_ = MatrixFormat.kColwise
-        model.a_matrix_.num_col_ = n
-        model.a_matrix_.num_row_ = m
-        model.a_matrix_.start_ = A.indptr
-        model.a_matrix_.index_ = A.indices
-        model.a_matrix_.value_ = A.data
-        model.col_cost_ = cost
-        model.col_lower_ = self._lower
-        model.col_upper_ = self._upper
-        model.row_lower_ = self._row_lower
-        model.row_upper_ = self._row_upper
-
-        h = _Highs()
-        for name, value in (
-                ("output_flag", False),
-                ("log_to_console", False),
-                ("solver", "simplex"),
-                ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
-                ("primal_feasibility_tolerance", DEFAULT_TOL),
-                ("dual_feasibility_tolerance", DEFAULT_TOL)):
-            h.setOptionValue(name, value)
-        h.passModel(model)
-        self._highs = h
+        x = self.run()
+        if x is None:
+            self.highs = None
+            return None
+        return float(cost @ x)
 
 
 # --------------------------------------------------------------------- duality

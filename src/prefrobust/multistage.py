@@ -29,7 +29,7 @@ from .ambiguity import (
     build_state_dependent,
     feasibility_check,
 )
-from .lp import LinearProgram, LpStatus, dualize, warm_session
+from .lp import HighsSession, LinearProgram, LpStatus, dualize
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
     OutcomeDistribution,
@@ -258,8 +258,8 @@ class MultistageProblem:
     def _certify_rewards(self):
         lp, xvar = self._decision_lp()
         # Every extreme shares the decision polytope, so one warm HiGHS model
-        # serves them all; without the binding each LP goes through linprog.
-        session = warm_session(lp)
+        # serves them all.
+        session = HighsSession(lp)
         a, b = float(self.grid[0]), float(self.grid[-1])
         extremes = {}  # (parent, direction bytes) -> (min, max) of d . x(parent)
         for i in sorted(self.rewards):
@@ -283,7 +283,7 @@ class MultistageProblem:
         warm in ``session`` when it has the answer, else cold."""
         cost = np.zeros(lp.num_vars)
         cost[cols] = sign * coef
-        value = None if session is None else session.minimum(cost)
+        value = session.minimum(cost)
         if value is None:
             lp.objective = cost
             sol = lp.solve()

@@ -346,9 +346,32 @@ def test_tree_file_format_is_pinned(tmp_path, capsys):
     ({"seeds": 3}, "seeds must be a list of numbers, got 3"),
     ({"model": ["pro_kan"]}, "model must be a string, got ['pro_kan']"),
     ({"out": 5}, "out must be a path, got 5"),
+    ({"seeds": [0.7]}, "seeds[0] must be an integer, got 0.7"),
+    ({"tree_seed": 1.5}, "tree_seed must be an integer, got 1.5"),
+    ({"n_breakpoints": 10.5}, "n_breakpoints must be an integer, got 10.5"),
+    ({"questionnaires": 3.5}, "questionnaires must be an integer, got 3.5"),
+    ({"scale_override": 0}, "scale_override must be positive and finite, got 0"),
+    ({"scale_override": -1.0}, "scale_override must be positive and finite, got -1.0"),
+    ({"scale_override": math.nan}, "scale_override must be positive and finite, got nan"),
 ])
 def test_wrongly_typed_config_exits_cleanly(tmp_path, capsys, config, message):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     assert main(["solve", "--config", str(cfg), "--branching", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--scale", "0"], "scale_override must be positive and finite, got 0.0"),
+    (["solve", "--scale", "nan"], "scale_override must be positive and finite, got nan"),
+    (["solve", "--scale", "-1"], "scale_override must be positive and finite, got -1.0"),
+    (["solve", "--seeds", "0,x"], "--seeds takes comma-separated integers, got '0,x'"),
+    (["solve", "--branching", "2,2.5"],
+     "--branching takes comma-separated integers, got '2,2.5'"),
+    (["sweep", "--param", "K", "--values", "10,3.5"],
+     "questionnaires must be an integer, got 3.5"),
+    (["sweep", "--param", "T", "--values", "0.5"], "horizon must be an integer, got 0.5"),
+])
+def test_bad_flag_values_exit_cleanly(capsys, argv, message):
+    assert main([*argv[:1], "--branching", "2", *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

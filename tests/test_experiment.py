@@ -318,6 +318,23 @@ def test_config_dict_round_trip():
             ExperimentConfig(radius=radius)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"branching": [2.9, 2]}, r"branching\[0\] must be an integer, got 2.9"),
+    ({"seeds": [0, 0.7]}, r"seeds\[1\] must be an integer, got 0.7"),
+    ({"n_true": math.inf}, "n_true must be an integer, got inf"),
+    ({"scale_override": math.inf}, "scale_override must be positive and finite, got inf"),
+])
+def test_config_refuses_fractional_counts_and_bad_scales(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**fields)
+
+
+def test_whole_numbers_stand_for_integers():
+    cfg = ExperimentConfig(branching=[2.0, 3], seeds=[np.int64(4)], n_breakpoints=10.0)
+    assert cfg.branching == (2, 3) and cfg.seeds == (4,) and cfg.n_breakpoints == 10
+    assert all(type(v) is int for v in (*cfg.branching, *cfg.seeds, cfg.n_breakpoints))
+
+
 def test_policy_table_round_trip():
     tree = generate_tree(SMALL.branching, SMALL.tree_seed, SMALL.returns)
     problem = build_investment_consumption(tree, SMALL)

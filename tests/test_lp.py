@@ -5,12 +5,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from prefrobust.lp import (
+    HighsSession,
     LinearProgram,
+    LpSolution,
     LpStatus,
     dualize,
-    warm_session,
 )
 from oracles import lp_vertex_oracle
 
@@ -144,26 +146,69 @@ def test_dump_lists_each_row():
     assert text.splitlines()[0].startswith("min")
 
 
-# --------------------------------------------------------------- warm session
+# ------------------------------------------------------ linprog as reference
 
-_BOUNDS = {"nonneg": (0.0, math.inf), "free": (-math.inf, math.inf)}
+def _linprog_reference(lp):
+    """``lp`` solved through ``scipy.optimize.linprog(method="highs-ds")``,
+    read back as :meth:`LinearProgram.solve` reads HiGHS: the layout and
+    read-back the package used before it loaded HiGHS itself."""
+    sign = 1.0 if lp.sense == "min" else -1.0
+    A, rels, rhs = lp.row_matrix(), np.asarray(lp.relations, dtype=str), lp.rhs
+    is_eq, is_ge = rels == "=", rels == ">="
+    ub_mask = ~is_eq
+    flip = np.where(is_ge[ub_mask], -1.0, 1.0)
+    A_ub = b_ub = A_eq = b_eq = None
+    if ub_mask.any():
+        A_ub, b_ub = sp.diags(flip) @ A[ub_mask], flip * rhs[ub_mask]
+    if is_eq.any():
+        A_eq, b_eq = A[is_eq], rhs[is_eq]
+    bounds = [(lo if lo > -math.inf else None, hi if hi < math.inf else None)
+              for lo, hi in zip(lp.lower, lp.upper)]
+    res = linprog(sign * lp.objective, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-8,
+                           "dual_feasibility_tolerance": 1e-8})
+    if res.status in (2, 3):
+        return LpSolution(LpStatus.INFEASIBLE if res.status == 2 else LpStatus.UNBOUNDED)
+    if res.status != 0:
+        return LpSolution(LpStatus.FAILED)
+    x = np.asarray(res.x)
+    duals = np.zeros(lp.num_rows)
+    if A_ub is not None:
+        duals[ub_mask] = flip * res.ineqlin.marginals
+    if A_eq is not None:
+        duals[is_eq] = res.eqlin.marginals
+    duals *= sign
+    lo, hi = lp.lower, lp.upper
+    finite_lo, finite_hi = lo > -math.inf, hi < math.inf
+    dual_obj = float(rhs @ duals)
+    dual_obj += float(lo[finite_lo] @ (sign * np.asarray(res.lower.marginals))[finite_lo])
+    dual_obj += float(hi[finite_hi] @ (sign * np.asarray(res.upper.marginals))[finite_hi])
+    return LpSolution(LpStatus.OPTIMAL, objective=float(lp.objective @ x), x=x, duals=duals,
+                      dual_objective=dual_obj)
+
+
+_BOUNDS = {"nonneg": (0.0, math.inf), "free": (-math.inf, math.inf),
+           "nonpos": (-math.inf, 0.0)}
 
 
 @st.composite
-def session_programs(draw):
-    """A small minimization over nonnegative, free and boxed variables with
-    <=, = and >= rows, plus a sequence of costs to drive one session through.
+def programs(draw, senses=("min", "max")):
+    """A small LP over nonnegative, free, nonpositive and boxed (some fixed)
+    variables with <=, = and >= rows, plus a sequence of costs to drive it
+    through.
 
-    Right-hand sides come from a point inside the bounds, so most programs
-    are feasible; free variables let some costs run unbounded."""
+    Right-hand sides come from a point inside the bounds, moved by a random
+    slack, so most programs are feasible and some are not; free and
+    one-sided variables let some costs run unbounded."""
     n = draw(st.integers(1, 5))
-    lp = LinearProgram("min")
+    lp = LinearProgram(draw(st.sampled_from(senses)))
     x0 = []
     for j in range(n):
-        kind = draw(st.sampled_from(["nonneg", "free", "boxed"]))
+        kind = draw(st.sampled_from(["nonneg", "free", "nonpos", "boxed"]))
         if kind == "boxed":
-            lo = draw(st.integers(-3, 2)) / 2.0
-            lb, ub = lo, lo + draw(st.integers(1, 4)) / 2.0
+            lo = draw(st.integers(-9, 6)) / 7.0
+            lb, ub = lo, lo + draw(st.integers(0, 4)) / 3.0
         else:
             lb, ub = _BOUNDS[kind]
         lp.add_var(f"x{j}", lb=lb, ub=ub)
@@ -172,19 +217,69 @@ def session_programs(draw):
     for _ in range(draw(st.integers(0, 5))):
         a = np.array([draw(st.integers(-3, 3)) for _ in range(n)], dtype=float)
         rel = draw(st.sampled_from(["<=", "=", ">="]))
-        slack = 0.0 if rel == "=" else draw(st.integers(0, 3)) / 2.0
+        slack = draw(st.integers(-1, 3)) / 2.0
         lp.add_row((np.arange(n), a), rel, a @ x0 + (slack if rel == "<=" else -slack))
     costs = draw(st.lists(
-        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=2, max_size=5))
-    return lp, [np.array(c, dtype=float) for c in costs]
+        st.lists(st.integers(-21, 21), min_size=n, max_size=n), min_size=2, max_size=5))
+    # sevenths, so that the order of a sum shows in its rounding
+    return lp, [np.array(c, dtype=float) / 7.0 for c in costs]
 
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs())
+def test_solve_matches_linprog_bit_for_bit(case):
+    lp, costs = case
+    for cost in costs:
+        lp.objective = cost
+        got, want = lp.solve(), _linprog_reference(lp)
+        assert got.status is want.status
+        if want.is_optimal:
+            assert _hex(got.x) == _hex(want.x)
+            assert _hex(got.duals) == _hex(want.duals)
+            assert _hex(got.dual_objective) == _hex(want.dual_objective)
+            assert got.objective == want.objective
+
+
+def _nan_program(where, value):
+    lp = LinearProgram("min", name="probe")
+    x = lp.add_var("x", obj=1.0)
+    y = lp.add_var("y", lb=-1.0, ub=1.0, obj=-1.0)
+    lp.add_row({x: 1.0, y: 1.0}, ">=", 0.5, name="cover")
+    if where == "cost":
+        lp.objective = [1.0, value]
+    elif where == "coefficient":
+        lp.add_row({x: value, y: 1.0}, "<=", 3.0, name="cap")
+    else:
+        lp.add_row({x: 1.0}, "=", value, name="pin")
+    return lp
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where, message", [
+    ("cost", "LP probe: the cost of y is {}"),
+    ("coefficient", "LP probe: the coefficient of x in cap is {}"),
+    ("rhs", "LP probe: the rhs of pin is {}"),
+])
+def test_non_finite_input_is_refused_naming_the_program(where, message, value):
+    lp = _nan_program(where, value)
+    with pytest.raises(ValueError) as err:
+        lp.solve()
+    assert str(err.value) == message.format(value)
+    with pytest.raises(ValueError, match="LP probe"):
+        HighsSession(lp).minimum(lp.objective)
+
+
+# --------------------------------------------------------------- warm session
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(session_programs())
+@given(programs(senses=("min",)))
 def test_warm_minimum_matches_cold_solves(case):
     lp, costs = case
-    session = warm_session(lp)
-    assert session is not None
+    session = HighsSession(lp)
     for cost in costs:
         warm = session.minimum(cost)
         lp.objective = cost
@@ -200,13 +295,13 @@ def test_warm_minimum_is_none_off_an_optimum_and_reloads_after():
     infeasible = LinearProgram("min")
     x = infeasible.add_var("x")
     infeasible.add_row({x: 1.0}, "<=", -1.0)
-    assert warm_session(infeasible).minimum(np.array([1.0])) is None
+    assert HighsSession(infeasible).minimum(np.array([1.0])) is None
 
     free = LinearProgram("min")
     free.add_var("x", lb=-math.inf)
     free.add_var("y", lb=-math.inf)
     free.add_row({0: 1.0, 1: 1.0}, ">=", -2.0)
-    session = warm_session(free)
+    session = HighsSession(free)
     assert session.minimum(np.array([1.0, 0.0])) is None  # unbounded
     assert session.minimum(np.array([1.0, 1.0])) == pytest.approx(-2.0, abs=1e-9)
     assert session.minimum(np.array([2.0, 2.0])) == pytest.approx(-4.0, abs=1e-9)

@@ -1,6 +1,5 @@
 import math
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,33 +370,25 @@ def test_sequence_global_requires_finite_sets():
 
 
 def _decline_every_warm_solve(monkeypatch):
-    """Make every warm session return ``None``, as if HiGHS never ended
-    optimal; returns the list its answers are recorded in."""
-    # no HiGHS run ends with this status
-    monkeypatch.setattr(lp_module, "HighsModelStatus", SimpleNamespace(kOptimal=object()))
+    """Make every warm session decline, as if HiGHS never ended optimal
+    there; returns the list of the answers it held back."""
     answers = []
     real = lp_module.HighsSession.minimum
 
     def spy(self, cost):
         answers.append(real(self, cost))
-        return answers[-1]
+        return None
 
     monkeypatch.setattr(lp_module.HighsSession, "minimum", spy)
     return answers
 
 
-@pytest.fixture(params=["session", "session declines", "binding unavailable"])
+@pytest.fixture(params=["session", "session declines"])
 def certify_backend(request, monkeypatch):
-    """Certify reward ranges in a warm HiGHS session; in one whose every
-    answer is ``None``, so that each LP is solved cold again; or, with
-    scipy's HiGHS binding taken away, through one linprog call per LP."""
-    if request.param == "binding unavailable":
-        monkeypatch.setattr(lp_module, "_Highs", None)
+    """Certify reward ranges in a warm HiGHS session, or in one that declines
+    every answer, so that each LP is solved cold again."""
     if request.param == "session declines":
         _decline_every_warm_solve(monkeypatch)
-    probe = lp_module.LinearProgram("min")
-    probe.add_var("x")
-    assert (lp_module.warm_session(probe) is None) == (request.param == "binding unavailable")
     return request.param
 
 
@@ -1017,14 +1008,10 @@ def test_a_declined_warm_solve_is_answered_cold(monkeypatch):
     tree = experiment.generate_tree(config.branching, config.tree_seed)
     warm = _certified_extremes(monkeypatch, tree, config)
     with monkeypatch.context() as patch:
-        patch.setattr(lp_module, "_Highs", None)
-        cold = _certified_extremes(monkeypatch, tree, config)
-    with monkeypatch.context() as patch:
         answers = _decline_every_warm_solve(patch)
-        declined = _certified_extremes(monkeypatch, tree, config)
+        cold = _certified_extremes(monkeypatch, tree, config)
     assert len(answers) == len(cold) == len(warm) > 0
-    assert all(a is None for a in answers)
-    assert declined == cold
+    assert all(a is not None for a in answers)
     np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-9)
 
 

@@ -3,7 +3,7 @@
 The package solves maximin expected-utility problems where the utility
 function is only partially known: it lives in an ambiguity set built either
 from pairwise-comparison answers or from a Kantorovich ball around a nominal
-utility, over the class of normalized nondecreasing (optionally concave)
+utility, over the class of normalized nondecreasing concave
 piecewise-linear functions.  Multistage problems on scenario trees are solved
 holistically as a single LP; per-node worst cases, time-consistency checks,
 and the investment-consumption experiment driver build on the same core.

@@ -1,8 +1,8 @@
 """Ambiguity sets of utility functions and preference elicitation.
 
 Three descriptions of "what we know about the decision maker" are supported,
-all over normalized nondecreasing (optionally concave) PL utilities with a
-Lipschitz cap L and a slope-variation cap L_tilde:
+all over normalized nondecreasing concave PL utilities with a Lipschitz cap
+L and a slope-variation cap L_tilde:
 
 * ``PairwiseComparisonSpec`` — answers to lottery questionnaires: for each
   pair (W_k, Y_k) the recorded choice z_k constrains expected utilities.
@@ -100,7 +100,7 @@ class PairwiseComparisonSpec:
     The kept comparisons are held as :class:`PairArrays` in ``arrays``,
     which the LP rows read; ``pairs`` lists them as lottery triples."""
 
-    def __init__(self, pairs, L=DEFAULT_L, L_tilde=DEFAULT_LTILDE, concave=True):
+    def __init__(self, pairs, L=DEFAULT_L, L_tilde=DEFAULT_LTILDE):
         kept = []
         for w, y, z in pairs:
             if z not in (-1, 0, 1):
@@ -108,22 +108,21 @@ class PairwiseComparisonSpec:
             if z != 0:
                 kept.append((w, y, int(z)))
         self.pairs = tuple(kept)
-        self._set(PairArrays.from_pairs(kept), L, L_tilde, concave)
+        self._set(PairArrays.from_pairs(kept), L, L_tilde)
 
     @classmethod
-    def _from_arrays(cls, arrays, L, L_tilde, concave):
+    def _from_arrays(cls, arrays, L, L_tilde):
         """A spec over comparisons already in flat form, answered -1 or +1
         and checked as :class:`DiscreteLottery` checks each lottery."""
         spec = cls.__new__(cls)
-        spec._set(arrays, L, L_tilde, concave)
+        spec._set(arrays, L, L_tilde)
         return spec
 
-    def _set(self, arrays, L, L_tilde, concave):
+    def _set(self, arrays, L, L_tilde):
         _check_caps(L, L_tilde)
         self.arrays = arrays
         self.L = float(L)
         self.L_tilde = float(L_tilde)
-        self.concave = bool(concave)
 
     @cached_property
     def pairs(self):
@@ -159,7 +158,7 @@ class KantorovichBallSpec:
     of ``nominal``."""
 
     def __init__(self, nominal: PiecewiseLinearUtility, radius, L=DEFAULT_L,
-                 L_tilde=DEFAULT_LTILDE, concave=True):
+                 L_tilde=DEFAULT_LTILDE):
         _check_caps(L, L_tilde)
         if not 0 <= radius < math.inf:
             raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
@@ -173,7 +172,6 @@ class KantorovichBallSpec:
         self.radius = float(radius)
         self.L = float(L)
         self.L_tilde = float(L_tilde)
-        self.concave = bool(concave)
 
     def nominal_on(self, grid):
         """The nominal utility on ``grid``: itself when its breakpoints are
@@ -190,7 +188,7 @@ class KantorovichBallSpec:
 class FiniteUtilitySet:
     """An explicit list of candidate utilities (closed-form or PL)."""
 
-    def __init__(self, members, state_dependent=False):
+    def __init__(self, members):
         if not members:
             raise ValueError("a finite utility set needs at least one member")
         for u in members:
@@ -202,7 +200,6 @@ class FiniteUtilitySet:
             if abs(vals[0]) > 1e-9 or abs(vals[1] - 1.0) > 1e-9:
                 raise ValueError(f"member {u!r} is not normalized: {vals}")
         self.members = tuple(members)
-        self.state_dependent = bool(state_dependent)
 
     def __len__(self):
         return len(self.members)
@@ -306,8 +303,7 @@ def _check_lotteries(arrays):
                          f"{float(total[bad[0]])!r}, not 1")
 
 
-def elicit_pairwise(true_utility, K, grid, seed, L=DEFAULT_L, L_tilde=DEFAULT_LTILDE,
-                    concave=True):
+def elicit_pairwise(true_utility, K, grid, seed, L=DEFAULT_L, L_tilde=DEFAULT_LTILDE):
     """Simulate K lottery questionnaires answered by ``true_utility``.
 
     Each lottery has two outcomes drawn without replacement from the grid
@@ -355,7 +351,7 @@ def elicit_pairwise(true_utility, K, grid, seed, L=DEFAULT_L, L_tilde=DEFAULT_LT
     arrays = PairArrays(outcomes[kept].ravel(), masses,
                         np.repeat(np.arange(2 * heads.shape[0]), 2), answers[kept])
     _check_lotteries(arrays)
-    return PairwiseComparisonSpec._from_arrays(arrays, L, L_tilde, concave)
+    return PairwiseComparisonSpec._from_arrays(arrays, L, L_tilde)
 
 
 def regime_nominal(oil_price, domain=(0.0, 1.0)):
@@ -378,7 +374,7 @@ def feasibility_check(spec, grid):
         return "feasible"  # non-empty by construction
     y = np.asarray(grid, dtype=float)
     lp = LinearProgram("min", name="feasibility")
-    block = append_utility_block(lp, y, spec.L, spec.L_tilde, spec.concave)
+    block = append_utility_block(lp, y, spec.L, spec.L_tilde)
     if isinstance(spec, KantorovichBallSpec):
         append_ball_membership(lp, block.beta, spec.nominal_on(y).slopes, y, spec.radius)
     elif isinstance(spec, PairwiseComparisonSpec):

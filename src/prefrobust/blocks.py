@@ -8,6 +8,7 @@ scenario-tree assembly, so their exact shape (what is a row, what is a
 bound) is fixed in one place: slope nonnegativity is a variable bound, while
 normalization, value/slope linkage, concavity, the Lipschitz cap, and the
 slope-variation cap are rows, because downstream code reads their duals.
+Concavity is always imposed; the worst-case LPs' supporting lines need it.
 """
 
 from __future__ import annotations
@@ -43,15 +44,15 @@ def add_band(lp: LinearProgram, cols, vals, rel, rhs, names):
     return lp.add_rows(np.arange(m + 1) * width, cols.ravel(), vals.ravel(), rel, rhs, names)
 
 
-def append_utility_block(lp: LinearProgram, grid, L, L_tilde, concave=True):
+def append_utility_block(lp: LinearProgram, grid, L, L_tilde):
     """Add alpha/beta variables and the shape rows of the utility class.
 
     Rows (names prefixed by ``u.``): ``norm0``/``norm1`` pin alpha at the
-    endpoints to 0 and 1; ``link[i]`` ties alpha increments to beta; with
-    ``concave`` the rows ``concave[i]``: alpha_{i+1} - alpha_i -
-    beta_{i+1} * delta_i >= 0 force nonincreasing slopes; ``lip[i]`` caps
-    beta at L; ``curve_lo/hi[i]`` cap the slope variation
-    |beta_{i+1} - beta_i| by L_tilde * (y_{i+2} - y_i).
+    endpoints to 0 and 1; ``link[i]`` ties alpha increments to beta;
+    ``concave[i]``: alpha_{i+1} - alpha_i - beta_{i+1} * delta_i >= 0
+    force nonincreasing slopes; ``lip[i]`` caps beta at L;
+    ``curve_lo/hi[i]`` cap the slope variation |beta_{i+1} - beta_i| by
+    L_tilde * (y_{i+2} - y_i).
     """
     y = np.asarray(grid, dtype=float)
     if y.ndim != 1 or y.size < 2 or np.any(np.diff(y) <= 0):
@@ -75,12 +76,10 @@ def append_utility_block(lp: LinearProgram, grid, L, L_tilde, concave=True):
                          [f"u.link[{i}]" for i in seg]).tolist(),
         "lip": add_band(lp, beta[:, None], 1.0, "<=", L,
                         [f"u.lip[{i}]" for i in seg]).tolist(),
+        "concave": add_band(lp, np.column_stack([a1[:-1], a0[:-1], b1]),
+                            np.column_stack([one[1:], -one[1:], -delta[:-1]]), ">=", 0.0,
+                            [f"u.concave[{i}]" for i in inner]).tolist(),
     }
-    if concave:
-        rows["concave"] = add_band(
-            lp, np.column_stack([a1[:-1], a0[:-1], b1]),
-            np.column_stack([one[1:], -one[1:], -delta[:-1]]), ">=", 0.0,
-            [f"u.concave[{i}]" for i in inner]).tolist()
     # curve_hi[i] and curve_lo[i] alternate, both over (beta[i+1], beta[i])
     cap = L_tilde * (y[2:] - y[:-2])
     curve = add_band(

@@ -77,12 +77,14 @@ _FLAG_TO_FIELD = {
 }
 
 
-def _int_list(text, flag):
-    """The comma-separated integers given to ``flag``."""
+def _number_list(text, flag, kind=int):
+    """The comma-separated integers (or, with ``kind=float``, numbers)
+    given to ``flag``."""
     try:
-        return [int(tok) for tok in str(text).split(",") if tok != ""]
+        return [kind(tok) for tok in str(text).split(",") if tok != ""]
     except ValueError:
-        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} takes comma-separated {what}, got {text!r}") from None
 
 
 def _config_from_args(args):
@@ -97,9 +99,9 @@ def _config_from_args(args):
         if val is not None:
             base[field] = val
     if getattr(args, "branching", None):
-        base["branching"] = _int_list(args.branching, "--branching")
+        base["branching"] = _number_list(args.branching, "--branching")
     if getattr(args, "seeds", None):
-        base["seeds"] = _int_list(args.seeds, "--seeds")
+        base["seeds"] = _number_list(args.seeds, "--seeds")
     if base.get("timing") is None:
         base["timing"] = os.environ.get(TIMING_ENV, "") in ("1", "true", "yes")
     return config_from_dict(base)
@@ -142,7 +144,7 @@ def _cmd_solve(args):
 
 def _cmd_sweep(args):
     config = _config_from_args(args)
-    values = [float(tok) for tok in str(args.values).split(",") if tok != ""]
+    values = _number_list(args.values, "--values", float)
     rows = sweep(config, args.param, values)
     _emit(rows_to_csv(rows), config.out)
     for g in aggregate(rows):

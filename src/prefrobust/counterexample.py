@@ -104,6 +104,17 @@ def fixed_plan() -> Dict[int, np.ndarray]:
 # grid maximin helpers
 
 
+# the search holds several n x n float64 arrays, n = round(1/step) + 1: at
+# this floor each is 32 MB, and at a tenth of it 3.2 GB
+_MIN_STEP = 5e-4
+
+
+def _check_step(step: float) -> None:
+    """Refuse a step that is not a finite number in [_MIN_STEP, 1]."""
+    if not _MIN_STEP <= step <= 1.0:
+        raise ValueError(f"step must be a number in [{_MIN_STEP:g}, 1], got {step!r}")
+
+
 def _grid(step: float) -> np.ndarray:
     n = int(round(1.0 / step)) + 1
     return np.linspace(0.0, 1.0, n)
@@ -148,6 +159,7 @@ def grid_subtree_solver(problem: MultistageProblem, step: float = 1e-3) -> Polic
     nodes.  This stands in for the LP solver inside the time-consistency
     check, since one member here is quadratic.
     """
+    _check_step(step)
     tree = problem.tree
     pu = tree.unconditional_probs()
     a = _grid(step)
@@ -260,8 +272,10 @@ def solve_counterexample(step: float = 1e-3) -> CounterexampleReport:
     The grid sweeps the weight put on the first asset at each of the two
     first-period states with the stated resolution; the first-period
     decision itself is settled by enumeration (holding everything on the
-    first asset dominates, as the fixed-plan analysis shows).
+    first asset dominates, as the fixed-plan analysis shows).  ``step`` must
+    be a finite number in [5e-4, 1].
     """
+    _check_step(step)
     problem = example_problem()
     tree = problem.tree
     members = problem.ambiguity.for_node(0).members

@@ -116,17 +116,16 @@ class MultistageProblem:
     ``(coef, offset)`` pair), ``ambiguity`` is a single spec shared by all
     nodes, a callable ``(tree, node_id) -> spec``, or a prebuilt
     :class:`StateDependentAmbiguity`.  ``grid`` is the utility grid; every
-    reward must stay inside its span.  Unless ``check_rewards`` is off, every
-    reward of every tree, whatever its size, is certified at build time by
-    minimizing and maximizing it over the decision set.  A reward
+    reward must stay inside its span.  Every reward of every tree, whatever
+    its size, is certified at build time by minimizing and maximizing it
+    over the decision set, so a built problem has feasible decisions.  A reward
     ``coef . x(parent) + offset`` is ``lam * (d . x(parent)) + offset`` with
     ``lam = max |coef|``, so rewards share their range LPs when they share
     the parent and the direction ``d``: two LPs per distinct (parent,
     direction), re-solved warm in one HiGHS session per build.
     """
 
-    def __init__(self, tree, decision_bounds, rewards, ambiguity, grid,
-                 constraints=(), check_rewards=True):
+    def __init__(self, tree, decision_bounds, rewards, ambiguity, grid, constraints=()):
         self.tree = tree
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim == 1:
@@ -176,9 +175,7 @@ class MultistageProblem:
             self.ambiguity = build_state_dependent(tree, ambiguity)
         for s in nonleaf:
             self.ambiguity.for_node(s)  # fail fast, names the node
-
-        if check_rewards:
-            self._certify_rewards()
+        self._certify_rewards()
 
     def dim(self, node_id):
         return self.decision_bounds[node_id][0].size
@@ -356,9 +353,8 @@ def _utility_from_marginals(y, raw, node):
 
 
 def _diagnose_and_raise(problem, message):
-    lp, _ = problem._decision_lp()
-    if lp.solve().status is LpStatus.INFEASIBLE:
-        problem._raise_decision_infeasible()
+    """Name the node whose ambiguity set is empty, if one is; the decision
+    set was found feasible when the problem was built."""
     for s in problem.tree.nonleaf_ids():
         spec = problem.ambiguity.for_node(s)
         if isinstance(spec, FiniteUtilitySet):
@@ -420,7 +416,7 @@ def _solve_holistic(problem):
 def _template_key(spec, n_children):
     """Nodes with equal keys have one-stage LPs with the same matrix, bounds,
     relations and names; only their costs and right-hand sides differ."""
-    key = (type(spec), n_children, spec.L, spec.L_tilde, spec.concave)
+    key = (type(spec), n_children, spec.L, spec.L_tilde)
     return key + (spec,) if isinstance(spec, PairwiseComparisonSpec) else key
 
 
@@ -712,8 +708,7 @@ def subtree_problem(problem, node_id, decisions):
                 dict(con.coef_self), dict(con.coef_parent)))
 
     sub = MultistageProblem(
-        view.tree, bounds, rewards, StateDependentAmbiguity(specs), problem.grid,
-        cons, check_rewards=False)
+        view.tree, bounds, rewards, StateDependentAmbiguity(specs), problem.grid, cons)
     return sub, orig
 
 
@@ -756,9 +751,8 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     LP: the root is re-solved on it, and every other subtree's LP is sliced
     from it (the subtree's rows and columns, the fixed parent decision folded
     into the root rows, the block costs rescaled to the subtree), then solved
-    and certified like the tree LP.  A slice that does not solve to optimality
-    is rebuilt through :func:`subtree_problem` and :func:`solve_holistic`,
-    which report the failure.  ``subtree_solver`` replaces that solver
+    and certified like the tree LP; a slice that does not solve to optimality
+    raises, naming its subtree's root.  ``subtree_solver`` replaces that solver
     (required for ambiguity types it does not cover): it receives the
     re-rooted :class:`MultistageProblem` of every subtree and must return an
     object with a ``value`` attribute.
@@ -780,26 +774,15 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
             if n in wc:
                 achieved += pu[n] * wc[n]
         if subtree_solver is None:
-            local = _resolve_subtree(problem, assembled, order, pu, decisions)
+            lp, xvar, blocks = _subtree_slice(problem, assembled, order, pu, decisions)
+            sol, dec = _solve_big(problem, lp, xvar, f"subtree {s}")
+            local = _holistic_policy(problem, lp, blocks, sol, dec).value
         else:
             local = float(subtree_solver(subtree_problem(problem, s, decisions)[0]).value)
         achieved = float(achieved)
         entries.append(TimeConsistencyEntry(
             s, tree.nodes[s].stage, local, achieved, local - achieved))
     return TimeConsistencyReport(entries, tol)
-
-
-def _resolve_subtree(problem, assembled, order, pu, decisions):
-    """Optimal value of the subtree LP whose nodes are ``order`` (breadth
-    first from its root) and whose probabilities given the root are ``pu``.
-    It is solved on a slice of the assembled tree LP when that ends optimal,
-    and rebuilt by :func:`subtree_problem` otherwise."""
-    lp, xvar, blocks = _subtree_slice(problem, assembled, order, pu, decisions)
-    sol = lp.solve()
-    if sol.is_optimal:
-        sol, dec = _certified(lp, sol, xvar, f"subtree {order[0]}")
-        return _holistic_policy(problem, lp, blocks, sol, dec).value
-    return solve_holistic(subtree_problem(problem, order[0], decisions)[0]).value
 
 
 def _subtree_slice(problem, assembled, order, pu, decisions):

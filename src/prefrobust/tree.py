@@ -30,14 +30,13 @@ class TreeNode:
 
 
 class ScenarioTree:
-    def __init__(self, nodes, validate=True):
+    def __init__(self, nodes):
         self.nodes = list(nodes)
         self.children = [[] for _ in self.nodes]
         for node in self.nodes:
             if node.parent is not None:
                 self.children[node.parent].append(node.id)
-        if validate:
-            self.validate()
+        self.validate()
 
     # ------------------------------------------------------------ structure
     def __len__(self):

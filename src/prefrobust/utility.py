@@ -34,6 +34,8 @@ from .lp import LinearProgram, LpStatus, dualize
 log = logging.getLogger(__name__)
 
 _CLAMP_TOL = 1e-12
+# how far a PL utility's end values may miss 0 and 1, and its values dip
+_VALUE_TOL = 1e-7
 
 
 def _clamped(x, a, b, what):
@@ -46,7 +48,7 @@ def _clamped(x, a, b, what):
 class PiecewiseLinearUtility:
     """Normalized nondecreasing PL utility given by breakpoints and values."""
 
-    def __init__(self, breakpoints, values, tol=1e-7):
+    def __init__(self, breakpoints, values):
         y = np.asarray(breakpoints, dtype=float)
         v = np.asarray(values, dtype=float)
         if y.ndim != 1 or y.size < 2 or v.shape != y.shape:
@@ -57,9 +59,9 @@ class PiecewiseLinearUtility:
                 raise ValueError(f"{field}[{bad[0]}] is {float(arr[bad[0]])!r}")
         if np.any(np.diff(y) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if abs(v[0]) > tol or abs(v[-1] - 1.0) > tol:
+        if abs(v[0]) > _VALUE_TOL or abs(v[-1] - 1.0) > _VALUE_TOL:
             raise ValueError(f"utility must be normalized: u(a)={v[0]!r}, u(b)={v[-1]!r}")
-        if np.any(np.diff(v) < -tol):
+        if np.any(np.diff(v) < -_VALUE_TOL):
             raise ValueError("utility values must be nondecreasing")
         v = v.copy()
         v[0], v[-1] = 0.0, 1.0

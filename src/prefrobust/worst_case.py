@@ -5,8 +5,8 @@ description of plausible utilities, compute ``min_u E[u(h)]`` together with
 a minimizing utility.  For Kantorovich-ball and pairwise-comparison sets the
 problem is an LP over the utility's breakpoint values and slopes; outcomes
 that fall between breakpoints are handled by one supporting line per
-outcome, valid because concavity is always imposed.  For finite sets the
-minimum is taken by direct enumeration.
+outcome, valid because the utility block always imposes concavity.  For
+finite sets the minimum is taken by direct enumeration.
 
 Every LP here is available in two forms: the primal, built from blocks of
 rows, and the mechanical dual produced by the generic dualizer.  The two
@@ -92,13 +92,13 @@ def _check_outcomes(dist, y):
             raise ValueError(f"outcome {v!r} outside the utility domain [{y[0]}, {y[-1]}]")
 
 
-def supporting_line_primal(values, probs, y, L, L_tilde, concave):
+def supporting_line_primal(values, probs, y, L, L_tilde):
     """Base LP: minimize sum_i q_i (eps_i h_i + fee_i) over the utility block
     plus one over-line (eps_i, fee_i) per outcome, pinned above the utility
     at every breakpoint.  Returns the eps and fee indices too; the tree
     solver splices decision columns into the dual rows of the eps variables."""
     lp = LinearProgram("min", name="worst-case")
-    block = append_utility_block(lp, y, L, L_tilde, concave)
+    block = append_utility_block(lp, y, L, L_tilde)
     S = len(values)
     q = np.asarray(probs, dtype=float)
     eps = lp.add_vars(S, "eps", lb=0.0, obj=q * np.asarray(values, dtype=float))
@@ -116,8 +116,8 @@ class NodeLP:
     priced on ``eps[i]`` at ``q_i h_i`` and on ``fee[i]`` at ``q_i``; a ball's
     radius is the right-hand side of row ``budget`` and its negated nominal
     slopes those of rows ``match``.  Everything else depends only on the
-    grid, the child count, ``L``, ``L_tilde``, concavity and (for
-    questionnaires) the answers."""
+    grid, the child count, ``L``, ``L_tilde`` and (for questionnaires) the
+    answers."""
 
     lp: LinearProgram
     block: UtilityBlock
@@ -147,8 +147,7 @@ def node_primal(values, probs, spec, y):
     rows (ball membership around the nominal on ``y``, or one row per
     answer), as a :class:`NodeLP`.  The tree solver builds it once per
     shape and stamps every other node of that shape from it."""
-    lp, block, eps, fee = supporting_line_primal(
-        values, probs, y, spec.L, spec.L_tilde, spec.concave)
+    lp, block, eps, fee = supporting_line_primal(values, probs, y, spec.L, spec.L_tilde)
     if isinstance(spec, KantorovichBallSpec):
         rows = append_ball_membership(
             lp, block.beta, spec.nominal_on(y).slopes, y, spec.radius)["rows"]

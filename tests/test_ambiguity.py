@@ -270,7 +270,7 @@ def test_finite_set_validation():
     u1 = ClosedFormUtility.min_affine([(3.0, 0.0), (0.5, 0.5)])
     quad = ClosedFormUtility.quadratic()
     fus = FiniteUtilitySet([u1, quad])
-    assert len(fus) == 2 and not fus.state_dependent
+    assert len(fus) == 2
     assert feasibility_check(fus, uniform_grid(0.0, 1.0, 3)) == "feasible"
     with pytest.raises(ValueError):
         FiniteUtilitySet([])

@@ -112,7 +112,7 @@ def test_pairwise_rows_make_no_single_row_calls(monkeypatch):
 
 
 # ------------------------------------------- utility, ball and support rows
-def utility_block_reference(lp, grid, L, L_tilde, concave=True, tag="u"):
+def utility_block_reference(lp, grid, L, L_tilde, tag="u"):
     """The utility block as it was built, one ``add_row`` per row."""
     y = np.asarray(grid, dtype=float)
     delta = np.diff(y)
@@ -126,11 +126,10 @@ def utility_block_reference(lp, grid, L, L_tilde, concave=True, tag="u"):
                             name=f"{tag}.link[{i}]") for i in range(n_seg)],
         "lip": [lp.add_row({beta[i]: 1.0}, "<=", L, name=f"{tag}.lip[{i}]")
                 for i in range(n_seg)],
-    }
-    if concave:
-        rows["concave"] = [
+        "concave": [
             lp.add_row({alpha[i + 1]: 1.0, alpha[i]: -1.0, beta[i + 1]: -delta[i]}, ">=", 0.0,
-                       name=f"{tag}.concave[{i}]") for i in range(n_seg - 1)]
+                       name=f"{tag}.concave[{i}]") for i in range(n_seg - 1)],
+    }
     rows["curve_lo"], rows["curve_hi"] = [], []
     for i in range(n_seg - 1):
         cap = L_tilde * (y[i + 2] - y[i])
@@ -168,10 +167,10 @@ def ball_membership_reference(lp, beta, nominal_slopes, grid, radius, tag="ball"
     return {"lam": lam, "mu": mu, "rho": rho, "phi": phi, "rows": rows}
 
 
-def supporting_line_reference(values, probs, y, L, L_tilde, concave):
+def supporting_line_reference(values, probs, y, L, L_tilde):
     """The supporting-line LP as it was built, one ``add_row`` per sup row."""
     lp = LinearProgram("min", name="worst-case")
-    alpha, _, _ = utility_block_reference(lp, y, L, L_tilde, concave)
+    alpha, _, _ = utility_block_reference(lp, y, L, L_tilde)
     S = len(values)
     eps = lp.add_vars(S, "eps", lb=0.0, obj=[q * h for h, q in zip(values, probs)])
     fee = lp.add_vars(S, "fee", lb=-np.inf, obj=probs)
@@ -210,32 +209,32 @@ def shape_rows(draw):
     S = draw(st.integers(1, 4))
     values = draw(st.lists(st.floats(float(grid[0]), float(grid[-1])), min_size=S, max_size=S))
     probs = np.full(S, 1.0 / S)
-    return grid, L, L_tilde, draw(st.booleans()), slopes, draw(st.floats(0.0, 1.0)), values, probs
+    return grid, L, L_tilde, slopes, draw(st.floats(0.0, 1.0)), values, probs
 
 
 @settings(max_examples=60, deadline=None)
 @given(shape_rows())
 def test_block_rows_equal_the_row_by_row_reference(case):
-    grid, L, L_tilde, concave, slopes, radius, values, probs = case
+    grid, L, L_tilde, slopes, radius, values, probs = case
     bulk, ref = LinearProgram("min"), LinearProgram("min")
     for lp in (bulk, ref):
         lp.add_var("other")
-    block = append_utility_block(bulk, grid, L, L_tilde, concave)
-    ref_alpha, ref_beta, ref_rows = utility_block_reference(ref, grid, L, L_tilde, concave)
+    block = append_utility_block(bulk, grid, L, L_tilde)
+    ref_alpha, ref_beta, ref_rows = utility_block_reference(ref, grid, L, L_tilde)
     assert block.rows == ref_rows
     ball = append_ball_membership(bulk, block.beta, slopes, grid, radius)
     ref_ball = ball_membership_reference(ref, ref_beta, slopes, grid, radius)
     assert ball["rows"] == ref_ball["rows"]
     assert_same_program(bulk, ref)
 
-    lp = supporting_line_primal(values, probs, grid, L, L_tilde, concave)[0]
-    assert_same_program(lp, supporting_line_reference(values, probs, grid, L, L_tilde, concave))
+    lp = supporting_line_primal(values, probs, grid, L, L_tilde)[0]
+    assert_same_program(lp, supporting_line_reference(values, probs, grid, L, L_tilde))
 
 
 def test_block_rows_make_no_single_row_calls(monkeypatch):
     grid = np.linspace(0.0, 1.0, 6)
     calls = []
     monkeypatch.setattr(LinearProgram, "add_row", lambda *a, **k: calls.append(a))
-    lp, block = supporting_line_primal([0.2, 0.7], [0.5, 0.5], grid, 3.0, 9.0, True)[:2]
+    lp, block = supporting_line_primal([0.2, 0.7], [0.5, 0.5], grid, 3.0, 9.0)[:2]
     append_ball_membership(lp, block.beta, np.ones(5), grid, 0.05)
     assert calls == [] and lp.num_rows == 48

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import prefrobust.cli as cli
+import prefrobust.counterexample as counterexample_module
 import prefrobust.experiment as experiment_module
 from prefrobust import multistage
 from prefrobust.cli import main
@@ -371,7 +372,16 @@ def test_wrongly_typed_config_exits_cleanly(tmp_path, capsys, config, message):
     (["sweep", "--param", "K", "--values", "10,3.5"],
      "questionnaires must be an integer, got 3.5"),
     (["sweep", "--param", "T", "--values", "0.5"], "horizon must be an integer, got 0.5"),
+    (["sweep", "--param", "R", "--values", "0,x"],
+     "--values takes comma-separated numbers, got '0,x'"),
+    *[(["counterexample", "--step", step], f"step must be a number in [0.0005, 1], got {got}")
+      for step, got in (("0", "0.0"), ("2", "2.0"), ("-1", "-1.0"), ("nan", "nan"),
+                        ("inf", "inf"), ("1e-4", "0.0001"), ("4.9e-4", "0.00049"))],
 ])
-def test_bad_flag_values_exit_cleanly(capsys, argv, message):
-    assert main([*argv[:1], "--branching", "2", *argv[1:]]) == 2
+def test_bad_flag_values_exit_cleanly(monkeypatch, capsys, argv, message):
+    # a refused step must not reach the search grid
+    monkeypatch.setattr(counterexample_module, "_grid",
+                        lambda step: pytest.fail(f"grid built for step {step!r}"))
+    extra = [] if argv[0] == "counterexample" else ["--branching", "2"]
+    assert main([*argv[:1], *extra, *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

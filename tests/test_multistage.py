@@ -508,7 +508,7 @@ def test_decision_rows_equal_one_add_row_per_constraint(monkeypatch):
              NodeConstraint(2, "=", 0.25, coef_self={1: -1.0, 0: 3.0}, coef_parent={1: 0.5})]
     problem = MultistageProblem(problem.tree, problem.decision_bounds, problem.rewards,
                                 problem.ambiguity, problem.grid,
-                                [*problem.constraints, *extra], check_rewards=False)
+                                [*problem.constraints, *extra])
     calls = _counting_add_row(monkeypatch)
     for last_node in (None, 0, 1, 2, 3, 5):
         lp, xvar = problem._decision_lp(last_node)
@@ -572,7 +572,7 @@ def _copy_dual_block_reference(big, dual, obj_scale, extra_row_coefs, prefix):
 def test_dual_block_copy_matches_the_row_by_row_reference(monkeypatch):
     y = uniform_grid(0.0, 1.0, 6)
     inner, block, eps, _ = supporting_line_primal(
-        [0.2, 0.5, 0.9], [0.3, 0.3, 0.4], y, 3.0, 9.0, True)
+        [0.2, 0.5, 0.9], [0.3, 0.3, 0.4], y, 3.0, 9.0)
     append_ball_membership(inner, block.beta, np.ones(5), y, 0.05)
     dual = dualize(inner)
     # decision columns 0..2 enter the rows of eps[2] and eps[0], listed out of order
@@ -792,7 +792,20 @@ def test_sliced_subtree_lps_equal_the_rebuilt_ones(monkeypatch, make):
         assert (lp is assembled[0]) == (order == list(range(len(tree))))
 
 
-def test_subtrees_the_slice_cannot_serve_are_rebuilt(monkeypatch):
+def test_subtree_problems_certify_their_rewards(monkeypatch):
+    problem, _ = random_ball_problem(np.random.default_rng(5), radius=0.05)
+    pol = solve_holistic(problem)
+    certified, real = [], MultistageProblem._certify_rewards
+    monkeypatch.setattr(MultistageProblem, "_certify_rewards",
+                        lambda self: (certified.append(self), real(self))[1])
+    subs = [subtree_problem(problem, s, pol.decisions)[0] for s in problem.tree.nonleaf_ids()]
+    assert certified == subs
+    # a history that empties the re-rooted decision set is refused when built
+    with pytest.raises(InfeasibleProblemError, match="infeasible at node 0"):
+        subtree_problem(problem, 1, {0: np.array([-1.0, 0.0])})
+
+
+def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
     rng = np.random.default_rng(11)
     problem, _ = random_ball_problem(rng, branching=(2, 2), radius=0.05)
     pol = solve_holistic(problem)
@@ -809,21 +822,23 @@ def test_subtrees_the_slice_cannot_serve_are_rebuilt(monkeypatch):
     with pytest.raises(ValueError, match=rf"row con{k}\[1\] does not hold: 1\.5 <= 1\.0"):
         subtree_problem(parent_only, 1, {0: np.array([1.5, 0.0])})
 
-    # a slice that ends without an optimum is rebuilt, whose solve reports it
+    # a slice that ends without an optimum raises after its one solve,
+    # naming its subtree (node 1, the first slice after the whole tree)
     solve, full = lp_module.LinearProgram.solve, _assemble_holistic(problem)[0].num_rows
-    failed = []
+    for status, message in ((lp_module.LpStatus.FAILED, "failed: stalled"),
+                            (lp_module.LpStatus.INFEASIBLE, "infeasible")):
+        failed = []
 
-    def failing(self, *args, **kwargs):
-        if self.name == "tree" and self.num_rows < full:
-            failed.append(self.num_rows)
-            return lp_module.LpSolution(lp_module.LpStatus.FAILED, message="stalled")
-        return solve(self, *args, **kwargs)
+        def failing(self, *args, **kwargs):
+            if self.name == "tree" and self.num_rows < full:
+                failed.append(self.num_rows)
+                return lp_module.LpSolution(status, message="stalled")
+            return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(lp_module.LinearProgram, "solve", failing)
-    with pytest.raises(RuntimeError, match="holistic solve ended failed: stalled"):
-        check_time_consistency(problem, pol)
-    # the slice of node 1 failed first, then its rebuild, which has as many rows
-    assert len(failed) == 2 and failed[0] == failed[1]
+        monkeypatch.setattr(lp_module.LinearProgram, "solve", failing)
+        with pytest.raises(RuntimeError, match=rf"^subtree 1 solve ended {message}$"):
+            check_time_consistency(problem, pol)
+        assert len(failed) == 1
 
 
 @st.composite
@@ -1037,7 +1052,7 @@ def stamped_problems(draw):
     """A 2- or 3-stage tree of branching 1 to 3 whose nodes carry, drawn node
     by node: one shared ball, a ball of their own (another nominal, on a finer
     grid, and radius), the shared ball's nominal with another ``L``,
-    ``L_tilde`` or concavity, one shared questionnaire, or a questionnaire of
+    ``L_tilde`` or both, one shared questionnaire, or a questionnaire of
     their own."""
     branching = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
     n_nonleaf = sum(int(np.prod(branching[:t])) for t in range(len(branching)))
@@ -1051,8 +1066,8 @@ def stamped_problems(draw):
             own = random_concave_pl(rng, uniform_grid(0.0, 1.0, 13))
             return KantorovichBallSpec(own, float(rng.uniform(0.0, 0.2)),
                                        L=shared.L, L_tilde=shared.L_tilde)
-        other = {2: {"concave": False}, 3: {"L": 2 * shared.L},
-                 4: {"L_tilde": 2 * shared.L_tilde}}
+        other = {2: {"L": 2 * shared.L, "L_tilde": 2 * shared.L_tilde},
+                 3: {"L": 2 * shared.L}, 4: {"L_tilde": 2 * shared.L_tilde}}
         if kind in other:
             caps = {"L": shared.L, "L_tilde": shared.L_tilde, **other[kind]}
             return KantorovichBallSpec(shared.nominal, 0.1, **caps)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefrobust.ambiguity import (
     DiscreteLottery,
@@ -10,7 +12,8 @@ from prefrobust.ambiguity import (
     PairwiseComparisonSpec,
     elicit_pairwise,
 )
-from prefrobust.lp import LinearProgram
+from prefrobust.blocks import append_ball_membership, append_pairwise_rows, append_utility_block
+from prefrobust.lp import LinearProgram, LpStatus, dualize
 from prefrobust.utility import (
     ClosedFormUtility,
     PiecewiseLinearUtility,
@@ -20,6 +23,7 @@ from prefrobust.utility import (
 )
 from prefrobust.worst_case import (
     OutcomeDistribution,
+    node_primal,
     worst_case_finite,
     worst_case_kantorovich_dual,
     worst_case_kantorovich_primal,
@@ -310,3 +314,50 @@ def test_outcomes_must_lie_in_domain():
         worst_case_kantorovich_primal(OutcomeDistribution.point_mass(1.5), spec)
     with pytest.raises(ValueError):
         OutcomeDistribution.from_pairs([(0.5, 0.7), (0.6, 0.2)])
+
+
+@st.composite
+def one_stage_instances(draw):
+    """A concave nominal on an uneven grid of 2 to 12 points, a ball of
+    radius up to 0.2 around it or K answers it gives, and 1 to 4 outcomes on
+    grid points with positive probabilities."""
+    n = draw(st.integers(2, 12))
+    nominal = random_concave_nominal(np.random.default_rng(draw(st.integers(0, 2**16))), n)
+    L_obs, Lt_obs = nominal.lipschitz_moduli()
+    L, L_tilde = 1.2 * L_obs, 1.5 * Lt_obs + 1.0
+    if draw(st.booleans()):
+        spec = KantorovichBallSpec(nominal, draw(st.floats(0.0, 0.2)), L=L, L_tilde=L_tilde)
+    else:
+        spec = elicit_pairwise(nominal, draw(st.integers(0, 30)), nominal.breakpoints,
+                               draw(st.integers(0, 2**16)), L=L, L_tilde=L_tilde)
+    S = draw(st.integers(1, 4))
+    points = draw(st.lists(st.integers(0, n - 1), min_size=S, max_size=S))
+    weights = np.asarray(draw(st.lists(st.integers(1, 9), min_size=S, max_size=S)), dtype=float)
+    return spec, nominal.breakpoints, points, weights / weights.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_stage_instances())
+def test_node_lp_equals_its_dual_and_the_direct_lp_over_grid_values(case):
+    """The supporting-line LP prices each outcome through the concave
+    envelope of the utility, which is the utility itself because the class
+    is concave: so its value is min sum_i q_i alpha_{k_i} over the same set."""
+    spec, y, points, q = case
+    node = node_primal(y[points], q, spec, y)
+    primal = node.lp.solve()
+    dual = dualize(node.lp).solve()
+
+    direct = LinearProgram("min")
+    block = append_utility_block(direct, y, spec.L, spec.L_tilde)
+    if isinstance(spec, KantorovichBallSpec):
+        append_ball_membership(direct, block.beta, spec.nominal_on(y).slopes, y, spec.radius)
+    else:
+        append_pairwise_rows(direct, block.alpha, y, spec.arrays)
+    cost = np.zeros(direct.num_vars)
+    np.add.at(cost, block.alpha[points], q)
+    direct.objective = cost
+    direct = direct.solve()
+
+    assert primal.status is dual.status is direct.status is LpStatus.OPTIMAL
+    assert dual.objective == pytest.approx(primal.objective, rel=0.0, abs=1e-9)
+    assert direct.objective == pytest.approx(primal.objective, rel=0.0, abs=1e-9)

@@ -215,11 +215,11 @@ class CounterexampleReport:
             if abs(got - want) > search_tol:
                 out.append(f"{key}: got {got!r}, want {want} (tol {search_tol:g})")
         for key, want in self.expected_points.items():
-            got = np.asarray(self.points[key], dtype=float)
-            err = float(np.max(np.abs(got - np.asarray(want))))
+            got = tuple(np.asarray(self.points[key], dtype=float).tolist())
+            err = float(np.max(np.abs(np.subtract(got, want))))
             if err > search_tol:
                 out.append(
-                    f"argmax of {key}: got {tuple(got)}, want {want} (tol {search_tol:g})"
+                    f"argmax of {key}: got {got}, want {want} (tol {search_tol:g})"
                 )
         worst = max(e.discrepancy for e in self.consistency.entries)
         if not worst > search_tol:

@@ -15,7 +15,9 @@ utilities are then read back from the row marginals of those blocks.
 """
 
 import math
-from collections import Counter
+import os
+import threading
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -601,16 +603,59 @@ def _check_row(con, idx, lhs):
                          f"{float(lhs)!r} {con.rel} {con.rhs!r}")
 
 
+def _in_parallel(fn, items):
+    """``[fn(i) for i in items]``, run on every usable core.
+
+    Each item is an independent solve, and HiGHS lets go of the interpreter
+    lock while it runs.  The calling thread takes items from the front, the
+    other threads from the back: callers list big items first, which keeps
+    those on the calling thread, not side by side in memory.  Every item
+    runs; then the first failed item's exception, in item order, is raised."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cores = os.cpu_count() or 1
+    queue = deque(enumerate(items))
+    results, errors = [None] * len(queue), [None] * len(queue)
+
+    def drain(take):
+        while queue:
+            try:
+                k, item = take()
+            except IndexError:  # another thread took the last one
+                return
+            try:
+                results[k] = fn(item)
+            except Exception as exc:
+                errors[k] = exc
+
+    workers = [threading.Thread(target=drain, args=(queue.pop,))
+               for _ in range(min(cores, len(queue)) - 1)]
+    for w in workers:
+        w.start()
+    try:
+        drain(queue.popleft)
+    finally:
+        queue.clear()  # after an interrupt, the workers stop at their next item
+        for w in workers:
+            w.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _nested_worst_cases(problem, decisions):
     """Each non-leaf node's one-stage worst case under ``decisions``, which
     depends only on the node's decision, children and spec."""
-    wc = {}
-    for s in problem.tree.nonleaf_ids():
+    def value(s):
         res = _node_worst_case(problem, s, _node_outcomes(problem, s, decisions))
         if res.status != "optimal":
             raise InfeasibleProblemError(f"worst case at node {s} is {res.status}", node=s)
-        wc[s] = res.value
-    return wc
+        return res.value
+
+    ids = problem.tree.nonleaf_ids()
+    return dict(zip(ids, _in_parallel(value, ids)))
 
 
 def evaluate_policy_worst_case(problem, decisions, mode="nested"):
@@ -756,14 +801,23 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     (required for ambiguity types it does not cover): it receives the
     re-rooted :class:`MultistageProblem` of every subtree and must return an
     object with a ``value`` attribute.
+
+    The node worst cases, and then the subtrees, run on every usable core
+    (see :func:`_in_parallel`), each as the same cold solve it is on one
+    thread, so the report does not depend on the core count.  So
+    ``subtree_solver`` may be called from worker threads, in any order.
+    Every node or subtree runs; an error names the first failing one in
+    node order.
     """
     tree = problem.tree
     decisions = policy.decisions
     _check_decisions(problem, decisions)
     wc = _nested_worst_cases(problem, decisions)
-    assembled = _assemble_holistic(problem) if subtree_solver is None else None
-    entries = []
-    for s in tree.nonleaf_ids():
+    if subtree_solver is None:
+        assembled = _assemble_holistic(problem)
+        assembled[0].row_matrix()  # fill the shared cache before the slices read it
+
+    def entry(s):
         order = tree.descendants(s)
         # probabilities given s, root-down as unconditional_probs() on the subtree
         pu = {s: 1.0}
@@ -780,9 +834,9 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
         else:
             local = float(subtree_solver(subtree_problem(problem, s, decisions)[0]).value)
         achieved = float(achieved)
-        entries.append(TimeConsistencyEntry(
-            s, tree.nodes[s].stage, local, achieved, local - achieved))
-    return TimeConsistencyReport(entries, tol)
+        return TimeConsistencyEntry(s, tree.nodes[s].stage, local, achieved, local - achieved)
+
+    return TimeConsistencyReport(_in_parallel(entry, tree.nonleaf_ids()), tol)
 
 
 def _subtree_slice(problem, assembled, order, pu, decisions):

@@ -32,10 +32,6 @@ class TreeNode:
 class ScenarioTree:
     def __init__(self, nodes):
         self.nodes = list(nodes)
-        self.children = [[] for _ in self.nodes]
-        for node in self.nodes:
-            if node.parent is not None:
-                self.children[node.parent].append(node.id)
         self.validate()
 
     # ------------------------------------------------------------ structure
@@ -76,7 +72,8 @@ class ScenarioTree:
 
     def validate(self):
         """Dense BFS ids, linked parents, sibling probabilities summing to 1,
-        consistent stages, and a shared realization schema."""
+        consistent stages, and a shared realization schema.  Fills
+        ``children`` once every parent is known to precede its node."""
         if not self.nodes:
             raise ValueError("empty tree")
         root = self.nodes[0]
@@ -102,6 +99,9 @@ class ScenarioTree:
             if set(node.realization) != names:
                 raise ValueError(f"node {i}: realization keys differ from the root's")
             prev_stage = node.stage
+        self.children = [[] for _ in self.nodes]
+        for node in self.nodes[1:]:
+            self.children[node.parent].append(node.id)
         for node_id, kids in enumerate(self.children):
             if kids:
                 s = math.fsum(self.nodes[k].prob for k in kids)

@@ -311,6 +311,9 @@ def pinned_tree_with(node, field, value):
     pytest.param(pinned_tree_with(0, "prob", math.nan), "root conditional probability must be 1",
                  id="nan-root-prob"),
     pytest.param('{"nodes": {}}', "tree: field 'nodes' must be a list", id="nodes-not-a-list"),
+    pytest.param('{"nodes": [{"id": 0, "parent": null, "stage": 0, "prob": 1.0, "realization": {}},'
+                 ' {"id": 1, "parent": 5, "stage": 1, "prob": 1.0, "realization": {}}]}',
+                 "node 1: parent 5 must precede it", id="parent-past-the-end"),
 ])
 def test_malformed_tree_file_exits_cleanly(tmp_path, capsys, text, message):
     tree_file = tmp_path / "tree.json"

@@ -132,3 +132,10 @@ def test_mismatch_detection_catches_perturbations(report):
     tampered = solve_counterexample()
     tampered.points["v_int"] = (0.5, 0.5)
     assert any("argmax of v_int" in line for line in tampered.mismatches())
+
+
+def test_mismatched_points_print_as_plain_floats():
+    tampered = solve_counterexample()
+    tampered.points["vhat2_second"] = (np.float64(1.0),)
+    assert tampered.mismatches() == [
+        "argmax of vhat2_second: got (1.0,), want (0.8,) (tol 0.002)"]

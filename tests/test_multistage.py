@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -39,6 +42,7 @@ from prefrobust.utility import (
 )
 from prefrobust.worst_case import (
     OutcomeDistribution,
+    WorstCaseResult,
     node_primal,
     supporting_line_primal,
     worst_case_kantorovich_primal,
@@ -775,7 +779,8 @@ def test_sliced_subtree_lps_equal_the_rebuilt_ones(monkeypatch, make):
     monkeypatch.undo()
     assert [(e.node, e.stage, e.local_value, e.achieved_value, e.discrepancy)
             for e in report.entries] == _reference_report(problem, pol)
-    assert [order[0] for order, _, _ in sliced] == tree.nonleaf_ids()
+    # the subtrees run in parallel, so only the set of slices is fixed
+    assert sorted(order[0] for order, _, _ in sliced) == tree.nonleaf_ids()
     for order, (lp, xvar, blocks), assembled in sliced:
         sub, orig = subtree_problem(problem, order[0], pol.decisions)
         assert orig == order
@@ -822,23 +827,79 @@ def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
     with pytest.raises(ValueError, match=rf"row con{k}\[1\] does not hold: 1\.5 <= 1\.0"):
         subtree_problem(parent_only, 1, {0: np.array([1.5, 0.0])})
 
-    # a slice that ends without an optimum raises after its one solve,
-    # naming its subtree (node 1, the first slice after the whole tree)
+    # a slice that ends without an optimum raises after its one solve, with
+    # no rebuild; every slice runs, and the error names the first failed
+    # subtree in node order (node 1, the first slice after the whole tree)
     solve, full = lp_module.LinearProgram.solve, _assemble_holistic(problem)[0].num_rows
+    monkeypatch.setattr(multistage_module, "subtree_problem", None)
     for status, message in ((lp_module.LpStatus.FAILED, "failed: stalled"),
                             (lp_module.LpStatus.INFEASIBLE, "infeasible")):
         failed = []
 
         def failing(self, *args, **kwargs):
             if self.name == "tree" and self.num_rows < full:
-                failed.append(self.num_rows)
+                failed.append(self.var_name(0))
                 return lp_module.LpSolution(status, message="stalled")
             return solve(self, *args, **kwargs)
 
         monkeypatch.setattr(lp_module.LinearProgram, "solve", failing)
         with pytest.raises(RuntimeError, match=rf"^subtree 1 solve ended {message}$"):
             check_time_consistency(problem, pol)
-        assert len(failed) == 1
+        assert sorted(failed) == ["x[1][0]", "x[2][0]"]
+
+
+def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
+    problem = _mixed_problem(np.random.default_rng(11), (2, 3, 2), asked_nodes={1, 5, 6})
+    pol = solve_holistic(problem)
+
+    def runs():
+        return ([(e.node, e.stage, e.local_value, e.achieved_value, e.discrepancy)
+                 for e in check_time_consistency(problem, pol, subtree_solver=solver).entries]
+                for solver in (None, solve_holistic))
+
+    free = list(runs()), evaluate_policy_worst_case(problem, pol.decisions)
+    node_worst_case, solve_big = multistage_module._node_worst_case, multistage_module._solve_big
+
+    seen = []
+
+    def failing_worst_case(problem, s, dist):
+        seen.append(s)
+        if s == 5:
+            raise RuntimeError("node 5 broke")
+        if s == 2:
+            return WorstCaseResult("infeasible")
+        return node_worst_case(problem, s, dist)
+
+    def failing_solve(problem, big, xvar, label):
+        if label in ("subtree 2", "subtree 5"):
+            raise RuntimeError(f"{label} solve ended failed: stalled")
+        return solve_big(problem, big, xvar, label)
+
+    for cores in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
+        try:
+            assert (list(runs()), evaluate_policy_worst_case(problem, pol.decisions)) == free
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        # every node still runs; the first failure in node order is raised
+        with monkeypatch.context() as m:
+            m.setattr(multistage_module, "_node_worst_case", failing_worst_case)
+            for run in (lambda: evaluate_policy_worst_case(problem, pol.decisions),
+                        lambda: check_time_consistency(problem, pol)):
+                seen.clear()
+                with pytest.raises(InfeasibleProblemError,
+                                   match="^worst case at node 2 is infeasible$"):
+                    run()
+                assert sorted(seen) == problem.tree.nonleaf_ids()
+            m.setattr(multistage_module, "_solve_big", failing_solve)
+            m.setattr(multistage_module, "_node_worst_case", node_worst_case)
+            with pytest.raises(RuntimeError, match="^subtree 2 solve ended failed: stalled$"):
+                check_time_consistency(problem, pol)
+        assert threading.active_count() == threads
 
 
 @st.composite

@@ -113,6 +113,17 @@ def test_load_rejects_missing_field():
         ScenarioTree.from_json(json.dumps(data))
 
 
+def test_a_parent_past_the_last_node_is_named():
+    nodes = [TreeNode(0, None, 0, 1.0, {}), TreeNode(1, 5, 1, 1.0, {})]
+    with pytest.raises(ValueError, match="^node 1: parent 5 must precede it$"):
+        ScenarioTree(nodes)
+    data = json.loads(two_stage_tree().to_json())
+    data["nodes"] = data["nodes"][:2]
+    data["nodes"][1]["parent"] = 5
+    with pytest.raises(TreeSchemaError, match="^node 1: parent 5 must precede it$"):
+        ScenarioTree.from_json(json.dumps(data))
+
+
 def test_files_written_by_the_old_save_still_load():
     # the retired writer added "horizon"/"series" and wrote probs as strings
     text = """{

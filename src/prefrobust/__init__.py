@@ -85,5 +85,4 @@ from .experiment import (
     run_one,
     solve_model,
     sweep,
-    write_csv,
 )

@@ -197,7 +197,8 @@ class FiniteUtilitySet:
                 vals = (float(u(a)), float(u(b)))
             except AttributeError:
                 raise ValueError(f"member {u!r} is not a utility object") from None
-            if abs(vals[0]) > 1e-9 or abs(vals[1] - 1.0) > 1e-9:
+            # written so that a NaN fails too
+            if not (abs(vals[0]) <= 1e-9 and abs(vals[1] - 1.0) <= 1e-9):
                 raise ValueError(f"member {u!r} is not normalized: {vals}")
         self.members = tuple(members)
 

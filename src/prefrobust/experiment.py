@@ -39,10 +39,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -61,7 +59,7 @@ from .multistage import (
     solve_holistic,
     solve_nominal,
 )
-from .tree import ScenarioTree, SeriesModel, generate_synthetic
+from .tree import ScenarioTree, SeriesModel, _integer, _number, _numbers, generate_synthetic
 from .utility import project, uniform_grid
 
 __all__ = [
@@ -81,35 +79,12 @@ __all__ = [
     "run_one",
     "solve_model",
     "sweep",
-    "write_csv",
 ]
 
 CSV_HEADER = "run_id,model,T,N,R,K,seed,value,q1,ms"
 MODELS = ("msp_true", "msp_pln", "pro_kan", "pro_pc")
 
 _OIL = "oil"
-
-
-def _number(value, name):
-    """``value`` if it is a real number; a bool or a string names ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def _integer(value, name):
-    """``value`` as an int if it is a whole real number; else names ``name``."""
-    if not isinstance(_number(value, name), numbers.Integral) and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _numbers(value, name, item=_number):
-    """``value`` as a tuple of ``item``-checked numbers; anything else names
-    ``name``."""
-    if isinstance(value, (str, bytes, dict)) or not isinstance(value, Iterable):
-        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(item(v, f"{name}[{k}]") for k, v in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -528,13 +503,6 @@ def aggregate(rows: Sequence[ResultRow]):
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
     return "\n".join([CSV_HEADER, *(row.line() for row in rows)]) + "\n"
-
-
-def write_csv(rows: Sequence[ResultRow], path) -> str:
-    text = rows_to_csv(rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return text
 
 
 def read_policy_table(text: str) -> Dict[int, np.ndarray]:

@@ -14,10 +14,10 @@ objective.  Reward certification asks for many optimal values over one
 fixed polytope, and nothing else of each solve: :class:`HighsSession` keeps
 that program loaded, and :meth:`HighsSession.minimum` pushes the changed
 costs, re-runs dual simplex from the last basis and returns the optimal
-value only.  Both paths vet HiGHS's ``x`` with one post-solve check.  A
-session answers ``None`` for anything other than a checked optimum, and the
-caller solves that LP cold, so infeasible, unbounded and failed programs
-are classified in one place.
+value only.  Both paths vet HiGHS's ``x`` with one post-solve check and
+classify the run in the session.  A warm run without a checked optimum is
+re-run once, cold, before the session answers ``None``; after an infeasible
+run the session names conflicting rows through HiGHS's IIS.
 
 The module also provides a mechanical dualizer.  Several published dual
 formulations in this problem family carry typographical sign slips, so
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy._core import (
+    HighsIis,
     HighsLp,
     HighsModelStatus,
     MatrixFormat,
@@ -301,17 +302,11 @@ class LinearProgram:
         session = HighsSession(self, DEFAULT_TOL if tol is None else float(tol))
         session.load(sign * self.objective)
         x = session.run()
-        status = session.highs.getModelStatus()
-        message = session.highs.modelStatusToString(status)
-        if status == HighsModelStatus.kInfeasible:
-            return LpSolution(LpStatus.INFEASIBLE, message=message)
-        if status == HighsModelStatus.kUnbounded:
-            return LpSolution(LpStatus.UNBOUNDED, message=message)
         if x is None:
-            if status == HighsModelStatus.kOptimal:
-                message += f", but x strays from a bound or row by more than {_CHECK_TOL:.2e}"
-            log.warning("LP %s: solver breakdown (%s)", self.name or "<unnamed>", message)
-            return LpSolution(LpStatus.FAILED, message=message)
+            if session.status is LpStatus.FAILED:
+                log.warning("LP %s: solver breakdown (%s)", self.name or "<unnamed>",
+                            session.message)
+            return LpSolution(session.status, message=session.message)
 
         # HiGHS reports multipliers for the minimized, <=-oriented rows; undo
         # the row flips and the sense flip.  A bound multiplier is the column
@@ -329,7 +324,7 @@ class LinearProgram:
         dual_obj += float(lo[finite_lo] @ (sign * np.where(at_lo, col_dual, 0.0))[finite_lo])
         dual_obj += float(hi[finite_hi] @ (sign * np.where(at_hi, col_dual, 0.0))[finite_hi])
         return LpSolution(LpStatus.OPTIMAL, objective=float(self.objective @ x), x=x,
-                          duals=duals, dual_objective=dual_obj, message=message)
+                          duals=duals, dual_objective=dual_obj, message=session.message)
 
 
 # ----------------------------------------------------------------------- HiGHS
@@ -340,6 +335,9 @@ _OPTIONS = (("output_flag", False), ("log_to_console", False), ("presolve", "on"
             ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
 # The slack linprog's own post-solve check allows: 10 * sqrt(its default tol 1e-9).
 _CHECK_TOL = 10 * math.sqrt(1e-9)
+_STATUS = {HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
+           HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
+           HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED}
 
 
 def _require_finite(lp, cost, mat):
@@ -362,16 +360,16 @@ class HighsSession:
     """The rows and bounds of one program loaded in HiGHS.
 
     :meth:`load` and :meth:`run` are the one path into HiGHS, for the cold
-    solves of :meth:`LinearProgram.solve` too.  :meth:`minimum` keeps the
-    model loaded for the optimal values of many objectives: later calls push
-    only the changed costs and re-run warm from the last basis.  The
-    program's own costs and sense are never read, and it must not gain rows
-    or variables while the session is in use.
+    solves of :meth:`LinearProgram.solve` too, and :meth:`run` classifies
+    each end.  :meth:`minimum` keeps the model loaded for the optimal values
+    of many objectives: later calls push only the changed costs and re-run
+    warm from the last basis.  The program's own costs and sense are never
+    read, and it must not gain rows or variables while the session is in use.
     """
 
     def __init__(self, lp, tol=DEFAULT_TOL):
         self._lp, self._tol = lp, tol
-        self.highs = self.solution = self._cost = None
+        self.highs = self.solution = self._cost = self.status = None
 
     def load(self, cost):
         """Load the program into a fresh HiGHS instance, to minimize
@@ -407,38 +405,50 @@ class HighsSession:
         self.highs.passModel(model)
 
     def run(self):
-        """Run HiGHS; ``x``, or ``None`` unless it ends optimal with an ``x``
-        within ``_CHECK_TOL`` of every bound and row (linprog's own check)."""
+        """Run HiGHS and classify the end in ``status`` and ``message``;
+        return ``x``, or ``None`` unless it ends optimal with an ``x`` within
+        ``_CHECK_TOL`` of every bound and row (linprog's own check)."""
         h = self.highs
         h.run()
-        if h.getModelStatus() != HighsModelStatus.kOptimal:
-            return None
-        self.solution = h.getSolution()
-        x = np.array(self.solution.col_value)
-        rows = np.array(self.solution.row_value)
-        if (np.all((x >= self.lower - _CHECK_TOL) & (x <= self.upper + _CHECK_TOL))
-                and np.all((rows >= self.row_lower - _CHECK_TOL)
-                           & (rows <= self.row_upper + _CHECK_TOL))):
-            return x
+        self.status = _STATUS.get(h.getModelStatus(), LpStatus.FAILED)
+        self.message = h.modelStatusToString(h.getModelStatus())
+        if self.status is LpStatus.OPTIMAL:
+            self.solution = h.getSolution()
+            x = np.array(self.solution.col_value)
+            rows = np.array(self.solution.row_value)
+            if (np.all((x >= self.lower - _CHECK_TOL) & (x <= self.upper + _CHECK_TOL))
+                    and np.all((rows >= self.row_lower - _CHECK_TOL)
+                               & (rows <= self.row_upper + _CHECK_TOL))):
+                return x
+            self.status = LpStatus.FAILED
+            self.message += f", but x strays from a bound or row by more than {_CHECK_TOL:.2e}"
         return None
 
     def minimum(self, cost):
-        """``min cost . x`` over the program, or ``None`` when :meth:`run`
-        has no ``x``; the call after a ``None`` reloads the model.  ``cost``
-        is kept to diff the next call against, so it must not be modified
-        afterwards."""
-        if self.highs is None:
-            self.load(cost)
-        else:
+        """``min cost . x`` over the program, or ``None`` when the last
+        :meth:`run` has no ``x``, a warm one being re-run cold in a fresh
+        instance first; ``status`` says why.  ``cost`` is kept to diff the
+        next call against, so it must not be modified afterwards."""
+        x = None
+        if self.highs is not None:
             changed = np.flatnonzero(cost != self._cost)
             if changed.size:
                 self.highs.changeColsCost(changed.size, changed.astype(np.int32), cost[changed])
-        self._cost = cost
-        x = self.run()
+            x = self.run()
         if x is None:
-            self.highs = None
-            return None
-        return float(cost @ x)
+            self.load(cost)
+            x = self.run()
+        self._cost = cost
+        return None if x is None else float(cost @ x)
+
+    def conflict(self):
+        """After an infeasible run, the program rows of one irreducible
+        infeasible subset, in program order; empty if HiGHS names none.  The
+        default strategy names none; row priority (1) does."""
+        self.highs.setOptionValue("iis_strategy", 1)
+        iis = HighsIis()
+        self.highs.getIis(iis)
+        return np.sort(self.order[np.asarray(iis.row_index, dtype=np.int64)])
 
 
 # --------------------------------------------------------------------- duality

@@ -212,12 +212,10 @@ class MultistageProblem:
         return NodeConstraint(con.node, con.rel, float(con.rhs), cs, cp)
 
     # ------------------------------------------------------------ decisions
-    def add_decisions(self, lp, last_node=None):
+    def add_decisions(self, lp):
         """Add the decision columns ``x[s][k]`` with their box bounds and the
         constraint rows to ``lp``; return the column indices per node.
 
-        ``last_node`` keeps just the rows attached to nodes up to that id,
-        which the infeasibility diagnosis uses to locate the first offender.
         Row ``con{idx}[{node}]`` holds constraint ``idx``: its own
         coefficients, then its parent's.
         """
@@ -225,34 +223,22 @@ class MultistageProblem:
         for s in self.tree.nonleaf_ids():
             lb, ub = self.decision_bounds[s]
             xvar[s] = lp.add_vars(lb.size, f"x[{s}]", lb=lb, ub=ub)
-        kept = [(idx, con) for idx, con in enumerate(self.constraints)
-                if last_node is None or con.node <= last_node]
         cols, vals, indptr = [], [], [0]
-        for _, con in kept:
+        for con in self.constraints:
             parent = self.tree.nodes[con.node].parent
             cols += [xvar[con.node][k] for k in con.coef_self]
             cols += [xvar[parent][k] for k in con.coef_parent]
             vals += [*con.coef_self.values(), *con.coef_parent.values()]
             indptr.append(len(cols))
-        lp.add_rows(indptr, cols, vals, [con.rel for _, con in kept],
-                    [con.rhs for _, con in kept],
-                    [f"con{idx}[{con.node}]" for idx, con in kept])
+        lp.add_rows(indptr, cols, vals, [con.rel for con in self.constraints],
+                    [con.rhs for con in self.constraints],
+                    [f"con{idx}[{con.node}]" for idx, con in enumerate(self.constraints)])
         return xvar
 
-    def _decision_lp(self, last_node=None):
+    def _decision_lp(self):
         """Box bounds plus constraint rows only (zero objective)."""
         lp = LinearProgram("min", name="decisions")
-        return lp, self.add_decisions(lp, last_node)
-
-    def _raise_decision_infeasible(self):
-        for cutoff in sorted({con.node for con in self.constraints}):
-            lp, _ = self._decision_lp(last_node=cutoff)
-            if lp.solve().status is LpStatus.INFEASIBLE:
-                raise InfeasibleProblemError(
-                    f"decision constraints become infeasible at node {cutoff}",
-                    node=cutoff,
-                )
-        raise InfeasibleProblemError("decision constraints are infeasible")
+        return lp, self.add_decisions(lp)
 
     def _certify_rewards(self):
         lp, xvar = self._decision_lp()
@@ -278,24 +264,27 @@ class MultistageProblem:
                     f"utility domain [{a:g}, {b:g}]")
 
     def _reward_extreme(self, lp, cols, coef, sign, node, session):
-        """``sign * min(sign * coef . x[cols])`` over the decision set ``lp``:
-        warm in ``session`` when it has the answer, else cold."""
+        """``sign * min(sign * coef . x[cols])`` over the decision set ``lp``,
+        solved in ``session``.  An empty set is refused naming the rows of one
+        conflict and the last node they belong to."""
         cost = np.zeros(lp.num_vars)
         cost[cols] = sign * coef
         value = session.minimum(cost)
-        if value is None:
-            lp.objective = cost
-            sol = lp.solve()
-            if sol.status is LpStatus.INFEASIBLE:
-                self._raise_decision_infeasible()
-            if sol.status is LpStatus.UNBOUNDED:
-                raise ValueError(
-                    f"reward at node {node} is unbounded over the decision set; "
-                    "add box bounds")
-            if not sol.is_optimal:
-                raise RuntimeError(f"reward range solve ended {sol.status.value}")
-            value = sol.objective
-        return sign * value
+        if value is not None:
+            return sign * value
+        if session.status is LpStatus.INFEASIBLE:
+            rows = session.conflict()
+            if not rows.size:
+                raise InfeasibleProblemError("decision constraints are infeasible")
+            last = max(self.constraints[k].node for k in rows)
+            raise InfeasibleProblemError(
+                f"decision constraints become infeasible at node {last}: rows "
+                + ", ".join(lp.row_name(k) for k in rows), node=last)
+        if session.status is LpStatus.UNBOUNDED:
+            raise ValueError(
+                f"reward at node {node} is unbounded over the decision set; "
+                "add box bounds")
+        raise RuntimeError(f"reward range solve ended {session.status.value}")
 
 
 def _require_finite(values, where, field, index=True):

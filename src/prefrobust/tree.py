@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,6 +271,28 @@ class SeriesModel:
             raise ValueError(f"series {self.name}: price series needs an initial level")
 
 
+def _number(value, name):
+    """``value`` if it is a real number; a bool or a string names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _integer(value, name):
+    """``value`` as an int if it is a whole real number; else names ``name``."""
+    if not isinstance(_number(value, name), numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(value, name, item=_number):
+    """``value`` as a tuple of ``item``-checked numbers; anything else names
+    ``name``."""
+    if isinstance(value, (str, bytes, dict)) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(item(v, f"{name}[{k}]") for k, v in enumerate(value))
+
+
 def generate_synthetic(branching, series, seed):
     """Build a balanced tree with iid Gaussian log-increments.
 
@@ -276,7 +300,7 @@ def generate_synthetic(branching, series, seed):
     conditional probabilities are equal among siblings.  Node draws follow
     id order, so a given seed pins the tree bit-for-bit.
     """
-    branching = [int(b) for b in branching]
+    branching = _numbers(branching, "branching", _integer)
     if not branching or any(b < 1 for b in branching):
         raise ValueError("branching must be a non-empty list of positive counts")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

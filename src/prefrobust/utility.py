@@ -125,14 +125,18 @@ class ClosedFormUtility:
         self.domain = (a, b)
         self.k = k
         self.pieces = None
+        # written so that a NaN fails too
         if kind == "exponential":
-            if k is None or k <= 0:
-                raise ValueError("exponential utility needs k > 0")
+            if k is None or not 0 < k < math.inf:
+                raise ValueError(f"exponential utility needs a finite k > 0, got {k!r}")
         elif kind == "min_affine":
             if not pieces:
                 raise ValueError("min_affine needs a list of (slope, intercept) pairs")
             self.pieces = [(float(m), float(c)) for m, c in pieces]
-            if abs(self._raw(a)) > 1e-12 or abs(self._raw(b) - 1.0) > 1e-12:
+            for i, piece in enumerate(self.pieces):
+                if not all(map(math.isfinite, piece)):
+                    raise ValueError(f"min_affine piece {i} is {piece!r}")
+            if not (abs(self._raw(a)) <= 1e-12 and abs(self._raw(b) - 1.0) <= 1e-12):
                 raise ValueError("min_affine pieces are not normalized on the domain")
         elif kind not in ("linear", "quadratic"):
             raise ValueError(f"unknown utility kind {kind!r}")

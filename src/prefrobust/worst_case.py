@@ -17,6 +17,7 @@ definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,14 @@ class OutcomeDistribution:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if len(self.values) != len(self.probs) or not self.values:
             raise ValueError("values and probs must be non-empty and match")
-        if any(p <= 0 for p in self.probs):
+        for name, entries in (("values", self.values), ("probs", self.probs)):
+            bad = [k for k, v in enumerate(entries) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"outcome {name}[{bad[0]}] is {entries[bad[0]]!r}")
+        # written so that a NaN fails too
+        if not all(p > 0 for p in self.probs):
             raise ValueError("outcome probabilities must be positive")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
+        if not abs(sum(self.probs) - 1.0) <= 1e-12:
             raise ValueError(f"outcome probabilities sum to {sum(self.probs)!r}, not 1")
 
     @classmethod

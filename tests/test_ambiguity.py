@@ -277,6 +277,15 @@ def test_finite_set_validation():
     with pytest.raises(ValueError):
         FiniteUtilitySet([lambda x: 0.5 * x])
 
+    class NanAtEnds:
+        domain = (0.0, 1.0)
+
+        def __call__(self, x):
+            return math.nan
+
+    with pytest.raises(ValueError, match="is not normalized: \\(nan, nan\\)"):
+        FiniteUtilitySet([NanAtEnds()])
+
 
 def test_regime_rule():
     assert regime_nominal(50.0).kind == "linear"

@@ -329,6 +329,12 @@ def test_config_refuses_fractional_counts_and_bad_scales(fields, message):
         ExperimentConfig(**fields)
 
 
+def test_generate_tree_refuses_a_fractional_branching():
+    with pytest.raises(ValueError, match=r"branching\[0\] must be an integer, got 2.9"):
+        generate_tree((2.9, 2), 0)
+    assert len(generate_tree((2.0, 2), 0)) == 7
+
+
 def test_whole_numbers_stand_for_integers():
     cfg = ExperimentConfig(branching=[2.0, 3], seeds=[np.int64(4)], n_breakpoints=10.0)
     assert cfg.branching == (2, 3) and cfg.seeds == (4,) and cfg.n_breakpoints == 10

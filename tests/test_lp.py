@@ -295,16 +295,44 @@ def test_warm_minimum_is_none_off_an_optimum_and_reloads_after():
     infeasible = LinearProgram("min")
     x = infeasible.add_var("x")
     infeasible.add_row({x: 1.0}, "<=", -1.0)
-    assert HighsSession(infeasible).minimum(np.array([1.0])) is None
+    session = HighsSession(infeasible)
+    assert session.minimum(np.array([1.0])) is None
+    assert session.status is LpStatus.INFEASIBLE
 
     free = LinearProgram("min")
     free.add_var("x", lb=-math.inf)
     free.add_var("y", lb=-math.inf)
     free.add_row({0: 1.0, 1: 1.0}, ">=", -2.0)
     session = HighsSession(free)
-    assert session.minimum(np.array([1.0, 0.0])) is None  # unbounded
+    assert session.minimum(np.array([1.0, 0.0])) is None
+    assert session.status is LpStatus.UNBOUNDED
     assert session.minimum(np.array([1.0, 1.0])) == pytest.approx(-2.0, abs=1e-9)
     assert session.minimum(np.array([2.0, 2.0])) == pytest.approx(-4.0, abs=1e-9)
+    assert session.status is LpStatus.OPTIMAL
+
+
+def test_conflict_names_the_rows_of_one_iis_in_program_order():
+    lp = LinearProgram("min")
+    x = lp.add_vars(3, "x", ub=1.0)
+    # '=' rows go last in HiGHS's layout and '>=' rows are negated; the
+    # conflict is rows 1 and 3, one of each
+    lp.add_rows(np.arange(7), [x[0], x[1], x[2], x[1], x[0], x[2]],
+                [1.0, 1.0, 1.0, 1.0, 1.0, 1.0], ["<=", "=", ">=", "<=", ">=", "<="],
+                [0.5, 0.75, 0.0, 0.25, 0.0, 2.0], ["a", "b", "c", "d", "e", "f"])
+    session = HighsSession(lp)
+    assert session.minimum(np.zeros(3)) is None
+    assert session.status is LpStatus.INFEASIBLE
+    assert session.conflict().tolist() == [1, 3]
+
+
+def test_the_highs_binding_names_iis_rows_by_row_priority():
+    """The IIS that :meth:`HighsSession.conflict` reads needs these names in
+    scipy's HiGHS binding, and its option value 1 must mean row priority."""
+    from scipy.optimize._highspy._core import HighsIis, HighsStatus, IisStrategy, _Highs
+
+    assert int(IisStrategy.kIisStrategyFromLpRowPriority) == 1
+    assert _Highs().setOptionValue("iis_strategy", 1) == HighsStatus.kOk
+    assert list(HighsIis().row_index) == []
 
 
 # ------------------------------------------------------------------- duality

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from prefrobust.ambiguity import (
     elicit_pairwise,
 )
 from prefrobust.blocks import append_ball_membership
-from prefrobust.lp import LinearProgram, dualize
+from prefrobust.lp import LinearProgram, LpStatus, dualize
 from prefrobust.multistage import (
     InfeasibleProblemError,
     MultistageProblem,
@@ -373,30 +374,41 @@ def test_sequence_global_requires_finite_sets():
         evaluate_policy_worst_case(problem, dec, "sequence_global")
 
 
-def _decline_every_warm_solve(monkeypatch):
-    """Make every warm session decline, as if HiGHS never ended optimal
-    there; returns the list of the answers it held back."""
-    answers = []
-    real = lp_module.HighsSession.minimum
+def _fail_every_warm_run(monkeypatch):
+    """Make every warm run of a session fail, as if HiGHS broke down there:
+    a run on an instance that has run since its load ends FAILED.  Returns
+    the list of the answers the failed runs held back."""
+    held = []
+    real_load, real_run = lp_module.HighsSession.load, lp_module.HighsSession.run
 
-    def spy(self, cost):
-        answers.append(real(self, cost))
+    def load(self, cost):
+        real_load(self, cost)
+        self.cold = True
+
+    def run(self):
+        x = real_run(self)
+        if self.cold:
+            self.cold = False
+            return x
+        held.append(x)
+        self.status, self.message = LpStatus.FAILED, "warm run made to fail"
         return None
 
-    monkeypatch.setattr(lp_module.HighsSession, "minimum", spy)
-    return answers
+    monkeypatch.setattr(lp_module.HighsSession, "load", load)
+    monkeypatch.setattr(lp_module.HighsSession, "run", run)
+    return held
 
 
 @pytest.fixture(params=["session", "session declines"])
 def certify_backend(request, monkeypatch):
-    """Certify reward ranges in a warm HiGHS session, or in one that declines
-    every answer, so that each LP is solved cold again."""
+    """Certify reward ranges in a warm HiGHS session, or in one whose every
+    warm run fails, so that each LP is run cold again in a fresh instance."""
     if request.param == "session declines":
-        _decline_every_warm_solve(monkeypatch)
+        _fail_every_warm_run(monkeypatch)
     return request.param
 
 
-def test_infeasibility_names_the_offending_node(certify_backend):
+def test_infeasibility_names_the_offending_node(monkeypatch, certify_backend):
     tree = balanced_tree([2, 2])
     y = uniform_grid(0.0, 1.0, 5)
     identity = PiecewiseLinearUtility(y, y)
@@ -406,9 +418,14 @@ def test_infeasibility_names_the_offending_node(certify_backend):
 
     clash = [NodeConstraint(1, ">=", 0.8, coef_self={0: 1.0}),
              NodeConstraint(1, "<=", 0.2, coef_self={0: 1.0})]
+    runs = _count_calls(monkeypatch, lp_module.HighsSession, ("run", "conflict"))
     with pytest.raises(InfeasibleProblemError) as err:
         MultistageProblem(tree, bounds, rewards, spec, y, clash)
     assert err.value.node == 1
+    assert str(err.value) == ("decision constraints become infeasible at node 1: "
+                              "rows con0[1], con1[1]")
+    # an empty decision set costs one HiGHS run and one IIS
+    assert runs == ["run", "conflict"]
 
     # an over-constrained questionnaire at one node empties its utility set
     sane = elicit_pairwise(ClosedFormUtility.quadratic(), K=10, grid=y, seed=1)
@@ -418,6 +435,92 @@ def test_infeasibility_names_the_offending_node(certify_backend):
     with pytest.raises(InfeasibleProblemError) as err:
         solve_holistic(problem)
     assert err.value.node == 2
+
+
+def _count_calls(monkeypatch, owner, names):
+    """Record the name of each call of the methods ``names`` of ``owner``."""
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
+def _first_infeasible_prefix(problem):
+    """The first node, in id order, at which the decision rows of the nodes up
+    to it have no solution: one cold solve per node that carries a row."""
+    for cutoff in sorted({con.node for con in problem.constraints}):
+        lp = LinearProgram("min", name="decisions")
+        _add_decisions_reference(problem, lp, last_node=cutoff)
+        if lp.solve().status is LpStatus.INFEASIBLE:
+            return cutoff
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_conflict_is_named_as_the_prefix_loop_names_it(data):
+    """Rows that hold at a random point never touch the variable that one
+    injected pair of rows pins to two values, so that pair is the only
+    conflict, and the first infeasible prefix ends at its later node."""
+    branching = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    tree = balanced_tree(branching)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dims = {s: int(rng.integers(1, 4)) for s in tree.nonleaf_ids()}
+    bounds = {s: (np.zeros(d), np.ones(d)) for s, d in dims.items()}
+    point = {s: rng.uniform(0.0, 1.0, d) for s, d in dims.items()}
+    # each row of the pair sits at the node owning the pinned decision or at
+    # one of its children
+    owner = data.draw(st.sampled_from(tree.nonleaf_ids()))
+    pinned = (owner, int(rng.integers(dims[owner])))
+    at = data.draw(st.lists(st.sampled_from([owner, *tree.children[owner]]),
+                            min_size=2, max_size=2))
+
+    def coefs(s):
+        return {k: float(rng.uniform(-1.0, 1.0)) for k in range(dims[s])
+                if (s, k) != pinned and rng.random() < 0.7}
+
+    rows = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        node = int(rng.integers(len(tree.nodes)))
+        par = tree.nodes[node].parent
+        cs = {} if tree.is_leaf(node) else coefs(node)
+        cp = {} if par is None else coefs(par)
+        if not cs and not cp:
+            continue
+        value = sum(v * point[node][k] for k, v in cs.items())
+        value += sum(v * point[par][k] for k, v in cp.items())
+        rel = data.draw(st.sampled_from(["<=", ">=", "="]))
+        slack = {"<=": 0.1, ">=": -0.1, "=": 0.0}[rel]
+        rows.append(NodeConstraint(node, rel, value + slack, cs, cp))
+    pair = []
+    for node, rel, value in zip(at, (">=", "<="), rng.uniform([0.6, 0.0], [1.0, 0.4])):
+        scale = float(rng.uniform(0.5, 2.0))
+        key = "coef_self" if node == owner else "coef_parent"
+        pair.append(NodeConstraint(node, rel, scale * value, **{key: {pinned[1]: scale}}))
+    first = data.draw(st.integers(0, len(rows)))
+    rows.insert(first, pair[0])
+    second = data.draw(st.integers(0, len(rows)))
+    rows.insert(second, pair[1])
+    first += second <= first
+
+    y = uniform_grid(0.0, 1.0, 5)
+    spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
+    rewards = {n.id: (np.full(dims[n.parent], 0.1), 0.0)
+               for n in tree.nodes if n.parent is not None}
+    with pytest.raises(InfeasibleProblemError) as err:
+        MultistageProblem(tree, bounds, rewards, spec, y, rows)
+    last = max(at)
+    assert err.value.node == last == _first_infeasible_prefix(
+        SimpleNamespace(tree=tree, decision_bounds=bounds, constraints=rows))
+    named = ", ".join(f"con{i}[{rows[i].node}]" for i in sorted((first, second)))
+    assert str(err.value) == f"decision constraints become infeasible at node {last}: rows {named}"
 
 
 def test_reward_ranges_are_certified_at_build_time(certify_backend):
@@ -514,14 +617,12 @@ def test_decision_rows_equal_one_add_row_per_constraint(monkeypatch):
                                 problem.ambiguity, problem.grid,
                                 [*problem.constraints, *extra])
     calls = _counting_add_row(monkeypatch)
-    for last_node in (None, 0, 1, 2, 3, 5):
-        lp, xvar = problem._decision_lp(last_node)
-        assert calls == []
-        ref = LinearProgram("min", name="decisions")
-        ref_x = _add_decisions_reference(problem, ref, last_node)
-        calls.clear()
-        assert_same_program(lp, ref)
-        assert all(np.array_equal(xvar[s], ref_x[s]) for s in ref_x)
+    lp, xvar = problem._decision_lp()
+    assert calls == []
+    ref = LinearProgram("min", name="decisions")
+    ref_x = _add_decisions_reference(problem, ref)
+    assert_same_program(lp, ref)
+    assert all(np.array_equal(xvar[s], ref_x[s]) for s in ref_x)
 
 
 @pytest.mark.parametrize("model", ["pro_kan", "pro_pc", "msp_pln"])
@@ -1062,6 +1163,7 @@ def test_certification_names_the_same_node_as_one_lp_pair_per_reward(certify_bac
     with pytest.raises(InfeasibleProblemError) as err:
         MultistageProblem(tree, bounds, zero, spec, y, clash)
     assert err.value.node == 2
+    assert str(err.value).endswith("at node 2: rows con0[2], con1[2]")
 
 
 def _certified_extremes(monkeypatch, tree, config):
@@ -1084,10 +1186,12 @@ def test_a_declined_warm_solve_is_answered_cold(monkeypatch):
     tree = experiment.generate_tree(config.branching, config.tree_seed)
     warm = _certified_extremes(monkeypatch, tree, config)
     with monkeypatch.context() as patch:
-        answers = _decline_every_warm_solve(patch)
+        held = _fail_every_warm_run(patch)
         cold = _certified_extremes(monkeypatch, tree, config)
-    assert len(answers) == len(cold) == len(warm) > 0
-    assert all(a is not None for a in answers)
+    # every extreme but the first one of the build ran warm, failed and
+    # was run again cold
+    assert len(held) + 1 == len(cold) == len(warm) > 1
+    assert all(x is not None for x in held)
     np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-9)
 
 

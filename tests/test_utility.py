@@ -125,6 +125,19 @@ def test_closed_form_values_and_bounds():
         u1.curvature()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ClosedFormUtility.exponential(math.nan), "needs a finite k > 0, got nan"),
+    (lambda: ClosedFormUtility.exponential(math.inf), "needs a finite k > 0, got inf"),
+    (lambda: ClosedFormUtility.min_affine([(math.nan, 0.0), (1.0, 0.0)]),
+     r"min_affine piece 0 is \(nan, 0.0\)"),
+    (lambda: ClosedFormUtility.min_affine([(2.0, 0.0), (0.0, math.inf)]),
+     r"min_affine piece 1 is \(0.0, inf\)"),
+])
+def test_closed_forms_refuse_non_finite_parameters(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_projection_is_interpolation():
     exp = ClosedFormUtility.exponential(3.0)
     grid = uniform_grid(0.0, 1.0, 9)

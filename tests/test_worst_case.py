@@ -316,6 +316,17 @@ def test_outcomes_must_lie_in_domain():
         OutcomeDistribution.from_pairs([(0.5, 0.7), (0.6, 0.2)])
 
 
+@pytest.mark.parametrize("values, probs, message", [
+    ((0.2, 0.5), (math.nan, 0.5), r"outcome probs\[0\] is nan"),
+    ((0.2, math.nan), (0.5, 0.5), r"outcome values\[1\] is nan"),
+    ((0.2, math.inf), (0.5, 0.5), r"outcome values\[1\] is inf"),
+    ((0.2, 0.5), (0.5, -math.inf), r"outcome probs\[1\] is -inf"),
+])
+def test_outcomes_refuse_non_finite_entries(values, probs, message):
+    with pytest.raises(ValueError, match=message):
+        OutcomeDistribution(values, probs)
+
+
 @st.composite
 def one_stage_instances(draw):
     """A concave nominal on an uneven grid of 2 to 12 points, a ball of

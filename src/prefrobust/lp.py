@@ -17,7 +17,9 @@ costs, re-runs dual simplex from the last basis and returns the optimal
 value only.  Both paths vet HiGHS's ``x`` with one post-solve check and
 classify the run in the session.  A warm run without a checked optimum is
 re-run once, cold, before the session answers ``None``; after an infeasible
-run the session names conflicting rows through HiGHS's IIS.
+run the session names conflicting rows through HiGHS's IIS.  The loader's
+row layout (:class:`RowLayout`) depends on the matrix and relations alone,
+so programs that differ only in costs and right-hand sides load from one.
 
 The module also provides a mechanical dualizer.  Several published dual
 formulations in this problem family carry typographical sign slips, so
@@ -340,7 +342,7 @@ _STATUS = {HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
            HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED}
 
 
-def _require_finite(lp, cost, mat):
+def _require_finite(lp, cost, rhs, mat):
     """Refuse a NaN or infinite cost, coefficient or right-hand side, naming
     the program and the entry: HiGHS would take it, and may end optimal."""
     def coefficient(k):
@@ -349,11 +351,31 @@ def _require_finite(lp, cost, mat):
 
     for values, where in ((cost, lambda k: f"the cost of {lp.var_name(k)}"),
                           (mat.data, coefficient),
-                          (lp.rhs, lambda k: f"the rhs of {lp.row_name(k)}")):
+                          (rhs, lambda k: f"the rhs of {lp.row_name(k)}")):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValueError(f"LP {lp.name or '<unnamed>'}: {where(bad[0])} is "
                              f"{float(values[bad[0]])!r}")
+
+
+class RowLayout:
+    """One program's rows and bounds as HiGHS receives them, in linprog's
+    layout: the ``<=`` rows and the negated ``>=`` rows in program order,
+    then the ``=`` rows.  HiGHS row ``k`` is program row ``order[k]`` times
+    ``flip[k]``, an equality where ``eq[k]``; ``matrix`` holds the rows so
+    laid out, in CSC form.  Costs and right-hand sides are not part of it, so
+    programs that differ only in those share one layout."""
+
+    def __init__(self, lp):
+        rels = np.asarray(lp.relations, dtype=str)
+        eq = rels == EQ
+        self.order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+        self.flip = np.where(rels[self.order] == GEQ, -1.0, 1.0)
+        self.eq = eq[self.order]
+        self.lower, self.upper = lp.lower, lp.upper
+        mat = lp.row_matrix()[self.order]  # a copy
+        mat.data *= np.repeat(self.flip, np.diff(mat.indptr))
+        self.matrix = mat.tocsc()
 
 
 class HighsSession:
@@ -365,31 +387,29 @@ class HighsSession:
     of many objectives: later calls push only the changed costs and re-run
     warm from the last basis.  The program's own costs and sense are never
     read, and it must not gain rows or variables while the session is in use.
+    ``layout`` is the program's :class:`RowLayout`; without it each load
+    lays the rows out anew and keeps only ``order`` and ``flip``.
     """
 
-    def __init__(self, lp, tol=DEFAULT_TOL):
-        self._lp, self._tol = lp, tol
+    def __init__(self, lp, tol=DEFAULT_TOL, layout=None):
+        self._lp, self._tol, self._layout = lp, tol, layout
         self.highs = self.solution = self._cost = self.status = None
 
-    def load(self, cost):
+    def load(self, cost, rhs=None):
         """Load the program into a fresh HiGHS instance, to minimize
-        ``cost . x``.  Rows sit in linprog's layout: the ``<=`` rows and the
-        negated ``>=`` rows in program order, then the ``=`` rows; HiGHS row
-        ``k`` is program row ``order[k]`` times ``flip[k]``."""
+        ``cost . x`` subject to its rows with the right-hand sides ``rhs``
+        (by default its own).  HiGHS row ``k`` is program row ``order[k]``
+        times ``flip[k]``."""
         lp = self._lp
-        mat = lp.row_matrix()
-        _require_finite(lp, cost, mat)
-        rels = np.asarray(lp.relations, dtype=str)
-        eq = rels == EQ
-        self.order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
-        self.flip = np.where(rels[self.order] == GEQ, -1.0, 1.0)
-        rhs = self.flip * lp.rhs[self.order]
-        self.row_lower = np.where(eq[self.order], rhs, -math.inf)
+        rhs = lp.rhs if rhs is None else rhs
+        _require_finite(lp, cost, rhs, lp.row_matrix())
+        layout = RowLayout(lp) if self._layout is None else self._layout
+        self.order, self.flip = layout.order, layout.flip
+        rhs = layout.flip * rhs[layout.order]
+        self.row_lower = np.where(layout.eq, rhs, -math.inf)
         self.row_upper = rhs
-        self.lower, self.upper = lp.lower, lp.upper
-        mat = mat[self.order]  # a copy
-        mat.data *= np.repeat(self.flip, np.diff(mat.indptr))
-        A = mat.tocsc()
+        self.lower, self.upper = layout.lower, layout.upper
+        A = layout.matrix
 
         model = HighsLp()
         model.num_row_, model.num_col_ = A.shape

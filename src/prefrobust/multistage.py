@@ -545,14 +545,14 @@ def _node_outcomes(problem, s, decisions):
     return OutcomeDistribution(values, probs)
 
 
-def _node_worst_case(problem, s, dist):
+def _node_worst_case(problem, s, dist, template):
     spec = problem.ambiguity.for_node(s)
     if isinstance(spec, FiniteUtilitySet):
         return worst_case_finite(dist, spec)
     if isinstance(spec, KantorovichBallSpec):
-        return worst_case_kantorovich_primal(dist, spec, problem.grid)
+        return worst_case_kantorovich_primal(dist, spec, problem.grid, template)
     if isinstance(spec, PairwiseComparisonSpec):
-        return worst_case_pairwise(dist, spec, problem.grid)
+        return worst_case_pairwise(dist, spec, problem.grid, template)
     raise TypeError(f"node {s}: unsupported ambiguity type {type(spec).__name__}")
 
 
@@ -636,14 +636,37 @@ def _in_parallel(fn, items):
 
 def _nested_worst_cases(problem, decisions):
     """Each non-leaf node's one-stage worst case under ``decisions``, which
-    depends only on the node's decision, children and spec."""
+    depends only on the node's decision, children and spec.
+
+    A shape of node LP (see :func:`_template_key`) that two or more nodes
+    share is built once, with its HiGHS layout, before the solves start;
+    each of its nodes stamps its own costs and right-hand sides into it and
+    is solved cold in its own HiGHS instance, as it would be on its own.  A
+    node of a shape of its own (a questionnaire with its own answers) builds
+    its LP in its own solve, so such LPs do not pile up."""
+    tree = problem.tree
+    ids = tree.nonleaf_ids()
+    keys = {}
+    for s in ids:
+        spec = problem.ambiguity.for_node(s)
+        if isinstance(spec, (KantorovichBallSpec, PairwiseComparisonSpec)):
+            keys[s] = _template_key(spec, len(tree.children[s]))
+    uses, templates = Counter(keys.values()), {}
+    for s, key in keys.items():
+        if uses[key] > 1 and key not in templates:
+            kids = tree.children[s]
+            templates[key] = node_primal(
+                [problem.rewards[i].offset for i in kids], [tree.nodes[i].prob for i in kids],
+                problem.ambiguity.for_node(s), problem.grid)
+            templates[key].layout  # fill the shared cache before the threads read it
+
     def value(s):
-        res = _node_worst_case(problem, s, _node_outcomes(problem, s, decisions))
+        res = _node_worst_case(problem, s, _node_outcomes(problem, s, decisions),
+                               templates.get(keys.get(s)))
         if res.status != "optimal":
             raise InfeasibleProblemError(f"worst case at node {s} is {res.status}", node=s)
         return res.value
 
-    ids = problem.tree.nonleaf_ids()
     return dict(zip(ids, _in_parallel(value, ids)))
 
 
@@ -652,10 +675,13 @@ def evaluate_policy_worst_case(problem, decisions, mode="nested"):
 
     ``nested`` re-minimizes at every node separately (each node may face its
     own adversary), which is the quantity the holistic solver maximizes under
-    per-node ambiguity.  ``sequence_global`` forces one utility per stage
-    across all that stage's nodes and minimizes over whole assignments; it is
-    only available when every node shares one finite utility set, where the
-    minimum splits by stage because the objective is a sum over stages.
+    per-node ambiguity.  Each node's one-stage LP is stamped from one
+    template per shape and solved cold in its own HiGHS instance, so its
+    value has the bits of that LP built and solved on its own.
+    ``sequence_global`` forces one utility per stage across all that stage's
+    nodes and minimizes over whole assignments; it is only available when
+    every node shares one finite utility set, where the minimum splits by
+    stage because the objective is a sum over stages.
 
     The plan must give every non-leaf node a decision of the node's length
     that meets its bounds and every constraint row within 1e-7; otherwise a
@@ -778,10 +804,11 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     state-independent set need not.
 
     The plan is checked once, and each non-leaf node's one-stage worst case
-    under it is solved once: a subtree's achieved value is the sum of its
-    nodes' worst cases weighted by their probabilities given the subtree's
-    root, which is exactly what :func:`evaluate_policy_worst_case` returns
-    on the re-rooted problem.  The re-solves share one assembly of the tree
+    under it is solved once, stamped from one template LP per shape and
+    solved cold in its own HiGHS instance (see :func:`_nested_worst_cases`).
+    A subtree's achieved value is the sum of its nodes' worst cases weighted
+    by their probabilities given the subtree's root, which is exactly what
+    :func:`evaluate_policy_worst_case` returns on the re-rooted problem.  The re-solves share one assembly of the tree
     LP: the root is re-solved on it, and every other subtree's LP is sliced
     from it (the subtree's rows and columns, the fixed parent decision folded
     into the root rows, the block costs rescaled to the subtree), then solved

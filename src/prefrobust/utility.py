@@ -119,6 +119,8 @@ class ClosedFormUtility:
 
     def __init__(self, kind, domain=(0.0, 1.0), k=None, pieces=None):
         a, b = float(domain[0]), float(domain[1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"utility domain ({a!r}, {b!r}) has a non-finite end")
         if not a < b:
             raise ValueError("domain must satisfy a < b")
         self.kind = kind
@@ -129,6 +131,10 @@ class ClosedFormUtility:
         if kind == "exponential":
             if k is None or not 0 < k < math.inf:
                 raise ValueError(f"exponential utility needs a finite k > 0, got {k!r}")
+            # the normalizer 1 - exp(-k) of _raw and lipschitz() must not round to 0
+            if not 1.0 - math.exp(-k) > 0.0:
+                raise ValueError(f"exponential utility: k = {k!r} is so small that "
+                                 "1 - exp(-k) rounds to 0")
         elif kind == "min_affine":
             if not pieces:
                 raise ValueError("min_affine needs a list of (slope, intercept) pairs")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .blocks import (
     append_pairwise_rows,
     append_utility_block,
 )
-from .lp import LinearProgram, LpStatus, dualize
+from .lp import HighsSession, LinearProgram, LpStatus, RowLayout, dualize
 # ``project`` is used here only by perfbench/layers.py, which wraps this
 # module global by name.
 from .utility import PiecewiseLinearUtility, project  # noqa: F401
@@ -146,6 +147,13 @@ class NodeLP:
             rhs[self.match] = -spec.nominal_on(y).slopes
         return cost, rhs
 
+    @cached_property
+    def layout(self):
+        """The :class:`RowLayout` of this LP, shared by every node stamped
+        from it.  Made on first use: read it once before sharing the node
+        across threads."""
+        return RowLayout(self.lp)
+
 
 def node_primal(values, probs, spec, y):
     """One-stage worst-case LP of a ball or questionnaire node: the
@@ -168,21 +176,35 @@ def _utility_from(y, alpha_values):
     return PiecewiseLinearUtility(y, np.asarray(alpha_values, dtype=float))
 
 
-def _worst_case_primal(dist, spec, grid):
+def _worst_case_primal(dist, spec, grid, template):
+    """Solve the node's LP cold in a fresh HiGHS instance: its own
+    :func:`node_primal`, or ``template`` stamped with its data."""
     y = _grid_for(spec, grid)
     _check_outcomes(dist, y)
-    node = node_primal(dist.values, dist.probs, spec, y)
-    lp, block = node.lp, node.block
-    sol = lp.solve()
-    if sol.status is LpStatus.INFEASIBLE:
+    if template is None:
+        node = node_primal(dist.values, dist.probs, spec, y)
+        cost, rhs = node.lp.objective, node.lp.rhs
+    else:
+        node = template
+        cost, rhs = node.stamped(dist.values, dist.probs, spec, y)
+    session = HighsSession(node.lp, layout=node.layout)
+    session.load(cost, rhs)
+    x = session.run()
+    if session.status is LpStatus.INFEASIBLE:
         return WorstCaseResult("infeasible")
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"worst-case LP ended {sol.status.value}: {sol.message}")
-    return WorstCaseResult("optimal", float(sol.objective), _utility_from(y, sol.x[block.alpha]))
+    if x is None:
+        raise RuntimeError(f"worst-case LP ended {session.status.value}: {session.message}")
+    return WorstCaseResult("optimal", float(cost @ x), _utility_from(y, x[node.block.alpha]))
 
 
-def worst_case_kantorovich_primal(dist, spec, grid=None):
-    return _worst_case_primal(dist, spec, grid)
+def worst_case_kantorovich_primal(dist, spec, grid=None, template=None):
+    """``min_u E[u(h)]`` over the ball ``spec``, by the LP of
+    :func:`node_primal` on ``grid``.  ``template``, a :class:`NodeLP` that
+    :func:`node_primal` built on ``grid`` for a node with as many outcomes
+    and a ball of the same ``L`` and ``L_tilde``, is stamped with this
+    node's data instead of building its LP anew; the answer is the same to
+    the bit."""
+    return _worst_case_primal(dist, spec, grid, template)
 
 
 def worst_case_kantorovich_dual(dist, spec, grid=None):
@@ -203,8 +225,11 @@ def worst_case_kantorovich_dual(dist, spec, grid=None):
     return WorstCaseResult("optimal", float(sol.objective), _utility_from(y, alpha))
 
 
-def worst_case_pairwise(dist, spec: PairwiseComparisonSpec, grid):
-    return _worst_case_primal(dist, spec, grid)
+def worst_case_pairwise(dist, spec: PairwiseComparisonSpec, grid, template=None):
+    """As :func:`worst_case_kantorovich_primal`, over the utilities that
+    agree with the answers of ``spec``; a ``template`` must have been built
+    for the same ``spec``."""
+    return _worst_case_primal(dist, spec, grid, template)
 
 
 def worst_case_finite(dist, uset: FiniteUtilitySet):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import prefrobust.lp as lp_module
 import prefrobust.multistage as multistage_module
+import prefrobust.worst_case as worst_case_module
 from prefrobust import experiment
 from prefrobust.ambiguity import (
     FiniteUtilitySet,
@@ -963,13 +964,13 @@ def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
 
     seen = []
 
-    def failing_worst_case(problem, s, dist):
+    def failing_worst_case(problem, s, dist, template):
         seen.append(s)
         if s == 5:
             raise RuntimeError("node 5 broke")
         if s == 2:
             return WorstCaseResult("infeasible")
-        return node_worst_case(problem, s, dist)
+        return node_worst_case(problem, s, dist, template)
 
     def failing_solve(problem, big, xvar, label):
         if label in ("subtree 2", "subtree 5"):
@@ -1026,6 +1027,68 @@ def test_one_pass_check_equals_the_subtree_rebuilds(problem):
     assert got == _reference_report(problem, pol)
     assert report.max_discrepancy <= 1e-6
     assert abs(pol.value - evaluate_policy_worst_case(problem, pol.decisions)) <= 1e-6
+
+
+def _worst_case_bits(res):
+    return float.hex(res.value), [float.hex(v) for v in res.utility.values]
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_mixed_problems())
+def test_templated_node_solves_equal_the_node_by_node_ones(problem):
+    """Every node worst case of the nested evaluation, stamped from its
+    shape's template, has the bits of the node's own LP solved on its own:
+    through the public call without a template, and through
+    ``LinearProgram.solve`` of its :func:`node_primal`."""
+    pol = solve_holistic(problem)
+    calls, real = [], multistage_module._node_worst_case
+
+    def spy(problem, s, dist, template):
+        calls.append((s, dist, template, real(problem, s, dist, template)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(multistage_module, "_node_worst_case", spy)
+        evaluate_policy_worst_case(problem, pol.decisions)
+    tree, grid = problem.tree, problem.grid
+    assert sorted(s for s, _, _, _ in calls) == tree.nonleaf_ids()
+    shapes = [multistage_module._template_key(problem.ambiguity.for_node(s),
+                                              len(tree.children[s])) for s, _, _, _ in calls]
+    for (s, dist, template, res), shape in zip(calls, shapes):
+        # a shape of two or more nodes is stamped from one template
+        assert (template is not None) == (shapes.count(shape) > 1)
+        spec = problem.ambiguity.for_node(s)
+        solve = (worst_case_kantorovich_primal if isinstance(spec, KantorovichBallSpec)
+                 else worst_case_pairwise)
+        assert _worst_case_bits(res) == _worst_case_bits(solve(dist, spec, grid))
+        node = node_primal(dist.values, dist.probs, spec, grid)
+        sol = node.lp.solve()
+        assert _worst_case_bits(res) == _worst_case_bits(WorstCaseResult(
+            "optimal", sol.objective, PiecewiseLinearUtility(grid, sol.x[node.block.alpha])))
+
+
+def test_one_node_lp_per_shape_and_a_fresh_highs_per_node(monkeypatch):
+    tree = experiment.generate_tree((3, 3, 3), 11)
+    config = experiment.ExperimentConfig(branching=(3, 3, 3), model="pro_kan", seeds=(0,),
+                                         tree_seed=11)
+    problem = experiment.build_investment_consumption(tree, config)
+    pol = experiment.solve_model(problem, config)
+    built, runs = [], []
+    support = worst_case_module.supporting_line_primal
+
+    class Counted(lp_module._Highs):
+        def run(self):
+            runs.append(self)
+            return super().run()
+
+    monkeypatch.setattr(worst_case_module, "supporting_line_primal",
+                        lambda *args: (built.append(args), support(*args))[1])
+    monkeypatch.setattr(lp_module, "_Highs", Counted)
+    evaluate_policy_worst_case(problem, pol.decisions)
+    assert len(tree.nonleaf_ids()) == 13
+    assert len(built) == 1  # one shape: every node has 3 children and one ball
+    # one cold run per node, each in an instance of its own
+    assert len(runs) == 13 and len({id(h) for h in runs}) == 13
 
 
 @st.composite

@@ -119,6 +119,10 @@ def test_closed_form_values_and_bounds():
     wide = ClosedFormUtility.exponential(3.0, domain=(0.0, 2.0))
     assert wide.lipschitz() == pytest.approx(3.0 / (denom * 2.0), rel=1e-12)
 
+    # at k = 2**-53 the normalizer 1 - exp(-k) is the smallest double it can be
+    tiny = ClosedFormUtility.exponential(2.0 ** -53)
+    assert tiny(0.0) == 0.0 and tiny(1.0) == 1.0 and math.isfinite(tiny.lipschitz())
+
     with pytest.raises(ValueError):
         ClosedFormUtility.min_affine([(2.0, 0.1)])  # u(0) = 0.1, not normalized
     with pytest.raises(ValueError):
@@ -132,6 +136,16 @@ def test_closed_form_values_and_bounds():
      r"min_affine piece 0 is \(nan, 0.0\)"),
     (lambda: ClosedFormUtility.min_affine([(2.0, 0.0), (0.0, math.inf)]),
      r"min_affine piece 1 is \(0.0, inf\)"),
+    # 1 - exp(-k) rounds to 0: every value would be NaN and lipschitz() 1/0
+    (lambda: ClosedFormUtility.exponential(1e-17), r"k = 1e-17 is so small"),
+    (lambda: ClosedFormUtility.exponential(5e-324), r"k = 5e-324 is so small"),
+    # (x - a) / (b - a) would be 0 at every finite x
+    (lambda: ClosedFormUtility.linear(domain=(0.0, math.inf)),
+     r"utility domain \(0.0, inf\) has a non-finite end"),
+    (lambda: ClosedFormUtility.exponential(3.0, domain=(-math.inf, 1.0)),
+     r"utility domain \(-inf, 1.0\) has a non-finite end"),
+    (lambda: ClosedFormUtility.quadratic(domain=(0.0, math.nan)),
+     r"utility domain \(0.0, nan\) has a non-finite end"),
 ])
 def test_closed_forms_refuse_non_finite_parameters(make, message):
     with pytest.raises(ValueError, match=message):

@@ -278,23 +278,6 @@ class LinearProgram:
     def row_name(self, k):
         return self._row_names[k] or f"r{k}"
 
-    def dump(self):
-        """Plain-text rendering, one constraint per line (debugging aid)."""
-        out = [f"{self.sense} " + " + ".join(
-            f"{c:g}*{self.var_name(j)}" for j, c in enumerate(self._obj) if c != 0.0)]
-        mat = self.row_matrix()
-        for k in range(self.num_rows):
-            lo, hi = mat.indptr[k], mat.indptr[k + 1]
-            terms = " + ".join(
-                f"{v:g}*{self.var_name(j)}"
-                for j, v in zip(mat.indices[lo:hi], mat.data[lo:hi]))
-            out.append(f"{self.row_name(k)}: {terms or '0'} {self._rels[k]} {self._rhs[k]:g}")
-        for j in range(self.num_vars):
-            lo, hi = self._lb[j], self._ub[j]
-            if (lo, hi) != (0.0, math.inf):
-                out.append(f"bound: {lo:g} <= {self.var_name(j)} <= {hi:g}")
-        return "\n".join(out)
-
     # ----------------------------------------------------------------- solve
     def solve(self, tol=None):
         """Solve with HiGHS dual simplex and return an :class:`LpSolution`."""

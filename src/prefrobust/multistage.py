@@ -19,6 +19,7 @@ import os
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +32,7 @@ from .ambiguity import (
     build_state_dependent,
     feasibility_check,
 )
-from .lp import HighsSession, LinearProgram, LpStatus, dualize
+from .lp import HighsSession, LinearProgram, LpSolution, LpStatus, dualize
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
     OutcomeDistribution,
@@ -95,11 +96,16 @@ class NodeValue:
 
 @dataclass
 class Policy:
-    """Decisions per non-leaf node plus the per-node worst-case breakdown."""
+    """Decisions per non-leaf node plus the per-node worst-case breakdown.
+
+    A policy from :func:`solve_holistic` also keeps the :class:`LpSolution`
+    of its tree LP (``x`` and the row duals, not the LP), from which
+    :func:`check_time_consistency` certifies every subtree."""
 
     decisions: dict
     value: float
     per_node: dict
+    _tree_solve: object = field(default=None, repr=False, compare=False)
 
     def export_table(self):
         lines = ["node\tstage\tdecision\tvalue"]
@@ -355,13 +361,16 @@ def _diagnose_and_raise(problem, message):
     raise InfeasibleProblemError(message)
 
 
+def _row_violations(ax, rels, rhs):
+    """How far each row activity ``ax`` misses its relation and right-hand
+    side (negative when slack)."""
+    return np.where(rels == "<=", ax - rhs, np.where(rels == ">=", rhs - ax, np.abs(ax - rhs)))
+
+
 def _primal_residual(lp, x):
     """Largest violation of a row or a bound of ``lp`` by ``x`` (NaN if ``x``
     holds a NaN)."""
-    ax = lp.row_matrix() @ x
-    rhs = lp.rhs
-    rels = np.asarray(lp.relations)
-    rows = np.where(rels == "<=", ax - rhs, np.where(rels == ">=", rhs - ax, np.abs(ax - rhs)))
+    rows = _row_violations(lp.row_matrix() @ x, np.asarray(lp.relations), lp.rhs)
     return float(np.max(np.concatenate([rows, lp.lower - x, x - lp.upper]), initial=0.0))
 
 
@@ -471,7 +480,12 @@ def _holistic_policy(problem, big, blocks, sol, decisions):
         alpha = np.array([sol.duals[r] for r in nb.rows[nb.alpha]]) / nb.prob
         per_node[s] = NodeValue(
             problem.tree.nodes[s].stage, val, _utility_from_marginals(problem.grid, alpha, s))
-    return Policy(decisions, float(sol.objective), per_node)
+    # Keep copies: the arrays read back from HiGHS sit among the solver's
+    # freed blocks, and holding those raised the peak RSS of solving the
+    # 341-node tree's LPs one after another by ~6 MB.
+    kept = LpSolution(sol.status, sol.objective, sol.x.copy(), sol.duals.copy(),
+                      sol.dual_objective, sol.message)
+    return Policy(decisions, float(sol.objective), per_node, kept)
 
 
 # ------------------------------------------------------------------ nominal
@@ -796,31 +810,38 @@ class TimeConsistencyReport:
 
 
 def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
-    """Compare each subtree's re-solved optimum with what the policy achieves.
+    """Compare each subtree's optimum with what the policy achieves on it.
 
-    A positive discrepancy at a node means the policy stops being optimal once
-    that node is reached — the plan is time-inconsistent there.  Per-node
-    ambiguity keeps every discrepancy at solver noise; a shared
+    A positive discrepancy at a node means the policy stops being optimal
+    once that node is reached: the plan is time-inconsistent there.
+    Per-node ambiguity keeps every discrepancy at solver noise; a shared
     state-independent set need not.
 
-    The plan is checked once, and each non-leaf node's one-stage worst case
-    under it is solved once, stamped from one template LP per shape and
-    solved cold in its own HiGHS instance (see :func:`_nested_worst_cases`).
-    A subtree's achieved value is the sum of its nodes' worst cases weighted
-    by their probabilities given the subtree's root, which is exactly what
-    :func:`evaluate_policy_worst_case` returns on the re-rooted problem.  The re-solves share one assembly of the tree
-    LP: the root is re-solved on it, and every other subtree's LP is sliced
-    from it (the subtree's rows and columns, the fixed parent decision folded
-    into the root rows, the block costs rescaled to the subtree), then solved
-    and certified like the tree LP; a slice that does not solve to optimality
-    raises, naming its subtree's root.  ``subtree_solver`` replaces that solver
-    (required for ambiguity types it does not cover): it receives the
-    re-rooted :class:`MultistageProblem` of every subtree and must return an
-    object with a ``value`` attribute.
+    What the policy achieves: the plan is checked once, and each non-leaf
+    node's one-stage worst case under it is solved once, cold in its own
+    HiGHS instance (see :func:`_nested_worst_cases`).  A subtree's achieved
+    value is the sum of its nodes' worst cases weighted by their
+    probabilities given the subtree's root, which is exactly what
+    :func:`evaluate_policy_worst_case` returns on the re-rooted problem.
+
+    Each subtree's optimum is certified, and re-solved only where that
+    fails.  With the parent decision folded into its root rows, a subtree's
+    columns meet only its own rows of the tree LP, so an optimal solve of
+    the tree LP cut down to the subtree is a primal-dual pair of the
+    subtree's LP.  The tree LP is assembled once; its solve is the policy's
+    own when :func:`solve_holistic` made the policy, else it is solved once
+    here.  :func:`_subtree_certificate` checks each subtree's cut of it.  A
+    refused subtree's LP is cut from the assembly (:func:`_subtree_slice`),
+    solved and certified like the tree LP; one that does not solve to
+    optimality raises, naming its subtree's root.
+
+    ``subtree_solver`` replaces both (required for ambiguity types they do
+    not cover): it receives the re-rooted :class:`MultistageProblem` of
+    every subtree and must return an object with a ``value`` attribute.
 
     The node worst cases, and then the subtrees, run on every usable core
-    (see :func:`_in_parallel`), each as the same cold solve it is on one
-    thread, so the report does not depend on the core count.  So
+    (see :func:`_in_parallel`).  Each is the same computation it is on one
+    thread, so the report does not depend on the core count, and
     ``subtree_solver`` may be called from worker threads, in any order.
     Every node or subtree runs; an error names the first failing one in
     node order.
@@ -831,7 +852,12 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     wc = _nested_worst_cases(problem, decisions)
     if subtree_solver is None:
         assembled = _assemble_holistic(problem)
-        assembled[0].row_matrix()  # fill the shared cache before the slices read it
+        big = assembled[0]
+        big.row_matrix()  # fill the shared cache before the subtrees read it
+        tree_solve = policy._tree_solve
+        if tree_solve is None:
+            tree_solve = _solve_big(problem, big, assembled[1], "subtree 0")[0]
+        kept = _certificate_data(big, tree_solve)
 
     def entry(s):
         order = tree.descendants(s)
@@ -843,16 +869,46 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
         for n in order:
             if n in wc:
                 achieved += pu[n] * wc[n]
-        if subtree_solver is None:
-            lp, xvar, blocks = _subtree_slice(problem, assembled, order, pu, decisions)
-            sol, dec = _solve_big(problem, lp, xvar, f"subtree {s}")
-            local = _holistic_policy(problem, lp, blocks, sol, dec).value
-        else:
+        if subtree_solver is not None:
             local = float(subtree_solver(subtree_problem(problem, s, decisions)[0]).value)
+        else:
+            local = _subtree_certificate(problem, assembled, kept, order, pu, decisions)
+            if local is None:
+                lp, xvar, blocks = _subtree_slice(problem, assembled, order, pu, decisions)
+                sol, dec = _solve_big(problem, lp, xvar, f"subtree {s}")
+                local = _holistic_policy(problem, lp, blocks, sol, dec).value
         achieved = float(achieved)
         return TimeConsistencyEntry(s, tree.nodes[s].stage, local, achieved, local - achieved)
 
     return TimeConsistencyReport(_in_parallel(entry, tree.nonleaf_ids()), tol)
+
+
+def _slice_index(problem, assembled, order, pu, decisions, tree_rhs):
+    """The LP of the subtree ``order`` as a part of the assembled tree LP.
+
+    Returns its decision nodes; its constraints (a root row on the parent
+    decision alone is left out); its rows (those constraints, then its
+    nodes' blocks) and columns (its decisions, then its nodes' blocks);
+    its costs (each block's costs times the node's probability ``pu`` given
+    the subtree's root); its right-hand sides (``tree_rhs`` with the fixed
+    parent decision folded into the root rows); and the positions of the
+    folded rows."""
+    _, xvar, blocks = assembled
+    s, inside = order[0], set(order)
+    nodes = [n for n in order if n in blocks]
+    cons = [k for k, con in enumerate(problem.constraints)
+            if con.node in inside and (con.node != s or con.coef_self)]
+    rows = np.concatenate([np.asarray(cons, dtype=np.int64)] + [blocks[n].rows for n in nodes])
+    cols = np.concatenate([xvar[n] for n in nodes] + [blocks[n].cols for n in nodes])
+    cost = np.concatenate([np.zeros(sum(xvar[n].size for n in nodes))]
+                          + [pu[n] * blocks[n].cost for n in nodes])
+    rhs = tree_rhs[rows]
+    folded = [pos for pos, k in enumerate(cons)
+              if problem.constraints[k].node == s and problem.constraints[k].coef_parent]
+    for pos in folded:
+        rhs[pos] = _folded_rhs(problem.constraints[cons[pos]],
+                               decisions[problem.tree.nodes[s].parent])
+    return nodes, cons, rows, cols, cost, rhs, folded
 
 
 def _subtree_slice(problem, assembled, order, pu, decisions):
@@ -863,31 +919,82 @@ def _subtree_slice(problem, assembled, order, pu, decisions):
     Root rows on the parent decision alone are left out, as the rebuild
     drops them; the plan check has seen them hold."""
     big, xvar, blocks = assembled
-    tree = problem.tree
-    if order == list(range(len(tree))):
+    if order == list(range(len(problem.tree))):
         return assembled
-    s, inside = order[0], set(order)
-    nodes = [n for n in order if n in blocks]
-    cons = [k for k, con in enumerate(problem.constraints)
-            if con.node in inside and (con.node != s or con.coef_self)]
-    rows = np.concatenate([np.asarray(cons, dtype=np.int64)] + [blocks[n].rows for n in nodes])
-    cols = np.concatenate([xvar[n] for n in nodes] + [blocks[n].cols for n in nodes])
-    rhs = big.rhs[rows]
-    for pos, k in enumerate(cons):
-        con = problem.constraints[k]
-        if con.node == s and con.coef_parent:
-            rhs[pos] = _folded_rhs(con, decisions[tree.nodes[s].parent])
-
+    nodes, cons, rows, cols, cost, rhs, _ = _slice_index(
+        problem, assembled, order, pu, decisions, big.rhs)
     sub_x, sub_blocks, at = {}, {}, 0
     for n in nodes:
         sub_x[n] = np.arange(at, at + xvar[n].size)
         at += xvar[n].size
-    cost, row = [np.zeros(at)], len(cons)
+    row = len(cons)
     for n in nodes:
         nb = blocks[n]
         sub_blocks[n] = _NodeBlock(np.arange(at, at + nb.cols.size),
                                    np.arange(row, row + nb.rows.size), nb.alpha, nb.cost, pu[n])
-        cost.append(pu[n] * nb.cost)
         at += nb.cols.size
         row += nb.rows.size
-    return big.restricted(rows, cols, np.concatenate(cost), rhs), sub_x, sub_blocks
+    return big.restricted(rows, cols, cost, rhs), sub_x, sub_blocks
+
+
+def _certificate_data(big, sol):
+    """What every subtree certificate reads of the solve ``sol`` of the tree
+    LP ``big``, computed once for the whole tree: ``x``, the row duals ``y``,
+    ``A'y``, each row's violation by ``x``, each dual's sign violation
+    (``big`` maximizes: a ``<=`` row's dual is >= 0, a ``>=`` row's <= 0),
+    each column's bound violation, and the LP's rhs, relations and bounds.
+    ``None`` if ``sol`` does not fit ``big``."""
+    x, y = sol.x, sol.duals
+    if np.shape(x) != (big.num_vars,) or np.shape(y) != (big.num_rows,):
+        return None
+    mat, rels, rhs = big.row_matrix(), np.asarray(big.relations), big.rhs
+    lower, upper = big.lower, big.upper
+    return SimpleNamespace(
+        x=x, y=y, aty=mat.T @ y, rhs=rhs, rels=rels, lower=lower, upper=upper,
+        rows=_row_violations(mat @ x, rels, rhs),
+        signs=np.where(rels == "<=", -y, np.where(rels == ">=", y, 0.0)),
+        bounds=np.maximum(lower - x, x - upper))
+
+
+def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
+    """The optimal value of the LP that :func:`_subtree_slice` cuts for the
+    subtree ``order``: the tree solve ``kept`` (see :func:`_certificate_data`)
+    restricted to that LP's rows and columns, duals rescaled to its
+    conditional costs.  ``None`` unless the restriction passes three checks:
+
+    * ``x`` meets the rows (root rows folded) and bounds within ``_RESIDUAL_TOL``;
+    * the duals have their relations' signs, and no reduced cost ``c - A'y``
+      points past an infinite bound, both within ``_RESIDUAL_TOL``;
+    * the primal and dual values differ by at most ``_GAP_TOL * (1 + |value|)``.
+      The dual value is ``b'y`` plus each column's reduced cost times the
+      bound it prices (``x`` where that bound is infinite): by weak duality,
+      an upper bound on the optimum.
+    """
+    if kept is None:
+        return None
+    xvar, blocks = assembled[1], assembled[2]
+    s = order[0]
+    scale = blocks[s].prob  # the tree LP's costs are the subtree LP's times this
+    if not scale > 0.0:
+        return None
+    _, cons, rows, cols, cost, rhs, folded = _slice_index(
+        problem, assembled, order, pu, decisions, kept.rhs)
+    x, lo, hi = kept.x[cols], kept.lower[cols], kept.upper[cols]
+    off = kept.rows[rows]
+    if folded:
+        own = kept.x[xvar[s]]  # a folded root row keeps only the root's own columns
+        lhs = [sum(v * own[k] for k, v in problem.constraints[cons[p]].coef_self.items())
+               for p in folded]
+        off[folded] = _row_violations(np.array(lhs), kept.rels[rows[folded]], rhs[folded])
+    primal = np.max(np.concatenate([off, kept.bounds[cols]]), initial=0.0)
+    y = kept.y[rows] / scale
+    reduced = cost - kept.aty[cols] / scale
+    dual = np.max(np.concatenate([kept.signs[rows] / scale, reduced[hi == math.inf],
+                                  -reduced[lo == -math.inf]]), initial=0.0)
+    value = float(cost @ x)
+    priced = np.where(reduced > 0.0, hi, lo)
+    dual_value = float(rhs @ y) + float(reduced @ np.where(np.isfinite(priced), priced, x))
+    if (primal <= _RESIDUAL_TOL and dual <= _RESIDUAL_TOL
+            and abs(value - dual_value) <= _GAP_TOL * (1.0 + abs(value))):
+        return value
+    return None

@@ -36,6 +36,10 @@ log = logging.getLogger(__name__)
 _CLAMP_TOL = 1e-12
 # how far a PL utility's end values may miss 0 and 1, and its values dip
 _VALUE_TOL = 1e-7
+# Below this k, exponential(k) is evaluated with expm1: 1 - exp(-k t) and
+# 1 - exp(-k) cancel there (at k = 1e-12, u(0.5) came out 5.6e-5 too high).
+# At and above it the 1 - exp form stays, as the pinned LP digests hold it.
+_EXPM1_BELOW = 1e-3
 
 
 def _clamped(x, a, b, what):
@@ -164,13 +168,21 @@ class ClosedFormUtility:
     def min_affine(cls, pieces, domain=(0.0, 1.0)):
         return cls("min_affine", domain, pieces=pieces)
 
+    def _normalizer(self):
+        """``1 - exp(-k)``, without its cancellation below ``_EXPM1_BELOW``."""
+        if self.k < _EXPM1_BELOW:
+            return -math.expm1(-self.k)
+        return 1.0 - math.exp(-self.k)
+
     def _raw(self, x):
         a, b = self.domain
         t = (np.asarray(x, dtype=float) - a) / (b - a)
         if self.kind == "linear":
             return t
         if self.kind == "exponential":
-            return (1.0 - np.exp(-self.k * t)) / (1.0 - math.exp(-self.k))
+            if self.k < _EXPM1_BELOW:
+                return np.expm1(-self.k * t) / math.expm1(-self.k)
+            return (1.0 - np.exp(-self.k * t)) / self._normalizer()
         if self.kind == "quadratic":
             return 2.0 * t - t * t
         vals = np.stack([m * np.asarray(x, dtype=float) + c for m, c in self.pieces])
@@ -188,7 +200,7 @@ class ClosedFormUtility:
         if self.kind == "linear":
             return 1.0 / w
         if self.kind == "exponential":
-            return self.k / ((1.0 - math.exp(-self.k)) * w)
+            return self.k / (self._normalizer() * w)
         if self.kind == "quadratic":
             return 2.0 / w
         return max(m for m, _ in self.pieces)
@@ -199,7 +211,7 @@ class ClosedFormUtility:
         if self.kind == "linear":
             return 0.0
         if self.kind == "exponential":
-            return self.k ** 2 / ((1.0 - math.exp(-self.k)) * w * w)
+            return self.k ** 2 / (self._normalizer() * w * w)
         if self.kind == "quadratic":
             return 2.0 / (w * w)
         raise ValueError("min_affine utility has no curvature bound")

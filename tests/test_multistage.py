@@ -27,6 +27,7 @@ from prefrobust.multistage import (
     InfeasibleProblemError,
     MultistageProblem,
     NodeConstraint,
+    Policy,
     check_time_consistency,
     evaluate_policy_worst_case,
     solve_holistic,
@@ -807,15 +808,36 @@ def test_big_solves_check_the_primal_residual(monkeypatch, shift, fails):
         return sol
 
     monkeypatch.setattr(lp_module.LinearProgram, "solve", perturbed)
-    # the two big solves, and the re-solves of the check (root and slices)
+    _refuse_every_certificate(monkeypatch)
+    # the two big solves, the check's one tree solve for a policy that keeps
+    # none, and the re-solves of the check (root and slices)
     for run in (lambda: solve_holistic(problem),
                 lambda: solve_nominal(problem, spec.nominal),
+                lambda: check_time_consistency(problem, Policy(pol.decisions, pol.value, {})),
                 lambda: check_time_consistency(problem, pol)):
         if fails:
             with pytest.raises(RuntimeError, match="violates a row or bound"):
                 run()
         else:
             run()
+
+
+def _refuse_every_certificate(monkeypatch):
+    """Send every subtree of the check down the re-solve path."""
+    monkeypatch.setattr(multistage_module, "_subtree_certificate", lambda *args: None)
+
+
+def _entries(report):
+    return [(e.node, e.stage, e.local_value, e.achieved_value, e.discrepancy)
+            for e in report.entries]
+
+
+def _assert_close_to_reference(entries, reference):
+    """Certified entries: achieved values bit for bit, local values within
+    1e-9 * (1 + |v|) of the re-solved ones."""
+    assert [e[:2] + e[3:4] for e in entries] == [e[:2] + e[3:4] for e in reference]
+    for e, ref in zip(entries, reference):
+        assert abs(e[2] - ref[2]) <= 1e-9 * (1.0 + abs(ref[2]))
 
 
 def _reference_report(problem, policy):
@@ -877,10 +899,12 @@ def test_sliced_subtree_lps_equal_the_rebuilt_ones(monkeypatch, make):
         return sliced[-1][1]
 
     monkeypatch.setattr(multistage_module, "_subtree_slice", spy)
+    _refuse_every_certificate(monkeypatch)
     report = check_time_consistency(problem, pol)
     monkeypatch.undo()
-    assert [(e.node, e.stage, e.local_value, e.achieved_value, e.discrepancy)
-            for e in report.entries] == _reference_report(problem, pol)
+    reference = _reference_report(problem, pol)
+    assert _entries(report) == reference
+    _assert_close_to_reference(_entries(check_time_consistency(problem, pol)), reference)
     # the subtrees run in parallel, so only the set of slices is fixed
     assert sorted(order[0] for order, _, _ in sliced) == tree.nonleaf_ids()
     for order, (lp, xvar, blocks), assembled in sliced:
@@ -934,6 +958,7 @@ def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
     # subtree in node order (node 1, the first slice after the whole tree)
     solve, full = lp_module.LinearProgram.solve, _assemble_holistic(problem)[0].num_rows
     monkeypatch.setattr(multistage_module, "subtree_problem", None)
+    _refuse_every_certificate(monkeypatch)
     for status, message in ((lp_module.LpStatus.FAILED, "failed: stalled"),
                             (lp_module.LpStatus.INFEASIBLE, "infeasible")):
         failed = []
@@ -955,9 +980,11 @@ def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
     pol = solve_holistic(problem)
 
     def runs():
-        return ([(e.node, e.stage, e.local_value, e.achieved_value, e.discrepancy)
-                 for e in check_time_consistency(problem, pol, subtree_solver=solver).entries]
-                for solver in (None, solve_holistic))
+        with pytest.MonkeyPatch.context() as m:
+            certified = _entries(check_time_consistency(problem, pol))
+            _refuse_every_certificate(m)
+            return [certified, _entries(check_time_consistency(problem, pol)),
+                    _entries(check_time_consistency(problem, pol, subtree_solver=solve_holistic))]
 
     free = list(runs()), evaluate_policy_worst_case(problem, pol.decisions)
     node_worst_case, solve_big = multistage_module._node_worst_case, multistage_module._solve_big
@@ -999,6 +1026,7 @@ def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
                 assert sorted(seen) == problem.tree.nonleaf_ids()
             m.setattr(multistage_module, "_solve_big", failing_solve)
             m.setattr(multistage_module, "_node_worst_case", node_worst_case)
+            _refuse_every_certificate(m)
             with pytest.raises(RuntimeError, match="^subtree 2 solve ended failed: stalled$"):
                 check_time_consistency(problem, pol)
         assert threading.active_count() == threads
@@ -1021,12 +1049,107 @@ def small_mixed_problems(draw):
 @given(small_mixed_problems())
 def test_one_pass_check_equals_the_subtree_rebuilds(problem):
     pol = solve_holistic(problem)
+    reference = _reference_report(problem, pol)
+    with pytest.MonkeyPatch.context() as m:
+        _refuse_every_certificate(m)
+        assert _entries(check_time_consistency(problem, pol)) == reference
     report = check_time_consistency(problem, pol)
-    got = [(e.node, e.stage, e.local_value, e.achieved_value, e.discrepancy)
-           for e in report.entries]
-    assert got == _reference_report(problem, pol)
+    _assert_close_to_reference(_entries(report), reference)
     assert report.max_discrepancy <= 1e-6
     assert abs(pol.value - evaluate_policy_worst_case(problem, pol.decisions)) <= 1e-6
+
+
+def _with_kept_solve(pol, x=None, duals=None):
+    """``pol`` with its kept tree solve's ``x`` or row duals replaced."""
+    sol = pol._tree_solve
+    kept = lp_module.LpSolution(sol.status, sol.objective, sol.x if x is None else x,
+                                sol.duals if duals is None else duals, sol.dual_objective)
+    return Policy(pol.decisions, pol.value, pol.per_node, kept)
+
+
+def test_a_tampered_tree_solve_is_refused_where_it_was_tampered(monkeypatch):
+    def build(radius):
+        return random_ball_problem(np.random.default_rng(11), (2, 2, 2), radius)[0]
+
+    problem = build(0.05)
+    tree, pol = problem.tree, solve_holistic(problem)
+    with monkeypatch.context() as m:
+        _refuse_every_certificate(m)
+        resolved = _entries(check_time_consistency(problem, pol))
+    certified = _entries(check_time_consistency(problem, pol))
+    _assert_close_to_reference(certified, resolved)
+
+    # four tamperings at node 4, which need all three checks of the
+    # certificate: flip the sign of a clearly nonzero inequality dual of its
+    # block; move the block column with the largest cost by 1e-3; move its
+    # decision, which costs nothing, by 1e-3; raise the dual of its
+    # constraint row, which keeps the sign and meets only bounded columns
+    big, xvar, blocks = _assemble_holistic(problem)
+    sol, nb = pol._tree_solve, blocks[4]
+    rels = np.asarray(big.relations)[nb.rows]
+    row = nb.rows[np.argmax(np.where(rels != "=", np.abs(sol.duals[nb.rows]), 0.0))]
+    assert abs(sol.duals[row]) > 1e-3
+    duals = sol.duals.copy()
+    duals[row] = -duals[row]
+    x, decided = sol.x.copy(), sol.x.copy()
+    x[nb.cols[np.argmax(np.abs(big.objective[nb.cols]))]] += 1e-3
+    decided[xvar[4]] += 1e-3
+    raised = sol.duals.copy()
+    raised[[k for k, con in enumerate(problem.constraints) if con.node == 4]] += 0.5
+    tampered = [_with_kept_solve(pol, duals=duals), _with_kept_solve(pol, x=x),
+                _with_kept_solve(pol, x=decided), _with_kept_solve(pol, duals=raised)]
+
+    certificate, slice_ = multistage_module._subtree_certificate, multistage_module._subtree_slice
+    refused, sliced = [], []
+
+    def spy_certificate(problem, assembled, kept, order, *args):
+        value = certificate(problem, assembled, kept, order, *args)
+        if value is None:
+            refused.append(order[0])
+        return value
+
+    def spy_slice(problem, assembled, order, *args):
+        sliced.append(order[0])
+        return slice_(problem, assembled, order, *args)
+
+    for bad in tampered:
+        refused.clear()
+        sliced.clear()
+        with monkeypatch.context() as m:
+            m.setattr(multistage_module, "_subtree_certificate", spy_certificate)
+            m.setattr(multistage_module, "_subtree_slice", spy_slice)
+            got = _entries(check_time_consistency(problem, bad))
+        # node 4 and the subtrees above it are re-solved, with the re-solve's bits
+        assert sorted(refused) == sorted(sliced) == [0, 1, 4]
+        assert got == [resolved[k] if s in (0, 1, 4) else certified[k]
+                       for k, s in enumerate(tree.nonleaf_ids())]
+
+    # a solve of the same tree at another radius is certified only where it
+    # holds, so the report still matches the re-solves
+    other = solve_holistic(build(0.2))
+    with monkeypatch.context() as m:
+        _refuse_every_certificate(m)
+        resolved = _entries(check_time_consistency(problem, other))
+    _assert_close_to_reference(_entries(check_time_consistency(problem, other)), resolved)
+
+
+def test_a_check_of_a_holistic_policy_solves_no_lp(monkeypatch):
+    config = experiment.ExperimentConfig(
+        branching=(3, 3, 3, 3), n_breakpoints=20, radius=0.01, model="pro_kan", seeds=(0,),
+        tree_seed=11)
+    tree = experiment.generate_tree(config.branching, config.tree_seed)
+    problem = experiment.build_investment_consumption(tree, config)
+    pol = experiment.solve_model(problem, config)
+    solves, sliced = [], []
+    solve, slice_ = LinearProgram.solve, multistage_module._subtree_slice
+    monkeypatch.setattr(LinearProgram, "solve",
+                        lambda *args, **kwargs: (solves.append(args), solve(*args, **kwargs))[1])
+    monkeypatch.setattr(multistage_module, "_subtree_slice",
+                        lambda *args: (sliced.append(args), slice_(*args))[1])
+    report = check_time_consistency(problem, pol)
+    assert len(report.entries) == 40
+    assert solves == [] and sliced == []
+    assert report.max_discrepancy <= 1e-6
 
 
 def _worst_case_bits(res):

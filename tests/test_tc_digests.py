@@ -6,7 +6,8 @@ instances of the benchmark's ``tc_check`` workload at seeds 0 to 2), the
 (radius 0.01, 20 breakpoints) on the (3,3,3,3) tree, and the sha256 of the
 ``float.hex`` of every field of every :class:`TimeConsistencyEntry` that
 ``check_time_consistency`` reports for it.  A change to how the node worst
-cases or the subtree re-solves are computed must leave these bits alone.
+cases or the subtree optima (certified or re-solved) are computed must
+leave these bits alone.
 To record them again after an intended change of the values, run from the
 repo root:
 

@@ -129,6 +129,17 @@ def test_closed_form_values_and_bounds():
         u1.curvature()
 
 
+@pytest.mark.parametrize("k", [1e-12, 1e-9])
+def test_small_k_exponential_follows_its_series(k):
+    # u(t) = (1 - exp(-k t)) / (1 - exp(-k)) = t + k t (1 - t) / 2 + O(k^2)
+    u = ClosedFormUtility.exponential(k)
+    t = np.linspace(0.0, 1.0, 41)
+    assert np.max(np.abs(u(t) - (t + k * t * (1.0 - t) / 2.0))) <= 1e-12
+    assert abs(u(0.5) - (0.5 + k / 8.0)) <= 1e-12
+    assert abs(u.lipschitz() - (1.0 + k / 2.0)) <= 1e-12
+    assert abs(u.curvature() - k) <= 1e-12
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: ClosedFormUtility.exponential(math.nan), "needs a finite k > 0, got nan"),
     (lambda: ClosedFormUtility.exponential(math.inf), "needs a finite k > 0, got inf"),

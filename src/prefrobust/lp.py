@@ -251,27 +251,6 @@ class LinearProgram:
                 self._matrix = mat
         return self._matrix
 
-    def restricted(self, rows, cols, objective, rhs):
-        """A new program made of the rows ``rows`` over the variables ``cols``
-        (index arrays, kept in the given order), with the costs ``objective``
-        and right-hand sides ``rhs``.  Coefficients on variables outside
-        ``cols`` are dropped; names, bounds and relations are copied."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        objective = np.asarray(objective, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        if objective.shape != cols.shape or rhs.shape != rows.shape:
-            raise ValueError("need one cost per variable and one rhs per row")
-        mat = self.row_matrix()[rows][:, cols]
-        mat.sort_indices()
-        sub = LinearProgram(self.sense, self.name)
-        sub.add_vars(cols.size, [self._var_names[j] for j in cols], lb=self.lower[cols],
-                     ub=self.upper[cols], obj=objective)
-        sub.add_rows(mat.indptr, mat.indices, mat.data, [self._rels[k] for k in rows], rhs,
-                     [self._row_names[k] for k in rows])
-        sub._matrix = mat
-        return sub
-
     def var_name(self, j):
         return self._var_names[j] or f"x{j}"
 

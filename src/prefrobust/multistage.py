@@ -441,6 +441,11 @@ def _assemble_holistic(problem):
             raise TypeError(
                 f"node {s}: expected a Kantorovich ball or pairwise comparisons, "
                 f"got {type(spec).__name__}")
+        for i in tree.children[s]:
+            # a block's value and utility are read back divided by its node's probability
+            if not pu[i] > 0.0:
+                raise ValueError(f"node {i} is reached with probability {float(pu[i])!r}; "
+                                 "the tree LP needs every node's to be positive")
         keys[s] = _template_key(spec, len(tree.children[s]))
     uses = Counter(keys.values())
     big = LinearProgram("max", name="tree")
@@ -675,8 +680,11 @@ def _nested_worst_cases(problem, decisions):
             templates[key].layout  # fill the shared cache before the threads read it
 
     def value(s):
-        res = _node_worst_case(problem, s, _node_outcomes(problem, s, decisions),
-                               templates.get(keys.get(s)))
+        try:
+            res = _node_worst_case(problem, s, _node_outcomes(problem, s, decisions),
+                                   templates.get(keys.get(s)))
+        except ValueError as exc:  # the outcome checks do not know the node
+            raise ValueError(f"node {s}: {exc}") from exc
         if res.status != "optimal":
             raise InfeasibleProblemError(f"worst case at node {s} is {res.status}", node=s)
         return res.value
@@ -831,9 +839,9 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     subtree's LP.  The tree LP is assembled once; its solve is the policy's
     own when :func:`solve_holistic` made the policy, else it is solved once
     here.  :func:`_subtree_certificate` checks each subtree's cut of it.  A
-    refused subtree's LP is cut from the assembly (:func:`_subtree_slice`),
-    solved and certified like the tree LP; one that does not solve to
-    optimality raises, naming its subtree's root.
+    refused subtree is rebuilt by :func:`subtree_problem`, and its LP
+    assembled, solved and certified like the tree LP; one that does not
+    solve to optimality raises, naming its subtree's root.
 
     ``subtree_solver`` replaces both (required for ambiguity types they do
     not cover): it receives the re-rooted :class:`MultistageProblem` of
@@ -874,67 +882,14 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
         else:
             local = _subtree_certificate(problem, assembled, kept, order, pu, decisions)
             if local is None:
-                lp, xvar, blocks = _subtree_slice(problem, assembled, order, pu, decisions)
-                sol, dec = _solve_big(problem, lp, xvar, f"subtree {s}")
-                local = _holistic_policy(problem, lp, blocks, sol, dec).value
+                sub = subtree_problem(problem, s, decisions)[0]
+                lp, xvar, blocks = _assemble_holistic(sub)
+                sol, dec = _solve_big(sub, lp, xvar, f"subtree {s}")
+                local = _holistic_policy(sub, lp, blocks, sol, dec).value
         achieved = float(achieved)
         return TimeConsistencyEntry(s, tree.nodes[s].stage, local, achieved, local - achieved)
 
     return TimeConsistencyReport(_in_parallel(entry, tree.nonleaf_ids()), tol)
-
-
-def _slice_index(problem, assembled, order, pu, decisions, tree_rhs):
-    """The LP of the subtree ``order`` as a part of the assembled tree LP.
-
-    Returns its decision nodes; its constraints (a root row on the parent
-    decision alone is left out); its rows (those constraints, then its
-    nodes' blocks) and columns (its decisions, then its nodes' blocks);
-    its costs (each block's costs times the node's probability ``pu`` given
-    the subtree's root); its right-hand sides (``tree_rhs`` with the fixed
-    parent decision folded into the root rows); and the positions of the
-    folded rows."""
-    _, xvar, blocks = assembled
-    s, inside = order[0], set(order)
-    nodes = [n for n in order if n in blocks]
-    cons = [k for k, con in enumerate(problem.constraints)
-            if con.node in inside and (con.node != s or con.coef_self)]
-    rows = np.concatenate([np.asarray(cons, dtype=np.int64)] + [blocks[n].rows for n in nodes])
-    cols = np.concatenate([xvar[n] for n in nodes] + [blocks[n].cols for n in nodes])
-    cost = np.concatenate([np.zeros(sum(xvar[n].size for n in nodes))]
-                          + [pu[n] * blocks[n].cost for n in nodes])
-    rhs = tree_rhs[rows]
-    folded = [pos for pos, k in enumerate(cons)
-              if problem.constraints[k].node == s and problem.constraints[k].coef_parent]
-    for pos in folded:
-        rhs[pos] = _folded_rhs(problem.constraints[cons[pos]],
-                               decisions[problem.tree.nodes[s].parent])
-    return nodes, cons, rows, cols, cost, rhs, folded
-
-
-def _subtree_slice(problem, assembled, order, pu, decisions):
-    """The LP that :func:`subtree_problem` and :func:`_assemble_holistic`
-    build for the subtree ``order``, cut from the assembled tree LP (names
-    keep the tree's ids), with its decision columns and node blocks; the
-    tree LP itself when the subtree is the whole tree in its own order.
-    Root rows on the parent decision alone are left out, as the rebuild
-    drops them; the plan check has seen them hold."""
-    big, xvar, blocks = assembled
-    if order == list(range(len(problem.tree))):
-        return assembled
-    nodes, cons, rows, cols, cost, rhs, _ = _slice_index(
-        problem, assembled, order, pu, decisions, big.rhs)
-    sub_x, sub_blocks, at = {}, {}, 0
-    for n in nodes:
-        sub_x[n] = np.arange(at, at + xvar[n].size)
-        at += xvar[n].size
-    row = len(cons)
-    for n in nodes:
-        nb = blocks[n]
-        sub_blocks[n] = _NodeBlock(np.arange(at, at + nb.cols.size),
-                                   np.arange(row, row + nb.rows.size), nb.alpha, nb.cost, pu[n])
-        at += nb.cols.size
-        row += nb.rows.size
-    return big.restricted(rows, cols, cost, rhs), sub_x, sub_blocks
 
 
 def _certificate_data(big, sol):
@@ -957,10 +912,18 @@ def _certificate_data(big, sol):
 
 
 def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
-    """The optimal value of the LP that :func:`_subtree_slice` cuts for the
-    subtree ``order``: the tree solve ``kept`` (see :func:`_certificate_data`)
-    restricted to that LP's rows and columns, duals rescaled to its
-    conditional costs.  ``None`` unless the restriction passes three checks:
+    """The optimal value of the LP that :func:`subtree_problem` and
+    :func:`_assemble_holistic` build for the subtree ``order``, from the
+    tree solve ``kept`` (see :func:`_certificate_data`).
+
+    That LP is a part of the assembled tree LP: its rows are the subtree's
+    constraints (a root row on the parent decision alone left out, the fixed
+    parent decision folded into the other root rows), then its nodes'
+    blocks; its columns are its decisions, then its blocks; its costs are
+    each block's costs times the node's probability ``pu`` given the
+    subtree's root.  The tree solve restricted to those rows and columns,
+    duals rescaled to those costs, gives its value.  ``None`` unless the
+    restriction passes three checks:
 
     * ``x`` meets the rows (root rows folded) and bounds within ``_RESIDUAL_TOL``;
     * the duals have their relations' signs, and no reduced cost ``c - A'y``
@@ -972,16 +935,23 @@ def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
     """
     if kept is None:
         return None
-    xvar, blocks = assembled[1], assembled[2]
-    s = order[0]
+    _, xvar, blocks = assembled
+    s, inside = order[0], set(order)
     scale = blocks[s].prob  # the tree LP's costs are the subtree LP's times this
-    if not scale > 0.0:
-        return None
-    _, cons, rows, cols, cost, rhs, folded = _slice_index(
-        problem, assembled, order, pu, decisions, kept.rhs)
+    nodes = [n for n in order if n in blocks]
+    cons = [k for k, con in enumerate(problem.constraints)
+            if con.node in inside and (con.node != s or con.coef_self)]
+    rows = np.concatenate([np.asarray(cons, dtype=np.int64)] + [blocks[n].rows for n in nodes])
+    cols = np.concatenate([xvar[n] for n in nodes] + [blocks[n].cols for n in nodes])
+    cost = np.concatenate([np.zeros(sum(xvar[n].size for n in nodes))]
+                          + [pu[n] * blocks[n].cost for n in nodes])
     x, lo, hi = kept.x[cols], kept.lower[cols], kept.upper[cols]
-    off = kept.rows[rows]
+    rhs, off = kept.rhs[rows], kept.rows[rows]
+    folded = [pos for pos, k in enumerate(cons)
+              if problem.constraints[k].node == s and problem.constraints[k].coef_parent]
     if folded:
+        parent = decisions[problem.tree.nodes[s].parent]
+        rhs[folded] = [_folded_rhs(problem.constraints[cons[p]], parent) for p in folded]
         own = kept.x[xvar[s]]  # a folded root row keeps only the root's own columns
         lhs = [sum(v * own[k] for k, v in problem.constraints[cons[p]].coef_self.items())
                for p in folded]

@@ -526,17 +526,6 @@ def test_blocks_added_between_columns_stack_like_one_block():
         [x for part in parts for x in part[i]] for i in range(6))
     whole.add_rows(np.concatenate(([0], np.cumsum(counts))), indices, values, rels, rhs, names)
     _assert_same_rows(staged, whole)
-    m = whole.num_rows
-    for rows, cols in (([0, 4, 2], [5, 0, 1]), (range(m), range(6)), ([m - 1, 0], [3])):
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        cost, b = np.arange(cols.size, dtype=float), np.arange(rows.size, dtype=float)
-        a, ref = staged.restricted(rows, cols, cost, b), whole.restricted(rows, cols, cost, b)
-        _assert_same_rows(a, ref)
-        # rows added to a slice stack after the slice, as on any program
-        for sub in (a, ref):
-            sub.add_rows([0, 2], [0, 0], [1.0, 0.5], "<=", 2.0, ["extra"])
-        _assert_same_rows(a, ref)
-        assert a.row_matrix()[rows.size, 0] == 1.5
 
 
 def test_add_rows_broadcasts_one_relation_and_rhs():
@@ -633,29 +622,6 @@ def test_row_matrix_follows_every_added_row_and_variable():
     lp.add_row({2: -1.0}, "=", 0.0)
     assert lp.row_matrix().toarray().tolist() == [[1.0, 2.0, 0.0], [0.0, 3.0, 0.0],
                                                   [0.0, 0.0, -1.0]]
-
-
-def test_restricted_program_keeps_the_chosen_rows_and_columns():
-    lp = LinearProgram("max", name="full")
-    lp.add_var("a", ub=4.0)
-    lp.add_var("b", lb=-1.0)
-    lp.add_var("c")
-    lp.add_row({0: 1.0, 2: 5.0}, "<=", 3.0, name="r0")
-    lp.add_row({1: 2.0, 2: 0.0}, ">=", -1.0, name="r1")
-    lp.add_row({0: 7.0, 1: 1.0}, "=", 2.0, name="r2")
-    sub = lp.restricted([2, 0], [0, 2], [1.5, -2.0], [9.0, 8.0])
-    assert (sub.sense, sub.name) == ("max", "full")
-    assert sub.row_matrix().toarray().tolist() == [[7.0, 0.0], [1.0, 5.0]]
-    assert sub.relations == ["=", "<="] and sub.rhs.tolist() == [9.0, 8.0]
-    assert sub.objective.tolist() == [1.5, -2.0]
-    assert sub.lower.tolist() == [0.0, 0.0] and sub.upper.tolist() == [4.0, math.inf]
-    assert [sub.row_name(k) for k in range(2)] == ["r2", "r0"]
-    assert [sub.var_name(j) for j in range(2)] == ["a", "c"]
-    # the explicit zero of r1 survives the cut, as in the full matrix
-    kept = lp.restricted([1], [1, 2], [0.0, 0.0], [-1.0])
-    assert kept.row_matrix().nnz == 2
-    with pytest.raises(ValueError, match="one cost per variable"):
-        lp.restricted([0], [0, 1], [1.0], [0.0])
 
 
 def test_add_vars_takes_arrays_and_names():

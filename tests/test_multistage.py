@@ -28,6 +28,7 @@ from prefrobust.multistage import (
     MultistageProblem,
     NodeConstraint,
     Policy,
+    RewardMap,
     check_time_consistency,
     evaluate_policy_worst_case,
     solve_holistic,
@@ -744,6 +745,39 @@ def test_holistic_solver_names_a_node_it_cannot_price():
         solve_holistic(_reassigned(problem, {0: spec, 1: spec, 2: finite}))
 
 
+def test_a_node_never_reached_is_named():
+    problem, spec = random_ball_problem(np.random.default_rng(3), (2, 2, 2), 0.05)
+    problem = MultistageProblem(
+        balanced_tree((2, 2, 2), probs=[(1.0, 0.0), (0.5, 0.5), (0.5, 0.5)]),
+        problem.decision_bounds, problem.rewards, problem.ambiguity, problem.grid,
+        problem.constraints)
+    with pytest.raises(ValueError, match=r"^node 2 is reached with probability 0\.0;"):
+        solve_holistic(problem)
+    # the nominal solve has no per-node block to divide by it
+    pol = solve_nominal(problem, spec.nominal)
+    assert pol.value == 2.59647666031141
+    # node 0's outcomes include node 2's
+    for run in (lambda: evaluate_policy_worst_case(problem, pol.decisions),
+                lambda: check_time_consistency(problem, pol)):
+        with pytest.raises(ValueError, match="^node 0: outcome probabilities must be positive$"):
+            run()
+
+
+def test_nested_evaluation_names_a_node_whose_outcomes_leave_the_domain():
+    # 1 + 5e-8 passes the build's reward-range certification but not the
+    # node LP's outcome check
+    problem, _ = random_ball_problem(np.random.default_rng(3), (2, 2), 0.05)
+    rewards = {i: RewardMap(0.0 * r.coef, 1.0 + 5e-8) for i, r in problem.rewards.items()}
+    problem = MultistageProblem(problem.tree, problem.decision_bounds, rewards,
+                                problem.ambiguity, problem.grid, problem.constraints)
+    pol = solve_holistic(problem)
+    for run in (lambda: evaluate_policy_worst_case(problem, pol.decisions),
+                lambda: check_time_consistency(problem, pol)):
+        with pytest.raises(ValueError, match=r"^node 0: outcome 1\.00000005 outside the "
+                                             r"utility domain \[0\.0, 1\.0\]$"):
+            run()
+
+
 @pytest.mark.parametrize("shift, fails", [(1e-5, True), (1e-9, False)])
 def test_big_solves_check_the_duality_gap(monkeypatch, shift, fails):
     rng = np.random.default_rng(3)
@@ -810,7 +844,7 @@ def test_big_solves_check_the_primal_residual(monkeypatch, shift, fails):
     monkeypatch.setattr(lp_module.LinearProgram, "solve", perturbed)
     _refuse_every_certificate(monkeypatch)
     # the two big solves, the check's one tree solve for a policy that keeps
-    # none, and the re-solves of the check (root and slices)
+    # none, and the re-solves of the check's rebuilt subtrees
     for run in (lambda: solve_holistic(problem),
                 lambda: solve_nominal(problem, spec.nominal),
                 lambda: check_time_consistency(problem, Policy(pol.decisions, pol.value, {})),
@@ -888,39 +922,21 @@ def _with_parent_only_row(problem):
     lambda rng: _with_parent_only_row(_mixed_problem(rng, (2, 2), asked_nodes={2})),
 ])
 def test_sliced_subtree_lps_equal_the_rebuilt_ones(monkeypatch, make):
+    # a refused subtree is rebuilt, so the refused report has the reference's
+    # bits; the certified one reads the subtree's part of the tree solve
     problem = make(np.random.default_rng(11))
-    tree = problem.tree
     pol = solve_holistic(problem)
-    sliced = []
-    real_slice = multistage_module._subtree_slice
-
-    def spy(*args):
-        sliced.append((args[2], real_slice(*args), args[1]))
-        return sliced[-1][1]
-
-    monkeypatch.setattr(multistage_module, "_subtree_slice", spy)
+    rebuilt, rebuild = [], multistage_module.subtree_problem
+    monkeypatch.setattr(multistage_module, "subtree_problem",
+                        lambda *args: (rebuilt.append(args[1]), rebuild(*args))[1])
     _refuse_every_certificate(monkeypatch)
     report = check_time_consistency(problem, pol)
     monkeypatch.undo()
     reference = _reference_report(problem, pol)
     assert _entries(report) == reference
     _assert_close_to_reference(_entries(check_time_consistency(problem, pol)), reference)
-    # the subtrees run in parallel, so only the set of slices is fixed
-    assert sorted(order[0] for order, _, _ in sliced) == tree.nonleaf_ids()
-    for order, (lp, xvar, blocks), assembled in sliced:
-        sub, orig = subtree_problem(problem, order[0], pol.decisions)
-        assert orig == order
-        rebuilt, rx, rblocks = _assemble_holistic(sub)
-        assert_same_program(lp, rebuilt, names=False)  # slices keep the tree's names
-        nodes = [n for n in order if n in blocks]
-        assert [orig[n] for n in rblocks] == nodes
-        for n, (new, rb) in zip(nodes, rblocks.items()):
-            assert np.array_equal(xvar[n], rx[new])
-            nb = blocks[n]
-            assert np.array_equal(nb.cols, rb.cols) and np.array_equal(nb.rows, rb.rows)
-            assert np.array_equal(nb.alpha, rb.alpha) and nb.prob == rb.prob
-        # the whole tree in its own order is re-solved on the assembly itself
-        assert (lp is assembled[0]) == (order == list(range(len(tree))))
+    # the subtrees run in parallel, so only the set of rebuilds is fixed
+    assert sorted(rebuilt) == problem.tree.nonleaf_ids()
 
 
 def test_subtree_problems_certify_their_rewards(monkeypatch):
@@ -941,7 +957,7 @@ def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
     problem, _ = random_ball_problem(rng, branching=(2, 2), radius=0.05)
     pol = solve_holistic(problem)
     # a row at node 1 on the parent decision alone is a constant once that
-    # decision is fixed: the slice and the rebuild drop it when it holds
+    # decision is fixed: the certificate and the rebuild drop it when it holds
     k = len(problem.constraints)
     parent_only = _with_parent_only_row(problem)
     report = check_time_consistency(parent_only, pol)
@@ -953,26 +969,29 @@ def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
     with pytest.raises(ValueError, match=rf"row con{k}\[1\] does not hold: 1\.5 <= 1\.0"):
         subtree_problem(parent_only, 1, {0: np.array([1.5, 0.0])})
 
-    # a slice that ends without an optimum raises after its one solve, with
-    # no rebuild; every slice runs, and the error names the first failed
-    # subtree in node order (node 1, the first slice after the whole tree)
+    # a rebuilt subtree that ends without an optimum raises after its one
+    # solve; every refused subtree runs, and the error names the first failed
+    # subtree in node order (node 1, the first after the whole tree)
     solve, full = lp_module.LinearProgram.solve, _assemble_holistic(problem)[0].num_rows
-    monkeypatch.setattr(multistage_module, "subtree_problem", None)
+    rebuilt, rebuild = [], multistage_module.subtree_problem
+    monkeypatch.setattr(multistage_module, "subtree_problem",
+                        lambda *args: (rebuilt.append(args[1]), rebuild(*args))[1])
     _refuse_every_certificate(monkeypatch)
     for status, message in ((lp_module.LpStatus.FAILED, "failed: stalled"),
                             (lp_module.LpStatus.INFEASIBLE, "infeasible")):
+        rebuilt.clear()
         failed = []
 
         def failing(self, *args, **kwargs):
             if self.name == "tree" and self.num_rows < full:
-                failed.append(self.var_name(0))
+                failed.append(self)
                 return lp_module.LpSolution(status, message="stalled")
             return solve(self, *args, **kwargs)
 
         monkeypatch.setattr(lp_module.LinearProgram, "solve", failing)
         with pytest.raises(RuntimeError, match=rf"^subtree 1 solve ended {message}$"):
             check_time_consistency(problem, pol)
-        assert sorted(failed) == ["x[1][0]", "x[2][0]"]
+        assert sorted(rebuilt) == [0, 1, 2] and len(failed) == 2
 
 
 def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
@@ -1099,8 +1118,8 @@ def test_a_tampered_tree_solve_is_refused_where_it_was_tampered(monkeypatch):
     tampered = [_with_kept_solve(pol, duals=duals), _with_kept_solve(pol, x=x),
                 _with_kept_solve(pol, x=decided), _with_kept_solve(pol, duals=raised)]
 
-    certificate, slice_ = multistage_module._subtree_certificate, multistage_module._subtree_slice
-    refused, sliced = [], []
+    certificate, rebuild = multistage_module._subtree_certificate, multistage_module.subtree_problem
+    refused, rebuilt = [], []
 
     def spy_certificate(problem, assembled, kept, order, *args):
         value = certificate(problem, assembled, kept, order, *args)
@@ -1108,19 +1127,19 @@ def test_a_tampered_tree_solve_is_refused_where_it_was_tampered(monkeypatch):
             refused.append(order[0])
         return value
 
-    def spy_slice(problem, assembled, order, *args):
-        sliced.append(order[0])
-        return slice_(problem, assembled, order, *args)
+    def spy_rebuild(problem, s, decisions):
+        rebuilt.append(s)
+        return rebuild(problem, s, decisions)
 
     for bad in tampered:
         refused.clear()
-        sliced.clear()
+        rebuilt.clear()
         with monkeypatch.context() as m:
             m.setattr(multistage_module, "_subtree_certificate", spy_certificate)
-            m.setattr(multistage_module, "_subtree_slice", spy_slice)
+            m.setattr(multistage_module, "subtree_problem", spy_rebuild)
             got = _entries(check_time_consistency(problem, bad))
         # node 4 and the subtrees above it are re-solved, with the re-solve's bits
-        assert sorted(refused) == sorted(sliced) == [0, 1, 4]
+        assert sorted(refused) == sorted(rebuilt) == [0, 1, 4]
         assert got == [resolved[k] if s in (0, 1, 4) else certified[k]
                        for k, s in enumerate(tree.nonleaf_ids())]
 
@@ -1140,15 +1159,15 @@ def test_a_check_of_a_holistic_policy_solves_no_lp(monkeypatch):
     tree = experiment.generate_tree(config.branching, config.tree_seed)
     problem = experiment.build_investment_consumption(tree, config)
     pol = experiment.solve_model(problem, config)
-    solves, sliced = [], []
-    solve, slice_ = LinearProgram.solve, multistage_module._subtree_slice
+    solves, rebuilt = [], []
+    solve, rebuild = LinearProgram.solve, multistage_module.subtree_problem
     monkeypatch.setattr(LinearProgram, "solve",
                         lambda *args, **kwargs: (solves.append(args), solve(*args, **kwargs))[1])
-    monkeypatch.setattr(multistage_module, "_subtree_slice",
-                        lambda *args: (sliced.append(args), slice_(*args))[1])
+    monkeypatch.setattr(multistage_module, "subtree_problem",
+                        lambda *args: (rebuilt.append(args), rebuild(*args))[1])
     report = check_time_consistency(problem, pol)
     assert len(report.entries) == 40
-    assert solves == [] and sliced == []
+    assert solves == [] and rebuilt == []
     assert report.max_discrepancy <= 1e-6
 
 
@@ -1461,7 +1480,13 @@ def _assemble_reference(problem):
 
 def _with_data(lp, cost, rhs):
     """``lp`` with its costs and right-hand sides replaced."""
-    return lp.restricted(np.arange(lp.num_rows), np.arange(lp.num_vars), cost, rhs)
+    out = LinearProgram(lp.sense, lp.name)
+    out.add_vars(lp.num_vars, [lp.var_name(j) for j in range(lp.num_vars)],
+                 lb=lp.lower, ub=lp.upper, obj=cost)
+    mat = lp.row_matrix()
+    out.add_rows(mat.indptr, mat.indices, mat.data, lp.relations, rhs,
+                 [lp.row_name(k) for k in range(lp.num_rows)])
+    return out
 
 
 @settings(max_examples=15, deadline=None)

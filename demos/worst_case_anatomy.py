@@ -20,8 +20,8 @@ import numpy as np
 
 from prefrobust import (
     ClosedFormUtility,
+    DiscreteLottery,
     KantorovichBallSpec,
-    OutcomeDistribution,
     project,
     uniform_grid,
     worst_case_kantorovich_dual,
@@ -47,8 +47,8 @@ def sweep(dist, nominal, label):
 
 def main():
     grid = uniform_grid(0.0, 1.0, 21)
-    dist = OutcomeDistribution((0.15, 0.45, 0.9), (0.3, 0.5, 0.2))
-    print("lottery:", dict(zip(dist.values, dist.probs)))
+    dist = DiscreteLottery((0.15, 0.45, 0.9), (0.3, 0.5, 0.2))
+    print("lottery:", dict(zip(dist.support, dist.probs)))
     print()
 
     curved = project(ClosedFormUtility.exponential(3.0), grid)
@@ -59,9 +59,9 @@ def main():
     # adversarial utility at the largest radius: mass-bearing segments get
     # flattened first.
     worst = results[-1].utility
-    seg = np.searchsorted(grid, np.array(dist.values)) - 1
+    seg = np.searchsorted(grid, np.array(dist.support)) - 1
     print("slope of nominal vs worst utility on the segments carrying mass:")
-    for s, x in zip(seg, dist.values):
+    for s, x in zip(seg, dist.support):
         print(f"  outcome {x:.2f}: {curved.slopes[s]:>7.4f} -> {worst.slopes[s]:>7.4f}")
     print()
 

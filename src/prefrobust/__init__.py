@@ -40,7 +40,6 @@ from .ambiguity import (
     regime_nominal,
 )
 from .worst_case import (
-    OutcomeDistribution,
     WorstCaseResult,
     worst_case_finite,
     worst_case_kantorovich_dual,

@@ -1,4 +1,4 @@
-"""Ambiguity sets of utility functions and preference elicitation.
+"""Ambiguity sets of utility functions, lotteries and preference elicitation.
 
 Three descriptions of "what we know about the decision maker" are supported,
 all over normalized nondecreasing concave PL utilities with a Lipschitz cap
@@ -12,6 +12,8 @@ L and a slope-variation cap L_tilde:
 
 ``StateDependentAmbiguity`` attaches one spec to every non-leaf node of a
 scenario tree, which is what the multistage solvers consume.
+``DiscreteLottery``, checked in one place, is the package's one lottery:
+a questionnaire's W_k or Y_k, or the children outcomes of a tree node.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .blocks import (
     append_utility_block,
 )
 from .lp import LinearProgram, LpStatus
+from .tree import PROB_TOL
 from .utility import ClosedFormUtility, PiecewiseLinearUtility, project
 
 log = logging.getLogger(__name__)
@@ -48,30 +51,34 @@ INDIFFERENCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DiscreteLottery:
-    """Finitely supported lottery; support points must be grid breakpoints
-    when the lottery enters an LP."""
+    """Finitely supported lottery of floats, masses possibly zero.  Outcomes must
+    lie in the domain, and on the grid for a questionnaire, when it enters an LP."""
 
     support: tuple
     probs: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "support", tuple(float(v) for v in self.support))
+        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support and probs must be non-empty and match")
-        if not all(math.isfinite(v) for v in (*self.support, *self.probs)):
-            raise ValueError(
-                f"lottery support {self.support!r} and probs {self.probs!r} must be finite")
+        for name, entries in (("support", self.support), ("probs", self.probs)):
+            bad = [k for k, v in enumerate(entries) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"lottery {name}[{bad[0]}] is {entries[bad[0]]!r}, must be finite")
         if any(p < 0 for p in self.probs):
             raise ValueError("lottery probabilities must be nonnegative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError(f"lottery probabilities sum to {sum(self.probs)!r}, not 1")
+        total = math.fsum(self.probs)
+        if not abs(total - 1.0) <= PROB_TOL:
+            raise ValueError(f"lottery probabilities sum to {total!r}, not 1")
 
     @classmethod
     def point_mass(cls, x):
-        return cls((float(x),), (1.0,))
+        return cls((x,), (1.0,))
 
     @classmethod
     def two_outcome(cls, x1, x2, p1):
-        return cls((float(x1), float(x2)), (float(p1), 1.0 - float(p1)))
+        return cls((x1, x2), (p1, 1.0 - float(p1)))
 
     def expectation(self, utility):
         return float(sum(p * utility(x) for x, p in zip(self.support, self.probs)))
@@ -79,8 +86,10 @@ class DiscreteLottery:
 
 def preference_sign(true_utility, w: DiscreteLottery, y: DiscreteLottery):
     """Recorded answer for one questionnaire pair: sign of the expected-
-    utility gap, with near-indifference mapped to 0."""
+    utility gap, with near-indifference mapped to 0; a non-finite gap is refused."""
     gap = w.expectation(true_utility) - y.expectation(true_utility)
+    if not math.isfinite(gap):
+        raise ValueError(f"expected-utility gap is {gap!r}, must be finite")
     if abs(gap) < INDIFFERENCE_TOL:
         return 0
     return 1 if gap > 0 else -1
@@ -112,8 +121,8 @@ class PairwiseComparisonSpec:
 
     @classmethod
     def _from_arrays(cls, arrays, L, L_tilde):
-        """A spec over comparisons already in flat form, answered -1 or +1
-        and checked as :class:`DiscreteLottery` checks each lottery."""
+        """A spec over comparisons already in flat form, answered -1 or +1,
+        whose lotteries pass :class:`DiscreteLottery`'s checks as built."""
         spec = cls.__new__(cls)
         spec._set(arrays, L, L_tilde)
         return spec
@@ -288,22 +297,6 @@ def _check_grid(y):
         raise ValueError(f"grid[{bad[0]}] is {float(y[bad[0]])!r}")
 
 
-def _check_lotteries(arrays):
-    """What :class:`DiscreteLottery` checks, over all lotteries at once."""
-    a = arrays
-    bad = np.flatnonzero(~(np.isfinite(a.outcomes) & np.isfinite(a.masses)))
-    if bad.size:
-        raise ValueError(f"pair {a.owner[bad[0]] // 2}: lottery outcomes and "
-                         "probabilities must be finite")
-    if np.any(a.masses < 0):
-        raise ValueError("lottery probabilities must be nonnegative")
-    total = np.bincount(a.owner, weights=a.masses, minlength=2 * a.signs.size)
-    bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-12))
-    if bad.size:
-        raise ValueError(f"pair {bad[0] // 2}: lottery probabilities sum to "
-                         f"{float(total[bad[0]])!r}, not 1")
-
-
 def elicit_pairwise(true_utility, K, grid, seed, L=DEFAULT_L, L_tilde=DEFAULT_LTILDE):
     """Simulate K lottery questionnaires answered by ``true_utility``.
 
@@ -347,11 +340,11 @@ def elicit_pairwise(true_utility, K, grid, seed, L=DEFAULT_L, L_tilde=DEFAULT_LT
         heads[:, 1] * u[:, 2] + (1.0 - heads[:, 1]) * u[:, 3])
     answers = np.where(gap > 0, 1, -1)
     kept = ~(np.abs(gap) < INDIFFERENCE_TOL)
+    # two checked grid points, masses h and 1 - h: each lottery passes DiscreteLottery's checks
     heads = heads[kept]
     masses = np.stack((heads, 1.0 - heads), -1).reshape(-1)
     arrays = PairArrays(outcomes[kept].ravel(), masses,
                         np.repeat(np.arange(2 * heads.shape[0]), 2), answers[kept])
-    _check_lotteries(arrays)
     return PairwiseComparisonSpec._from_arrays(arrays, L, L_tilde)
 
 

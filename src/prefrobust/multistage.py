@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ambiguity import (
+    DiscreteLottery,
     FiniteUtilitySet,
     KantorovichBallSpec,
     PairwiseComparisonSpec,
@@ -35,7 +36,7 @@ from .ambiguity import (
 from .lp import HighsSession, LinearProgram, LpSolution, LpStatus, dualize
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
-    OutcomeDistribution,
+    DOMAIN_TOL,
     node_primal,
     worst_case_finite,
     worst_case_kantorovich_primal,
@@ -47,7 +48,6 @@ from .blocks import append_ball_membership, append_pairwise_rows  # noqa: F401
 from .utility import project  # noqa: F401
 from .worst_case import supporting_line_primal  # noqa: F401
 
-_REWARD_TOL = 1e-7
 # strong-duality gap allowed on a tree-wide LP, relative to 1 + |objective|
 _GAP_TOL = 1e-7
 # how far a plan handed to the evaluator may stray from its bounds and rows
@@ -264,9 +264,9 @@ class MultistageProblem:
                 extremes[key] = (self._reward_extreme(lp, cols, d, +1.0, i, session),
                                  self._reward_extreme(lp, cols, d, -1.0, i, session))
             lo, hi = (lam * v + rm.offset for v in extremes[key])
-            if lo < a - _REWARD_TOL or hi > b + _REWARD_TOL:
+            if lo < a - DOMAIN_TOL or hi > b + DOMAIN_TOL:
                 raise ValueError(
-                    f"reward at node {i} spans [{lo:.6g}, {hi:.6g}], outside the "
+                    f"reward at node {i} spans [{lo!r}, {hi!r}], outside the "
                     f"utility domain [{a:g}, {b:g}]")
 
     def _reward_extreme(self, lp, cols, coef, sign, node, session):
@@ -556,12 +556,12 @@ def solve_nominal(problem, utilities):
 def _node_outcomes(problem, s, decisions):
     kids = problem.tree.children[s]
     x = np.asarray(decisions[s], dtype=float)
-    values = [
-        float(np.dot(problem.rewards[i].coef, x)) + problem.rewards[i].offset
-        for i in kids
-    ]
+    rewards = [problem.rewards[i] for i in kids]
+    values = [float(np.dot(r.coef, x)) + r.offset for r in rewards]
     probs = [problem.tree.nodes[i].prob for i in kids]
-    return OutcomeDistribution(values, probs)
+    if not all(p > 0 for p in probs):  # a child never reached is refused
+        raise ValueError("outcome probabilities must be positive")
+    return DiscreteLottery(values, probs)
 
 
 def _node_worst_case(problem, s, dist, template):
@@ -737,7 +737,7 @@ def evaluate_policy_worst_case(problem, decisions, mode="nested"):
                 acc = 0.0
                 for s in stage_nodes:
                     d = dists[s]
-                    acc += pu[s] * float(np.dot(d.probs, u(np.asarray(d.values))))
+                    acc += pu[s] * float(np.dot(d.probs, u(np.asarray(d.support))))
                 scores.append(acc)
             total += min(scores)
         return float(total)

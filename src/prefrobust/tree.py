@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# how far the masses of a distribution (a node's children, a lottery) may sum from 1
+PROB_TOL = 1e-12
+
 
 class TreeSchemaError(ValueError):
     """Raised when a serialized tree is malformed; names the node and field."""
@@ -81,7 +84,7 @@ class ScenarioTree:
         root = self.nodes[0]
         if root.id != 0 or root.parent is not None or root.stage != 0:
             raise ValueError("node 0 must be the root (no parent, stage 0)")
-        if not abs(root.prob - 1.0) <= 1e-12:
+        if not abs(root.prob - 1.0) <= PROB_TOL:
             raise ValueError("root conditional probability must be 1")
         names = set(root.realization)
         prev_stage = 0
@@ -107,7 +110,7 @@ class ScenarioTree:
         for node_id, kids in enumerate(self.children):
             if kids:
                 s = math.fsum(self.nodes[k].prob for k in kids)
-                if abs(s - 1.0) > 1e-9:
+                if not abs(s - 1.0) <= PROB_TOL:
                     raise ValueError(
                         f"node {node_id}: children probabilities sum to {s!r}, expected 1")
         # leaves must all sit at the final stage (balanced horizon)

@@ -1,6 +1,6 @@
 """One-stage worst-case expected utility over an ambiguity set.
 
-Given a discrete outcome distribution (the children of one tree node) and a
+Given a ``DiscreteLottery`` of outcomes (the children of one tree node) and a
 description of plausible utilities, compute ``min_u E[u(h)]`` together with
 a minimizing utility.  For Kantorovich-ball and pairwise-comparison sets the
 problem is an LP over the utility's breakpoint values and slopes; outcomes
@@ -17,7 +17,6 @@ definition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,40 +35,8 @@ from .lp import HighsSession, LinearProgram, LpStatus, RowLayout, dualize
 # module global by name.
 from .utility import PiecewiseLinearUtility, project  # noqa: F401
 
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Finite outcome/probability pairs for one node's children."""
-
-    values: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.values) != len(self.probs) or not self.values:
-            raise ValueError("values and probs must be non-empty and match")
-        for name, entries in (("values", self.values), ("probs", self.probs)):
-            bad = [k for k, v in enumerate(entries) if not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"outcome {name}[{bad[0]}] is {entries[bad[0]]!r}")
-        # written so that a NaN fails too
-        if not all(p > 0 for p in self.probs):
-            raise ValueError("outcome probabilities must be positive")
-        if not abs(sum(self.probs) - 1.0) <= 1e-12:
-            raise ValueError(f"outcome probabilities sum to {sum(self.probs)!r}, not 1")
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        vals, probs = zip(*pairs)
-        return cls(tuple(float(v) for v in vals), tuple(float(p) for p in probs))
-
-    @classmethod
-    def point_mass(cls, value):
-        return cls((float(value),), (1.0,))
-
-    def expectation(self, utility):
-        return float(sum(p * utility(v) for v, p in zip(self.values, self.probs)))
+# how far an outcome, or a reward that becomes one, may lie outside the utility domain
+DOMAIN_TOL = 1e-9
 
 
 @dataclass
@@ -93,8 +60,8 @@ def _grid_for(spec, grid):
 
 
 def _check_outcomes(dist, y):
-    lo, hi = y[0] - 1e-9, y[-1] + 1e-9
-    for v in dist.values:
+    lo, hi = y[0] - DOMAIN_TOL, y[-1] + DOMAIN_TOL
+    for v in dist.support:
         if not lo <= v <= hi:
             raise ValueError(f"outcome {v!r} outside the utility domain [{y[0]}, {y[-1]}]")
 
@@ -182,11 +149,11 @@ def _worst_case_primal(dist, spec, grid, template):
     y = _grid_for(spec, grid)
     _check_outcomes(dist, y)
     if template is None:
-        node = node_primal(dist.values, dist.probs, spec, y)
+        node = node_primal(dist.support, dist.probs, spec, y)
         cost, rhs = node.lp.objective, node.lp.rhs
     else:
         node = template
-        cost, rhs = node.stamped(dist.values, dist.probs, spec, y)
+        cost, rhs = node.stamped(dist.support, dist.probs, spec, y)
     session = HighsSession(node.lp, layout=node.layout)
     session.load(cost, rhs)
     x = session.run()
@@ -213,7 +180,7 @@ def worst_case_kantorovich_dual(dist, spec, grid=None):
     primal optimizer."""
     y = _grid_for(spec, grid)
     _check_outcomes(dist, y)
-    node = node_primal(dist.values, dist.probs, spec, y)
+    node = node_primal(dist.support, dist.probs, spec, y)
     dual, block = dualize(node.lp), node.block
     sol = dual.solve()
     if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):

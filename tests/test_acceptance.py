@@ -16,7 +16,7 @@ import pytest
 from oracles import lp_vertex_oracle
 from test_lp import random_small_lp
 
-from prefrobust.ambiguity import DEFAULT_L, KantorovichBallSpec
+from prefrobust.ambiguity import DEFAULT_L, DiscreteLottery, KantorovichBallSpec
 from prefrobust.counterexample import solve_counterexample
 from prefrobust.experiment import (
     ExperimentConfig,
@@ -41,7 +41,6 @@ from prefrobust.utility import (
     uniform_grid,
 )
 from prefrobust.worst_case import (
-    OutcomeDistribution,
     worst_case_kantorovich_dual,
     worst_case_kantorovich_primal,
 )
@@ -91,7 +90,7 @@ def test_primal_and_dual_worst_case_solves_agree():
         nominal = project(ClosedFormUtility.exponential(curvature), y)
         spec = KantorovichBallSpec(nominal, float(rng.uniform(0.0, 0.3)))
         m = int(rng.integers(2, 11))
-        dist = OutcomeDistribution(
+        dist = DiscreteLottery(
             tuple(rng.uniform(0.0, 1.0, size=m)), tuple(rng.dirichlet(np.ones(m)))
         )
         primal = worst_case_kantorovich_primal(dist, spec)

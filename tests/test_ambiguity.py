@@ -77,6 +77,15 @@ def test_preference_sign_examples():
     assert preference_sign(quad, w, w) == 0
 
 
+@pytest.mark.parametrize("utility, message", [
+    (lambda x: float("nan"), r"^expected-utility gap is nan, must be finite$"),
+    (lambda x: math.inf if x > 0.5 else 0.0, r"^expected-utility gap is -inf, must be finite$"),
+])
+def test_preference_sign_refuses_a_non_finite_gap(utility, message):
+    with pytest.raises(ValueError, match=message):
+        preference_sign(utility, DiscreteLottery.point_mass(0.2), DiscreteLottery.point_mass(0.8))
+
+
 def test_elicitation_deterministic_and_prefix_nested():
     grid = uniform_grid(0.0, 1.0, 11)
     quad = ClosedFormUtility.quadratic()
@@ -150,6 +159,22 @@ def test_elicitation_matches_the_scalar_reference(truth, n, K, seed, data):
     assert spec.pairs == ref.pairs
     for w, yk, z in spec.pairs:
         assert z == preference_sign(truth, w, yk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(truth=true_utilities(), n=st.integers(2, 60), uniform=st.booleans(),
+       K=st.integers(0, 250), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_elicited_lotteries_are_grid_lotteries(truth, n, uniform, K, seed, data):
+    """What a lottery check would refuse cannot come out of elicitation:
+    outcomes are grid points, and masses are h and 1 - h for h in
+    {0.1, ..., 0.9}."""
+    grid = uniform_grid(0.0, 1.0, n) if uniform else data.draw(increasing_points(n))
+    points = set(grid.tolist())
+    for w, yk, _ in elicit_pairwise(truth, K, grid, seed=seed).pairs:
+        for lottery in (w, yk):
+            assert set(lottery.support) <= points
+            assert all(0.0 < p < 1.0 for p in lottery.probs)
+            assert abs(math.fsum(lottery.probs) - 1.0) <= 1e-12
 
 
 def test_elicitation_evaluates_the_utility_once():

@@ -15,6 +15,7 @@ import prefrobust.multistage as multistage_module
 import prefrobust.worst_case as worst_case_module
 from prefrobust import experiment
 from prefrobust.ambiguity import (
+    DiscreteLottery,
     FiniteUtilitySet,
     KantorovichBallSpec,
     PairwiseComparisonSpec,
@@ -45,7 +46,6 @@ from prefrobust.utility import (
     uniform_grid,
 )
 from prefrobust.worst_case import (
-    OutcomeDistribution,
     WorstCaseResult,
     node_primal,
     supporting_line_primal,
@@ -118,7 +118,7 @@ def test_fixed_decisions_match_the_one_stage_solver():
 
     pol = solve_holistic(problem)
     ref = worst_case_kantorovich_primal(
-        OutcomeDistribution(g @ xfix + c, [0.55, 0.45]), spec)
+        DiscreteLottery(g @ xfix + c, [0.55, 0.45]), spec)
     assert pol.value == pytest.approx(ref.value, abs=1e-7)
     assert pol.per_node[0].value == pytest.approx(ref.value, abs=1e-7)
     assert np.allclose(pol.decisions[0], xfix)
@@ -137,7 +137,7 @@ def test_fixed_decisions_match_the_one_stage_pairwise_solver():
 
     pol = solve_holistic(problem)
     ref = worst_case_pairwise(
-        OutcomeDistribution(g @ xfix + 0.1, [0.5, 0.3, 0.2]), spec, y)
+        DiscreteLottery(g @ xfix + 0.1, [0.5, 0.3, 0.2]), spec, y)
     assert pol.value == pytest.approx(ref.value, abs=1e-7)
 
     # the recovered utility must itself honor every elicited comparison
@@ -186,7 +186,7 @@ def test_regrouped_blocks_reproduce_the_holistic_value():
             float(np.dot(problem.rewards[i].coef, pol.decisions[s]))
             + problem.rewards[i].offset for i in kids])
         probs = [problem.tree.nodes[i].prob for i in kids]
-        ref = worst_case_kantorovich_primal(OutcomeDistribution(h, probs), spec, y)
+        ref = worst_case_kantorovich_primal(DiscreteLottery(h, probs), spec, y)
         assert pol.per_node[s].value == pytest.approx(ref.value, abs=1e-6)
 
         u = pol.per_node[s].utility
@@ -764,18 +764,22 @@ def test_a_node_never_reached_is_named():
 
 
 def test_nested_evaluation_names_a_node_whose_outcomes_leave_the_domain():
-    # 1 + 5e-8 passes the build's reward-range certification but not the
-    # node LP's outcome check
+    # the build refuses a reward 5e-8 past the domain, as the node LPs of the
+    # nested evaluation would refuse the outcome, and prints its ends in full
     problem, _ = random_ball_problem(np.random.default_rng(3), (2, 2), 0.05)
     rewards = {i: RewardMap(0.0 * r.coef, 1.0 + 5e-8) for i, r in problem.rewards.items()}
-    problem = MultistageProblem(problem.tree, problem.decision_bounds, rewards,
-                                problem.ambiguity, problem.grid, problem.constraints)
-    pol = solve_holistic(problem)
-    for run in (lambda: evaluate_policy_worst_case(problem, pol.decisions),
-                lambda: check_time_consistency(problem, pol)):
-        with pytest.raises(ValueError, match=r"^node 0: outcome 1\.00000005 outside the "
-                                             r"utility domain \[0\.0, 1\.0\]$"):
-            run()
+    with pytest.raises(ValueError, match=r"^reward at node 1 spans \[1\.00000005, 1\.00000005\], "
+                                         r"outside the utility domain \[0, 1\]$"):
+        MultistageProblem(problem.tree, problem.decision_bounds, rewards,
+                          problem.ambiguity, problem.grid, problem.constraints)
+
+
+def test_tree_refuses_siblings_the_nested_evaluation_would_refuse():
+    # siblings summing to 1 + 4e-10 fail the lottery check of a node's outcomes
+    with pytest.raises(ValueError, match=r"^node 0: children probabilities sum to 1\.0000000004"):
+        balanced_tree((2, 2), probs=[(0.5, 0.5 + 4e-10), (0.5, 0.5)])
+    with pytest.raises(ValueError, match="sum to 1.0000000004, not 1"):
+        DiscreteLottery((0.2, 0.8), (0.5, 0.5 + 4e-10))
 
 
 @pytest.mark.parametrize("shift, fails", [(1e-5, True), (1e-9, False)])
@@ -1203,7 +1207,7 @@ def test_templated_node_solves_equal_the_node_by_node_ones(problem):
         solve = (worst_case_kantorovich_primal if isinstance(spec, KantorovichBallSpec)
                  else worst_case_pairwise)
         assert _worst_case_bits(res) == _worst_case_bits(solve(dist, spec, grid))
-        node = node_primal(dist.values, dist.probs, spec, grid)
+        node = node_primal(dist.support, dist.probs, spec, grid)
         sol = node.lp.solve()
         assert _worst_case_bits(res) == _worst_case_bits(WorstCaseResult(
             "optimal", sol.objective, PiecewiseLinearUtility(grid, sol.x[node.block.alpha])))
@@ -1345,7 +1349,7 @@ def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_
 
     # a shared range is scaled to each reward, so the wider one is refused
     rewards[2] = ([2.0, 1.0], 0.0)
-    with pytest.raises(ValueError, match=r"reward at node 2 spans \[0, 3\], outside"):
+    with pytest.raises(ValueError, match=r"reward at node 2 spans \[0\.0, 3\.0\], outside"):
         MultistageProblem(tree, bounds, rewards, spec, y)
 
 

@@ -22,7 +22,6 @@ from prefrobust.utility import (
     uniform_grid,
 )
 from prefrobust.worst_case import (
-    OutcomeDistribution,
     node_primal,
     worst_case_finite,
     worst_case_kantorovich_dual,
@@ -55,7 +54,7 @@ def random_instance(rng, n=None, max_outcomes=10):
     )
     S = int(rng.integers(1, max_outcomes + 1))
     g = 0.05 + rng.random(S)
-    dist = OutcomeDistribution(
+    dist = DiscreteLottery(
         tuple(float(v) for v in rng.random(S)), tuple(float(p) for p in g / g.sum())
     )
     return dist, spec
@@ -68,7 +67,7 @@ def identity_on(grid):
 def test_zero_radius_point_mass():
     grid = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(identity_on(grid), 0.0, L=2.0, L_tilde=50.0)
-    res = worst_case_kantorovich_primal(OutcomeDistribution.point_mass(0.5), spec)
+    res = worst_case_kantorovich_primal(DiscreteLottery.point_mass(0.5), spec)
     assert res.is_optimal
     assert res.value == pytest.approx(0.5, abs=1e-8)
     # the ball is a singleton: the returned utility is the nominal
@@ -77,14 +76,14 @@ def test_zero_radius_point_mass():
 
 def test_normalization_pins_extreme_outcomes():
     grid = uniform_grid(0.0, 1.0, 7)
-    dist = OutcomeDistribution.from_pairs([(0.0, 0.5), (1.0, 0.5)])
+    dist = DiscreteLottery((0.0, 1.0), (0.5, 0.5))
     kan = KantorovichBallSpec(identity_on(grid), 0.3)
     assert worst_case_kantorovich_primal(dist, kan).value == pytest.approx(0.5, abs=1e-8)
     assert worst_case_kantorovich_dual(dist, kan).value == pytest.approx(0.5, abs=1e-8)
     free = PairwiseComparisonSpec([])  # K = 0: only shape constraints
     assert worst_case_pairwise(dist, free, grid).value == pytest.approx(0.5, abs=1e-8)
 
-    top = OutcomeDistribution.point_mass(1.0)
+    top = DiscreteLottery.point_mass(1.0)
     assert worst_case_kantorovich_dual(top, kan).value == pytest.approx(1.0, abs=1e-8)
 
 
@@ -92,7 +91,7 @@ def test_matches_brute_force_scan():
     grid = np.array([0.0, 0.5, 1.0])
     nominal = identity_on(grid)
     spec = KantorovichBallSpec(nominal, radius=0.05, L=3.0, L_tilde=100.0)
-    dist = OutcomeDistribution.point_mass(0.5)
+    dist = DiscreteLottery.point_mass(0.5)
 
     def dist_fn(vals):
         return kantorovich_lp(PiecewiseLinearUtility(grid, vals), nominal)
@@ -146,7 +145,7 @@ def test_pairwise_constraints_tighten_value():
     rng = np.random.default_rng(17)
     grid = uniform_grid(0.0, 1.0, 9)
     true = ClosedFormUtility.exponential(3.0)
-    dist = OutcomeDistribution.from_pairs([(0.25, 0.4), (0.7, 0.6)])
+    dist = DiscreteLottery((0.25, 0.7), (0.4, 0.6))
     prev = None
     for K in (0, 5, 20, 60):
         spec = elicit_pairwise(true, K, grid, seed=11)
@@ -162,7 +161,7 @@ def test_pairwise_constraints_tighten_value():
 
 def test_infeasible_specs_reported():
     grid = uniform_grid(0.0, 1.0, 5)
-    dist = OutcomeDistribution.point_mass(0.5)
+    dist = DiscreteLottery.point_mass(0.5)
     # normalization needs slope >= 1 somewhere but the cap is 0.9
     empty = KantorovichBallSpec(identity_on(grid), 0.0, L=0.9, L_tilde=50.0)
     assert worst_case_kantorovich_primal(dist, empty).status == "infeasible"
@@ -182,24 +181,45 @@ def test_finite_set_enumeration():
     u2 = ClosedFormUtility.quadratic()
     uset = FiniteUtilitySet([u1, u2])
 
-    res = worst_case_finite(OutcomeDistribution.from_pairs([(0.0, 0.5), (0.8, 0.5)]), uset)
+    res = worst_case_finite(DiscreteLottery((0.0, 0.8), (0.5, 0.5)), uset)
     assert res.value == pytest.approx(0.45, abs=1e-12)
     assert res.member_index == 0
 
     res = worst_case_finite(
-        OutcomeDistribution.from_pairs([(0.6, 0.25), (0.6, 0.25), (0.4, 0.25), (1.0, 0.25)]),
+        DiscreteLottery((0.6, 0.6, 0.4, 1.0), (0.25, 0.25, 0.25, 0.25)),
         uset,
     )
     assert res.value == pytest.approx(0.825, abs=1e-12)
     assert res.member_index == 0
 
-    res = worst_case_finite(OutcomeDistribution.from_pairs([(0.4, 0.5), (1.0, 0.5)]), uset)
+    res = worst_case_finite(DiscreteLottery((0.4, 1.0), (0.5, 0.5)), uset)
     assert res.value == pytest.approx(0.82, abs=1e-12)
     assert res.member_index == 1
 
     # exact tie goes to the lowest index
     tie = FiniteUtilitySet([u2, u2])
-    assert worst_case_finite(OutcomeDistribution.point_mass(0.3), tie).member_index == 0
+    assert worst_case_finite(DiscreteLottery.point_mass(0.3), tie).member_index == 0
+
+
+@pytest.mark.parametrize("kind", ["ball", "questionnaire", "finite"])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_a_zero_mass_outcome_leaves_the_worst_case_unchanged(kind, where):
+    grid = uniform_grid(0.0, 1.0, 11)
+    true = ClosedFormUtility.exponential(3.0)
+    solve = {
+        "ball": lambda d: worst_case_kantorovich_primal(
+            d, KantorovichBallSpec(project(true, grid), 0.05)),
+        "questionnaire": lambda d: worst_case_pairwise(
+            d, elicit_pairwise(true, 30, grid, seed=5), grid),
+        "finite": lambda d: worst_case_finite(
+            d, FiniteUtilitySet([true, ClosedFormUtility.quadratic()])),
+    }[kind]
+    support, probs = [0.2, 0.7], [0.4, 0.6]
+    v = solve(DiscreteLottery(support, probs)).value
+    support.insert(where, 0.6)
+    probs.insert(where, 0.0)
+    assert solve(DiscreteLottery(support, probs)).value == pytest.approx(
+        v, rel=0.0, abs=1e-12 * (1 + abs(v)))
 
 
 def printed_dual_value(y, q, h, bnom, L, Lt, r):
@@ -298,7 +318,7 @@ def test_published_dual_transcription_matches():
             transcribed = printed_dual_value(
                 spec.nominal.breakpoints,
                 np.asarray(dist.probs),
-                np.asarray(dist.values),
+                np.asarray(dist.support),
                 spec.nominal.slopes,
                 spec.L,
                 spec.L_tilde,
@@ -311,20 +331,20 @@ def test_outcomes_must_lie_in_domain():
     grid = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(identity_on(grid), 0.1)
     with pytest.raises(ValueError):
-        worst_case_kantorovich_primal(OutcomeDistribution.point_mass(1.5), spec)
+        worst_case_kantorovich_primal(DiscreteLottery.point_mass(1.5), spec)
     with pytest.raises(ValueError):
-        OutcomeDistribution.from_pairs([(0.5, 0.7), (0.6, 0.2)])
+        DiscreteLottery((0.5, 0.6), (0.7, 0.2))
 
 
 @pytest.mark.parametrize("values, probs, message", [
-    ((0.2, 0.5), (math.nan, 0.5), r"outcome probs\[0\] is nan"),
-    ((0.2, math.nan), (0.5, 0.5), r"outcome values\[1\] is nan"),
-    ((0.2, math.inf), (0.5, 0.5), r"outcome values\[1\] is inf"),
-    ((0.2, 0.5), (0.5, -math.inf), r"outcome probs\[1\] is -inf"),
-])
+    ((0.2, 0.5), (math.nan, 0.5), r"^lottery probs\[0\] is nan, must be finite$"),
+    ((0.2, math.nan), (0.5, 0.5), r"^lottery support\[1\] is nan, must be finite$"),
+    ((0.2, math.inf), (0.5, 0.5), r"^lottery support\[1\] is inf, must be finite$"),
+    ((0.2, 0.5), (0.5, -math.inf), r"^lottery probs\[1\] is -inf, must be finite$"),
+], ids=["probs-nan", "support-nan", "support-inf", "probs-minus-inf"])
 def test_outcomes_refuse_non_finite_entries(values, probs, message):
     with pytest.raises(ValueError, match=message):
-        OutcomeDistribution(values, probs)
+        DiscreteLottery(values, probs)
 
 
 @st.composite

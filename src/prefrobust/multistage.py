@@ -54,6 +54,8 @@ _GAP_TOL = 1e-7
 _PLAN_TOL = 1e-7
 # how far the x of a tree-wide solve may stray from its rows and bounds
 _RESIDUAL_TOL = 1e-7
+# the largest discrepancy a time-consistent plan may show at a subtree
+_CONSISTENT_TOL = 1e-6
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -111,8 +113,9 @@ class Policy:
         lines = ["node\tstage\tdecision\tvalue"]
         for s in sorted(self.per_node):
             nv = self.per_node[s]
-            dec = ",".join(format(float(v), ".10g") for v in self.decisions.get(s, ()))
-            lines.append(f"{s}\t{nv.stage}\t{dec}\t{nv.value:.10g}")
+            # + 0.0 folds a negative zero, as the CSV does
+            dec = ",".join(format(float(v) + 0.0, ".10g") for v in self.decisions.get(s, ()))
+            lines.append(f"{s}\t{nv.stage}\t{dec}\t{nv.value + 0.0:.10g}")
         return "\n".join(lines) + "\n"
 
 
@@ -560,7 +563,7 @@ def _node_outcomes(problem, s, decisions):
     values = [float(np.dot(r.coef, x)) + r.offset for r in rewards]
     probs = [problem.tree.nodes[i].prob for i in kids]
     if not all(p > 0 for p in probs):  # a child never reached is refused
-        raise ValueError("outcome probabilities must be positive")
+        raise ValueError(f"node {s}: outcome probabilities must be positive")
     return DiscreteLottery(values, probs)
 
 
@@ -612,13 +615,12 @@ def _check_row(con, idx, lhs):
 
 
 def _in_parallel(fn, items):
-    """``[fn(i) for i in items]``, run on every usable core.
+    """``[fn(i) for i in items]``, run on every usable core, the calling
+    thread among them, each thread taking the next item in order.
 
     Each item is an independent solve, and HiGHS lets go of the interpreter
-    lock while it runs.  The calling thread takes items from the front, the
-    other threads from the back: callers list big items first, which keeps
-    those on the calling thread, not side by side in memory.  Every item
-    runs; then the first failed item's exception, in item order, is raised."""
+    lock while it runs.  Every item runs; then the first failed item's
+    exception, in item order, is raised."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -626,10 +628,10 @@ def _in_parallel(fn, items):
     queue = deque(enumerate(items))
     results, errors = [None] * len(queue), [None] * len(queue)
 
-    def drain(take):
+    def drain():
         while queue:
             try:
-                k, item = take()
+                k, item = queue.popleft()
             except IndexError:  # another thread took the last one
                 return
             try:
@@ -637,12 +639,11 @@ def _in_parallel(fn, items):
             except Exception as exc:
                 errors[k] = exc
 
-    workers = [threading.Thread(target=drain, args=(queue.pop,))
-               for _ in range(min(cores, len(queue)) - 1)]
+    workers = [threading.Thread(target=drain) for _ in range(min(cores, len(queue)) - 1)]
     for w in workers:
         w.start()
     try:
-        drain(queue.popleft)
+        drain()
     finally:
         queue.clear()  # after an interrupt, the workers stop at their next item
         for w in workers:
@@ -680,9 +681,9 @@ def _nested_worst_cases(problem, decisions):
             templates[key].layout  # fill the shared cache before the threads read it
 
     def value(s):
+        dist = _node_outcomes(problem, s, decisions)
         try:
-            res = _node_worst_case(problem, s, _node_outcomes(problem, s, decisions),
-                                   templates.get(keys.get(s)))
+            res = _node_worst_case(problem, s, dist, templates.get(keys.get(s)))
         except ValueError as exc:  # the outcome checks do not know the node
             raise ValueError(f"node {s}: {exc}") from exc
         if res.status != "optimal":
@@ -817,7 +818,7 @@ class TimeConsistencyReport:
         return self.max_discrepancy <= self.tol
 
 
-def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
+def check_time_consistency(problem, policy, subtree_solver=None):
     """Compare each subtree's optimum with what the policy achieves on it.
 
     A positive discrepancy at a node means the policy stops being optimal
@@ -847,12 +848,11 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     not cover): it receives the re-rooted :class:`MultistageProblem` of
     every subtree and must return an object with a ``value`` attribute.
 
-    The node worst cases, and then the subtrees, run on every usable core
-    (see :func:`_in_parallel`).  Each is the same computation it is on one
-    thread, so the report does not depend on the core count, and
-    ``subtree_solver`` may be called from worker threads, in any order.
-    Every node or subtree runs; an error names the first failing one in
-    node order.
+    The node worst cases run on every usable core (see :func:`_in_parallel`),
+    each the same computation it is on one thread, so the report does not
+    depend on the core count; every node runs, and an error names the first
+    failing one in node order.  The subtrees then run on the calling thread
+    in node order, and the first failing one raises.
     """
     tree = problem.tree
     decisions = policy.decisions
@@ -860,12 +860,9 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
     wc = _nested_worst_cases(problem, decisions)
     if subtree_solver is None:
         assembled = _assemble_holistic(problem)
-        big = assembled[0]
-        big.row_matrix()  # fill the shared cache before the subtrees read it
-        tree_solve = policy._tree_solve
-        if tree_solve is None:
-            tree_solve = _solve_big(problem, big, assembled[1], "subtree 0")[0]
-        kept = _certificate_data(big, tree_solve)
+        tree_solve = (policy._tree_solve
+                      or _solve_big(problem, assembled[0], assembled[1], "subtree 0")[0])
+        kept = _certificate_data(assembled[0], tree_solve)
 
     def entry(s):
         order = tree.descendants(s)
@@ -889,7 +886,7 @@ def check_time_consistency(problem, policy, tol=1e-6, subtree_solver=None):
         achieved = float(achieved)
         return TimeConsistencyEntry(s, tree.nodes[s].stage, local, achieved, local - achieved)
 
-    return TimeConsistencyReport(_in_parallel(entry, tree.nonleaf_ids()), tol)
+    return TimeConsistencyReport([entry(s) for s in tree.nonleaf_ids()], _CONSISTENT_TOL)
 
 
 def _certificate_data(big, sol):

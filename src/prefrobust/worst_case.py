@@ -144,16 +144,12 @@ def _utility_from(y, alpha_values):
 
 
 def _worst_case_primal(dist, spec, grid, template):
-    """Solve the node's LP cold in a fresh HiGHS instance: its own
-    :func:`node_primal`, or ``template`` stamped with its data."""
+    """Stamp the node's data into ``template``, or into its own
+    :func:`node_primal`, and solve that LP cold in a fresh HiGHS instance."""
     y = _grid_for(spec, grid)
     _check_outcomes(dist, y)
-    if template is None:
-        node = node_primal(dist.support, dist.probs, spec, y)
-        cost, rhs = node.lp.objective, node.lp.rhs
-    else:
-        node = template
-        cost, rhs = node.stamped(dist.support, dist.probs, spec, y)
+    node = template or node_primal(dist.support, dist.probs, spec, y)
+    cost, rhs = node.stamped(dist.support, dist.probs, spec, y)
     session = HighsSession(node.lp, layout=node.layout)
     session.load(cost, rhs)
     x = session.run()

@@ -305,7 +305,7 @@ def test_per_node_ambiguity_is_time_consistent():
         problem = MultistageProblem(tree, bounds, rewards, per_node, y, cons)
 
         pol = solve_holistic(problem)
-        report = check_time_consistency(problem, pol, tol=1e-6)
+        report = check_time_consistency(problem, pol)
         assert report.consistent
         for entry in report.entries:
             # a re-solve may only improve on the fixed plan, up to solver noise
@@ -573,6 +573,12 @@ def test_policy_table_lists_every_decision_node():
         float(value)
 
 
+def test_policy_table_prints_negative_zero_as_zero():
+    nv = multistage_module.NodeValue(0, -0.0, None)
+    table = Policy({0: np.array([-0.0, 0.25])}, -0.0, {0: nv}).export_table()
+    assert table == "node\tstage\tdecision\tvalue\n0\t0\t0,0.25\t0\n"
+
+
 def _add_decisions_reference(problem, lp, last_node=None):
     """Decision columns, then one ``add_row`` per kept constraint with its
     coefficients merged by dict, as the rows were first added."""
@@ -756,8 +762,11 @@ def test_a_node_never_reached_is_named():
     # the nominal solve has no per-node block to divide by it
     pol = solve_nominal(problem, spec.nominal)
     assert pol.value == 2.59647666031141
-    # node 0's outcomes include node 2's
+    # node 0's outcomes include node 2's, in either evaluation mode
+    uset = FiniteUtilitySet((spec.nominal,))
+    finite = _reassigned(problem, dict.fromkeys(problem.tree.nonleaf_ids(), uset))
     for run in (lambda: evaluate_policy_worst_case(problem, pol.decisions),
+                lambda: evaluate_policy_worst_case(finite, pol.decisions, "sequence_global"),
                 lambda: check_time_consistency(problem, pol)):
         with pytest.raises(ValueError, match="^node 0: outcome probabilities must be positive$"):
             run()
@@ -974,8 +983,7 @@ def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
         subtree_problem(parent_only, 1, {0: np.array([1.5, 0.0])})
 
     # a rebuilt subtree that ends without an optimum raises after its one
-    # solve; every refused subtree runs, and the error names the first failed
-    # subtree in node order (node 1, the first after the whole tree)
+    # solve, before any later subtree runs (node 1, the first after the whole tree)
     solve, full = lp_module.LinearProgram.solve, _assemble_holistic(problem)[0].num_rows
     rebuilt, rebuild = [], multistage_module.subtree_problem
     monkeypatch.setattr(multistage_module, "subtree_problem",
@@ -995,7 +1003,7 @@ def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
         monkeypatch.setattr(lp_module.LinearProgram, "solve", failing)
         with pytest.raises(RuntimeError, match=rf"^subtree 1 solve ended {message}$"):
             check_time_consistency(problem, pol)
-        assert sorted(rebuilt) == [0, 1, 2] and len(failed) == 2
+        assert rebuilt == [0, 1] and len(failed) == 1
 
 
 def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
@@ -1053,6 +1061,22 @@ def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
             with pytest.raises(RuntimeError, match="^subtree 2 solve ended failed: stalled$"):
                 check_time_consistency(problem, pol)
         assert threading.active_count() == threads
+
+
+def test_subtrees_run_on_the_calling_thread_in_node_order(monkeypatch):
+    problem = _mixed_problem(np.random.default_rng(11), (2, 3, 2), asked_nodes={1, 5})
+    pol = solve_holistic(problem)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    roots, seen, rebuild = [], [], multistage_module.subtree_problem
+    monkeypatch.setattr(multistage_module, "subtree_problem",
+                        lambda *args: (roots.append(args[1]), rebuild(*args))[1])
+
+    def spying(sub):
+        seen.append((roots[-1], threading.current_thread() is threading.main_thread()))
+        return solve_holistic(sub)
+
+    check_time_consistency(problem, pol, subtree_solver=spying)
+    assert seen == [(s, True) for s in problem.tree.nonleaf_ids()]
 
 
 @st.composite

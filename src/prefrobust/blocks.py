@@ -164,20 +164,22 @@ def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0):
     z_k * sum_j (P[W_k = y_j] - P[Y_k = y_j]) * alpha_j >= margin.
 
     ``pairs`` is a :class:`PairArrays` or a sequence of (W_k, Y_k, z_k).
-    Each lottery outcome is matched to its nearest grid point (ties to the
-    lower index) and must lie within 1e-9 of it.  Masses on one point add up
-    in support order, coefficients that cancel to zero are left out, and all
-    rows enter the program in one block, row ``k`` named ``pc[k]``.  Returns
-    the row indices.
+    Each lottery outcome is matched to its nearest point of the increasing
+    ``grid`` (ties to the lower index) and must lie within 1e-9 of it.
+    Masses on one point add up in support order, coefficients that cancel
+    to zero are left out, and all rows enter the program in one block, row
+    ``k`` named ``pc[k]``.  Returns the row indices.
     """
     if not isinstance(pairs, PairArrays):
         pairs = PairArrays.from_pairs(pairs)
     y = np.asarray(grid, dtype=float)
     x = pairs.outcomes
-    dist = np.abs(y[None, :] - x[:, None])
-    j = np.argmin(dist, axis=1)
+    # on an increasing grid the nearest point is one of the two around x
+    hi = np.minimum(np.searchsorted(y, x), y.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    j = np.where(np.abs(y[hi] - x) < np.abs(y[lo] - x), hi, lo)
     # written so that a NaN outcome fails the check too
-    off = ~(dist[np.arange(x.size), j] <= 1e-9)
+    off = ~(np.abs(y[j] - x) <= 1e-9)
     if off.any():
         raise ValueError(f"lottery outcome {float(x[off][0])!r} is not a grid point")
 

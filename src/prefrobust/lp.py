@@ -257,6 +257,25 @@ class LinearProgram:
     def row_name(self, k):
         return self._row_names[k] or f"r{k}"
 
+    @property
+    def var_names(self):
+        """Every :meth:`var_name`, in variable order."""
+        return [name or f"x{j}" for j, name in enumerate(self._var_names)]
+
+    @property
+    def row_names(self):
+        """Every :meth:`row_name`, in row order."""
+        return [name or f"r{k}" for k, name in enumerate(self._row_names)]
+
+    def copy(self):
+        """A copy that gains rows and variables without changing this one;
+        the two share their row blocks, which neither modifies."""
+        out = LinearProgram(self.sense, self.name)
+        for attr in ("_obj", "_lb", "_ub", "_var_names", "_blocks", "_rels", "_rhs",
+                     "_row_names"):
+            setattr(out, attr, list(getattr(self, attr)))
+        return out
+
     # ----------------------------------------------------------------- solve
     def solve(self, tol=None):
         """Solve with HiGHS dual simplex and return an :class:`LpSolution`."""
@@ -461,17 +480,18 @@ def dualize(lp: LinearProgram) -> LinearProgram:
     primal solution in its row marginals.  Strong duality ties the two
     objective values together; tests rely on both facts.
     """
-    n, m = lp.num_vars, lp.num_rows
+    m = lp.num_rows
     sense = lp.sense
     dual = LinearProgram(sense="max" if sense == "min" else "min",
                          name=f"dual({lp.name})" if lp.name else "dual")
 
     # a row's relation fixes the sign of its multiplier
-    rels = np.array(lp.relations, dtype=str)
     nonneg, nonpos = (GEQ, LEQ) if sense == "min" else (LEQ, GEQ)
-    dual.add_vars(m, [f"y_{lp.row_name(k)}" for k in range(m)],
-                  lb=np.where(rels == nonneg, 0.0, -math.inf),
-                  ub=np.where(rels == nonpos, 0.0, math.inf), obj=lp.rhs)
+    lb = {nonneg: 0.0, nonpos: -math.inf, EQ: -math.inf}
+    ub = {nonneg: math.inf, nonpos: 0.0, EQ: math.inf}
+    rels = lp.relations
+    dual.add_vars(m, [f"y_{name}" for name in lp.row_names], lb=[lb[r] for r in rels],
+                  ub=[ub[r] for r in rels], obj=lp.rhs)
 
     # Column view of the primal matrix for the stationarity rows.
     A_csc = lp.row_matrix().tocsc()
@@ -480,7 +500,8 @@ def dualize(lp: LinearProgram) -> LinearProgram:
         rel_of = {_SIGN_NONNEG: LEQ, _SIGN_FREE: EQ, _SIGN_NONPOS: GEQ}
     else:
         rel_of = {_SIGN_NONNEG: GEQ, _SIGN_FREE: EQ, _SIGN_NONPOS: LEQ}
-    rels = [rel_of[_sign_type(lower[j], upper[j], lp.var_name(j))] for j in range(n)]
+    names = lp.var_names
+    rels = [rel_of[_sign_type(lo, hi, name)] for lo, hi, name in zip(lower, upper, names)]
     dual.add_rows(A_csc.indptr, A_csc.indices, A_csc.data, rels, lp.objective,
-                  [f"stat_{lp.var_name(j)}" for j in range(n)])
+                  [f"stat_{name}" for name in names])
     return dual

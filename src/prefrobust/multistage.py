@@ -18,11 +18,10 @@ import math
 import os
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ambiguity import (
     DiscreteLottery,
@@ -33,20 +32,22 @@ from .ambiguity import (
     build_state_dependent,
     feasibility_check,
 )
+from .blocks import append_pairwise_rows
 from .lp import HighsSession, LinearProgram, LpSolution, LpStatus, dualize
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
     DOMAIN_TOL,
+    NodeLP,
     node_primal,
+    supporting_line_primal,
     worst_case_finite,
     worst_case_kantorovich_primal,
     worst_case_pairwise,
 )
 
 # Used only by perfbench/layers.py, which wraps these module globals by name.
-from .blocks import append_ball_membership, append_pairwise_rows  # noqa: F401
+from .blocks import append_ball_membership  # noqa: F401
 from .utility import project  # noqa: F401
-from .worst_case import supporting_line_primal  # noqa: F401
 
 # strong-duality gap allowed on a tree-wide LP, relative to 1 + |objective|
 _GAP_TOL = 1e-7
@@ -315,29 +316,47 @@ class _NodeBlock:
     prob: float        # the scale applied to ``cost`` in this LP
 
 
-def _copy_dual_block(big, dual, cost, rhs, obj_scale, extra, prefix):
-    """Append a dualized one-stage block to the big LP: the matrix, bounds,
-    relations and names of ``dual`` with the costs ``cost`` and right-hand
-    sides ``rhs``.
+def _splice_dual_blocks(big, parts, n_vars, n_rows, n_entries):
+    """Append the dual blocks that ``parts`` yields to ``big`` in one
+    ``add_vars`` and one ``add_rows`` call, the rows written as CSR directly;
+    return each block's columns and rows of ``big``.
 
-    Costs are scaled by the node probability ``obj_scale``.  ``extra`` is
+    A part ``(prefix, dual, cost, rhs, scale, extra)`` puts the matrix,
+    bounds, relations and names (prefixed by ``prefix``) of ``dual`` with the
+    costs ``scale * cost`` and the right-hand sides ``rhs``.  ``extra`` is
     ``(rows, cols, values)``: each entry puts ``values`` on the big-LP column
-    ``cols`` of source row ``rows`` (source row index = inner primal
-    variable index), which is how the decision variables enter the
-    reward-pricing rows.
+    ``cols`` of the part's row ``rows`` (row index = inner primal variable
+    index), which is how the decision variables enter the reward-pricing
+    rows.  Parts are taken one at a time, so a dual built for one part need
+    not outlive it.  ``n_vars`` and ``n_rows`` are the parts' totals and
+    ``n_entries`` at least their matrix entries plus extras.
     """
-    vmap = big.add_vars(
-        dual.num_vars, [f"{prefix}.{dual.var_name(j)}" for j in range(dual.num_vars)],
-        lb=dual.lower, ub=dual.upper, obj=obj_scale * np.asarray(cost))
-    mat = dual.row_matrix().tocoo()
-    rows, cols, vals = extra
-    block = sp.csr_matrix(
-        (np.concatenate([mat.data, vals]),
-         (np.concatenate([mat.row, rows]), np.concatenate([vmap[mat.col], cols]))),
-        shape=(dual.num_rows, big.num_vars))
-    names = [f"{prefix}.{dual.row_name(k)}" for k in range(dual.num_rows)]
-    rmap = big.add_rows(block.indptr, block.indices, block.data, dual.relations, rhs, names)
-    return vmap, rmap
+    first = big.num_vars
+    lower, upper, obj = np.empty(n_vars), np.empty(n_vars), np.empty(n_vars)
+    rhs_all = np.empty(n_rows)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    indices, data = np.empty(n_entries, dtype=np.int64), np.empty(n_entries)
+    var_names, row_names, rels, spans = [], [], [], []
+    v = r = e = 0
+    for prefix, dual, cost, rhs, scale, (xrows, xcols, xvals) in parts:
+        nv, nr, mat = dual.num_vars, dual.num_rows, dual.row_matrix()
+        lower[v:v + nv], upper[v:v + nv], obj[v:v + nv] = dual.lower, dual.upper, scale * cost
+        rhs_all[r:r + nr] = rhs
+        var_names += [prefix + name for name in dual.var_names]
+        row_names += [prefix + name for name in dual.row_names]
+        rels += dual.relations
+        # each row holds its decision entries, then its block entries
+        owner = np.concatenate([xrows, np.repeat(np.arange(nr), np.diff(mat.indptr))])
+        order = np.argsort(owner, kind="stable")
+        n = order.size
+        indices[e:e + n] = np.concatenate([xcols, first + v + mat.indices.astype(np.int64)])[order]
+        data[e:e + n] = np.concatenate([xvals, mat.data])[order]
+        indptr[r + 1:r + nr + 1] = e + np.cumsum(np.bincount(owner, minlength=nr))
+        spans.append((v, nv, r, nr))
+        v, r, e = v + nv, r + nr, e + n
+    cols = big.add_vars(n_vars, var_names, lb=lower, ub=upper, obj=obj)
+    rows = big.add_rows(indptr, indices[:e], data[:e], rels, rhs_all, row_names)
+    return [(cols[v:v + nv], rows[r:r + nr]) for v, nv, r, nr in spans]
 
 
 def _utility_from_marginals(y, raw, node):
@@ -389,7 +408,7 @@ def _certified(big, sol, xvar, label):
     residual = _primal_residual(big, sol.x)
     if not residual <= _RESIDUAL_TOL:
         raise RuntimeError(f"{label} solve: x violates a row or bound by {residual:.3g}")
-    decisions = {s: np.array([sol.x[j] for j in xvar[s]]) for s in xvar}
+    decisions = {s: sol.x[xvar[s]] for s in xvar}
     return sol, decisions
 
 
@@ -417,10 +436,10 @@ def _solve_holistic(problem):
 
 
 def _template_key(spec, n_children):
-    """Nodes with equal keys have one-stage LPs with the same matrix, bounds,
-    relations and names; only their costs and right-hand sides differ."""
-    key = (type(spec), n_children, spec.L, spec.L_tilde)
-    return key + (spec,) if isinstance(spec, PairwiseComparisonSpec) else key
+    """Nodes with equal keys have one-stage LPs with one supporting-line
+    base.  Ball nodes of one key differ only in their LPs' costs and
+    right-hand sides; questionnaire nodes also in their answer rows."""
+    return type(spec), n_children, spec.L, spec.L_tilde
 
 
 def _assemble_holistic(problem):
@@ -428,18 +447,21 @@ def _assemble_holistic(problem):
     ``k`` on row ``k``), then one dual block per non-leaf node in id order.
     Returns it with the decision columns and the blocks per node.
 
-    Each shape of one-stage LP (see :func:`_template_key`) is built by
-    :func:`node_primal` and dualized once per call; every node of that shape
-    then stamps its own data into copies of the template's arrays: its
-    primal costs become the dual's right-hand sides and its primal
-    right-hand sides the dual's costs.  A template is dropped after the last
-    node of its shape, so one-off shapes (questionnaires with their own
-    answers) do not pile up."""
-    tree = problem.tree
+    Each shape (see :func:`_template_key`) gets one template per call.  A
+    ball shape's is its whole LP, built by :func:`node_primal` and dualized
+    once.  A questionnaire shape's is its supporting-line base
+    (:func:`supporting_line_primal`); each of its nodes copies the base, adds
+    its own answer rows (:func:`append_pairwise_rows`) and dualizes that LP,
+    which is dropped after the node, so answer rows do not pile up.  Every
+    node stamps its own data into copies of its dual's costs and right-hand
+    sides: its primal costs become the dual's right-hand sides and its
+    primal right-hand sides the dual's costs.  All blocks then enter the tree
+    LP in one splice (:func:`_splice_dual_blocks`)."""
+    tree, grid = problem.tree, problem.grid
     pu = tree.unconditional_probs()
-    keys = {}
+    specs, keys = {}, {}
     for s in tree.nonleaf_ids():
-        spec = problem.ambiguity.for_node(s)
+        spec = specs[s] = problem.ambiguity.for_node(s)
         if not isinstance(spec, (KantorovichBallSpec, PairwiseComparisonSpec)):
             raise TypeError(
                 f"node {s}: expected a Kantorovich ball or pairwise comparisons, "
@@ -450,30 +472,49 @@ def _assemble_holistic(problem):
                 raise ValueError(f"node {i} is reached with probability {float(pu[i])!r}; "
                                  "the tree LP needs every node's to be positive")
         keys[s] = _template_key(spec, len(tree.children[s]))
-    uses = Counter(keys.values())
     big = LinearProgram("max", name="tree")
     xvar = problem.add_decisions(big)
 
-    blocks, templates = {}, {}
+    child_data, templates, sizes = {}, {}, np.zeros(3, dtype=np.int64)
     for s, key in keys.items():
-        spec = problem.ambiguity.for_node(s)
-        kids = tree.children[s]
+        spec, kids = specs[s], tree.children[s]
         probs = np.array([tree.nodes[i].prob for i in kids])
         offsets = np.array([problem.rewards[i].offset for i in kids])
-        if key not in templates:
-            node = node_primal(offsets, probs, spec, problem.grid)
-            templates[key] = node, dualize(node.lp)
-        node, dual = templates[key]
-        uses[key] -= 1
-        if not uses[key]:
-            del templates[key]
-        primal_cost, primal_rhs = node.stamped(offsets, probs, spec, problem.grid)
         coef = np.array([problem.rewards[i].coef for i in kids])
-        pos, k = np.nonzero(coef)
-        extra = (node.eps[pos], xvar[s][k], -probs[pos] * coef[pos, k])
-        vmap, rmap = _copy_dual_block(
-            big, dual, primal_rhs, primal_cost, float(pu[s]), extra, f"n{s}")
-        blocks[s] = _NodeBlock(vmap, rmap, node.block.alpha, primal_rhs, float(pu[s]))
+        child_data[s] = probs, offsets, coef
+        if key not in templates:
+            if isinstance(spec, KantorovichBallSpec):
+                node = node_primal(offsets, probs, spec, grid)
+                templates[key] = node, dualize(node.lp)
+            else:
+                templates[key] = NodeLP(*supporting_line_primal(
+                    offsets, probs, grid, spec.L, spec.L_tilde)), None
+        node, dual = templates[key]
+        rows = entries = 0
+        if dual is None:  # one answer row per answer, one entry at most per lottery outcome
+            rows, entries = len(spec), spec.arrays.outcomes.size
+        sizes += (node.lp.num_rows + rows, node.lp.num_vars,
+                  node.lp.row_matrix().nnz + entries + np.count_nonzero(coef))
+
+    stamps = {}
+
+    def parts():
+        for s, key in keys.items():
+            spec, (probs, offsets, coef) = specs[s], child_data[s]
+            node, dual = templates[key]
+            if dual is None:  # a questionnaire: the base plus this node's answer rows
+                node = replace(node, lp=node.lp.copy())
+                append_pairwise_rows(node.lp, node.block.alpha, grid, spec.arrays)
+                dual = dualize(node.lp)
+            primal_cost, primal_rhs = node.stamped(offsets, probs, spec, grid)
+            stamps[s] = node.block.alpha, primal_rhs
+            pos, k = np.nonzero(coef)
+            yield (f"n{s}.", dual, primal_rhs, primal_cost, float(pu[s]),
+                   (node.eps[pos], xvar[s][k], -probs[pos] * coef[pos, k]))
+
+    spans = _splice_dual_blocks(big, parts(), *sizes.tolist())
+    blocks = {s: _NodeBlock(cols, rows, *stamps[s], float(pu[s]))
+              for s, (cols, rows) in zip(keys, spans)}
     return big, xvar, blocks
 
 
@@ -485,7 +526,7 @@ def _holistic_policy(problem, big, blocks, sol, decisions):
     per_node = {}
     for s, nb in blocks.items():
         val = float(np.dot(obj[nb.cols], sol.x[nb.cols])) / nb.prob
-        alpha = np.array([sol.duals[r] for r in nb.rows[nb.alpha]]) / nb.prob
+        alpha = sol.duals[nb.rows[nb.alpha]] / nb.prob
         per_node[s] = NodeValue(
             problem.tree.nodes[s].stage, val, _utility_from_marginals(problem.grid, alpha, s))
     # Keep copies: the arrays read back from HiGHS sit among the solver's
@@ -658,19 +699,22 @@ def _nested_worst_cases(problem, decisions):
     """Each non-leaf node's one-stage worst case under ``decisions``, which
     depends only on the node's decision, children and spec.
 
-    A shape of node LP (see :func:`_template_key`) that two or more nodes
-    share is built once, with its HiGHS layout, before the solves start;
+    A node LP that two or more nodes share up to its costs and right-hand
+    sides is built once, with its HiGHS layout, before the solves start;
     each of its nodes stamps its own costs and right-hand sides into it and
-    is solved cold in its own HiGHS instance, as it would be on its own.  A
-    node of a shape of its own (a questionnaire with its own answers) builds
-    its LP in its own solve, so such LPs do not pile up."""
+    is solved cold in its own HiGHS instance, as it would be on its own.
+    Stamping writes no answer rows, so a questionnaire shares only with
+    nodes that ask it (its key is :func:`_template_key` plus the
+    questionnaire).  A node of an LP of its own (a questionnaire with its
+    own answers) builds it in its own solve, so such LPs do not pile up."""
     tree = problem.tree
     ids = tree.nonleaf_ids()
     keys = {}
     for s in ids:
         spec = problem.ambiguity.for_node(s)
         if isinstance(spec, (KantorovichBallSpec, PairwiseComparisonSpec)):
-            keys[s] = _template_key(spec, len(tree.children[s]))
+            answers = spec if isinstance(spec, PairwiseComparisonSpec) else None
+            keys[s] = _template_key(spec, len(tree.children[s])), answers
     uses, templates = Counter(keys.values()), {}
     for s, key in keys.items():
         if uses[key] > 1 and key not in templates:

@@ -126,8 +126,9 @@ def node_primal(values, probs, spec, y):
     """One-stage worst-case LP of a ball or questionnaire node: the
     supporting-line base of :func:`supporting_line_primal` plus the set's own
     rows (ball membership around the nominal on ``y``, or one row per
-    answer), as a :class:`NodeLP`.  The tree solver builds it once per
-    shape and stamps every other node of that shape from it."""
+    answer), as a :class:`NodeLP`.  The tree solver builds it once per ball
+    shape, the nested evaluation once per LP that nodes share, and each
+    stamps every other node of that shape from it."""
     lp, block, eps, fee = supporting_line_primal(values, probs, y, spec.L, spec.L_tilde)
     if isinstance(spec, KantorovichBallSpec):
         rows = append_ball_membership(

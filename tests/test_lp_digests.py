@@ -5,7 +5,9 @@ sense, the CSR matrix (data, indices, indptr), right-hand sides, relations,
 bounds, costs and the row and variable names.  The recorded values in
 ``data/lp_digests.json`` pin the LPs of pro_kan, pro_pc (K=20) and msp_pln
 on the (3,3,3) tree with tree seed 11, so a refactor of the assembly can
-show that it hands the solver the same programs bit for bit.  They also pin
+show that it hands the solver the same programs bit for bit.  Key ``mixed``
+pins the tree LP of :func:`mixed_problem`, where ball and questionnaire
+nodes share one tree.  They also pin
 each model's decision LP (``problem._decision_lp()``, keyed
 ``decisions/<model>``), which reward certification solves, and the metric
 LP of ``utility.build_kantorovich_lp`` for one fixed utility pair (keyed
@@ -22,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from prefrobust import experiment, multistage, utility
+from prefrobust.ambiguity import StateDependentAmbiguity, elicit_pairwise
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "lp_digests.json"
 BRANCHING, TREE_SEED = (3, 3, 3), 11
@@ -42,8 +45,31 @@ def lp_digest(lp):
     return h.hexdigest()
 
 
+def mixed_problem():
+    """pro_kan on the (3, 3, 2) tree with seed 11, its balls kept at nodes 1,
+    4, 7 and 10.  Every other non-leaf node asks a questionnaire of its own, of
+    ``K = 4 * s`` answers (none at the root), elicited from the node's
+    nominal; the even nodes double ``L`` and ``L_tilde``.  So questionnaires
+    meet two child counts and two pairs of caps."""
+    config = experiment.ExperimentConfig(branching=(3, 3, 2), model="pro_kan", seeds=(0,),
+                                         tree_seed=TREE_SEED)
+    tree = experiment.generate_tree(config.branching, TREE_SEED)
+    base = experiment.build_investment_consumption(tree, config)
+    specs = {}
+    for s in tree.nonleaf_ids():
+        ball = base.ambiguity.for_node(s)
+        scale = 2.0 if s % 2 == 0 else 1.0
+        specs[s] = ball if s % 3 == 1 else elicit_pairwise(
+            ball.nominal, 4 * s, base.grid, seed=s, L=scale * ball.L,
+            L_tilde=scale * ball.L_tilde)
+    return multistage.MultistageProblem(tree, base.decision_bounds, base.rewards,
+                                        StateDependentAmbiguity(specs), base.grid,
+                                        base.constraints)
+
+
 def current_digests():
-    """Digest of each model's tree LP, keyed by model name."""
+    """Digest of each model's tree LP, keyed by model name, and of the
+    tree LP of :func:`mixed_problem`, keyed ``mixed``."""
     tree = experiment.generate_tree(BRANCHING, TREE_SEED)
     real = multistage._solve_big
     seen = []
@@ -64,6 +90,8 @@ def current_digests():
             assert len(seen) == 1, f"{model}: expected one tree-wide solve, saw {len(seen)}"
             out[model] = seen.pop()
             out[f"decisions/{model}"] = lp_digest(problem._decision_lp()[0])
+        multistage.solve_holistic(mixed_problem())
+        out["mixed"] = seen.pop()
     finally:
         multistage._solve_big = real
     y = utility.uniform_grid(0.0, 1.0, 9)

@@ -22,7 +22,7 @@ from prefrobust.ambiguity import (
     StateDependentAmbiguity,
     elicit_pairwise,
 )
-from prefrobust.blocks import append_ball_membership
+from prefrobust.blocks import append_ball_membership, append_pairwise_rows
 from prefrobust.lp import LinearProgram, LpStatus, dualize
 from prefrobust.multistage import (
     InfeasibleProblemError,
@@ -35,7 +35,7 @@ from prefrobust.multistage import (
     solve_holistic,
     solve_nominal,
     _assemble_holistic,
-    _copy_dual_block,
+    _splice_dual_blocks,
     subtree_problem,
 )
 from prefrobust.tree import ScenarioTree, TreeNode
@@ -683,14 +683,24 @@ def _copy_dual_block_reference(big, dual, obj_scale, extra_row_coefs, prefix):
     return vmap, np.array(rmap)
 
 
-def test_dual_block_copy_matches_the_row_by_row_reference(monkeypatch):
+def test_dual_block_splice_matches_the_row_by_row_reference(monkeypatch):
     y = uniform_grid(0.0, 1.0, 6)
     inner, block, eps, _ = supporting_line_primal(
         [0.2, 0.5, 0.9], [0.3, 0.3, 0.4], y, 3.0, 9.0)
     append_ball_membership(inner, block.beta, np.ones(5), y, 0.05)
-    dual = dualize(inner)
-    # decision columns 0..2 enter the rows of eps[2] and eps[0], listed out of order
+    ball = dualize(inner)
+    asked, asked_block, _, _ = supporting_line_primal([0.1, 0.6], [0.5, 0.5], y, 3.0, 9.0)
+    pairs = [(DiscreteLottery.two_outcome(0.0, 1.0, 0.5), DiscreteLottery.point_mass(0.4), 1),
+             (DiscreteLottery.point_mass(0.6), DiscreteLottery.two_outcome(0.2, 0.8, 0.3), -1)]
+    append_pairwise_rows(asked, asked_block.alpha, y, pairs)
+    asked = dualize(asked)
+    # decision columns 0..2 enter the rows of eps[2] and eps[0], listed out of
+    # order; the second block has none
     entries = [(eps[2], 1, -0.4), (eps[2], 0, 0.25), (eps[0], 2, -0.3)]
+    parts = [("n0.", ball, ball.objective, ball.rhs, 0.5,
+              tuple(np.array(col) for col in zip(*entries))),
+             ("n3.", asked, 2.0 * asked.objective, asked.rhs - 1.0, 0.25,
+              (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)))]
     programs = []
     for _ in range(2):
         big = LinearProgram("max")
@@ -700,25 +710,21 @@ def test_dual_block_copy_matches_the_row_by_row_reference(monkeypatch):
     calls = []
     real_add_row = LinearProgram.add_row
     monkeypatch.setattr(LinearProgram, "add_row", lambda *a, **k: calls.append(a))
-    vmap, rmap = _copy_dual_block(programs[0], dual, dual.objective, dual.rhs, 0.5,
-                                  tuple(np.array(col) for col in zip(*entries)), "n0")
+    spans = _splice_dual_blocks(
+        programs[0], iter(parts), ball.num_vars + asked.num_vars,
+        ball.num_rows + asked.num_rows, ball.row_matrix().nnz + asked.row_matrix().nnz + 3)
     assert calls == []
     monkeypatch.setattr(LinearProgram, "add_row", real_add_row)
     extra = {}
     for row, col, val in entries:
         extra.setdefault(int(row), {})[col] = val
-    ref_vmap, ref_rmap = _copy_dual_block_reference(programs[1], dual, 0.5, extra, "n0")
+    ref_spans = [_copy_dual_block_reference(programs[1], ball, 0.5, extra, "n0")]
+    scaled = _with_data(asked, 2.0 * asked.objective, asked.rhs - 1.0)
+    ref_spans.append(_copy_dual_block_reference(programs[1], scaled, 0.25, {}, "n3"))
 
-    assert np.array_equal(vmap, ref_vmap) and np.array_equal(rmap, ref_rmap)
-    bulk, ref = programs
-    a, b = bulk.row_matrix(), ref.row_matrix()
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(a, part), getattr(b, part))
-    assert bulk.relations == ref.relations
-    assert bulk.rhs.tobytes() == ref.rhs.tobytes()
-    assert bulk.objective.tobytes() == ref.objective.tobytes()
-    assert [bulk.row_name(k) for k in range(bulk.num_rows)] == \
-        [ref.row_name(k) for k in range(ref.num_rows)]
+    for (cols, rows), (ref_cols, ref_rows) in zip(spans, ref_spans, strict=True):
+        assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
+    assert_same_program(*programs)
 
 
 def _reassigned(problem, assignment):
@@ -1237,6 +1243,29 @@ def test_templated_node_solves_equal_the_node_by_node_ones(problem):
             "optimal", sol.objective, PiecewiseLinearUtility(grid, sol.x[node.block.alpha])))
 
 
+def test_questionnaires_of_one_shape_are_evaluated_with_their_own_answers():
+    """Every node asks its own questionnaire, with one child count and one
+    pair of caps: the tree LP's assembly shares their supporting-line base,
+    but a template stamps no answer rows, so each node's nested worst case
+    must still have the bits of its own LP solved on its own."""
+    problem = _random_problem(
+        np.random.default_rng(6), (2, 2),
+        lambda rng, s, shared: elicit_pairwise(shared.nominal, K=40, grid=shared.nominal.breakpoints,
+                                               seed=s, L=shared.L, L_tilde=shared.L_tilde))
+    pol = solve_holistic(problem)
+    values = multistage_module._nested_worst_cases(problem, pol.decisions)
+    assert sorted(values) == [0, 1, 2]
+    under_root_answers = []
+    for s, value in values.items():
+        dist = multistage_module._node_outcomes(problem, s, pol.decisions)
+        node = node_primal(dist.support, dist.probs, problem.ambiguity.for_node(s), problem.grid)
+        assert float.hex(value) == float.hex(node.lp.solve().objective)
+        root = node_primal(dist.support, dist.probs, problem.ambiguity.for_node(0), problem.grid)
+        under_root_answers.append(root.lp.solve().objective)
+    # the answers matter: under node 0's, a node's value differs
+    assert under_root_answers != list(values.values())
+
+
 def test_one_node_lp_per_shape_and_a_fresh_highs_per_node(monkeypatch):
     tree = experiment.generate_tree((3, 3, 3), 11)
     config = experiment.ExperimentConfig(branching=(3, 3, 3), model="pro_kan", seeds=(0,),
@@ -1451,10 +1480,11 @@ def stamped_problems(draw):
     by node: one shared ball, a ball of their own (another nominal, on a finer
     grid, and radius), the shared ball's nominal with another ``L``,
     ``L_tilde`` or both, one shared questionnaire, or a questionnaire of
-    their own."""
+    their own: of 8 answers, or of 13 with the shared caps or with ``L`` and
+    ``L_tilde`` doubled."""
     branching = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
     n_nonleaf = sum(int(np.prod(branching[:t])) for t in range(len(branching)))
-    kinds = draw(st.lists(st.integers(0, 6), min_size=n_nonleaf, max_size=n_nonleaf))
+    kinds = draw(st.lists(st.integers(0, 8), min_size=n_nonleaf, max_size=n_nonleaf))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     asked = {}
 
@@ -1469,11 +1499,13 @@ def stamped_problems(draw):
         if kind in other:
             caps = {"L": shared.L, "L_tilde": shared.L_tilde, **other[kind]}
             return KantorovichBallSpec(shared.nominal, 0.1, **caps)
-        if kind in (5, 6):
-            seed = 3 if kind == 5 else 100 + s
+        if kind >= 5:
+            seed = 3 if kind == 5 else 100 * kind + s
+            scale = 2.0 if kind == 8 else 1.0
             if seed not in asked:
-                asked[seed] = elicit_pairwise(shared.nominal, K=8, grid=shared.nominal.breakpoints,
-                                              seed=seed, L=shared.L, L_tilde=shared.L_tilde)
+                asked[seed] = elicit_pairwise(
+                    shared.nominal, K=13 if kind >= 7 else 8, grid=shared.nominal.breakpoints,
+                    seed=seed, L=scale * shared.L, L_tilde=scale * shared.L_tilde)
             return asked[seed]
         return shared
 
@@ -1483,12 +1515,13 @@ def stamped_problems(draw):
 def _assemble_reference(problem):
     """The tree LP as it was assembled before templates: :func:`node_primal`,
     :func:`dualize` and a row-by-row block copy at every node.  Returns it
-    with the dual costs per node."""
+    with each node's :class:`_NodeBlock` fields: columns, rows, alpha
+    positions and dual costs."""
     tree = problem.tree
     pu = tree.unconditional_probs()
     big = LinearProgram("max", name="tree")
     xvar = problem.add_decisions(big)
-    costs = {}
+    blocks = {}
     for s in tree.nonleaf_ids():
         kids = tree.children[s]
         probs = np.array([tree.nodes[i].prob for i in kids])
@@ -1501,9 +1534,9 @@ def _assemble_reference(problem):
                 extra.setdefault(int(node.eps[pos]), {})[int(xvar[s][k])] = \
                     -probs[pos] * coef[k]
         dual = dualize(node.lp)
-        _copy_dual_block_reference(big, dual, float(pu[s]), extra, f"n{s}")
-        costs[s] = dual.objective
-    return big, costs
+        cols, rows = _copy_dual_block_reference(big, dual, float(pu[s]), extra, f"n{s}")
+        blocks[s] = cols, rows, node.block.alpha, dual.objective
+    return big, blocks
 
 
 def _with_data(lp, cost, rhs):
@@ -1528,7 +1561,9 @@ def test_stamped_node_blocks_equal_their_own_builds(problem):
         probs = np.array([tree.nodes[i].prob for i in kids])
         offsets = np.array([problem.rewards[i].offset for i in kids])
         own = node_primal(offsets, probs, spec, y)
-        key = multistage_module._template_key(spec, len(kids))
+        # stamping writes no answer rows: a template fixes its questionnaire
+        key = (multistage_module._template_key(spec, len(kids)),
+               spec if isinstance(spec, PairwiseComparisonSpec) else None)
         tpl, dual = templates.setdefault(key, (own, dualize(own.lp)))
         cost, rhs = tpl.stamped(offsets, probs, spec, y)
         assert_same_program(_with_data(tpl.lp, cost, rhs), own.lp)
@@ -1539,28 +1574,38 @@ def test_stamped_node_blocks_equal_their_own_builds(problem):
         assert np.array_equal(tpl.block.alpha, own.block.alpha)
 
     big, _, blocks = _assemble_holistic(problem)
-    ref, costs = _assemble_reference(problem)
+    ref, ref_blocks = _assemble_reference(problem)
     assert_same_program(big, ref)
+    assert list(blocks) == list(ref_blocks)
     for s, nb in blocks.items():
-        assert nb.cost.tobytes() == costs[s].tobytes()
+        for part, want in zip(("cols", "rows", "alpha", "cost"), ref_blocks[s]):
+            got = getattr(nb, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_templates_are_dropped_after_the_last_node_of_their_shape(monkeypatch):
-    # every node asks its own questionnaire, so no template is ever reused
+def test_answer_rows_are_dropped_after_their_node(monkeypatch):
+    # every node asks its own questionnaire, so its answer rows are a one-off
     problem = _random_problem(
         np.random.default_rng(5), (2, 2),
         lambda rng, s, shared: elicit_pairwise(shared.nominal, K=8, grid=shared.nominal.breakpoints,
                                                seed=s, L=shared.L, L_tilde=shared.L_tilde))
-    built, alive = [], []
-    real = multistage_module.node_primal
+    built, alive, bases = [], [], []
+    real_rows, real_base = (multistage_module.append_pairwise_rows,
+                            multistage_module.supporting_line_primal)
 
-    def spy(*args):
+    def rows_spy(lp, *args):
         alive.append(sum(ref() is not None for ref in built))
-        node = real(*args)
-        built.append(weakref.ref(node))
-        return node
+        built.append(weakref.ref(lp))
+        return real_rows(lp, *args)
 
-    monkeypatch.setattr(multistage_module, "node_primal", spy)
+    def base_spy(*args):
+        bases.append(args)
+        return real_base(*args)
+
+    monkeypatch.setattr(multistage_module, "append_pairwise_rows", rows_spy)
+    monkeypatch.setattr(multistage_module, "supporting_line_primal", base_spy)
     _assemble_holistic(problem)
-    # only the previous node's template may still be held, by a local name
+    # one base for the shape; of the LPs holding answer rows, only the
+    # previous node's may still be held, by a local name
+    assert len(bases) == 1
     assert len(built) == 3 and max(alive) <= 1

@@ -5,9 +5,12 @@ cases, scenario-tree programs) bottoms out in a sparse LP assembled from
 blocks of rows in CSR form, kept as given until the solver needs the matrix.
 Every program reaches HiGHS dual simplex through scipy's HiGHS binding and
 one loader, which lays the rows out and sets the options as
-``scipy.optimize.linprog`` does for ``method="highs-ds"``, so each solve
-returns linprog's answer bit for bit.  HiGHS handles free variables and
-equality rows natively and is bit-stable for a fixed input.
+``scipy.optimize.linprog`` does for ``method="highs-ds"``, so a solve with
+the defaults returns linprog's answer bit for bit.  Tree-wide holistic LPs
+are solved with ``presolve=False``, which is linprog's option of that name:
+on them HiGHS's presolve costs more time than it saves.  HiGHS handles
+free variables and equality rows natively and is bit-stable for a fixed
+input.
 
 :meth:`LinearProgram.solve` reads back ``x``, row duals and the dual
 objective.  Reward certification asks for many optimal values over one
@@ -277,12 +280,15 @@ class LinearProgram:
         return out
 
     # ----------------------------------------------------------------- solve
-    def solve(self, tol=None):
-        """Solve with HiGHS dual simplex and return an :class:`LpSolution`."""
+    def solve(self, tol=None, presolve=True):
+        """Solve with HiGHS dual simplex and return an :class:`LpSolution`.
+        ``presolve=False`` skips HiGHS's presolve; the default keeps
+        linprog's options, and so its answer bit for bit."""
         if self.num_vars == 0:
             raise ValueError("cannot solve an LP with no variables")
         sign = 1.0 if self.sense == "min" else -1.0
-        session = HighsSession(self, DEFAULT_TOL if tol is None else float(tol))
+        session = HighsSession(self, DEFAULT_TOL if tol is None else float(tol),
+                               presolve=presolve)
         session.load(sign * self.objective)
         x = session.run()
         if x is None:
@@ -311,10 +317,11 @@ class LinearProgram:
 
 
 # ----------------------------------------------------------------------- HiGHS
-# The options linprog sets for method="highs-ds"; the feasibility tolerances
-# are per model.
-_OPTIONS = (("output_flag", False), ("log_to_console", False), ("presolve", "on"),
-            ("solver", "simplex"),
+# The options linprog sets for method="highs-ds", apart from presolve and the
+# feasibility tolerances, which are per session.  With presolve on (the
+# default) a cold solve is linprog's bit for bit.  Tree-wide holistic LPs run
+# without it: on them presolve costs HiGHS more time than it saves.
+_OPTIONS = (("output_flag", False), ("log_to_console", False), ("solver", "simplex"),
             ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
 # The slack linprog's own post-solve check allows: 10 * sqrt(its default tol 1e-9).
 _CHECK_TOL = 10 * math.sqrt(1e-9)
@@ -370,10 +377,11 @@ class HighsSession:
     read, and it must not gain rows or variables while the session is in use.
     ``layout`` is the program's :class:`RowLayout`; without it each load
     lays the rows out anew and keeps only ``order`` and ``flip``.
+    ``presolve`` is linprog's option of that name, on by default.
     """
 
-    def __init__(self, lp, tol=DEFAULT_TOL, layout=None):
-        self._lp, self._tol, self._layout = lp, tol, layout
+    def __init__(self, lp, tol=DEFAULT_TOL, layout=None, presolve=True):
+        self._lp, self._tol, self._layout, self._presolve = lp, tol, layout, presolve
         self.highs = self.solution = self._cost = self.status = None
 
     def load(self, cost, rhs=None):
@@ -400,7 +408,8 @@ class HighsSession:
         a.format_, (a.num_row_, a.num_col_) = MatrixFormat.kColwise, A.shape
         a.start_, a.index_, a.value_ = A.indptr, A.indices, A.data
         self.highs = _Highs()
-        for name, value in _OPTIONS + (("primal_feasibility_tolerance", self._tol),
+        for name, value in _OPTIONS + (("presolve", "on" if self._presolve else "off"),
+                                       ("primal_feasibility_tolerance", self._tol),
                                        ("dual_feasibility_tolerance", self._tol)):
             self.highs.setOptionValue(name, value)
         self.highs.passModel(model)

@@ -412,9 +412,11 @@ def _certified(big, sol, xvar, label):
     return sol, decisions
 
 
-def _solve_big(problem, big, xvar, label):
-    """Solve a tree-wide LP, certify it and read back decisions."""
-    sol = big.solve()
+def _solve_big(problem, big, xvar, label, presolve=False):
+    """Solve a tree-wide LP, certify it and read back decisions.  Holistic
+    tree LPs run without HiGHS's presolve, which costs more time on them
+    than it saves; :func:`solve_nominal` keeps it."""
+    sol = big.solve(presolve=presolve)
     if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
         _diagnose_and_raise(problem, f"{label} solve ended {sol.status.value}")
     if not sol.is_optimal:
@@ -582,7 +584,7 @@ def solve_nominal(problem, utilities):
         names += [f"hyp[{node.id},{j}]" for j in range(beta.size)]
     big.add_rows(np.cumsum([0, *widths]), cols, coefs, "<=", rhs, names)
 
-    sol, decisions = _solve_big(problem, big, xvar, "nominal")
+    sol, decisions = _solve_big(problem, big, xvar, "nominal", presolve=True)
     per_node = {}
     for s in tree.nonleaf_ids():
         kids = tree.children[s]

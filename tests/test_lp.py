@@ -165,10 +165,11 @@ def test_dump_lists_each_row():
 
 # ------------------------------------------------------ linprog as reference
 
-def _linprog_reference(lp):
-    """``lp`` solved through ``scipy.optimize.linprog(method="highs-ds")``,
-    read back as :meth:`LinearProgram.solve` reads HiGHS: the layout and
-    read-back the package used before it loaded HiGHS itself."""
+def _linprog_reference(lp, presolve=True):
+    """``lp`` solved through ``scipy.optimize.linprog(method="highs-ds")``
+    with linprog's ``presolve`` option, read back as
+    :meth:`LinearProgram.solve` reads HiGHS: the layout and read-back the
+    package used before it loaded HiGHS itself."""
     sign = 1.0 if lp.sense == "min" else -1.0
     A, rels, rhs = lp.row_matrix(), np.asarray(lp.relations, dtype=str), lp.rhs
     is_eq, is_ge = rels == "=", rels == ">="
@@ -184,7 +185,7 @@ def _linprog_reference(lp):
     res = linprog(sign * lp.objective, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=bounds, method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-8,
-                           "dual_feasibility_tolerance": 1e-8})
+                           "dual_feasibility_tolerance": 1e-8, "presolve": presolve})
     if res.status in (2, 3):
         return LpSolution(LpStatus.INFEASIBLE if res.status == 2 else LpStatus.UNBOUNDED)
     if res.status != 0:
@@ -246,13 +247,14 @@ def _hex(values):
     return [float(v).hex() for v in np.atleast_1d(values)]
 
 
+@pytest.mark.parametrize("options", [{}, {"presolve": False}], ids=["default", "no-presolve"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
-def test_solve_matches_linprog_bit_for_bit(case):
+def test_solve_matches_linprog_bit_for_bit(options, case):
     lp, costs = case
     for cost in costs:
         lp.objective = cost
-        got, want = lp.solve(), _linprog_reference(lp)
+        got, want = lp.solve(**options), _linprog_reference(lp, **options)
         assert got.status is want.status
         if want.is_optimal:
             assert _hex(got.x) == _hex(want.x)

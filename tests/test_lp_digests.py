@@ -74,9 +74,9 @@ def current_digests():
     real = multistage._solve_big
     seen = []
 
-    def capture(problem, big, xvar, label):
+    def capture(problem, big, xvar, label, **kwargs):
         seen.append(lp_digest(big))
-        return real(problem, big, xvar, label)
+        return real(problem, big, xvar, label, **kwargs)
 
     out = {}
     try:

@@ -1205,6 +1205,64 @@ def test_a_check_of_a_holistic_policy_solves_no_lp(monkeypatch):
     assert report.max_discrepancy <= 1e-6
 
 
+def _highs_presolve_options(monkeypatch):
+    """The presolve option of every HiGHS instance loaded, in load order,
+    each with the label of the tree-wide solve it was loaded in (``None``
+    outside ``_solve_big``)."""
+    loads, label = [], [None]
+    solve_big = multistage_module._solve_big
+
+    class Spy(lp_module._Highs):
+        def setOptionValue(self, name, value):
+            if name == "presolve":
+                loads.append((label[0], value))
+            return super().setOptionValue(name, value)
+
+    def labelled(problem, big, xvar, lab, **kwargs):
+        label[0] = lab
+        try:
+            return solve_big(problem, big, xvar, lab, **kwargs)
+        finally:
+            label[0] = None
+
+    monkeypatch.setattr(lp_module, "_Highs", Spy)
+    monkeypatch.setattr(multistage_module, "_solve_big", labelled)
+    return loads
+
+
+def test_only_holistic_tree_lps_run_without_presolve(monkeypatch):
+    config = experiment.ExperimentConfig(branching=(2, 2), n_breakpoints=10, radius=0.05,
+                                         model="pro_kan", seeds=(0,), tree_seed=11)
+    tree = experiment.generate_tree(config.branching, config.tree_seed)
+    loads = _highs_presolve_options(monkeypatch)
+    nonleaf = tree.nonleaf_ids()
+
+    def run(call):
+        loads.clear()
+        call()
+        return list(loads)
+
+    problem = experiment.build_investment_consumption(tree, config)
+    certify = list(loads)  # reward certification
+    assert certify and set(certify) == {(None, "on")}
+    pol = solve_holistic(problem)
+    assert loads[len(certify):] == [("holistic", "off")]
+    nominal = {s: problem.ambiguity.for_node(s).nominal_on(problem.grid) for s in nonleaf}
+    assert run(lambda: solve_nominal(problem, nominal)) == [("nominal", "on")]
+    # the node worst cases, then the check's own tree solve for a policy that keeps none
+    node_solves = [(None, "on")] * len(nonleaf)
+    assert run(lambda: evaluate_policy_worst_case(problem, pol.decisions)) == node_solves
+    assert (run(lambda: check_time_consistency(problem, Policy(pol.decisions, pol.value, {})))
+            == node_solves + [("subtree 0", "off")])
+    # every subtree refused: its rebuild certifies its rewards, its re-solve skips presolve
+    _refuse_every_certificate(monkeypatch)
+    refused = run(lambda: check_time_consistency(problem, pol))
+    assert [load for load in refused if load[0] is not None] == [
+        (f"subtree {s}", "off") for s in nonleaf]
+    assert len(refused) > 2 * len(nonleaf)
+    assert {load for load in refused if load[0] is None} == {(None, "on")}
+
+
 def _worst_case_bits(res):
     return float.hex(res.value), [float.hex(v) for v in res.utility.values]
 

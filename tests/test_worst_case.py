@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefrobust.ambiguity import (
@@ -367,16 +367,32 @@ def one_stage_instances(draw):
     return spec, nominal.breakpoints, points, weights / weights.sum()
 
 
+def _ball_instance(seed, n, radius, points, weights):
+    """One draw of :func:`one_stage_instances` with a ball."""
+    nominal = random_concave_nominal(np.random.default_rng(seed), n)
+    L_obs, Lt_obs = nominal.lipschitz_moduli()
+    spec = KantorovichBallSpec(nominal, radius, L=1.2 * L_obs, L_tilde=1.5 * Lt_obs + 1.0)
+    weights = np.asarray(weights, dtype=float)
+    return spec, nominal.breakpoints, points, weights / weights.sum()
+
+
 @settings(max_examples=80, deadline=None)
 @given(one_stage_instances())
+@example(_ball_instance(2, 7, 1e-10, [1], [1]))
 def test_node_lp_equals_its_dual_and_the_direct_lp_over_grid_values(case):
     """The supporting-line LP prices each outcome through the concave
     envelope of the utility, which is the utility itself because the class
-    is concave: so its value is min sum_i q_i alpha_{k_i} over the same set."""
+    is concave: so its value is min sum_i q_i alpha_{k_i} over the same set.
+
+    The three LPs are solved to feasibility tolerance 1e-10.  At the
+    default 1e-8 an ``x`` may miss a row by more than the 1e-9 compared
+    here: on the example, the primal misses one by 7.1e-9 and reads 1.05e-9
+    from its dual, and without presolve the direct LP misses one by 9.5e-9
+    and reads as far from the primal."""
     spec, y, points, q = case
     node = node_primal(y[points], q, spec, y)
-    primal = node.lp.solve()
-    dual = dualize(node.lp).solve()
+    primal = node.lp.solve(tol=1e-10)
+    dual = dualize(node.lp).solve(tol=1e-10)
 
     direct = LinearProgram("min")
     block = append_utility_block(direct, y, spec.L, spec.L_tilde)
@@ -387,7 +403,7 @@ def test_node_lp_equals_its_dual_and_the_direct_lp_over_grid_values(case):
     cost = np.zeros(direct.num_vars)
     np.add.at(cost, block.alpha[points], q)
     direct.objective = cost
-    direct = direct.solve()
+    direct = direct.solve(tol=1e-10)
 
     assert primal.status is dual.status is direct.status is LpStatus.OPTIMAL
     assert dual.objective == pytest.approx(primal.objective, rel=0.0, abs=1e-9)

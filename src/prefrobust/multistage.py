@@ -38,6 +38,7 @@ from .utility import PiecewiseLinearUtility
 from .worst_case import (
     DOMAIN_TOL,
     NodeLP,
+    _check_outcomes,
     node_primal,
     supporting_line_primal,
     worst_case_finite,
@@ -49,11 +50,13 @@ from .worst_case import (
 from .blocks import append_ball_membership  # noqa: F401
 from .utility import project  # noqa: F401
 
-# strong-duality gap allowed on a tree-wide LP, relative to 1 + |objective|
+# strong-duality gap allowed on a tree-wide LP or a certified pair, relative
+# to 1 + |objective|
 _GAP_TOL = 1e-7
 # how far a plan handed to the evaluator may stray from its bounds and rows
 _PLAN_TOL = 1e-7
-# how far the x of a tree-wide solve may stray from its rows and bounds
+# how far the x of a tree-wide solve or a certified pair may stray from its
+# rows and bounds, and a certified pair's duals from their signs
 _RESIDUAL_TOL = 1e-7
 # the largest discrepancy a time-consistent plan may show at a subtree
 _CONSISTENT_TOL = 1e-6
@@ -103,7 +106,8 @@ class Policy:
 
     A policy from :func:`solve_holistic` also keeps the :class:`LpSolution`
     of its tree LP (``x`` and the row duals, not the LP), from which
-    :func:`check_time_consistency` certifies every subtree."""
+    :func:`check_time_consistency` certifies every subtree's optimum and
+    every node's worst case under ``decisions``."""
 
     decisions: dict
     value: float
@@ -697,33 +701,46 @@ def _in_parallel(fn, items):
     return results
 
 
-def _nested_worst_cases(problem, decisions):
-    """Each non-leaf node's one-stage worst case under ``decisions``, which
-    depends only on the node's decision, children and spec.
-
-    A node LP that two or more nodes share up to its costs and right-hand
-    sides is built once, with its HiGHS layout, before the solves start;
-    each of its nodes stamps its own costs and right-hand sides into it and
-    is solved cold in its own HiGHS instance, as it would be on its own.
-    Stamping writes no answer rows, so a questionnaire shares only with
-    nodes that ask it (its key is :func:`_template_key` plus the
-    questionnaire).  A node of an LP of its own (a questionnaire with its
-    own answers) builds it in its own solve, so such LPs do not pile up."""
-    tree = problem.tree
-    ids = tree.nonleaf_ids()
+def _node_keys(problem, ids):
+    """The key under which each ball or questionnaire node of ``ids`` shares
+    its one-stage LP: :func:`_template_key` plus, for a questionnaire, the
+    questionnaire itself, since stamping writes no answer rows."""
     keys = {}
     for s in ids:
         spec = problem.ambiguity.for_node(s)
         if isinstance(spec, (KantorovichBallSpec, PairwiseComparisonSpec)):
             answers = spec if isinstance(spec, PairwiseComparisonSpec) else None
-            keys[s] = _template_key(spec, len(tree.children[s])), answers
+            keys[s] = _template_key(spec, len(problem.tree.children[s])), answers
+    return keys
+
+
+def _node_template(problem, s):
+    """Node ``s``'s own one-stage LP, built by :func:`node_primal`."""
+    kids = problem.tree.children[s]
+    return node_primal([problem.rewards[i].offset for i in kids],
+                       [problem.tree.nodes[i].prob for i in kids],
+                       problem.ambiguity.for_node(s), problem.grid)
+
+
+def _nested_worst_cases(problem, decisions, nodes=None):
+    """The one-stage worst case under ``decisions`` of each node of
+    ``nodes`` (by default every non-leaf node), which depends only on the
+    node's decision, children and spec.
+
+    A node LP that two or more of those nodes share up to its costs and
+    right-hand sides (see :func:`_node_keys`) is built once, with its HiGHS
+    layout, before the solves start; each of its nodes stamps its own costs
+    and right-hand sides into it and is solved cold in its own HiGHS
+    instance, as it would be on its own.  A node of an LP of its own (a
+    questionnaire with its own answers) builds it in its own solve, so such
+    LPs do not pile up.  The nodes run on every usable core (see
+    :func:`_in_parallel`)."""
+    ids = problem.tree.nonleaf_ids() if nodes is None else list(nodes)
+    keys = _node_keys(problem, ids)
     uses, templates = Counter(keys.values()), {}
     for s, key in keys.items():
         if uses[key] > 1 and key not in templates:
-            kids = tree.children[s]
-            templates[key] = node_primal(
-                [problem.rewards[i].offset for i in kids], [tree.nodes[i].prob for i in kids],
-                problem.ambiguity.for_node(s), problem.grid)
+            templates[key] = _node_template(problem, s)
             templates[key].layout  # fill the shared cache before the threads read it
 
     def value(s):
@@ -872,10 +889,10 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     Per-node ambiguity keeps every discrepancy at solver noise; a shared
     state-independent set need not.
 
-    What the policy achieves: the plan is checked once, and each non-leaf
-    node's one-stage worst case under it is solved once, cold in its own
-    HiGHS instance (see :func:`_nested_worst_cases`).  A subtree's achieved
-    value is the sum of its nodes' worst cases weighted by their
+    What the policy achieves: the plan and each non-leaf node's outcomes
+    under it are checked once, before anything is solved, and each node's
+    one-stage worst case under the plan is found once.  A subtree's
+    achieved value is the sum of its nodes' worst cases weighted by their
     probabilities given the subtree's root, which is exactly what
     :func:`evaluate_policy_worst_case` returns on the re-rooted problem.
 
@@ -890,25 +907,49 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     assembled, solved and certified like the tree LP; one that does not
     solve to optimality raises, naming its subtree's root.
 
-    ``subtree_solver`` replaces both (required for ambiguity types they do
-    not cover): it receives the re-rooted :class:`MultistageProblem` of
-    every subtree and must return an object with a ``value`` attribute.
+    The node worst cases are certified the same way, from the policy's own
+    tree solve only: with the plan fixed, a node's block of the tree LP is
+    the mechanical dual of the node's one-stage LP, so the block's row duals
+    and columns are a primal-dual pair of it.  :func:`_node_certificate`
+    checks that pair against the node's LP built on its own, from one
+    template per shape.  A refused node, and every node of a policy that
+    keeps no tree solve, is solved cold (see :func:`_nested_worst_cases`).
+    A tree solve made here is never such a certificate: its decisions are
+    not the plan's.
 
-    The node worst cases run on every usable core (see :func:`_in_parallel`),
-    each the same computation it is on one thread, so the report does not
-    depend on the core count; every node runs, and an error names the first
-    failing one in node order.  The subtrees then run on the calling thread
-    in node order, and the first failing one raises.
+    ``subtree_solver`` replaces the tree solve and the subtree certificates
+    and re-solves (required for ambiguity types they do not cover): it
+    receives the re-rooted :class:`MultistageProblem` of every subtree and
+    must return an object with a ``value`` attribute.  With it, every node
+    worst case is solved cold.
+
+    The cold node worst cases run on every usable core (see
+    :func:`_in_parallel`), each the same computation it is on one thread,
+    so the report does not depend on the core count; every node runs, and
+    an error names the first failing one in node order.  The subtrees then
+    run on the calling thread in node order, and the first failing one
+    raises.
     """
     tree = problem.tree
     decisions = policy.decisions
     _check_decisions(problem, decisions)
-    wc = _nested_worst_cases(problem, decisions)
-    if subtree_solver is None:
+    if subtree_solver is not None or policy._tree_solve is None:
+        wc = _nested_worst_cases(problem, decisions)
+        if subtree_solver is None:
+            assembled = _assemble_holistic(problem)
+            tree_solve = _solve_big(problem, assembled[0], assembled[1], "subtree 0")[0]
+            kept = _certificate_data(assembled[0], tree_solve)
+    else:
+        dists = {s: _checked_outcomes(problem, s, decisions) for s in tree.nonleaf_ids()}
         assembled = _assemble_holistic(problem)
-        tree_solve = (policy._tree_solve
-                      or _solve_big(problem, assembled[0], assembled[1], "subtree 0")[0])
-        kept = _certificate_data(assembled[0], tree_solve)
+        kept = _certificate_data(assembled[0], policy._tree_solve)
+        keys, templates, wc = _node_keys(problem, dists), {}, {}
+        for s, dist in dists.items():
+            if keys[s] not in templates:
+                templates[keys[s]] = _node_template(problem, s)
+            wc[s] = _node_certificate(problem, s, dist, templates[keys[s]], assembled[2][s],
+                                      kept)
+        wc.update(_nested_worst_cases(problem, decisions, [s for s in wc if wc[s] is None]))
 
     def entry(s):
         order = tree.descendants(s)
@@ -935,23 +976,83 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     return TimeConsistencyReport([entry(s) for s in tree.nonleaf_ids()], _CONSISTENT_TOL)
 
 
+def _checked_outcomes(problem, s, decisions):
+    """Node ``s``'s outcomes under ``decisions``, refused, naming the node,
+    where its one-stage LP would refuse them."""
+    dist = _node_outcomes(problem, s, decisions)
+    try:
+        _check_outcomes(dist, problem.grid)
+    except ValueError as exc:
+        raise ValueError(f"node {s}: {exc}") from exc
+    return dist
+
+
+def _pair_value(sense, cost, x, lower, upper, off, y, rels, rhs, reduced):
+    """The value ``cost'x`` of the candidate primal point ``x`` of an LP of
+    sense ``sense`` with the candidate row duals ``y``, or ``None`` unless
+    the pair passes three checks.  ``off`` is each row's violation by ``x``
+    (see :func:`_row_violations`), ``reduced`` the reduced costs
+    ``cost - A'y``, and ``rels``, ``rhs``, ``lower`` and ``upper`` the LP's.
+
+    * ``x`` meets the rows and bounds within ``_RESIDUAL_TOL``;
+    * the duals have their relations' signs, and no reduced cost points past
+      an infinite bound, both within ``_RESIDUAL_TOL``.  A maximization
+      needs a ``<=`` row's dual >= 0, a ``>=`` row's <= 0, a reduced cost
+      <= 0 below an infinite upper bound and >= 0 above an infinite lower
+      one; a minimization the reverse of each;
+    * the primal and dual values differ by at most ``_GAP_TOL * (1 + |value|)``.
+      The dual value is ``b'y`` plus each column's reduced cost times the
+      bound it prices (``x`` where that bound is infinite): by weak duality,
+      a bound on the optimum.
+    """
+    sign = 1.0 if sense == "max" else -1.0
+    primal = np.max(np.concatenate([off, lower - x, x - upper]), initial=0.0)
+    signs = sign * np.where(rels == "<=", -y, np.where(rels == ">=", y, 0.0))
+    dual = np.max(np.concatenate([signs, sign * reduced[upper == math.inf],
+                                  -sign * reduced[lower == -math.inf]]), initial=0.0)
+    value = float(cost @ x)
+    priced = np.where(sign * reduced > 0.0, upper, lower)
+    dual_value = float(rhs @ y) + float(reduced @ np.where(np.isfinite(priced), priced, x))
+    if (primal <= _RESIDUAL_TOL and dual <= _RESIDUAL_TOL
+            and abs(value - dual_value) <= _GAP_TOL * (1.0 + abs(value))):
+        return value
+    return None
+
+
 def _certificate_data(big, sol):
-    """What every subtree certificate reads of the solve ``sol`` of the tree
-    LP ``big``, computed once for the whole tree: ``x``, the row duals ``y``,
-    ``A'y``, each row's violation by ``x``, each dual's sign violation
-    (``big`` maximizes: a ``<=`` row's dual is >= 0, a ``>=`` row's <= 0),
-    each column's bound violation, and the LP's rhs, relations and bounds.
-    ``None`` if ``sol`` does not fit ``big``."""
+    """What every certificate reads of the solve ``sol`` of the tree LP
+    ``big``, computed once for the whole tree: ``x``, the row duals ``y``,
+    ``A'y``, each row's violation by ``x``, and the LP's sense, rhs,
+    relations and bounds.  ``None`` if ``sol`` does not fit ``big``."""
     x, y = sol.x, sol.duals
     if np.shape(x) != (big.num_vars,) or np.shape(y) != (big.num_rows,):
         return None
     mat, rels, rhs = big.row_matrix(), np.asarray(big.relations), big.rhs
-    lower, upper = big.lower, big.upper
     return SimpleNamespace(
-        x=x, y=y, aty=mat.T @ y, rhs=rhs, rels=rels, lower=lower, upper=upper,
-        rows=_row_violations(mat @ x, rels, rhs),
-        signs=np.where(rels == "<=", -y, np.where(rels == ">=", y, 0.0)),
-        bounds=np.maximum(lower - x, x - upper))
+        x=x, y=y, aty=mat.T @ y, sense=big.sense, rhs=rhs, rels=rels, lower=big.lower,
+        upper=big.upper, rows=_row_violations(mat @ x, rels, rhs))
+
+
+def _node_certificate(problem, s, dist, template, nb, kept):
+    """Node ``s``'s one-stage worst case under the outcomes ``dist``, from
+    its block ``nb`` of the tree solve ``kept`` (see
+    :func:`_certificate_data`), or ``None`` if the pair is refused.
+
+    The block's row duals divided by its node's probability are a candidate
+    utility (a primal point of the node's LP) and its columns a candidate
+    dual point.  They are checked by :func:`_pair_value` against the node's
+    LP, ``template`` stamped with ``dist``: a :func:`node_primal` built on
+    its own, not the tree LP's rows, so the check does not rest on
+    :func:`dualize`."""
+    if kept is None:
+        return None
+    lp = template.lp
+    cost, rhs = template.stamped(dist.support, dist.probs, problem.ambiguity.for_node(s),
+                                 problem.grid)
+    mat, rels = lp.row_matrix(), np.asarray(lp.relations)
+    u, w = kept.y[nb.rows] / nb.prob, kept.x[nb.cols]
+    return _pair_value(lp.sense, cost, u, lp.lower, lp.upper,
+                       _row_violations(mat @ u, rels, rhs), w, rels, rhs, cost - mat.T @ w)
 
 
 def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
@@ -965,16 +1066,8 @@ def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
     blocks; its columns are its decisions, then its blocks; its costs are
     each block's costs times the node's probability ``pu`` given the
     subtree's root.  The tree solve restricted to those rows and columns,
-    duals rescaled to those costs, gives its value.  ``None`` unless the
-    restriction passes three checks:
-
-    * ``x`` meets the rows (root rows folded) and bounds within ``_RESIDUAL_TOL``;
-    * the duals have their relations' signs, and no reduced cost ``c - A'y``
-      points past an infinite bound, both within ``_RESIDUAL_TOL``;
-    * the primal and dual values differ by at most ``_GAP_TOL * (1 + |value|)``.
-      The dual value is ``b'y`` plus each column's reduced cost times the
-      bound it prices (``x`` where that bound is infinite): by weak duality,
-      an upper bound on the optimum.
+    duals rescaled to those costs, gives its value, if :func:`_pair_value`
+    accepts the pair (root rows folded); else ``None``.
     """
     if kept is None:
         return None
@@ -988,8 +1081,7 @@ def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
     cols = np.concatenate([xvar[n] for n in nodes] + [blocks[n].cols for n in nodes])
     cost = np.concatenate([np.zeros(sum(xvar[n].size for n in nodes))]
                           + [pu[n] * blocks[n].cost for n in nodes])
-    x, lo, hi = kept.x[cols], kept.lower[cols], kept.upper[cols]
-    rhs, off = kept.rhs[rows], kept.rows[rows]
+    rhs, off, rels = kept.rhs[rows], kept.rows[rows], kept.rels[rows]
     folded = [pos for pos, k in enumerate(cons)
               if problem.constraints[k].node == s and problem.constraints[k].coef_parent]
     if folded:
@@ -998,16 +1090,6 @@ def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
         own = kept.x[xvar[s]]  # a folded root row keeps only the root's own columns
         lhs = [sum(v * own[k] for k, v in problem.constraints[cons[p]].coef_self.items())
                for p in folded]
-        off[folded] = _row_violations(np.array(lhs), kept.rels[rows[folded]], rhs[folded])
-    primal = np.max(np.concatenate([off, kept.bounds[cols]]), initial=0.0)
-    y = kept.y[rows] / scale
-    reduced = cost - kept.aty[cols] / scale
-    dual = np.max(np.concatenate([kept.signs[rows] / scale, reduced[hi == math.inf],
-                                  -reduced[lo == -math.inf]]), initial=0.0)
-    value = float(cost @ x)
-    priced = np.where(reduced > 0.0, hi, lo)
-    dual_value = float(rhs @ y) + float(reduced @ np.where(np.isfinite(priced), priced, x))
-    if (primal <= _RESIDUAL_TOL and dual <= _RESIDUAL_TOL
-            and abs(value - dual_value) <= _GAP_TOL * (1.0 + abs(value))):
-        return value
-    return None
+        off[folded] = _row_violations(np.array(lhs), rels[folded], rhs[folded])
+    return _pair_value(kept.sense, cost, kept.x[cols], kept.lower[cols], kept.upper[cols], off,
+                       kept.y[rows] / scale, rels, rhs, cost - kept.aty[cols] / scale)

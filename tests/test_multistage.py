@@ -876,8 +876,10 @@ def test_big_solves_check_the_primal_residual(monkeypatch, shift, fails):
 
 
 def _refuse_every_certificate(monkeypatch):
-    """Send every subtree of the check down the re-solve path."""
+    """Send every subtree of the check down the re-solve path, and every node
+    worst case down the cold solve."""
     monkeypatch.setattr(multistage_module, "_subtree_certificate", lambda *args: None)
+    monkeypatch.setattr(multistage_module, "_node_certificate", lambda *args: None)
 
 
 def _entries(report):
@@ -886,11 +888,12 @@ def _entries(report):
 
 
 def _assert_close_to_reference(entries, reference):
-    """Certified entries: achieved values bit for bit, local values within
-    1e-9 * (1 + |v|) of the re-solved ones."""
-    assert [e[:2] + e[3:4] for e in entries] == [e[:2] + e[3:4] for e in reference]
+    """Certified entries: local and achieved values within 1e-9 * (1 + |v|)
+    of the re-solved and cold-solved ones."""
+    assert [e[:2] for e in entries] == [e[:2] for e in reference]
     for e, ref in zip(entries, reference):
-        assert abs(e[2] - ref[2]) <= 1e-9 * (1.0 + abs(ref[2]))
+        for k in (2, 3):
+            assert abs(e[k] - ref[k]) <= 1e-9 * (1.0 + abs(ref[k]))
 
 
 def _reference_report(problem, policy):
@@ -1053,6 +1056,7 @@ def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
         assert threading.active_count() == threads
         # every node still runs; the first failure in node order is raised
         with monkeypatch.context() as m:
+            _refuse_every_certificate(m)
             m.setattr(multistage_module, "_node_worst_case", failing_worst_case)
             for run in (lambda: evaluate_policy_worst_case(problem, pol.decisions),
                         lambda: check_time_consistency(problem, pol)):
@@ -1063,7 +1067,6 @@ def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
                 assert sorted(seen) == problem.tree.nonleaf_ids()
             m.setattr(multistage_module, "_solve_big", failing_solve)
             m.setattr(multistage_module, "_node_worst_case", node_worst_case)
-            _refuse_every_certificate(m)
             with pytest.raises(RuntimeError, match="^subtree 2 solve ended failed: stalled$"):
                 check_time_consistency(problem, pol)
         assert threading.active_count() == threads
@@ -1152,38 +1155,78 @@ def test_a_tampered_tree_solve_is_refused_where_it_was_tampered(monkeypatch):
     tampered = [_with_kept_solve(pol, duals=duals), _with_kept_solve(pol, x=x),
                 _with_kept_solve(pol, x=decided), _with_kept_solve(pol, duals=raised)]
 
-    certificate, rebuild = multistage_module._subtree_certificate, multistage_module.subtree_problem
-    refused, rebuilt = [], []
+    ids = tree.nonleaf_ids()
+    cold = multistage_module._nested_worst_cases(problem, pol.decisions)
+    # node 4's pair reads its block's columns and row duals, not its decision
+    # nor its constraint rows
+    for bad, nodes in zip(tampered, ([4], [4], [], [])):
+        got, refused, rebuilt, certified_nodes = _spied_check(monkeypatch, problem, bad)
+        # node 4 and the subtrees above it are re-solved, with the re-solve's bits
+        assert sorted(refused) == sorted(rebuilt) == [0, 1, 4]
+        assert [e[2] for e in got] == [(resolved if s in (0, 1, 4) else certified)[k][2]
+                                       for k, s in enumerate(ids)]
+        # a refused node is solved cold, alone, and node 4's subtree is node 4
+        assert [s for s in ids if certified_nodes[s] is None] == nodes
+        assert float.hex(got[ids.index(4)][3]) == float.hex(
+            (cold if nodes else certified_nodes)[4])
+        _assert_close_to_reference(got, resolved)
 
-    def spy_certificate(problem, assembled, kept, order, *args):
-        value = certificate(problem, assembled, kept, order, *args)
+    # a solve of the same tree at another radius is certified only where it
+    # holds: each node's block prices its budget at the other radius
+    other = solve_holistic(build(0.2))
+    # and so is the policy's own solve under another feasible plan: a node
+    # whose decision moved no longer faces the outcomes its block priced
+    plan = Policy(other.decisions, pol.value, pol.per_node, pol._tree_solve)
+    moved = [s for s in ids if not np.array_equal(plan.decisions[s], pol.decisions[s])]
+    assert moved == [1]
+    for bad, nodes in ((other, ids), (plan, moved)):
+        with monkeypatch.context() as m:
+            _refuse_every_certificate(m)
+            resolved = _entries(check_time_consistency(problem, bad))
+        got, _, _, certified_nodes = _spied_check(monkeypatch, problem, bad)
+        assert [s for s in ids if certified_nodes[s] is None] == nodes
+        cold = multistage_module._nested_worst_cases(problem, bad.decisions)
+        for s, value in certified_nodes.items():
+            if value is not None:
+                assert abs(value - cold[s]) <= multistage_module._GAP_TOL * (1.0 + abs(cold[s]))
+        _assert_close_to_reference(got, resolved)
+
+
+def _spied_check(monkeypatch, problem, policy):
+    """``check_time_consistency(problem, policy)``'s entries, with the roots
+    of the subtrees whose certificates were refused, the roots of the
+    subtrees rebuilt, and each node's certified worst case (``None`` where
+    refused); checks that exactly the refused nodes were solved cold."""
+    subtree, node = multistage_module._subtree_certificate, multistage_module._node_certificate
+    rebuild, nested = multistage_module.subtree_problem, multistage_module._nested_worst_cases
+    refused, rebuilt, certified, cold = [], [], {}, []
+
+    def spy_subtree(problem, assembled, kept, order, *args):
+        value = subtree(problem, assembled, kept, order, *args)
         if value is None:
             refused.append(order[0])
         return value
+
+    def spy_node(problem, s, *args):
+        certified[s] = node(problem, s, *args)
+        return certified[s]
 
     def spy_rebuild(problem, s, decisions):
         rebuilt.append(s)
         return rebuild(problem, s, decisions)
 
-    for bad in tampered:
-        refused.clear()
-        rebuilt.clear()
-        with monkeypatch.context() as m:
-            m.setattr(multistage_module, "_subtree_certificate", spy_certificate)
-            m.setattr(multistage_module, "subtree_problem", spy_rebuild)
-            got = _entries(check_time_consistency(problem, bad))
-        # node 4 and the subtrees above it are re-solved, with the re-solve's bits
-        assert sorted(refused) == sorted(rebuilt) == [0, 1, 4]
-        assert got == [resolved[k] if s in (0, 1, 4) else certified[k]
-                       for k, s in enumerate(tree.nonleaf_ids())]
+    def spy_nested(problem, decisions, nodes=None):
+        cold.append(list(nodes))
+        return nested(problem, decisions, nodes)
 
-    # a solve of the same tree at another radius is certified only where it
-    # holds, so the report still matches the re-solves
-    other = solve_holistic(build(0.2))
     with monkeypatch.context() as m:
-        _refuse_every_certificate(m)
-        resolved = _entries(check_time_consistency(problem, other))
-    _assert_close_to_reference(_entries(check_time_consistency(problem, other)), resolved)
+        m.setattr(multistage_module, "_subtree_certificate", spy_subtree)
+        m.setattr(multistage_module, "_node_certificate", spy_node)
+        m.setattr(multistage_module, "subtree_problem", spy_rebuild)
+        m.setattr(multistage_module, "_nested_worst_cases", spy_nested)
+        entries = _entries(check_time_consistency(problem, policy))
+    assert cold == [[s for s, v in certified.items() if v is None]]
+    return entries, refused, rebuilt, certified
 
 
 def test_a_check_of_a_holistic_policy_solves_no_lp(monkeypatch):
@@ -1193,16 +1236,21 @@ def test_a_check_of_a_holistic_policy_solves_no_lp(monkeypatch):
     tree = experiment.generate_tree(config.branching, config.tree_seed)
     problem = experiment.build_investment_consumption(tree, config)
     pol = experiment.solve_model(problem, config)
-    solves, rebuilt = [], []
-    solve, rebuild = LinearProgram.solve, multistage_module.subtree_problem
-    monkeypatch.setattr(LinearProgram, "solve",
-                        lambda *args, **kwargs: (solves.append(args), solve(*args, **kwargs))[1])
+    runs, rebuilt = [], []
+    run, rebuild = lp_module.HighsSession.run, multistage_module.subtree_problem
+    # every HiGHS run passes HighsSession.run, the node worst cases' too
+    monkeypatch.setattr(lp_module.HighsSession, "run",
+                        lambda self: (runs.append(self), run(self))[1])
     monkeypatch.setattr(multistage_module, "subtree_problem",
                         lambda *args: (rebuilt.append(args), rebuild(*args))[1])
     report = check_time_consistency(problem, pol)
     assert len(report.entries) == 40
-    assert solves == [] and rebuilt == []
+    assert runs == [] and rebuilt == []
     assert report.max_discrepancy <= 1e-6
+    # the count sees the runs of a policy that keeps no tree solve: one per
+    # node worst case and the check's own tree solve
+    check_time_consistency(problem, Policy(pol.decisions, pol.value, {}))
+    assert len(runs) == 41
 
 
 def _highs_presolve_options(monkeypatch):

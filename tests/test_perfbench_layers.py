@@ -47,7 +47,10 @@ def test_every_traced_layer_is_reached():
             problem = experiment.build_investment_consumption(tree, config)
             policy = experiment.solve_model(problem, config)
             if model == "pro_kan":
+                # the check certifies this policy's node worst cases from its
+                # tree solve; the nested evaluation solves them
                 multistage.check_time_consistency(problem, policy)
+                multistage.evaluate_policy_worst_case(problem, policy.decisions)
     finally:
         tracer.active = False
         tracer.restore()

@@ -6,10 +6,11 @@ instances of the benchmark's ``tc_check`` workload at seeds 0 to 2), the
 (radius 0.01, 20 breakpoints) on the (3,3,3,3) tree, and the sha256 of the
 ``float.hex`` of every field of every :class:`TimeConsistencyEntry` that
 ``check_time_consistency`` reports for it.  A change to how the node worst
-cases or the subtree optima (certified or re-solved) are computed must
-leave these bits alone.  They pin the tree solve's HiGHS options too: the
-check certifies each subtree from that solve, so running it with presolve
-on again moves the entries.
+cases or the subtree optima (certified, solved cold or re-solved) are
+computed must leave these bits alone.  They pin the tree solve's HiGHS
+options too: the check certifies each subtree and each node worst case from
+that solve, so running it with presolve on again moves the entries.  The
+nested values are solved cold, apart from the tree solve.
 To record them again after an intended change of the values, run from the
 repo root:
 

@@ -181,17 +181,22 @@ class KantorovichBallSpec:
         self.radius = float(radius)
         self.L = float(L)
         self.L_tilde = float(L_tilde)
+        self._on = {}  # nominal_on per grid, keyed by the grid's bytes
 
     def nominal_on(self, grid):
         """The nominal utility on ``grid``: itself when its breakpoints are
-        the grid (to 1e-9), otherwise its projection onto the grid."""
+        the grid (to 1e-9), otherwise its projection onto the grid.  It is
+        found once per grid and shared, since utilities are read-only; two
+        threads filling the same grid at once store equal utilities."""
         y = np.asarray(grid, dtype=float)
-        nominal = self.nominal
-        if nominal.breakpoints.size != y.size or not np.allclose(
-            nominal.breakpoints, y, atol=1e-9
-        ):
-            nominal = project(nominal, y)
-        return nominal
+        key = y.tobytes()
+        on = self._on.get(key)
+        if on is None:
+            on = self.nominal
+            if on.breakpoints.size != y.size or not np.allclose(on.breakpoints, y, atol=1e-9):
+                on = project(on, y)
+            self._on[key] = on
+        return on
 
 
 class FiniteUtilitySet:

@@ -8,7 +8,11 @@ one loader, which lays the rows out and sets the options as
 ``scipy.optimize.linprog`` does for ``method="highs-ds"``, so a solve with
 the defaults returns linprog's answer bit for bit.  Tree-wide holistic LPs
 are solved with ``presolve=False``, which is linprog's option of that name:
-on them HiGHS's presolve costs more time than it saves.  HiGHS handles
+on them HiGHS's presolve costs more time than it saves.  Those whose tree
+carries a Kantorovich ball at every node are also priced with Devex
+(``devex=True``, linprog's ``simplex_dual_edge_weight_strategy="devex"``),
+which takes fewer HiGHS seconds on them than its default dual steepest
+edge; on questionnaire trees it takes more.  HiGHS handles
 free variables and equality rows natively and is bit-stable for a fixed
 input.
 
@@ -280,15 +284,16 @@ class LinearProgram:
         return out
 
     # ----------------------------------------------------------------- solve
-    def solve(self, tol=None, presolve=True):
+    def solve(self, tol=None, presolve=True, devex=False):
         """Solve with HiGHS dual simplex and return an :class:`LpSolution`.
-        ``presolve=False`` skips HiGHS's presolve; the default keeps
-        linprog's options, and so its answer bit for bit."""
+        ``presolve=False`` skips HiGHS's presolve and ``devex=True`` prices
+        with Devex (linprog's ``simplex_dual_edge_weight_strategy="devex"``);
+        the defaults keep linprog's options, and so its answer bit for bit."""
         if self.num_vars == 0:
             raise ValueError("cannot solve an LP with no variables")
         sign = 1.0 if self.sense == "min" else -1.0
         session = HighsSession(self, DEFAULT_TOL if tol is None else float(tol),
-                               presolve=presolve)
+                               presolve=presolve, devex=devex)
         session.load(sign * self.objective)
         x = session.run()
         if x is None:
@@ -317,12 +322,15 @@ class LinearProgram:
 
 
 # ----------------------------------------------------------------------- HiGHS
-# The options linprog sets for method="highs-ds", apart from presolve and the
-# feasibility tolerances, which are per session.  With presolve on (the
-# default) a cold solve is linprog's bit for bit.  Tree-wide holistic LPs run
-# without it: on them presolve costs HiGHS more time than it saves.
+# The options linprog sets for method="highs-ds", apart from presolve, the
+# dual pricing and the feasibility tolerances, which are per session.  With
+# presolve on and HiGHS's own choice of pricing (the defaults) a cold solve is
+# linprog's bit for bit.  Holistic tree LPs run without presolve, and those
+# of all-ball trees with Devex pricing, for the reasons given at
+# multistage._solve_big.
 _OPTIONS = (("output_flag", False), ("log_to_console", False), ("solver", "simplex"),
             ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
+_DEVEX = int(simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex)
 # The slack linprog's own post-solve check allows: 10 * sqrt(its default tol 1e-9).
 _CHECK_TOL = 10 * math.sqrt(1e-9)
 _STATUS = {HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
@@ -377,11 +385,16 @@ class HighsSession:
     read, and it must not gain rows or variables while the session is in use.
     ``layout`` is the program's :class:`RowLayout`; without it each load
     lays the rows out anew and keeps only ``order`` and ``flip``.
-    ``presolve`` is linprog's option of that name, on by default.
+    ``presolve`` is linprog's option of that name, on by default; ``devex``
+    sets linprog's ``simplex_dual_edge_weight_strategy`` to ``"devex"``
+    instead of leaving HiGHS's own choice.
     """
 
-    def __init__(self, lp, tol=DEFAULT_TOL, layout=None, presolve=True):
-        self._lp, self._tol, self._layout, self._presolve = lp, tol, layout, presolve
+    def __init__(self, lp, tol=DEFAULT_TOL, layout=None, presolve=True, devex=False):
+        self._lp, self._tol, self._layout = lp, tol, layout
+        self._options = _OPTIONS + (("presolve", "on" if presolve else "off"),)
+        if devex:
+            self._options += (("simplex_dual_edge_weight_strategy", _DEVEX),)
         self.highs = self.solution = self._cost = self.status = None
 
     def load(self, cost, rhs=None):
@@ -408,9 +421,8 @@ class HighsSession:
         a.format_, (a.num_row_, a.num_col_) = MatrixFormat.kColwise, A.shape
         a.start_, a.index_, a.value_ = A.indptr, A.indices, A.data
         self.highs = _Highs()
-        for name, value in _OPTIONS + (("presolve", "on" if self._presolve else "off"),
-                                       ("primal_feasibility_tolerance", self._tol),
-                                       ("dual_feasibility_tolerance", self._tol)):
+        for name, value in self._options + (("primal_feasibility_tolerance", self._tol),
+                                            ("dual_feasibility_tolerance", self._tol)):
             self.highs.setOptionValue(name, value)
         self.highs.passModel(model)
 

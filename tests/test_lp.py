@@ -165,9 +165,11 @@ def test_dump_lists_each_row():
 
 # ------------------------------------------------------ linprog as reference
 
-def _linprog_reference(lp, presolve=True):
+def _linprog_reference(lp, presolve=True, devex=False):
     """``lp`` solved through ``scipy.optimize.linprog(method="highs-ds")``
-    with linprog's ``presolve`` option, read back as
+    with linprog's ``presolve`` option, and its
+    ``simplex_dual_edge_weight_strategy`` set to ``"devex"`` when ``devex``
+    is true, read back as
     :meth:`LinearProgram.solve` reads HiGHS: the layout and read-back the
     package used before it loaded HiGHS itself."""
     sign = 1.0 if lp.sense == "min" else -1.0
@@ -185,7 +187,8 @@ def _linprog_reference(lp, presolve=True):
     res = linprog(sign * lp.objective, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=bounds, method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-8,
-                           "dual_feasibility_tolerance": 1e-8, "presolve": presolve})
+                           "dual_feasibility_tolerance": 1e-8, "presolve": presolve,
+                           "simplex_dual_edge_weight_strategy": "devex" if devex else None})
     if res.status in (2, 3):
         return LpSolution(LpStatus.INFEASIBLE if res.status == 2 else LpStatus.UNBOUNDED)
     if res.status != 0:
@@ -247,7 +250,8 @@ def _hex(values):
     return [float(v).hex() for v in np.atleast_1d(values)]
 
 
-@pytest.mark.parametrize("options", [{}, {"presolve": False}], ids=["default", "no-presolve"])
+@pytest.mark.parametrize("options", [{}, {"presolve": False}, {"presolve": False, "devex": True}],
+                         ids=["default", "no-presolve", "no-presolve-devex"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
 def test_solve_matches_linprog_bit_for_bit(options, case):

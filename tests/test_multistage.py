@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -1254,17 +1255,20 @@ def test_a_check_of_a_holistic_policy_solves_no_lp(monkeypatch):
 
 
 def _highs_presolve_options(monkeypatch):
-    """The presolve option of every HiGHS instance loaded, in load order,
-    each with the label of the tree-wide solve it was loaded in (``None``
-    outside ``_solve_big``)."""
+    """The presolve and dual pricing options of every HiGHS instance loaded,
+    in load order, each with the label of the tree-wide solve it was loaded
+    in (``None`` outside ``_solve_big``).  The pricing reads ``"devex"`` or
+    ``"choose"``, HiGHS's own choice, which linprog leaves it."""
     loads, label = [], [None]
     solve_big = multistage_module._solve_big
+    pricing = {-1: "choose", 1: "devex"}
 
     class Spy(lp_module._Highs):
-        def setOptionValue(self, name, value):
-            if name == "presolve":
-                loads.append((label[0], value))
-            return super().setOptionValue(name, value)
+        def passModel(self, model):
+            edge = self.getOptionValue("simplex_dual_edge_weight_strategy")[1]
+            loads.append((label[0], self.getOptionValue("presolve")[1],
+                          pricing.get(edge, edge)))
+            return super().passModel(model)
 
     def labelled(problem, big, xvar, lab, **kwargs):
         label[0] = lab
@@ -1284,6 +1288,7 @@ def test_only_holistic_tree_lps_run_without_presolve(monkeypatch):
     tree = experiment.generate_tree(config.branching, config.tree_seed)
     loads = _highs_presolve_options(monkeypatch)
     nonleaf = tree.nonleaf_ids()
+    linprog = ("on", "choose")
 
     def run(call):
         loads.clear()
@@ -1292,23 +1297,63 @@ def test_only_holistic_tree_lps_run_without_presolve(monkeypatch):
 
     problem = experiment.build_investment_consumption(tree, config)
     certify = list(loads)  # reward certification
-    assert certify and set(certify) == {(None, "on")}
+    assert certify and set(certify) == {(None, *linprog)}
     pol = solve_holistic(problem)
-    assert loads[len(certify):] == [("holistic", "off")]
+    # every node carries a ball: the tree LP is priced with Devex
+    assert loads[len(certify):] == [("holistic", "off", "devex")]
     nominal = {s: problem.ambiguity.for_node(s).nominal_on(problem.grid) for s in nonleaf}
-    assert run(lambda: solve_nominal(problem, nominal)) == [("nominal", "on")]
+    assert run(lambda: solve_nominal(problem, nominal)) == [("nominal", *linprog)]
     # the node worst cases, then the check's own tree solve for a policy that keeps none
-    node_solves = [(None, "on")] * len(nonleaf)
+    node_solves = [(None, *linprog)] * len(nonleaf)
     assert run(lambda: evaluate_policy_worst_case(problem, pol.decisions)) == node_solves
     assert (run(lambda: check_time_consistency(problem, Policy(pol.decisions, pol.value, {})))
-            == node_solves + [("subtree 0", "off")])
-    # every subtree refused: its rebuild certifies its rewards, its re-solve skips presolve
+            == node_solves + [("subtree 0", "off", "devex")])
+    # every subtree refused: its rebuild certifies its rewards, its re-solve skips
+    # presolve and prices with Devex
     _refuse_every_certificate(monkeypatch)
     refused = run(lambda: check_time_consistency(problem, pol))
     assert [load for load in refused if load[0] is not None] == [
-        (f"subtree {s}", "off") for s in nonleaf]
+        (f"subtree {s}", "off", "devex") for s in nonleaf]
     assert len(refused) > 2 * len(nonleaf)
-    assert {load for load in refused if load[0] is None} == {(None, "on")}
+    assert {load for load in refused if load[0] is None} == {(None, *linprog)}
+
+    # a tree with a questionnaire node keeps HiGHS's own pricing, all or some asked
+    asked = experiment.build_investment_consumption(
+        tree, replace(config, model="pro_pc", questionnaires=20))
+    mixed = _mixed_problem(np.random.default_rng(11), (2, 3, 2), asked_nodes={1, 5, 6})
+    for other in (asked, mixed):
+        assert run(lambda: solve_holistic(other)) == [("holistic", "off", "choose")]
+
+
+@st.composite
+def small_ball_problems(draw):
+    """A 2- or 3-stage tree of branching 1 to 3 per stage with a Kantorovich
+    ball at every node."""
+    branching = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    radius = draw(st.sampled_from([0.001, 0.01, 0.05, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return random_ball_problem(rng, branching, radius)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_ball_problems())
+def test_devex_pricing_moves_no_value(problem):
+    pol = solve_holistic(problem)
+    # the same tree LP under HiGHS's own pricing
+    default = multistage_module._assemble_holistic(problem)[0].solve(presolve=False)
+    assert default.is_optimal
+    assert abs(pol.value - default.objective) <= (
+        multistage_module._GAP_TOL * (1.0 + abs(default.objective)))
+    # the Devex solve still certifies every node worst case and every subtree optimum
+    runs, rebuilt = [], []
+    run, rebuild = lp_module.HighsSession.run, multistage_module.subtree_problem
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module.HighsSession, "run", lambda self: (runs.append(self), run(self))[1])
+        m.setattr(multistage_module, "subtree_problem",
+                  lambda *args: (rebuilt.append(args), rebuild(*args))[1])
+        report = check_time_consistency(problem, pol)
+    assert runs == [] and rebuilt == []
+    assert report.max_discrepancy <= 1e-6
 
 
 def _worst_case_bits(res):

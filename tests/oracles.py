@@ -3,12 +3,15 @@
 Everything here is deliberately written against the *problem statements*,
 not against the library code paths it checks: the LP oracle enumerates
 vertices with dense linear algebra, the L1 distance integrates piecewise
-segments in closed form, and the worst-case oracle scans a 1-D mesh.
+segments in closed form, the worst-case oracle scans a 1-D mesh, and the
+reward-range oracle solves two dense ``linprog`` LPs per reward.
 """
 
 import itertools
+import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 FEAS_TOL = 1e-9
 
@@ -134,3 +137,69 @@ def worst_case_value_scan(grid3, nominal_mid, radius, L, Ltilde, outcome,
         if best is None or val < best:
             best = float(val)
     return best
+
+
+def reward_ranges_oracle(tree, bounds, rewards, constraints, a, b, tol=1e-9):
+    """Certify every reward ``coef . x(parent) + offset`` inside ``[a, b]``
+    (within ``tol``) over the decision set: the boxes ``bounds[s] = (lb, ub)``
+    plus the ``constraints`` rows.  Two ``linprog`` LPs per reward, in id
+    order, with no shortcut from the box and no range shared between rewards.
+
+    Returns ``None`` when every reward passes, else ``(kind, node, ends)``
+    for the first fault: ``("empty", node, None)`` when the decision set is
+    empty, ``node`` being the first node at which the rows of the nodes up to
+    it have no solution; ``("unbounded", reward, None)``; or ``("domain",
+    reward, (lo, hi))``.
+    """
+    nodes = sorted(bounds)
+    sizes = [len(bounds[s][0]) for s in nodes]
+    start = dict(zip(nodes, np.cumsum([0] + sizes)))
+    n = sum(sizes)
+    box = [(lo, hi) for s in nodes for lo, hi in zip(*bounds[s])]
+
+    def solve(cost, last=math.inf):
+        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+        for con in constraints:
+            if con.node > last:
+                continue
+            row = np.zeros(n)
+            for k, v in con.coef_self.items():
+                row[start[con.node] + k] += v
+            for k, v in con.coef_parent.items():
+                row[start[tree.nodes[con.node].parent] + k] += v
+            if con.rel == "=":
+                eq_rows.append(row)
+                eq_rhs.append(con.rhs)
+            else:
+                sign = 1.0 if con.rel == "<=" else -1.0
+                ub_rows.append(sign * row)
+                ub_rhs.append(sign * con.rhs)
+        res = linprog(cost, A_ub=np.array(ub_rows) if ub_rows else None,
+                      b_ub=ub_rhs or None, A_eq=np.array(eq_rows) if eq_rows else None,
+                      b_eq=eq_rhs or None, bounds=box, method="highs",
+                      options={"presolve": False})
+        assert res.status in (0, 2, 3), res.message
+        return res
+
+    def first_infeasible_prefix():
+        for last in sorted({con.node for con in constraints}):
+            if solve(np.zeros(n), last).status == 2:
+                return last
+        return None
+
+    for i in sorted(rewards):
+        coef, offset = rewards[i]
+        cost = np.zeros(n)
+        parent = tree.nodes[i].parent
+        cost[start[parent]:start[parent] + len(coef)] = coef
+        ends = []
+        for sign in (1.0, -1.0):
+            res = solve(sign * cost)
+            if res.status == 2:
+                return "empty", first_infeasible_prefix(), None
+            if res.status == 3:
+                return "unbounded", i, None
+            ends.append(sign * res.fun + offset)
+        if ends[0] < a - tol or ends[1] > b + tol:
+            return "domain", i, tuple(ends)
+    return None

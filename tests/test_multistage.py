@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import threading
 import weakref
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import prefrobust.lp as lp_module
@@ -47,12 +48,14 @@ from prefrobust.utility import (
     uniform_grid,
 )
 from prefrobust.worst_case import (
+    DOMAIN_TOL,
     WorstCaseResult,
     node_primal,
     supporting_line_primal,
     worst_case_kantorovich_primal,
     worst_case_pairwise,
 )
+from oracles import reward_ranges_oracle
 from test_blocks import assert_same_program
 
 
@@ -1502,6 +1505,17 @@ def test_value_is_nonincreasing_in_the_ball_radius(problems):
      "constraint at node 0: rhs is nan"),
     (dict(cons=[NodeConstraint(0, "<=", 1.0, coef_self={1: math.inf})]),
      r"constraint at node 0: coef_self\[1\] is inf"),
+    # of two faults, the first in node or row order is named
+    (dict(rewards={2: (np.array([math.nan, 0.1]), 0.0), 3: (np.array([0.1]), 0.0)}),
+     r"reward at node 2: coef\[0\] is nan"),
+    (dict(rewards={2: (np.array([0.1]), 0.0), 3: (np.array([math.nan, 0.1]), 0.0)}),
+     "reward coefficient at node 2 must have length 2"),
+    (dict(cons=[NodeConstraint(0, "<=", math.nan, coef_self={0: 1.0}),
+                NodeConstraint(0, "<", 1.0, coef_self={0: 1.0})]),
+     "constraint at node 0: rhs is nan"),
+    (dict(cons=[NodeConstraint(0, "<", 1.0, coef_self={0: 1.0}),
+                NodeConstraint(0, "<=", math.nan, coef_self={0: 1.0})]),
+     "unknown relation '<'"),
 ])
 def test_problem_refuses_non_finite_inputs(change, message):
     rng = np.random.default_rng(2)
@@ -1528,33 +1542,60 @@ def _count_reward_extremes(monkeypatch):
     return calls
 
 
-def test_certification_solves_two_lps_per_parent_and_direction(monkeypatch):
-    config = experiment.ExperimentConfig(branching=(4, 4), model="pro_kan", tree_seed=11)
+@pytest.mark.parametrize("branching, lps", [((4, 4), 5), ((4, 4, 4, 4), 85)])
+def test_certification_solves_one_max_lp_per_parent_and_direction(monkeypatch, branching, lps):
+    config = experiment.ExperimentConfig(branching=branching, model="pro_kan", tree_seed=11)
     tree = experiment.generate_tree(config.branching, config.tree_seed)
     calls = _count_reward_extremes(monkeypatch)
     problem = experiment.build_investment_consumption(tree, config)
-    pairs = {(tree.nodes[i].parent, (rm.coef / np.max(np.abs(rm.coef))).tobytes())
-             for i, rm in problem.rewards.items()}
-    assert len(calls) == 2 * len(pairs) < 2 * len(problem.rewards)
+    first = {}  # (parent, direction) -> its first reward in id order
+    for i in sorted(problem.rewards):
+        rm = problem.rewards[i]
+        first.setdefault((tree.nodes[i].parent, (rm.coef / np.max(np.abs(rm.coef))).tobytes()), i)
+    # every lower bound is 0 and every coefficient >= 0, so the box decides
+    # every minimum; the maxima, whose upper bounds are infinite, run in order
+    assert calls == [(i, -1.0) for i in first.values()]
+    assert len(calls) == lps < len(problem.rewards)
 
 
 def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_backend):
     tree = balanced_tree([5])
     y = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
-    bounds = {0: (np.zeros(2), np.ones(2))}
+    # x[1] is bounded by a row, not by the box, so the box leaves open each
+    # side that x[1] pushes up
+    bounds = {0: (np.zeros(2), np.array([1.0, math.inf]))}
+    rows = [NodeConstraint(0, "<=", 1.0, coef_self={1: 1.0})]
     # 1 and 2 are positive multiples, so are 3 and 5, which point the other
     # way; 4 points elsewhere
     rewards = {1: ([0.25, 0.125], 0.1), 2: ([0.5, 0.25], 0.0),
                3: ([-0.25, -0.125], 0.5), 4: ([0.125, 0.5], 0.0), 5: ([-0.5, -0.25], 0.75)}
     calls = _count_reward_extremes(monkeypatch)
-    MultistageProblem(tree, bounds, rewards, spec, y)
-    assert calls == [(1, 1.0), (1, -1.0), (3, 1.0), (3, -1.0), (4, 1.0), (4, -1.0)]
+    MultistageProblem(tree, bounds, rewards, spec, y, rows)
+    # the open minima, then the open maxima, one LP per direction
+    assert calls == [(3, 1.0), (1, -1.0), (4, -1.0)]
 
-    # a shared range is scaled to each reward, so the wider one is refused
+    # a shared range is scaled to each reward, so the wider one is refused,
+    # with the side the box decided solved for the message
     rewards[2] = ([2.0, 1.0], 0.0)
+    calls.clear()
     with pytest.raises(ValueError, match=r"reward at node 2 spans \[0\.0, 3\.0\], outside"):
-        MultistageProblem(tree, bounds, rewards, spec, y)
+        MultistageProblem(tree, bounds, rewards, spec, y, rows)
+    assert calls == [(3, 1.0), (1, -1.0), (4, -1.0), (1, 1.0)]
+
+
+def test_the_box_decides_a_side_only_for_every_reward_along_it(monkeypatch, certify_backend):
+    tree = balanced_tree([2])
+    y = uniform_grid(0.0, 1.0, 5)
+    spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
+    bounds = {0: (np.zeros(2), np.array([2.0, 1.0]))}
+    rows = [NodeConstraint(0, "<=", 1.0, coef_self={0: 1.0})]
+    # the box keeps node 1's reward below 0.5 but lets node 2's reach 2; the
+    # row keeps both inside the domain, which only the max LP shows
+    rewards = {1: ([0.25, 0.0], 0.0), 2: ([1.0, 0.0], 0.0)}
+    calls = _count_reward_extremes(monkeypatch)
+    MultistageProblem(tree, bounds, rewards, spec, y, rows)
+    assert calls == [(1, -1.0)]
 
 
 def test_certification_names_the_same_node_as_one_lp_pair_per_reward(certify_backend):
@@ -1577,6 +1618,88 @@ def test_certification_names_the_same_node_as_one_lp_pair_per_reward(certify_bac
         MultistageProblem(tree, bounds, zero, spec, y, clash)
     assert err.value.node == 2
     assert str(err.value).endswith("at node 2: rows con0[2], con1[2]")
+
+
+def _build_verdict(tree, bounds, rewards, rows):
+    """What building the problem says, in the terms of
+    :func:`oracles.reward_ranges_oracle`."""
+    y = uniform_grid(0.0, 1.0, 5)
+    spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
+    try:
+        MultistageProblem(tree, bounds, rewards, spec, y, rows)
+    except InfeasibleProblemError as err:
+        return "empty", err.node, None
+    except ValueError as err:
+        unbounded = re.fullmatch(r"reward at node (\d+) is unbounded over the decision set; "
+                                 r"add box bounds", str(err))
+        if unbounded:
+            return "unbounded", int(unbounded[1]), None
+        domain = re.fullmatch(r"reward at node (\d+) spans \[(\S+), (\S+)\], outside the "
+                              r"utility domain \[0, 1\]", str(err))
+        assert domain, str(err)
+        return "domain", int(domain[1]), (float(domain[2]), float(domain[3]))
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_certification_refuses_exactly_what_two_lps_per_reward_refuse(data):
+    """Boxes with finite and infinite ends, rewards with mixed-sign, zero and
+    shared directions and offsets at both ends of the domain, and rows that
+    hold at a point of the box, sometimes with a pair that empties the
+    decision set: the build accepts exactly what the oracle accepts, and
+    names the same fault at the same node, with the same ends."""
+    tree = balanced_tree(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dims = {s: int(rng.integers(1, 4)) for s in tree.nonleaf_ids()}
+    bounds = {s: (rng.choice([0.0, -0.5, -math.inf], d), rng.choice([1.0, 1.5, math.inf], d))
+              for s, d in dims.items()}
+    point = {s: rng.uniform(0.0, 1.0, d) for s, d in dims.items()}
+    # a few directions per parent, each reward a positive multiple of one
+    pool = {s: [rng.choice([-1.0, -0.5, 0.0, 0.0, 0.25, 1.0], d) * rng.choice([0.05, 0.3, 1.0])
+                for _ in range(2)] for s, d in dims.items()}
+    rewards = {}
+    for node in tree.nodes[1:]:
+        coef = pool[node.parent][int(rng.integers(2))] * rng.choice([0.5, 1.0, 2.0])
+        rewards[node.id] = (coef, float(rng.choice([0.0, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0])))
+
+    # one pinned decision entry that no other row touches, so that the pair
+    # of rows emptying the set is its only conflict
+    owner = data.draw(st.sampled_from(tree.nonleaf_ids()))
+    pinned = (owner, int(rng.integers(dims[owner])))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        node = int(rng.integers(len(tree.nodes)))
+        par = tree.nodes[node].parent
+        cs = {} if tree.is_leaf(node) else {
+            k: float(rng.choice([-1.0, 0.5, 1.0])) for k in range(dims[node])
+            if (node, k) != pinned and rng.random() < 0.6}
+        cp = {} if par is None else {
+            k: float(rng.choice([-1.0, 0.5, 1.0])) for k in range(dims[par])
+            if (par, k) != pinned and rng.random() < 0.6}
+        if not cs and not cp:
+            continue
+        value = sum(v * point[node][k] for k, v in cs.items())
+        value += sum(v * point[par][k] for k, v in cp.items())
+        rel = data.draw(st.sampled_from(["<=", ">=", "="]))
+        rows.append(NodeConstraint(node, rel, value + {"<=": 0.5, ">=": -0.5, "=": 0.0}[rel],
+                                   cs, cp))
+    if data.draw(st.booleans()):
+        for node, rel, value in zip(data.draw(st.lists(
+                st.sampled_from([owner, *tree.children[owner]]), min_size=2, max_size=2)),
+                (">=", "<="), rng.uniform([0.6, 0.0], [1.0, 0.4])):
+            key = "coef_self" if node == owner else "coef_parent"
+            rows.insert(int(rng.integers(len(rows) + 1)),
+                        NodeConstraint(node, rel, value, **{key: {pinned[1]: 1.0}}))
+
+    want = reward_ranges_oracle(tree, bounds, rewards, rows, 0.0, 1.0, DOMAIN_TOL)
+    got = _build_verdict(tree, bounds, rewards, rows)
+    event("accepted" if want is None else want[0])
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[:2] == want[:2]
+        if want[2] is not None:
+            np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-9)
 
 
 def _certified_extremes(monkeypatch, tree, config):

@@ -140,8 +140,8 @@ class MultistageProblem:
     parent and the direction ``d``.  Each side of a (parent, direction)
     range is first bounded by the parent's box; a bound that keeps every
     reward along ``d`` inside the domain decides that side.  Only the open
-    sides are solved, warm in one HiGHS session per build: the minima, then
-    the maxima, and at least one LP, so an empty decision set is refused.
+    sides are solved, in reward id order, warm in one HiGHS session per
+    build, and at least one LP runs, so an empty decision set is refused.
     """
 
     def __init__(self, tree, decision_bounds, rewards, ambiguity, grid, constraints=()):
@@ -167,11 +167,28 @@ class MultistageProblem:
         if stray:
             raise ValueError(f"decision bounds given for non-decision nodes {sorted(stray)}")
 
-        ids = [node.id for node in tree.nodes if node.parent is not None]
-        self.rewards = dict(_checked_all(
-            ids, lambda i: (i, self._checked_reward(i, rewards)), _require_finite_rewards))
-        self.constraints = _checked_all(constraints, self._checked_constraint,
-                                        _require_finite_rows)
+        self.rewards = {}
+        for node in tree.nodes:
+            if node.parent is None:
+                continue
+            if node.id not in rewards:
+                raise ValueError(f"missing reward map for node {node.id}")
+            rm = rewards[node.id]
+            if not isinstance(rm, RewardMap):
+                rm = RewardMap(np.asarray(rm[0], dtype=float), float(rm[1]))
+            else:
+                rm = RewardMap(np.asarray(rm.coef, dtype=float), float(rm.offset))
+            dim = self.dim(node.parent)
+            if rm.coef.shape != (dim,):
+                raise ValueError(
+                    f"reward coefficient at node {node.id} must have length {dim}")
+            if not all(map(math.isfinite, (*rm.coef.tolist(), rm.offset))):
+                _require_finite(rm.coef, f"reward at node {node.id}", "coef")
+                _require_finite([rm.offset], f"reward at node {node.id}", "offset",
+                                index=False)
+            self.rewards[node.id] = rm
+
+        self.constraints = [self._checked_constraint(c) for c in constraints]
 
         if isinstance(ambiguity, StateDependentAmbiguity):
             self.ambiguity = ambiguity
@@ -183,19 +200,6 @@ class MultistageProblem:
 
     def dim(self, node_id):
         return self.decision_bounds[node_id][0].size
-
-    def _checked_reward(self, i, rewards):
-        if i not in rewards:
-            raise ValueError(f"missing reward map for node {i}")
-        rm = rewards[i]
-        if not isinstance(rm, RewardMap):
-            rm = RewardMap(np.asarray(rm[0], dtype=float), float(rm[1]))
-        else:
-            rm = RewardMap(np.asarray(rm.coef, dtype=float), float(rm.offset))
-        dim = self.dim(self.tree.nodes[i].parent)
-        if rm.coef.shape != (dim,):
-            raise ValueError(f"reward coefficient at node {i} must have length {dim}")
-        return rm
 
     def _checked_constraint(self, con):
         if not 0 <= con.node < len(self.tree.nodes):
@@ -219,7 +223,14 @@ class MultistageProblem:
                     f"constraint at node {con.node} indexes past x({node.parent})")
         if con.rel not in ("<=", ">=", "="):
             raise ValueError(f"unknown relation {con.rel!r}")
-        return NodeConstraint(con.node, con.rel, float(con.rhs), cs, cp)
+        rhs = float(con.rhs)
+        if not all(map(math.isfinite, (*cs.values(), *cp.values(), rhs))):
+            where = f"constraint at node {con.node}"
+            for name, coefs in (("coef_self", cs), ("coef_parent", cp)):
+                for k, v in coefs.items():
+                    _require_finite([v], where, f"{name}[{k}]", index=False)
+            _require_finite([rhs], where, "rhs", index=False)
+        return NodeConstraint(con.node, con.rel, rhs, cs, cp)
 
     # ------------------------------------------------------------ decisions
     def add_decisions(self, lp):
@@ -252,8 +263,8 @@ class MultistageProblem:
 
     def _certify_rewards(self):
         a, b = float(self.grid[0]), float(self.grid[-1])
-        # (parent, direction bytes) -> _Range; reward -> (its range, lam, offset)
-        ranges, of = {}, {}
+        ranges = {}  # (parent, direction bytes) -> _Range of d . x(parent)
+        along = []  # (reward, its range, lam, offset) in id order
         for i in sorted(self.rewards):
             rm = self.rewards[i]
             parent = self.tree.nodes[i].parent
@@ -261,59 +272,46 @@ class MultistageProblem:
             d = rm.coef / lam
             key = (parent, d.tobytes())
             if key not in ranges:
-                ranges[key] = _Range(parent, d, i, _box_range(d, *self.decision_bounds[parent]))
+                ranges[key] = _Range(parent, d, _box_range(d, *self.decision_bounds[parent]))
             r = ranges[key]
-            of[i] = (r, lam, rm.offset)
+            along.append((i, r, lam, rm.offset))
             # The box contains the decision set, so a box end that keeps every
             # reward along d inside the domain decides that side; the others
             # are left open (written so that a NaN end opens its side too).
             lo, hi = (lam * v + rm.offset for v in r.ends)
             r.open[0] |= not lo >= a - DOMAIN_TOL
             r.open[1] |= not hi <= b + DOMAIN_TOL
-        if not ranges:
+        if not along:
             return
-        chains = [(r, side) for side in (0, 1) for r in ranges.values() if r.open[side]]
-        if not chains:  # one run still refuses an empty decision set
-            chains = [(next(iter(ranges.values())), 0)]
+        if not any(r.open[0] or r.open[1] for r in ranges.values()):
+            along[0][1].open[0] = True  # one run still refuses an empty decision set
 
         # Every extreme shares the decision polytope, so one warm HiGHS model
-        # serves them all: the open minima, then the open maxima.
+        # serves them all.  A range's open sides are solved at its first reward.
         lp, xvar = self._decision_lp()
         session = HighsSession(lp)
 
-        def solve(r, side):
-            r.ends[side] = self._reward_extreme(
-                lp, xvar[r.parent], r.d, (1.0, -1.0)[side], r.node, session)
-            r.open[side] = True
+        def solve(i, r, sides):
+            for side in sides:
+                if not r.solved[side]:
+                    r.ends[side] = self._reward_extreme(
+                        lp, xvar[r.parent], r.d, (1.0, -1.0)[side], i, session)
+                    r.solved[side] = True
 
-        def scaled_ends(i):
-            r, lam, offset = of[i]
-            for end in r.ends:
-                if isinstance(end, Exception):
-                    raise end
-            return [lam * v + offset for v in r.ends]
-
-        for r, side in chains:
-            solve(r, side)
-        for i in sorted(self.rewards):
-            lo, hi = scaled_ends(i)
+        for i, r, lam, offset in along:
+            solve(i, r, [side for side in (0, 1) if r.open[side]])
+            lo, hi = (lam * v + offset for v in r.ends)
             if lo < a - DOMAIN_TOL or hi > b + DOMAIN_TOL:
-                r = of[i][0]
-                for side in (0, 1):  # print both ends as the LPs find them
-                    if not r.open[side]:
-                        solve(r, side)
-                lo, hi = scaled_ends(i)
+                solve(i, r, (0, 1))  # print both ends as the LPs find them
+                lo, hi = (lam * v + offset for v in r.ends)
                 raise ValueError(
                     f"reward at node {i} spans [{lo!r}, {hi!r}], outside the "
                     f"utility domain [{a:g}, {b:g}]")
 
     def _reward_extreme(self, lp, cols, coef, sign, node, session):
         """``sign * min(sign * coef . x[cols])`` over the decision set ``lp``,
-        solved in ``session``.  An empty set is refused at once, naming the
-        rows of one conflict and the last node they belong to.  An unbounded
-        or failed solve returns the error to raise for reward ``node``, so a
-        chain of solves runs to its end before the first reward at fault, in
-        id order, is named."""
+        solved in ``session``.  An empty set is refused naming the rows of one
+        conflict and the last node they belong to."""
         cost = np.zeros(lp.num_vars)
         cost[cols] = sign * coef
         value = session.minimum(cost)
@@ -328,25 +326,24 @@ class MultistageProblem:
                 f"decision constraints become infeasible at node {last}: rows "
                 + ", ".join(lp.row_name(k) for k in rows), node=last)
         if session.status is LpStatus.UNBOUNDED:
-            return ValueError(
+            raise ValueError(
                 f"reward at node {node} is unbounded over the decision set; "
                 "add box bounds")
-        return RuntimeError(f"reward range solve ended {session.status.value}")
+        raise RuntimeError(f"reward range solve ended {session.status.value}")
 
 
 @dataclass
 class _Range:
     """The range of ``d . x(parent)`` over the decision set, which every
-    reward along ``d`` scales to its own; ``node`` is the first of them in
-    id order.  ``ends`` holds the box's ``[min, max]`` until an LP solves a
-    side; a side is ``open`` once the box cannot decide it or an LP solved
-    it.  An unbounded or failed side holds the error to raise."""
+    reward along ``d`` scales to its own.  ``ends`` holds the box's ``[min,
+    max]`` until an LP solves a side; ``open`` marks the sides the box
+    cannot decide, ``solved`` those an LP gave."""
 
     parent: int
     d: np.ndarray
-    node: int
     ends: list
     open: list = field(default_factory=lambda: [False, False])
+    solved: list = field(default_factory=lambda: [False, False])
 
 
 def _box_range(d, lb, ub):
@@ -364,48 +361,6 @@ def _require_finite(values, where, field, index=True):
         k = bad[0]
         name = f"{field}[{k}]" if index else field
         raise ValueError(f"{where}: {name} is {float(values[k])!r}")
-
-
-def _checked_all(items, check, require_finite):
-    """``[check(item) for item in items]`` whose entries all pass
-    ``require_finite``, a fault being named in item order: before ``check``'s
-    fault is raised, the items checked ahead of it pass ``require_finite``."""
-    done = []
-    for item in items:
-        try:
-            done.append(check(item))
-        except ValueError:
-            require_finite(done)
-            raise
-    require_finite(done)
-    return done
-
-
-def _require_finite_rewards(rewards):
-    """Refuse a NaN or infinite reward coefficient or offset of the ``(id,
-    RewardMap)`` pairs ``rewards``: one ``isfinite`` over all of them, then a
-    walk that names the first bad entry only when there is one."""
-    values = [rm.coef for _, rm in rewards] + [[rm.offset for _, rm in rewards]]
-    if np.isfinite(np.concatenate(values)).all():
-        return
-    for i, rm in rewards:
-        _require_finite(rm.coef, f"reward at node {i}", "coef")
-        _require_finite([rm.offset], f"reward at node {i}", "offset", index=False)
-
-
-def _require_finite_rows(constraints):
-    """Refuse a NaN or infinite coefficient or right-hand side of the checked
-    ``constraints``, as :func:`_require_finite_rewards` does for rewards."""
-    values = [v for con in constraints
-              for v in (*con.coef_self.values(), *con.coef_parent.values(), con.rhs)]
-    if np.isfinite(values).all():
-        return
-    for con in constraints:
-        where = f"constraint at node {con.node}"
-        for name, coefs in (("coef_self", con.coef_self), ("coef_parent", con.coef_parent)):
-            for k, v in coefs.items():
-                _require_finite([v], where, f"{name}[{k}]", index=False)
-        _require_finite([con.rhs], where, "rhs", index=False)
 
 
 # ---------------------------------------------------------------- holistic

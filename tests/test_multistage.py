@@ -1510,6 +1510,8 @@ def test_value_is_nonincreasing_in_the_ball_radius(problems):
      r"reward at node 2: coef\[0\] is nan"),
     (dict(rewards={2: (np.array([0.1]), 0.0), 3: (np.array([math.nan, 0.1]), 0.0)}),
      "reward coefficient at node 2 must have length 2"),
+    (dict(rewards={2: (np.array([math.nan, 0.1]), 0.0), 3: (np.array([0.1, 0.1]), None)}),
+     r"reward at node 2: coef\[0\] is nan"),
     (dict(cons=[NodeConstraint(0, "<=", math.nan, coef_self={0: 1.0}),
                 NodeConstraint(0, "<", 1.0, coef_self={0: 1.0})]),
      "constraint at node 0: rhs is nan"),
@@ -1572,8 +1574,8 @@ def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_
                3: ([-0.25, -0.125], 0.5), 4: ([0.125, 0.5], 0.0), 5: ([-0.5, -0.25], 0.75)}
     calls = _count_reward_extremes(monkeypatch)
     MultistageProblem(tree, bounds, rewards, spec, y, rows)
-    # the open minima, then the open maxima, one LP per direction
-    assert calls == [(3, 1.0), (1, -1.0), (4, -1.0)]
+    # each open side once, at the first reward along its direction
+    assert calls == [(1, -1.0), (3, 1.0), (4, -1.0)]
 
     # a shared range is scaled to each reward, so the wider one is refused,
     # with the side the box decided solved for the message
@@ -1581,21 +1583,35 @@ def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_
     calls.clear()
     with pytest.raises(ValueError, match=r"reward at node 2 spans \[0\.0, 3\.0\], outside"):
         MultistageProblem(tree, bounds, rewards, spec, y, rows)
-    assert calls == [(3, 1.0), (1, -1.0), (4, -1.0), (1, 1.0)]
+    assert calls == [(1, -1.0), (2, 1.0)]
 
 
 def test_the_box_decides_a_side_only_for_every_reward_along_it(monkeypatch, certify_backend):
-    tree = balanced_tree([2])
+    tree = balanced_tree([3])
     y = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
     bounds = {0: (np.zeros(2), np.array([2.0, 1.0]))}
     rows = [NodeConstraint(0, "<=", 1.0, coef_self={0: 1.0})]
-    # the box keeps node 1's reward below 0.5 but lets node 2's reach 2; the
-    # row keeps both inside the domain, which only the max LP shows
-    rewards = {1: ([0.25, 0.0], 0.0), 2: ([1.0, 0.0], 0.0)}
+    # the box keeps the narrow reward inside the domain but lets the wide one
+    # reach 2 (or -1); the row keeps both inside it, which only the LP shows.
+    # Node 3's max is open too, so no side is solved just to run one LP.
     calls = _count_reward_extremes(monkeypatch)
-    MultistageProblem(tree, bounds, rewards, spec, y, rows)
-    assert calls == [(1, -1.0)]
+    other = ([0.5, 0.5], 0.0)
+    for narrow, wide, sign in ((([0.25, 0.0], 0.0), ([1.0, 0.0], 0.0), -1.0),
+                               (([-0.25, 0.0], 0.5), ([-1.0, 0.0], 1.0), 1.0)):
+        for rewards in ({1: narrow, 2: wide, 3: other}, {1: wide, 2: narrow, 3: other}):
+            calls.clear()
+            MultistageProblem(tree, bounds, rewards, spec, y, rows)
+            assert calls == [(1, sign), (3, -1.0)]
+
+    # a box open at both ends leaves both sides to the LPs, min first
+    tree = balanced_tree([1])
+    free = {0: (np.array([-math.inf]), np.array([math.inf]))}
+    rows = [NodeConstraint(0, "<=", 1.0, coef_self={0: 1.0}),
+            NodeConstraint(0, ">=", -1.0, coef_self={0: 1.0})]
+    calls.clear()
+    MultistageProblem(tree, free, {1: ([0.5], 0.5)}, spec, y, rows)
+    assert calls == [(1, 1.0), (1, -1.0)]
 
 
 def test_certification_names_the_same_node_as_one_lp_pair_per_reward(certify_backend):

@@ -4,9 +4,11 @@ Every reformulation in this package (metric computations, one-stage worst
 cases, scenario-tree programs) bottoms out in a sparse LP assembled from
 blocks of rows in CSR form, kept as given until the solver needs the matrix.
 Every program reaches HiGHS dual simplex through scipy's HiGHS binding and
-one loader, which lays the rows out and sets the options as
-``scipy.optimize.linprog`` does for ``method="highs-ds"``, so a solve with
-the defaults returns linprog's answer bit for bit.  Tree-wide holistic LPs
+one loader, :meth:`HighsSession.load`, which lays the rows out, sets the
+options as ``scipy.optimize.linprog`` does for ``method="highs-ds"``, so a
+solve with the defaults returns linprog's answer bit for bit, and hands
+HiGHS the model in one call to the array overload of ``passModel`` (checked
+on scipy 1.17.1 with HiGHS 1.12.0).  Tree-wide holistic LPs
 are solved with ``presolve=False``, which is linprog's option of that name:
 on them HiGHS's presolve costs more time than it saves.  Those whose tree
 carries a Kantorovich ball at every node are also priced with Devex
@@ -45,9 +47,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy._core import (
     HighsIis,
-    HighsLp,
     HighsModelStatus,
+    HighsStatus,
     MatrixFormat,
+    ObjSense,
     _Highs,
     simplex_constants,
 )
@@ -109,7 +112,9 @@ class LinearProgram:
     Rows and variables keep their insertion indices, which is what the
     dualizer's positional correspondence relies on.  Rows are stored as the
     CSR blocks :meth:`add_rows` receives, with one relation, right-hand side
-    and name per row; :meth:`row_matrix` stacks them into one matrix.
+    and name per row; :meth:`row_matrix` stacks them into one matrix.  Costs,
+    bounds, relations and right-hand sides are kept as the arrays each call
+    adds, joined on first access until the next call extends them.
     """
 
     def __init__(self, sense="min", name=""):
@@ -117,24 +122,36 @@ class LinearProgram:
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         self.sense = sense
         self.name = name
-        self._obj = []
-        self._lb = []
-        self._ub = []
         self._var_names = []
-        self._blocks = []  # (indptr, indices, values) per add_rows call
-        self._rels = []
-        self._rhs = []
         self._row_names = []
-        self._matrix = None  # row_matrix() until the next row or variable
+        self._blocks = []  # (indptr, indices, values) per add_rows call
+        # per part, the arrays each add_vars or add_rows call adds; _joined
+        # caches each part joined, and row_matrix(), until the next addition
+        self._parts = {part: [np.empty(0, dtype=str if part == "rels" else float)]
+                       for part in ("obj", "lb", "ub", "rhs", "rels")}
+        self._joined = {}
+
+    def _extend(self, **arrays):
+        self._joined.pop("matrix", None)
+        for part, values in arrays.items():
+            self._parts[part].append(values)
+            self._joined.pop(part, None)
+
+    def _array(self, part):
+        """The arrays of ``part`` joined, made once until the part grows; it
+        is shared, so the accessors hand out copies."""
+        if part not in self._joined:
+            self._joined[part] = np.concatenate(self._parts[part])
+        return self._joined[part]
 
     # ------------------------------------------------------------------ build
     @property
     def num_vars(self):
-        return len(self._obj)
+        return len(self._var_names)
 
     @property
     def num_rows(self):
-        return len(self._rhs)
+        return len(self._row_names)
 
     def add_var(self, name=None, lb=0.0, ub=math.inf, obj=0.0):
         """Add one variable, returning its index."""
@@ -144,7 +161,8 @@ class LinearProgram:
         """Add ``n`` variables in one call; returns an index array.  ``name``
         is a prefix (names ``name[i]``), a list of ``n`` names, or ``None``;
         ``lb``, ``ub`` and ``obj`` are scalars or arrays of ``n`` entries."""
-        lb, ub, obj = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (lb, ub, obj))
+        lb, ub, obj = (np.array(np.broadcast_to(np.asarray(v, dtype=float), (n,)))
+                       for v in (lb, ub, obj))
         if name is None or isinstance(name, str):
             names = [None if name is None else f"{name}[{i}]" for i in range(n)]
         elif len(name) == n:
@@ -157,10 +175,7 @@ class LinearProgram:
             k = bad[0]
             raise ValueError(f"variable {names[k]!r}: lb {lb[k]} > ub {ub[k]}")
         base = self.num_vars
-        self._matrix = None
-        self._obj.extend(obj.tolist())
-        self._lb.extend(lb.tolist())
-        self._ub.extend(ub.tolist())
+        self._extend(obj=obj, lb=lb, ub=ub)
         self._var_names.extend(names)
         return np.arange(base, base + n)
 
@@ -186,16 +201,17 @@ class LinearProgram:
             raise ValueError("indptr must run from 0 to the entry count, nondecreasing")
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("index and value lists differ in length")
-        rels = [rels] * m if isinstance(rels, str) else list(rels)
-        rhs = np.asarray(rhs, dtype=float)
+        rels = np.full(m, rels) if isinstance(rels, str) else np.array(rels, dtype=str)
+        rhs = np.array(rhs, dtype=float)
         if rhs.ndim == 0:
             rhs = np.full(m, float(rhs))
         names = list(names)
-        if not (len(rels) == len(names) == m and rhs.shape == (m,)):
+        if not (rels.shape == rhs.shape == (m,) and len(names) == m):
             raise ValueError(f"a block of {m} rows needs {m} relations, rhs and names")
-        bad = set(rels).difference(_RELS)
-        if bad:
-            raise ValueError(f"relation must be one of {_RELS}, got {sorted(bad)!r}")
+        bad = ~((rels == LEQ) | (rels == EQ) | (rels == GEQ))
+        if bad.any():
+            raise ValueError(f"relation must be one of {_RELS}, got "
+                             f"{sorted(set(rels[bad].tolist()))!r}")
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
             first = np.flatnonzero((idx < 0) | (idx >= self.num_vars))[0]
             row = int(np.searchsorted(indptr, first, side="right")) - 1
@@ -203,40 +219,40 @@ class LinearProgram:
         start = self.num_rows
         if m == 0:
             return np.arange(start, start)
-        self._matrix = None
         self._blocks.append((indptr, idx, val))
-        self._rels.extend(rels)
-        self._rhs.extend(rhs.tolist())
+        self._extend(rhs=rhs, rels=rels)
         self._row_names.extend(names)
         return np.arange(start, start + m)
 
     # ---------------------------------------------------------------- access
+    # Each accessor returns a copy, which the caller may write into.
     @property
     def objective(self):
-        return np.asarray(self._obj, dtype=float)
+        return self._array("obj").copy()
 
     @objective.setter
     def objective(self, cost):
-        cost = np.asarray(cost, dtype=float)
+        cost = np.array(cost, dtype=float)
         if cost.shape != (self.num_vars,):
             raise ValueError(f"need {self.num_vars} costs, got shape {cost.shape}")
-        self._obj = cost.tolist()
+        self._parts["obj"] = [cost]
+        self._joined.pop("obj", None)
 
     @property
     def lower(self):
-        return np.asarray(self._lb, dtype=float)
+        return self._array("lb").copy()
 
     @property
     def upper(self):
-        return np.asarray(self._ub, dtype=float)
+        return self._array("ub").copy()
 
     @property
     def relations(self):
-        return list(self._rels)
+        return self._array("rels").copy()
 
     @property
     def rhs(self):
-        return np.asarray(self._rhs, dtype=float)
+        return self._array("rhs").copy()
 
     def row_matrix(self):
         """The full constraint matrix as CSR: the row blocks stacked, column
@@ -244,10 +260,10 @@ class LinearProgram:
         once per shape and shared by every caller until a row or variable is
         added, so callers must not modify it.
         """
-        if self._matrix is None:
+        if "matrix" not in self._joined:
             m, n = self.num_rows, self.num_vars
             if m == 0:
-                self._matrix = sp.csr_matrix((0, n))
+                mat = sp.csr_matrix((0, n))
             else:
                 indptrs, indices, values = zip(*self._blocks)
                 ends = np.cumsum([0] + [p[-1] for p in indptrs])
@@ -255,8 +271,8 @@ class LinearProgram:
                 mat = sp.csr_matrix((np.concatenate(values), np.concatenate(indices), indptr),
                                     shape=(m, n))
                 mat.sum_duplicates()
-                self._matrix = mat
-        return self._matrix
+            self._joined["matrix"] = mat
+        return self._joined["matrix"]
 
     def var_name(self, j):
         return self._var_names[j] or f"x{j}"
@@ -273,15 +289,6 @@ class LinearProgram:
     def row_names(self):
         """Every :meth:`row_name`, in row order."""
         return [name or f"r{k}" for k, name in enumerate(self._row_names)]
-
-    def copy(self):
-        """A copy that gains rows and variables without changing this one;
-        the two share their row blocks, which neither modifies."""
-        out = LinearProgram(self.sense, self.name)
-        for attr in ("_obj", "_lb", "_ub", "_var_names", "_blocks", "_rels", "_rhs",
-                     "_row_names"):
-            setattr(out, attr, list(getattr(self, attr)))
-        return out
 
     # ----------------------------------------------------------------- solve
     def solve(self, tol=None, presolve=True, devex=False):
@@ -330,6 +337,7 @@ class LinearProgram:
 # multistage._solve_big.
 _OPTIONS = (("output_flag", False), ("log_to_console", False), ("solver", "simplex"),
             ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
+_COLWISE, _MINIMIZE = int(MatrixFormat.kColwise), int(ObjSense.kMinimize)
 _DEVEX = int(simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex)
 # The slack linprog's own post-solve check allows: 10 * sqrt(its default tol 1e-9).
 _CHECK_TOL = 10 * math.sqrt(1e-9)
@@ -363,7 +371,7 @@ class RowLayout:
     programs that differ only in those share one layout."""
 
     def __init__(self, lp):
-        rels = np.asarray(lp.relations, dtype=str)
+        rels = lp.relations
         eq = rels == EQ
         self.order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
         self.flip = np.where(rels[self.order] == GEQ, -1.0, 1.0)
@@ -401,7 +409,8 @@ class HighsSession:
         """Load the program into a fresh HiGHS instance, to minimize
         ``cost . x`` subject to its rows with the right-hand sides ``rhs``
         (by default its own).  HiGHS row ``k`` is program row ``order[k]``
-        times ``flip[k]``."""
+        times ``flip[k]``.  A model HiGHS refuses (``kError``, not
+        ``kWarning``) is refused naming the program."""
         lp = self._lp
         rhs = lp.rhs if rhs is None else rhs
         _require_finite(lp, cost, rhs, lp.row_matrix())
@@ -412,19 +421,19 @@ class HighsSession:
         self.row_upper = rhs
         self.lower, self.upper = layout.lower, layout.upper
         A = layout.matrix
-
-        model = HighsLp()
-        model.num_row_, model.num_col_ = A.shape
-        model.col_cost_, model.col_lower_, model.col_upper_ = cost, self.lower, self.upper
-        model.row_lower_, model.row_upper_ = self.row_lower, self.row_upper
-        a = model.a_matrix_  # HiGHS's own matrix, filled in place
-        a.format_, (a.num_row_, a.num_col_) = MatrixFormat.kColwise, A.shape
-        a.start_, a.index_, a.value_ = A.indptr, A.indices, A.data
         self.highs = _Highs()
         for name, value in self._options + (("primal_feasibility_tolerance", self._tol),
                                             ("dual_feasibility_tolerance", self._tol)):
             self.highs.setOptionValue(name, value)
-        self.highs.passModel(model)
+        n = A.shape[1]
+        # an empty integrality array is refused, so every column is marked continuous
+        status = self.highs.passModel(
+            n, A.shape[0], A.nnz, _COLWISE, _MINIMIZE, 0.0, cost, self.lower, self.upper,
+            self.row_lower, self.row_upper, A.indptr.astype(np.int32, copy=False),
+            A.indices.astype(np.int32, copy=False), A.data, np.zeros(n, np.int32))
+        if status == HighsStatus.kError:
+            self.highs = None
+            raise ValueError(f"LP {lp.name or '<unnamed>'}: HiGHS refused the model")
 
     def run(self):
         """Run HiGHS and classify the end in ``status`` and ``message``;
@@ -474,23 +483,6 @@ class HighsSession:
 
 
 # --------------------------------------------------------------------- duality
-_SIGN_FREE = "free"
-_SIGN_NONNEG = "nonneg"
-_SIGN_NONPOS = "nonpos"
-
-
-def _sign_type(lo, hi, name):
-    if lo == 0.0 and hi == math.inf:
-        return _SIGN_NONNEG
-    if lo == -math.inf and hi == math.inf:
-        return _SIGN_FREE
-    if lo == -math.inf and hi == 0.0:
-        return _SIGN_NONPOS
-    raise ValueError(
-        f"dualize() needs sign-typed bounds; variable {name} has [{lo}, {hi}]. "
-        "Fold finite bounds into explicit rows first.")
-
-
 def dualize(lp: LinearProgram) -> LinearProgram:
     """Mechanical LP dual.
 
@@ -507,22 +499,27 @@ def dualize(lp: LinearProgram) -> LinearProgram:
                          name=f"dual({lp.name})" if lp.name else "dual")
 
     # a row's relation fixes the sign of its multiplier
-    nonneg, nonpos = (GEQ, LEQ) if sense == "min" else (LEQ, GEQ)
-    lb = {nonneg: 0.0, nonpos: -math.inf, EQ: -math.inf}
-    ub = {nonneg: math.inf, nonpos: 0.0, EQ: math.inf}
+    of_nonneg, of_nonpos = (GEQ, LEQ) if sense == "min" else (LEQ, GEQ)
     rels = lp.relations
-    dual.add_vars(m, [f"y_{name}" for name in lp.row_names], lb=[lb[r] for r in rels],
-                  ub=[ub[r] for r in rels], obj=lp.rhs)
+    dual.add_vars(m, [f"y_{name}" for name in lp.row_names],
+                  lb=np.where(rels == of_nonneg, 0.0, -math.inf),
+                  ub=np.where(rels == of_nonpos, 0.0, math.inf), obj=lp.rhs)
 
+    # a variable's sign fixes the relation of its stationarity row
+    lower, upper, names = lp.lower, lp.upper, lp.var_names
+    nonneg = (lower == 0.0) & (upper == math.inf)
+    free = (lower == -math.inf) & (upper == math.inf)
+    nonpos = (lower == -math.inf) & (upper == 0.0)
+    bad = np.flatnonzero(~(nonneg | free | nonpos))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(
+            f"dualize() needs sign-typed bounds; variable {names[j]} has "
+            f"[{float(lower[j])}, {float(upper[j])}]. Fold finite bounds into explicit rows first.")
+    for_nonneg, for_nonpos = (LEQ, GEQ) if sense == "min" else (GEQ, LEQ)
+    rels = np.where(nonneg, for_nonneg, np.where(free, EQ, for_nonpos))
     # Column view of the primal matrix for the stationarity rows.
     A_csc = lp.row_matrix().tocsc()
-    lower, upper = lp.lower, lp.upper
-    if sense == "min":
-        rel_of = {_SIGN_NONNEG: LEQ, _SIGN_FREE: EQ, _SIGN_NONPOS: GEQ}
-    else:
-        rel_of = {_SIGN_NONNEG: GEQ, _SIGN_FREE: EQ, _SIGN_NONPOS: LEQ}
-    names = lp.var_names
-    rels = [rel_of[_sign_type(lo, hi, name)] for lo, hi, name in zip(lower, upper, names)]
     dual.add_rows(A_csc.indptr, A_csc.indices, A_csc.data, rels, lp.objective,
                   [f"stat_{name}" for name in names])
     return dual

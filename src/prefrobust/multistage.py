@@ -18,7 +18,7 @@ import math
 import os
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -240,10 +240,12 @@ class MultistageProblem:
         Row ``con{idx}[{node}]`` holds constraint ``idx``: its own
         coefficients, then its parent's.
         """
-        xvar = {}
-        for s in self.tree.nonleaf_ids():
-            lb, ub = self.decision_bounds[s]
-            xvar[s] = lp.add_vars(lb.size, f"x[{s}]", lb=lb, ub=ub)
+        nonleaf = self.tree.nonleaf_ids()
+        names = [f"x[{s}][{k}]" for s in nonleaf for k in range(self.dim(s))]
+        lb, ub = (np.concatenate([np.empty(0)] + [self.decision_bounds[s][i] for s in nonleaf])
+                  for i in (0, 1))
+        cols = lp.add_vars(len(names), names, lb=lb, ub=ub)
+        xvar = dict(zip(nonleaf, np.split(cols, np.cumsum([self.dim(s) for s in nonleaf]))))
         cols, vals, indptr = [], [], [0]
         for con in self.constraints:
             parent = self.tree.nodes[con.node].parent
@@ -378,39 +380,52 @@ def _splice_dual_blocks(big, parts, n_vars, n_rows, n_entries):
     ``add_vars`` and one ``add_rows`` call, the rows written as CSR directly;
     return each block's columns and rows of ``big``.
 
-    A part ``(prefix, dual, cost, rhs, scale, extra)`` puts the matrix,
-    bounds, relations and names (prefixed by ``prefix``) of ``dual`` with the
-    costs ``scale * cost`` and the right-hand sides ``rhs``.  ``extra`` is
-    ``(rows, cols, values)``: each entry puts ``values`` on the big-LP column
-    ``cols`` of the part's row ``rows`` (row index = inner primal variable
-    index), which is how the decision variables enter the reward-pricing
-    rows.  Parts are taken one at a time, so a dual built for one part need
-    not outlive it.  ``n_vars`` and ``n_rows`` are the parts' totals and
-    ``n_entries`` at least their matrix entries plus extras.
+    A part ``(prefix, pieces, cost, rhs, scale, extra)`` is one block: the
+    columns ``lo:hi`` of each LP ``dual`` of ``pieces``, a list of ``(dual,
+    lo, hi)``, with their bounds, names (prefixed by ``prefix``) and matrix
+    entries, over the rows of the first piece's LP (every piece's has as
+    many), with the costs ``scale * cost`` and right-hand sides ``rhs``.
+    ``extra`` is ``(rows, cols, values)``: each entry puts ``values`` on the
+    big-LP column ``cols`` of the part's row ``rows`` (row index = inner
+    primal variable index), which is how the decision variables enter the
+    reward-pricing rows.  ``n_vars`` and ``n_rows`` are the parts' totals
+    and ``n_entries`` at least their matrix entries plus extras.
     """
     first = big.num_vars
     lower, upper, obj = np.empty(n_vars), np.empty(n_vars), np.empty(n_vars)
-    rhs_all = np.empty(n_rows)
+    rhs_all, rels = np.empty(n_rows), np.empty(n_rows, dtype="<U2")
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     indices, data = np.empty(n_entries, dtype=np.int64), np.empty(n_entries)
-    var_names, row_names, rels, spans = [], [], [], []
+    var_names, row_names, spans = [], [], []
+    columns = {}  # id(dual) -> (dual, its CSC matrix, bounds and names), made once per dual
     v = r = e = 0
-    for prefix, dual, cost, rhs, scale, (xrows, xcols, xvals) in parts:
-        nv, nr, mat = dual.num_vars, dual.num_rows, dual.row_matrix()
-        lower[v:v + nv], upper[v:v + nv], obj[v:v + nv] = dual.lower, dual.upper, scale * cost
-        rhs_all[r:r + nr] = rhs
-        var_names += [prefix + name for name in dual.var_names]
-        row_names += [prefix + name for name in dual.row_names]
-        rels += dual.relations
-        # each row holds its decision entries, then its block entries
-        owner = np.concatenate([xrows, np.repeat(np.arange(nr), np.diff(mat.indptr))])
+    for prefix, pieces, cost, rhs, scale, (xrows, xcols, xvals) in parts:
+        rows_of, start = pieces[0][0], v
+        nr = rows_of.num_rows
+        owner, cols, vals = [xrows], [xcols], [xvals]
+        for dual, lo, hi in pieces:
+            if id(dual) not in columns:
+                columns[id(dual)] = (dual, dual.row_matrix().tocsc(), dual.lower, dual.upper,
+                                     dual.var_names)
+            _, mat, lb, ub, names = columns[id(dual)]
+            lower[v:v + hi - lo], upper[v:v + hi - lo] = lb[lo:hi], ub[lo:hi]
+            var_names += [prefix + name for name in names[lo:hi]]
+            span = slice(mat.indptr[lo], mat.indptr[hi])
+            owner.append(mat.indices[span])
+            cols.append(first + v + np.repeat(np.arange(hi - lo), np.diff(mat.indptr[lo:hi + 1])))
+            vals.append(mat.data[span])
+            v += hi - lo
+        obj[start:v], rhs_all[r:r + nr], rels[r:r + nr] = scale * cost, rhs, rows_of.relations
+        row_names += [prefix + name for name in rows_of.row_names]
+        # each row holds its decision entries, then its block entries by column
+        owner = np.concatenate(owner)
         order = np.argsort(owner, kind="stable")
         n = order.size
-        indices[e:e + n] = np.concatenate([xcols, first + v + mat.indices.astype(np.int64)])[order]
-        data[e:e + n] = np.concatenate([xvals, mat.data])[order]
+        indices[e:e + n] = np.concatenate(cols)[order]
+        data[e:e + n] = np.concatenate(vals)[order]
         indptr[r + 1:r + nr + 1] = e + np.cumsum(np.bincount(owner, minlength=nr))
-        spans.append((v, nv, r, nr))
-        v, r, e = v + nv, r + nr, e + n
+        spans.append((start, v - start, r, nr))
+        r, e = r + nr, e + n
     cols = big.add_vars(n_vars, var_names, lb=lower, ub=upper, obj=obj)
     rows = big.add_rows(indptr, indices[:e], data[:e], rels, rhs_all, row_names)
     return [(cols[v:v + nv], rows[r:r + nr]) for v, nv, r, nr in spans]
@@ -449,7 +464,7 @@ def _row_violations(ax, rels, rhs):
 def _primal_residual(lp, x):
     """Largest violation of a row or a bound of ``lp`` by ``x`` (NaN if ``x``
     holds a NaN)."""
-    rows = _row_violations(lp.row_matrix() @ x, np.asarray(lp.relations), lp.rhs)
+    rows = _row_violations(lp.row_matrix() @ x, lp.relations, lp.rhs)
     return float(np.max(np.concatenate([rows, lp.lower - x, x - lp.upper]), initial=0.0))
 
 
@@ -515,16 +530,17 @@ def _assemble_holistic(problem):
     ``k`` on row ``k``), then one dual block per non-leaf node in id order.
     Returns it with the decision columns and the blocks per node.
 
-    Each shape (see :func:`_template_key`) gets one template per call.  A
-    ball shape's is its whole LP, built by :func:`node_primal` and dualized
-    once.  A questionnaire shape's is its supporting-line base
-    (:func:`supporting_line_primal`); each of its nodes copies the base, adds
-    its own answer rows (:func:`append_pairwise_rows`) and dualizes that LP,
-    which is dropped after the node, so answer rows do not pile up.  Every
-    node stamps its own data into copies of its dual's costs and right-hand
-    sides: its primal costs become the dual's right-hand sides and its
-    primal right-hand sides the dual's costs.  All blocks then enter the tree
-    LP in one splice (:func:`_splice_dual_blocks`)."""
+    Each shape (see :func:`_template_key`) gets one template per call,
+    dualized once: a ball shape's whole LP (:func:`node_primal`), a
+    questionnaire shape's supporting-line base (:func:`supporting_line_primal`).
+    The answer rows of a questionnaire shape's nodes (each node's ``pc[k]``
+    from 0) are stacked on one copy of the base's columns and dualized once
+    too; as dualization is positional, the base's dual plus the columns of a
+    node's answer rows is the dual of the base plus that node's answers.
+    Every node stamps its own data into copies of its template's costs and
+    right-hand sides: its primal costs become the dual's right-hand sides
+    and its primal right-hand sides the dual's costs.  All blocks then enter
+    the tree LP in one splice (:func:`_splice_dual_blocks`)."""
     tree, grid = problem.tree, problem.grid
     pu = tree.unconditional_probs()
     specs, keys = {}, {}
@@ -543,7 +559,8 @@ def _assemble_holistic(problem):
     big = LinearProgram("max", name="tree")
     xvar = problem.add_decisions(big)
 
-    child_data, templates, sizes = {}, {}, np.zeros(3, dtype=np.int64)
+    child_data, templates, answers, own = {}, {}, {}, {}
+    sizes = np.zeros(3, dtype=np.int64)
     for s, key in keys.items():
         spec, kids = specs[s], tree.children[s]
         probs = np.array([tree.nodes[i].prob for i in kids])
@@ -553,16 +570,20 @@ def _assemble_holistic(problem):
         if key not in templates:
             if isinstance(spec, KantorovichBallSpec):
                 node = node_primal(offsets, probs, spec, grid)
-                templates[key] = node, dualize(node.lp)
             else:
-                templates[key] = NodeLP(*supporting_line_primal(
-                    offsets, probs, grid, spec.L, spec.L_tilde)), None
+                node = NodeLP(*supporting_line_primal(offsets, probs, grid, spec.L, spec.L_tilde))
+                answers[key] = LinearProgram(node.lp.sense, name="answers")
+                answers[key].add_vars(node.lp.num_vars, lb=node.lp.lower, ub=node.lp.upper)
+            templates[key] = node, dualize(node.lp)
         node, dual = templates[key]
         rows = entries = 0
-        if dual is None:  # one answer row per answer, one entry at most per lottery outcome
-            rows, entries = len(spec), spec.arrays.outcomes.size
-        sizes += (node.lp.num_rows + rows, node.lp.num_vars,
-                  node.lp.row_matrix().nnz + entries + np.count_nonzero(coef))
+        if key in answers:  # one answer row per answer, one entry at most per lottery outcome
+            added = append_pairwise_rows(answers[key], node.block.alpha, grid, spec.arrays)
+            own[s] = answers[key].num_rows - added.size, answers[key].num_rows
+            rows, entries = added.size, spec.arrays.outcomes.size
+        sizes += (dual.num_vars + rows, dual.num_rows,
+                  dual.row_matrix().nnz + entries + np.count_nonzero(coef))
+    answers = {key: dualize(lp) for key, lp in answers.items()}
 
     stamps = {}
 
@@ -570,14 +591,15 @@ def _assemble_holistic(problem):
         for s, key in keys.items():
             spec, (probs, offsets, coef) = specs[s], child_data[s]
             node, dual = templates[key]
-            if dual is None:  # a questionnaire: the base plus this node's answer rows
-                node = replace(node, lp=node.lp.copy())
-                append_pairwise_rows(node.lp, node.block.alpha, grid, spec.arrays)
-                dual = dualize(node.lp)
             primal_cost, primal_rhs = node.stamped(offsets, probs, spec, grid)
+            pieces = [(dual, 0, dual.num_vars)]
+            if key in answers:  # the answer rows' right-hand sides are their duals' costs
+                lo, hi = own[s]
+                pieces.append((answers[key], lo, hi))
+                primal_rhs = np.concatenate([primal_rhs, answers[key].objective[lo:hi]])
             stamps[s] = node.block.alpha, primal_rhs
             pos, k = np.nonzero(coef)
-            yield (f"n{s}.", dual, primal_rhs, primal_cost, float(pu[s]),
+            yield (f"n{s}.", pieces, primal_rhs, primal_cost, float(pu[s]),
                    (node.eps[pos], xvar[s][k], -probs[pos] * coef[pos, k]))
 
     spans = _splice_dual_blocks(big, parts(), *sizes.tolist())
@@ -1089,7 +1111,7 @@ def _certificate_data(big, sol):
     x, y = sol.x, sol.duals
     if np.shape(x) != (big.num_vars,) or np.shape(y) != (big.num_rows,):
         return None
-    mat, rels, rhs = big.row_matrix(), np.asarray(big.relations), big.rhs
+    mat, rels, rhs = big.row_matrix(), big.relations, big.rhs
     return SimpleNamespace(
         x=x, y=y, aty=mat.T @ y, sense=big.sense, rhs=rhs, rels=rels, lower=big.lower,
         upper=big.upper, rows=_row_violations(mat @ x, rels, rhs))
@@ -1111,7 +1133,7 @@ def _node_certificate(problem, s, dist, template, nb, kept):
     lp = template.lp
     cost, rhs = template.stamped(dist.support, dist.probs, problem.ambiguity.for_node(s),
                                  problem.grid)
-    mat, rels = lp.row_matrix(), np.asarray(lp.relations)
+    mat, rels = lp.row_matrix(), lp.relations
     u, w = kept.y[nb.rows] / nb.prob, kept.x[nb.cols]
     return _pair_value(lp.sense, cost, u, lp.lower, lp.upper,
                        _row_violations(mat @ u, rels, rhs), w, rels, rhs, cost - mat.T @ w)

@@ -231,7 +231,7 @@ def _rows(arrays):
     append_pairwise_rows(lp, alpha, grid, arrays)
     mat = lp.row_matrix()
     return (mat.data.tobytes(), mat.indices.tolist(), mat.indptr.tolist(), lp.rhs.tobytes(),
-            lp.relations, [lp.row_name(k) for k in range(lp.num_rows)])
+            lp.relations.tolist(), [lp.row_name(k) for k in range(lp.num_rows)])
 
 
 def test_elicited_spec_equals_the_spec_built_from_its_pairs():

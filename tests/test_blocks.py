@@ -84,7 +84,7 @@ def test_pairwise_rows_equal_the_scalar_reference(case):
     a, b = bulk.row_matrix(), ref.row_matrix()
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(a, part), getattr(b, part))
-    assert bulk.relations == ref.relations
+    assert bulk.relations.tolist() == ref.relations.tolist()
     assert bulk.rhs.tobytes() == ref.rhs.tobytes()
     assert [bulk.row_name(k) for k in rows] == [ref.row_name(k) for k in ref_rows]
 
@@ -187,7 +187,7 @@ def assert_same_program(a, b, names=True):
     ma, mb = a.row_matrix(), b.row_matrix()
     for part in ("data", "indices", "indptr"):
         assert getattr(ma, part).tobytes() == getattr(mb, part).tobytes()
-    assert a.sense == b.sense and a.relations == b.relations
+    assert a.sense == b.sense and a.relations.tolist() == b.relations.tolist()
     for part in ("rhs", "lower", "upper", "objective"):
         assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
     if names:

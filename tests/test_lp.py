@@ -6,12 +6,14 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import MatrixFormat, ObjSense
 
 from prefrobust.lp import (
     HighsSession,
     LinearProgram,
     LpSolution,
     LpStatus,
+    RowLayout,
     dualize,
 )
 from oracles import lp_vertex_oracle
@@ -296,6 +298,74 @@ def test_non_finite_input_is_refused_naming_the_program(where, message, value):
         HighsSession(lp).minimum(lp.objective)
 
 
+def test_a_model_highs_refuses_at_load_is_named():
+    # HiGHS refuses matrix values of 1e15 and above at load
+    lp = LinearProgram("min", name="huge")
+    x = lp.add_vars(2, "x")
+    lp.add_row({x[0]: 1e16, x[1]: 1.0}, ">=", 1.0, name="big")
+    with pytest.raises(ValueError) as err:
+        lp.solve()
+    assert str(err.value) == "LP huge: HiGHS refused the model"
+    with pytest.raises(ValueError, match="^LP huge: HiGHS refused the model$"):
+        HighsSession(lp).minimum(np.ones(2))
+
+
+def test_load_hands_highs_the_row_layout():
+    lp = LinearProgram("min", name="layout")
+    # a free, a fixed, a bounded and a nonnegative column
+    lp.add_vars(4, "x", lb=[-math.inf, 2.0, -1.0, 0.0], ub=[math.inf, 2.0, 3.0, math.inf])
+    lp.add_rows([0, 2, 4, 5, 7], [0, 1, 1, 2, 3, 0, 3], [1.0, 2.0, -1.0, 4.0, 1.5, 3.0, -2.0],
+                ["<=", ">=", "=", ">="], [1.0, -2.0, 0.5, -20.0], ["a", "b", "c", "d"])
+    cost = np.array([1.0, -1.0, 0.5, 2.0])
+    lp.objective = cost
+    session = HighsSession(lp)
+    session.load(cost)
+    got = session.highs.getLp()
+    layout = RowLayout(lp)
+    assert layout.order.tolist() == [0, 1, 3, 2] and layout.flip.tolist() == [1, -1, -1, 1]
+    rhs = layout.flip * lp.rhs[layout.order]
+    assert got.sense_ == ObjSense.kMinimize and got.offset_ == 0.0
+    for part, want in (("col_cost_", cost), ("col_lower_", lp.lower), ("col_upper_", lp.upper),
+                       ("row_lower_", np.where(layout.eq, rhs, -math.inf)), ("row_upper_", rhs)):
+        assert np.asarray(getattr(got, part)).tobytes() == want.tobytes(), part
+    a, want = got.a_matrix_, layout.matrix
+    assert a.format_ == MatrixFormat.kColwise and (a.num_row_, a.num_col_) == want.shape
+    assert list(a.start_) == want.indptr.tolist()
+    assert list(a.index_) == want.indices.tolist()
+    assert np.asarray(a.value_).tobytes() == want.data.tobytes()
+    assert session.run().tolist() == lp.solve().x.tolist()
+
+
+def test_writing_into_an_accessor_leaves_the_program_unchanged():
+    lp = LinearProgram("min")
+    lp.add_vars(2, "x", lb=[0.0, -1.0], ub=[1.0, 2.0], obj=[3.0, 4.0])
+    lp.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], ["<=", "="], [5.0, 6.0], ["a", "b"])
+    for part in ("objective", "lower", "upper", "rhs", "relations"):
+        before = getattr(lp, part).tolist()
+        got = getattr(lp, part)
+        got[:] = got[::-1].copy()
+        assert got.tolist() != before and getattr(lp, part).tolist() == before, part
+
+
+def test_accessors_follow_every_addition_and_the_cost_setter():
+    inf = math.inf
+    lp = LinearProgram("min")
+    assert lp.objective.size == lp.rhs.size == lp.relations.size == 0
+    lp.add_vars(2, "x", lb=-1.0, obj=[1.0, 2.0])
+    assert lp.objective.tolist() == [1.0, 2.0] and lp.lower.tolist() == [-1.0, -1.0]
+    lp.add_var("z", ub=5.0, obj=3.0)
+    assert lp.objective.tolist() == [1.0, 2.0, 3.0]
+    assert lp.lower.tolist() == [-1.0, -1.0, 0.0] and lp.upper.tolist() == [inf, inf, 5.0]
+    lp.objective = [7.0, 8.0, 9.0]
+    assert lp.objective.tolist() == [7.0, 8.0, 9.0]
+    lp.add_var("w", obj=4.0)
+    assert lp.objective.tolist() == [7.0, 8.0, 9.0, 4.0]
+    lp.add_row({0: 1.0}, ">=", 1.0)
+    assert lp.rhs.tolist() == [1.0] and lp.relations.tolist() == [">="]
+    lp.add_rows([0, 1, 2], [1, 2], [1.0, 1.0], ["=", "<="], [2.0, 3.0], ["b", "c"])
+    assert lp.rhs.tolist() == [1.0, 2.0, 3.0] and lp.relations.tolist() == [">=", "=", "<="]
+
+
 # --------------------------------------------------------------- warm session
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -435,7 +505,7 @@ def _assert_same_rows(a, b):
     assert ma.shape == mb.shape
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(ma, part), getattr(mb, part))
-    assert a.relations == b.relations
+    assert a.relations.tolist() == b.relations.tolist()
     assert a.rhs.tobytes() == b.rhs.tobytes()
     assert [a.row_name(k) for k in range(a.num_rows)] == \
         [b.row_name(k) for k in range(b.num_rows)]
@@ -539,7 +609,7 @@ def test_add_rows_broadcasts_one_relation_and_rhs():
     lp.add_vars(3, "x")
     rows = lp.add_rows([0, 2, 3], [0, 2, 1], [1.0, -1.0, 2.0], ">=", 0.5, ["a", "b"])
     assert list(rows) == [0, 1]
-    assert lp.relations == [">=", ">="]
+    assert lp.relations.tolist() == [">=", ">="]
     assert list(lp.rhs) == [0.5, 0.5]
     assert lp.row_matrix().toarray().tolist() == [[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]
 

@@ -38,7 +38,7 @@ def lp_digest(lp):
     for arr in (mat.data, mat.indices.astype(np.int64), mat.indptr.astype(np.int64),
                 lp.rhs, lp.lower, lp.upper, lp.objective):
         h.update(np.ascontiguousarray(arr).tobytes())
-    names = [lp.sense, lp.relations,
+    names = [lp.sense, lp.relations.tolist(),
              [lp.var_name(j) for j in range(lp.num_vars)],
              [lp.row_name(k) for k in range(lp.num_rows)]]
     h.update(json.dumps(names).encode())

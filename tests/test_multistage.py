@@ -57,6 +57,7 @@ from prefrobust.worst_case import (
 )
 from oracles import reward_ranges_oracle
 from test_blocks import assert_same_program
+from test_lp_digests import mixed_problem
 
 
 def balanced_tree(branching, probs=None):
@@ -694,16 +695,25 @@ def test_dual_block_splice_matches_the_row_by_row_reference(monkeypatch):
     append_ball_membership(inner, block.beta, np.ones(5), y, 0.05)
     ball = dualize(inner)
     asked, asked_block, _, _ = supporting_line_primal([0.1, 0.6], [0.5, 0.5], y, 3.0, 9.0)
+    base = dualize(asked)
     pairs = [(DiscreteLottery.two_outcome(0.0, 1.0, 0.5), DiscreteLottery.point_mass(0.4), 1),
              (DiscreteLottery.point_mass(0.6), DiscreteLottery.two_outcome(0.2, 0.8, 0.3), -1)]
+    # two nodes' answers stacked on the base's columns: the second node's
+    # answer duals and the base's dual make the dual of the base plus them
+    stacked = LinearProgram("min")
+    stacked.add_vars(asked.num_vars, lb=asked.lower, ub=asked.upper)
+    append_pairwise_rows(stacked, asked_block.alpha, y, pairs[1:])
+    append_pairwise_rows(stacked, asked_block.alpha, y, pairs)
+    answers = dualize(stacked)
     append_pairwise_rows(asked, asked_block.alpha, y, pairs)
     asked = dualize(asked)
     # decision columns 0..2 enter the rows of eps[2] and eps[0], listed out of
     # order; the second block has none
     entries = [(eps[2], 1, -0.4), (eps[2], 0, 0.25), (eps[0], 2, -0.3)]
-    parts = [("n0.", ball, ball.objective, ball.rhs, 0.5,
+    parts = [("n0.", [(ball, 0, ball.num_vars)], ball.objective, ball.rhs, 0.5,
               tuple(np.array(col) for col in zip(*entries))),
-             ("n3.", asked, 2.0 * asked.objective, asked.rhs - 1.0, 0.25,
+             ("n3.", [(base, 0, base.num_vars), (answers, 1, 3)], 2.0 * asked.objective,
+              asked.rhs - 1.0, 0.25,
               (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)))]
     programs = []
     for _ in range(2):
@@ -1267,11 +1277,11 @@ def _highs_presolve_options(monkeypatch):
     pricing = {-1: "choose", 1: "devex"}
 
     class Spy(lp_module._Highs):
-        def passModel(self, model):
+        def passModel(self, *args):
             edge = self.getOptionValue("simplex_dual_edge_weight_strategy")[1]
             loads.append((label[0], self.getOptionValue("presolve")[1],
                           pricing.get(edge, edge)))
-            return super().passModel(model)
+            return super().passModel(*args)
 
     def labelled(problem, big, xvar, lab, **kwargs):
         label[0] = lab
@@ -1873,29 +1883,66 @@ def test_stamped_node_blocks_equal_their_own_builds(problem):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_answer_rows_are_dropped_after_their_node(monkeypatch):
+def test_stacked_answers_are_dropped_once_spliced(monkeypatch):
     # every node asks its own questionnaire, so its answer rows are a one-off
     problem = _random_problem(
         np.random.default_rng(5), (2, 2),
         lambda rng, s, shared: elicit_pairwise(shared.nominal, K=8, grid=shared.nominal.breakpoints,
                                                seed=s, L=shared.L, L_tilde=shared.L_tilde))
-    built, alive, bases = [], [], []
-    real_rows, real_base = (multistage_module.append_pairwise_rows,
-                            multistage_module.supporting_line_primal)
+    stacks, duals, bases, at_splice = [], [], [], []
+    real_rows, real_base, real_dualize, real_splice = (
+        multistage_module.append_pairwise_rows, multistage_module.supporting_line_primal,
+        multistage_module.dualize, multistage_module._splice_dual_blocks)
 
     def rows_spy(lp, *args):
-        alive.append(sum(ref() is not None for ref in built))
-        built.append(weakref.ref(lp))
+        stacks.append((id(lp), weakref.ref(lp)))
         return real_rows(lp, *args)
 
     def base_spy(*args):
         bases.append(args)
         return real_base(*args)
 
+    def dualize_spy(lp):
+        dual = real_dualize(lp)
+        duals.append(weakref.ref(dual))
+        return dual
+
+    def splice_spy(*args):
+        at_splice.append([ref() is not None for _, ref in stacks])
+        return real_splice(*args)
+
     monkeypatch.setattr(multistage_module, "append_pairwise_rows", rows_spy)
     monkeypatch.setattr(multistage_module, "supporting_line_primal", base_spy)
-    _assemble_holistic(problem)
-    # one base for the shape; of the LPs holding answer rows, only the
-    # previous node's may still be held, by a local name
+    monkeypatch.setattr(multistage_module, "dualize", dualize_spy)
+    monkeypatch.setattr(multistage_module, "_splice_dual_blocks", splice_spy)
+    _, _, blocks = _assemble_holistic(problem)
+    # one base for the shape, and the three nodes' answers on one stack,
+    # which is dropped once dualized, before the splice
     assert len(bases) == 1
-    assert len(built) == 3 and max(alive) <= 1
+    assert len(stacks) == 3 and len({key for key, _ in stacks}) == 1
+    assert at_splice == [[False] * 3]
+    # the base's dual and the stack's are dropped once spliced
+    assert len(duals) == 2 and all(ref() is None for ref in duals)
+    assert len(blocks) == 3
+
+
+def test_assembly_dualizes_each_shape_once_and_its_stacked_answers_once(monkeypatch):
+    problem = mixed_problem()
+    tree = problem.tree
+    calls = []
+    real = multistage_module.dualize
+
+    def spy(lp):
+        calls.append(lp.name)
+        return real(lp)
+
+    monkeypatch.setattr(multistage_module, "dualize", spy)
+    _assemble_holistic(problem)
+    shapes = {multistage_module._template_key(problem.ambiguity.for_node(s), len(tree.children[s]))
+              for s in tree.nonleaf_ids()}
+    balls = sum(key[0] is KantorovichBallSpec for key in shapes)
+    # two ball shapes (3 and 2 children) and four questionnaire shapes (two
+    # child counts times two pairs of caps) over 13 nodes: each shape's
+    # template is dualized once, a questionnaire shape's stacked answers once
+    assert (balls, len(shapes) - balls, len(tree.nonleaf_ids())) == (2, 4, 13)
+    assert calls == ["worst-case"] * 6 + ["answers"] * 4

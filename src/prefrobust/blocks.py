@@ -159,21 +159,24 @@ class PairArrays(NamedTuple):
                    np.asarray(owner, dtype=np.int64), np.asarray(signs, dtype=np.int64))
 
 
-def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0):
+def append_pairwise_rows(lp: LinearProgram, alpha, grid, *pairs, margin=0.0):
     """One row per elicited comparison (W_k, Y_k, z_k):
     z_k * sum_j (P[W_k = y_j] - P[Y_k = y_j]) * alpha_j >= margin.
 
-    ``pairs`` is a :class:`PairArrays` or a sequence of (W_k, Y_k, z_k).
-    Each lottery outcome is matched to its nearest point of the increasing
-    ``grid`` (ties to the lower index) and must lie within 1e-9 of it.
-    Masses on one point add up in support order, coefficients that cancel
-    to zero are left out, and all rows enter the program in one block, row
-    ``k`` named ``pc[k]``.  Returns the row indices.
+    Each of ``pairs`` is a :class:`PairArrays` or a sequence of (W_k, Y_k,
+    z_k), its rows named ``pc[k]`` from 0.  Each lottery outcome is matched
+    to its nearest point of the increasing ``grid`` (ties to the lower
+    index) and must lie within 1e-9 of it.  Masses on one point add up in
+    support order, coefficients that cancel to zero are left out, and the
+    rows of all ``pairs``, in order, enter the program in one block.
+    Returns the row indices.
     """
-    if not isinstance(pairs, PairArrays):
-        pairs = PairArrays.from_pairs(pairs)
+    parts = [p if isinstance(p, PairArrays) else PairArrays.from_pairs(p) for p in pairs]
+    counts = [p.signs.size for p in parts]
+    x, masses, owner, signs = (np.concatenate(field) for field in zip(*parts))
+    # each part's owners follow those of the parts before it
+    owner += np.repeat(2 * np.cumsum([0] + counts[:-1]), [p.owner.size for p in parts])
     y = np.asarray(grid, dtype=float)
-    x = pairs.outcomes
     # on an increasing grid the nearest point is one of the two around x
     hi = np.minimum(np.searchsorted(y, x), y.size - 1)
     lo = np.maximum(hi - 1, 0)
@@ -183,14 +186,20 @@ def append_pairwise_rows(lp: LinearProgram, alpha, grid, pairs, margin=0.0):
     if off.any():
         raise ValueError(f"lottery outcome {float(x[off][0])!r} is not a grid point")
 
-    K = pairs.signs.size
+    # one cell per (comparison, grid point) that holds mass, in row-major order
+    N = y.size
+    cell, at = np.unique(owner // 2 * N + j, return_inverse=True)
+    side = owner % 2 == 1
     # bincount adds the masses of one point in input order, from 0.0
-    grid_mass = np.bincount(pairs.owner * y.size + j, weights=pairs.masses,
-                            minlength=2 * K * y.size).reshape(2 * K, y.size)
-    diff = grid_mass[0::2] - grid_mass[1::2]
+    w_mass, y_mass = (np.bincount(at[s], weights=masses[s], minlength=cell.size)
+                      for s in (~side, side))
+    diff = w_mass - y_mass
     keep = diff != 0.0
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    coefs = (pairs.signs.astype(float)[:, None] * diff)[keep]
-    cols = np.broadcast_to(np.asarray(alpha), diff.shape)[keep]
+    cell, diff = cell[keep], diff[keep]
+    row = cell // N
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=signs.size))))
+    coefs = signs[row].astype(float) * diff
+    cols = np.asarray(alpha)[cell % N]
+    names = [f"pc[{k}]" for k in range(max(counts, default=0))]
     return lp.add_rows(indptr, cols, coefs, ">=", margin,
-                       [f"pc[{k}]" for k in range(K)])
+                       [name for n in counts for name in names[:n]])

@@ -14,16 +14,18 @@ on them HiGHS's presolve costs more time than it saves.  Those whose tree
 carries a Kantorovich ball at every node are also priced with Devex
 (``devex=True``, linprog's ``simplex_dual_edge_weight_strategy="devex"``),
 which takes fewer HiGHS seconds on them than its default dual steepest
-edge; on questionnaire trees it takes more.  HiGHS handles
-free variables and equality rows natively and is bit-stable for a fixed
-input.
+edge; on questionnaire trees it takes more.  A session can also load a
+program without some of its columns and add them as they price in
+(column generation), which is how the tree LP's answer columns are
+solved (see ``multistage._priced_solve``).  HiGHS handles free variables
+and equality rows natively and is bit-stable for a fixed input.
 
 :meth:`LinearProgram.solve` reads back ``x``, row duals and the dual
-objective.  Reward certification asks for many optimal values over one
-fixed polytope, and nothing else of each solve: :class:`HighsSession` keeps
-that program loaded, and :meth:`HighsSession.minimum` pushes the changed
-costs, re-runs dual simplex from the last basis and returns the optimal
-value only.  Both paths vet HiGHS's ``x`` with one post-solve check and
+objective (:meth:`HighsSession.answer`).  Reward certification asks for
+many optimal values over one fixed polytope, and nothing else of each
+solve: :class:`HighsSession` keeps that program loaded, and
+:meth:`HighsSession.minimum` pushes the changed costs, re-runs dual simplex
+from the last basis and returns the optimal value only.  Both paths vet HiGHS's ``x`` with one post-solve check and
 classify the run in the session.  A warm run without a checked optimum is
 re-run once, cold, before the session answers ``None``; after an infeasible
 run the session names conflicting rows through HiGHS's IIS.  The loader's
@@ -308,24 +310,7 @@ class LinearProgram:
                 log.warning("LP %s: solver breakdown (%s)", self.name or "<unnamed>",
                             session.message)
             return LpSolution(session.status, message=session.message)
-
-        # HiGHS reports multipliers for the minimized, <=-oriented rows; undo
-        # the row flips and the sense flip.  A bound multiplier is the column
-        # dual of a variable sitting at that bound (a fixed one books it by
-        # the sign of its dual, as HiGHS does).
-        duals = np.zeros(self.num_rows)
-        duals[session.order] = session.flip * np.array(session.solution.row_dual)
-        duals *= sign
-        col_dual = np.array(session.solution.col_dual)
-        lo, hi = self.lower, self.upper
-        at_lo = (x == lo) & ((x != hi) | (col_dual >= 0.0))
-        at_hi = (x == hi) & ~at_lo
-        finite_lo, finite_hi = lo > -math.inf, hi < math.inf
-        dual_obj = float(self.rhs @ duals)
-        dual_obj += float(lo[finite_lo] @ (sign * np.where(at_lo, col_dual, 0.0))[finite_lo])
-        dual_obj += float(hi[finite_hi] @ (sign * np.where(at_hi, col_dual, 0.0))[finite_hi])
-        return LpSolution(LpStatus.OPTIMAL, objective=float(self.objective @ x), x=x,
-                          duals=duals, dual_objective=dual_obj, message=session.message)
+        return session.answer(x)
 
 
 # ----------------------------------------------------------------------- HiGHS
@@ -387,15 +372,21 @@ class HighsSession:
 
     :meth:`load` and :meth:`run` are the one path into HiGHS, for the cold
     solves of :meth:`LinearProgram.solve` too, and :meth:`run` classifies
-    each end.  :meth:`minimum` keeps the model loaded for the optimal values
-    of many objectives: later calls push only the changed costs and re-run
-    warm from the last basis.  The program's own costs and sense are never
-    read, and it must not gain rows or variables while the session is in use.
-    ``layout`` is the program's :class:`RowLayout`; without it each load
-    lays the rows out anew and keeps only ``order`` and ``flip``.
-    ``presolve`` is linprog's option of that name, on by default; ``devex``
-    sets linprog's ``simplex_dual_edge_weight_strategy`` to ``"devex"``
-    instead of leaving HiGHS's own choice.
+    each end; :meth:`answer` reads an optimal run back as the program's
+    :class:`LpSolution`.  :meth:`minimum` keeps the model loaded for the
+    optimal values of many objectives: later calls push only the changed
+    costs and re-run warm from the last basis.  A load may leave columns
+    out, at 0: :meth:`reduced_costs` prices them with the last run's row
+    duals, and :meth:`add` loads those that price in, for a warm re-run
+    (column generation).  Only :meth:`answer` reads the program's own
+    costs.  The program must not gain rows or variables while the session
+    is in use.  ``layout`` is the program's :class:`RowLayout`; without it
+    each load lays the rows out anew and keeps only ``order`` and ``flip``,
+    and the laid-out columns it leaves out.  ``presolve`` is linprog's
+    option of that name, on by default; ``devex`` sets linprog's
+    ``simplex_dual_edge_weight_strategy`` to ``"devex"`` instead of leaving
+    HiGHS's own choice.  ``runs`` and ``iterations`` count the session's
+    HiGHS runs and their simplex iterations.
     """
 
     def __init__(self, lp, tol=DEFAULT_TOL, layout=None, presolve=True, devex=False):
@@ -404,13 +395,17 @@ class HighsSession:
         if devex:
             self._options += (("simplex_dual_edge_weight_strategy", _DEVEX),)
         self.highs = self.solution = self._cost = self.status = None
+        self.runs = self.iterations = 0
 
-    def load(self, cost, rhs=None):
+    def load(self, cost, rhs=None, skip=()):
         """Load the program into a fresh HiGHS instance, to minimize
         ``cost . x`` subject to its rows with the right-hand sides ``rhs``
         (by default its own).  HiGHS row ``k`` is program row ``order[k]``
-        times ``flip[k]``.  A model HiGHS refuses (``kError``, not
-        ``kWarning``) is refused naming the program."""
+        times ``flip[k]``.  The program columns ``skip`` are left out, so
+        they sit at 0, until :meth:`add` loads them; HiGHS column ``j`` is
+        program column ``cols[j]`` (``cols`` is ``None`` when none is left
+        out).  A model HiGHS refuses (``kError``, not ``kWarning``) is
+        refused naming the program."""
         lp = self._lp
         rhs = lp.rhs if rhs is None else rhs
         _require_finite(lp, cost, rhs, lp.row_matrix())
@@ -420,7 +415,15 @@ class HighsSession:
         self.row_lower = np.where(layout.eq, rhs, -math.inf)
         self.row_upper = rhs
         self.lower, self.upper = layout.lower, layout.upper
-        A = layout.matrix
+        A, self.cols, self._left_out, self._cost = layout.matrix, None, None, cost
+        if np.size(skip):
+            keep = np.ones(lp.num_vars, dtype=bool)
+            keep[skip] = False
+            out = np.flatnonzero(~keep)
+            self._left_out = out, A[:, out], self.lower[out], self.upper[out]
+            self.cols = np.flatnonzero(keep)
+            A, cost = A[:, self.cols], cost[self.cols]
+            self.lower, self.upper = self.lower[self.cols], self.upper[self.cols]
         self.highs = _Highs()
         for name, value in self._options + (("primal_feasibility_tolerance", self._tol),
                                             ("dual_feasibility_tolerance", self._tol)):
@@ -435,12 +438,47 @@ class HighsSession:
             self.highs = None
             raise ValueError(f"LP {lp.name or '<unnamed>'}: HiGHS refused the model")
 
+    def _columns(self, cols):
+        """The laid-out matrix columns and the bounds of the program
+        columns ``cols``, left out of the load."""
+        out, A, lower, upper = self._left_out
+        pos = np.searchsorted(out, cols)
+        return A[:, pos], lower[pos], upper[pos]
+
+    def reduced_costs(self, cols):
+        """The reduced costs ``cost_j - a_j . y`` of the program columns
+        ``cols``, left out of the load, under the last optimal run's row
+        duals ``y``: in HiGHS's form (minimized, rows laid out), where a
+        column at its lower bound prices in when its reduced cost is
+        negative."""
+        return self._cost[cols] - self._columns(cols)[0].T @ np.asarray(self.solution.row_dual)
+
+    def add(self, cols):
+        """Load the program columns ``cols``, left out so far, into the
+        loaded instance, which keeps its basis: the next :meth:`run`
+        starts from it, the new columns nonbasic at their lower bounds."""
+        A, lower, upper = self._columns(cols)
+        status = self.highs.addCols(
+            cols.size, self._cost[cols], lower, upper, A.nnz,
+            A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32), A.data)
+        if status == HighsStatus.kError:
+            raise ValueError(f"LP {self._lp.name or '<unnamed>'}: HiGHS refused columns")
+        self.cols = np.concatenate((self.cols, cols))
+        self.lower = np.concatenate((self.lower, lower))
+        self.upper = np.concatenate((self.upper, upper))
+
     def run(self):
         """Run HiGHS and classify the end in ``status`` and ``message``;
-        return ``x``, or ``None`` unless it ends optimal with an ``x`` within
-        ``_CHECK_TOL`` of every bound and row (linprog's own check)."""
+        return ``x`` of the loaded columns, or ``None`` unless it ends
+        optimal with an ``x`` within ``_CHECK_TOL`` of every bound and row
+        (linprog's own check)."""
         h = self.highs
         h.run()
+        self.runs += 1
+        # one field, not getInfo()'s copy of all of them (~1 us against
+        # ~14 us); HiGHS answers kWarning, and no count, without valid info
+        valid, count = h.getInfoValue("simplex_iteration_count")
+        self.iterations += count if valid == HighsStatus.kOk else 0
         self.status = _STATUS.get(h.getModelStatus(), LpStatus.FAILED)
         self.message = h.modelStatusToString(h.getModelStatus())
         if self.status is LpStatus.OPTIMAL:
@@ -454,6 +492,40 @@ class HighsSession:
             self.status = LpStatus.FAILED
             self.message += f", but x strays from a bound or row by more than {_CHECK_TOL:.2e}"
         return None
+
+    def answer(self, x, reduced=()):
+        """The program's :class:`LpSolution` from the ``x`` that the last
+        :meth:`run` returned, for the costs the program was loaded with
+        (its own objective, negated for a maximization).  A column left out
+        reads 0 in ``x``; ``reduced`` holds the reduced costs of those
+        columns, in program order, which stand for their column duals.
+        Each sits at its lower bound 0 with no upper one, so it adds
+        nothing to the dual objective."""
+        lp = self._lp
+        sign = 1.0 if lp.sense == "min" else -1.0
+        col_dual = np.array(self.solution.col_dual)
+        if self.cols is not None:
+            left_out = np.ones(lp.num_vars, dtype=bool)
+            left_out[self.cols] = False
+            full_x, full_dual = np.zeros(lp.num_vars), np.empty(lp.num_vars)
+            full_x[self.cols], full_dual[self.cols], full_dual[left_out] = x, col_dual, reduced
+            x, col_dual = full_x, full_dual
+        # HiGHS reports multipliers for the minimized, <=-oriented rows; undo
+        # the row flips and the sense flip.  A bound multiplier is the column
+        # dual of a variable sitting at that bound (a fixed one books it by
+        # the sign of its dual, as HiGHS does).
+        duals = np.zeros(lp.num_rows)
+        duals[self.order] = self.flip * np.array(self.solution.row_dual)
+        duals *= sign
+        lo, hi = lp.lower, lp.upper
+        at_lo = (x == lo) & ((x != hi) | (col_dual >= 0.0))
+        at_hi = (x == hi) & ~at_lo
+        finite_lo, finite_hi = lo > -math.inf, hi < math.inf
+        dual_obj = float(lp.rhs @ duals)
+        dual_obj += float(lo[finite_lo] @ (sign * np.where(at_lo, col_dual, 0.0))[finite_lo])
+        dual_obj += float(hi[finite_hi] @ (sign * np.where(at_hi, col_dual, 0.0))[finite_hi])
+        return LpSolution(LpStatus.OPTIMAL, objective=float(lp.objective @ x), x=x,
+                          duals=duals, dual_objective=dual_obj, message=self.message)
 
     def minimum(self, cost):
         """``min cost . x`` over the program, or ``None`` when the last

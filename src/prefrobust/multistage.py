@@ -33,7 +33,7 @@ from .ambiguity import (
     feasibility_check,
 )
 from .blocks import append_pairwise_rows
-from .lp import HighsSession, LinearProgram, LpSolution, LpStatus, dualize
+from .lp import DEFAULT_TOL, HighsSession, LinearProgram, LpSolution, LpStatus, dualize
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
     DOMAIN_TOL,
@@ -373,6 +373,7 @@ class _NodeBlock:
     alpha: np.ndarray  # positions in ``rows`` whose marginals carry p_s * alpha
     cost: np.ndarray   # dual costs before scaling by the node probability
     prob: float        # the scale applied to ``cost`` in this LP
+    answers: np.ndarray  # the columns in ``cols`` that dualize answer rows
 
 
 def _splice_dual_blocks(big, parts, n_vars, n_rows, n_entries):
@@ -468,10 +469,11 @@ def _primal_residual(lp, x):
     return float(np.max(np.concatenate([rows, lp.lower - x, x - lp.upper]), initial=0.0))
 
 
-def _certified(big, sol, xvar, label):
-    """Check an optimal solve of a tree-wide LP: its duality gap and the
-    largest row or bound violation of its ``x``.  Returns it with the
-    decisions read back."""
+def _certified(big, sol, xvar, label, priced):
+    """Check an optimal solve of a tree-wide LP: its duality gap, the
+    largest row or bound violation of its ``x``, and the reduced costs of
+    the columns ``priced`` (see :func:`_priced_solve`), from its row duals
+    and the whole LP.  Returns it with the decisions read back."""
     gap = abs(sol.objective - sol.dual_objective)
     if gap > _GAP_TOL * (1.0 + abs(sol.objective)):
         raise RuntimeError(
@@ -480,29 +482,71 @@ def _certified(big, sol, xvar, label):
     residual = _primal_residual(big, sol.x)
     if not residual <= _RESIDUAL_TOL:
         raise RuntimeError(f"{label} solve: x violates a row or bound by {residual:.3g}")
+    if priced.size:
+        # each has lower bound 0 and no upper one: a maximization is
+        # optimal only if none has a positive reduced cost
+        reduced = big.objective[priced] - (big.row_matrix().T @ sol.duals)[priced]
+        worst = int(np.argmax(reduced))
+        if not reduced[worst] <= _RESIDUAL_TOL:
+            raise RuntimeError(f"{label} solve: column {big.var_name(priced[worst])} has "
+                               f"reduced cost {reduced[worst]:.3g} > 0")
     decisions = {s: sol.x[xvar[s]] for s in xvar}
     return sol, decisions
 
 
-def _solve_big(problem, big, xvar, label, holistic=True):
-    """Solve a tree-wide LP, certify it and read back decisions.  Holistic
+def _solve_big(problem, big, xvar, label, holistic=True, priced=()):
+    """Solve a tree-wide LP, the columns ``priced`` priced in (see
+    :func:`_priced_solve`), certify it and read back decisions.  Holistic
     tree LPs run without HiGHS's presolve, which costs more time on them
     than it saves, and those of trees with a Kantorovich ball at every node
     are priced with Devex, whose iterations take about half the time of
     HiGHS's default dual steepest edge there (on questionnaire trees Devex
     needs more iterations and loses).  :func:`solve_nominal`'s LP keeps
     linprog's options."""
-    if holistic:
-        balls = all(isinstance(problem.ambiguity.for_node(s), KantorovichBallSpec)
-                    for s in problem.tree.nonleaf_ids())
-        sol = big.solve(presolve=False, devex=balls)
-    else:
-        sol = big.solve()
+    balls = holistic and all(isinstance(problem.ambiguity.for_node(s), KantorovichBallSpec)
+                             for s in problem.tree.nonleaf_ids())
+    priced = np.asarray(priced, dtype=np.int64)
+    sol = _priced_solve(big, priced, presolve=not holistic, devex=balls)
     if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
         _diagnose_and_raise(problem, f"{label} solve ended {sol.status.value}")
     if not sol.is_optimal:
         raise RuntimeError(f"{label} solve ended {sol.status.value}: {sol.message}")
-    return _certified(big, sol, xvar, label)
+    return _certified(big, sol, xvar, label, priced)
+
+
+def _priced_solve(big, priced, **options):
+    """Maximize the tree-wide LP ``big`` in one :class:`HighsSession` with
+    ``options``, the columns ``priced`` (the answer columns of a holistic
+    tree LP, see :func:`_answer_columns`) left out of the load and priced
+    in: after each optimal run, those still out are priced with its row
+    duals, the ones whose reduced cost is below ``-DEFAULT_TOL`` are added,
+    and HiGHS re-runs warm, until none prices in (column generation;
+    Dantzig and Wolfe, Oper. Res. 8(1), 1960).  Returns the
+    :class:`LpSolution` of the whole LP, or of the first run that ends
+    without an optimum.  Columns never loaded read 0, and :func:`_certified`
+    checks their reduced costs on the whole LP.
+
+    Each answer row of a node's one-stage LP is one such column, and few
+    bind: on a 5^3 tree with 200 answers per node, 173 of 6,178 were
+    loaded, in four runs that took about half the HiGHS time of the whole
+    LP.  A tree without answers loads in full and runs once.  The session
+    goes on return, so HiGHS's memory is freed before the answer is
+    certified."""
+    session = HighsSession(big, **options)
+    waiting, reduced = priced, np.empty(0)
+    session.load(-big.objective, skip=waiting)  # HiGHS minimizes; tree LPs maximize
+    x = session.run()
+    while x is not None and waiting.size:
+        reduced = session.reduced_costs(waiting)
+        enter = reduced < -DEFAULT_TOL
+        if not enter.any():
+            break
+        session.add(waiting[enter])
+        waiting, reduced = waiting[~enter], reduced[~enter]
+        x = session.run()
+    if x is None:
+        return LpSolution(session.status, message=session.message)
+    return session.answer(x, reduced)
 
 
 def solve_holistic(problem):
@@ -514,7 +558,7 @@ def solve_holistic(problem):
 
 def _solve_holistic(problem):
     big, xvar, blocks = _assemble_holistic(problem)
-    sol, decisions = _solve_big(problem, big, xvar, "holistic")
+    sol, decisions = _solve_big(problem, big, xvar, "holistic", priced=_answer_columns(blocks))
     return _holistic_policy(problem, big, blocks, sol, decisions)
 
 
@@ -534,13 +578,17 @@ def _assemble_holistic(problem):
     dualized once: a ball shape's whole LP (:func:`node_primal`), a
     questionnaire shape's supporting-line base (:func:`supporting_line_primal`).
     The answer rows of a questionnaire shape's nodes (each node's ``pc[k]``
-    from 0) are stacked on one copy of the base's columns and dualized once
-    too; as dualization is positional, the base's dual plus the columns of a
-    node's answer rows is the dual of the base plus that node's answers.
+    from 0) are stacked on one copy of the base's columns in one
+    :func:`append_pairwise_rows` call and dualized once too; as
+    dualization is positional, the base's dual plus the columns of a node's
+    answer rows is the dual of the base plus that node's answers.
     Every node stamps its own data into copies of its template's costs and
     right-hand sides: its primal costs become the dual's right-hand sides
     and its primal right-hand sides the dual's costs.  All blocks then enter
-    the tree LP in one splice (:func:`_splice_dual_blocks`)."""
+    the tree LP in one splice (:func:`_splice_dual_blocks`).  A node's
+    answer columns, the duals of its answer rows, close its block; its
+    :class:`_NodeBlock` reports them in ``answers``, for
+    :func:`_priced_solve` to price in."""
     tree, grid = problem.tree, problem.grid
     pu = tree.unconditional_probs()
     specs, keys = {}, {}
@@ -559,7 +607,7 @@ def _assemble_holistic(problem):
     big = LinearProgram("max", name="tree")
     xvar = problem.add_decisions(big)
 
-    child_data, templates, answers, own = {}, {}, {}, {}
+    child_data, templates, asked, own = {}, {}, {}, {}
     sizes = np.zeros(3, dtype=np.int64)
     for s, key in keys.items():
         spec, kids = specs[s], tree.children[s]
@@ -572,18 +620,19 @@ def _assemble_holistic(problem):
                 node = node_primal(offsets, probs, spec, grid)
             else:
                 node = NodeLP(*supporting_line_primal(offsets, probs, grid, spec.L, spec.L_tilde))
-                answers[key] = LinearProgram(node.lp.sense, name="answers")
-                answers[key].add_vars(node.lp.num_vars, lb=node.lp.lower, ub=node.lp.upper)
+                asked[key] = []
             templates[key] = node, dualize(node.lp)
         node, dual = templates[key]
         rows = entries = 0
-        if key in answers:  # one answer row per answer, one entry at most per lottery outcome
-            added = append_pairwise_rows(answers[key], node.block.alpha, grid, spec.arrays)
-            own[s] = answers[key].num_rows - added.size, answers[key].num_rows
-            rows, entries = added.size, spec.arrays.outcomes.size
+        if key in asked:  # one answer row per answer, one entry at most per lottery outcome
+            start = own[asked[key][-1]][1] if asked[key] else 0
+            rows, entries = len(spec), spec.arrays.outcomes.size
+            own[s] = start, start + rows
+            asked[key].append(s)
         sizes += (dual.num_vars + rows, dual.num_rows,
                   dual.row_matrix().nnz + entries + np.count_nonzero(coef))
-    answers = {key: dualize(lp) for key, lp in answers.items()}
+    answers = {key: _dualized_answers(templates[key][0], grid, [specs[s].arrays for s in nodes])
+               for key, nodes in asked.items()}
 
     stamps = {}
 
@@ -603,9 +652,28 @@ def _assemble_holistic(problem):
                    (node.eps[pos], xvar[s][k], -probs[pos] * coef[pos, k]))
 
     spans = _splice_dual_blocks(big, parts(), *sizes.tolist())
-    blocks = {s: _NodeBlock(cols, rows, *stamps[s], float(pu[s]))
+    blocks = {s: _NodeBlock(cols, rows, *stamps[s], float(pu[s]),
+                            cols[templates[keys[s]][1].num_vars:])
               for s, (cols, rows) in zip(keys, spans)}
     return big, xvar, blocks
+
+
+def _dualized_answers(node, grid, arrays):
+    """The dual of the answer rows of a questionnaire shape's nodes, one
+    :class:`PairArrays` each in ``arrays``, stacked in one block (each
+    node's ``pc[k]`` from 0) on a copy of the columns of its supporting-line
+    base ``node``."""
+    lp = LinearProgram(node.lp.sense, name="answers")
+    lp.add_vars(node.lp.num_vars, lb=node.lp.lower, ub=node.lp.upper)
+    append_pairwise_rows(lp, node.block.alpha, grid, *arrays)
+    return dualize(lp)
+
+
+def _answer_columns(blocks):
+    """The answer columns of the tree LP whose node blocks are ``blocks``,
+    which :func:`_priced_solve` prices in."""
+    return np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [nb.answers for nb in blocks.values()])
 
 
 def _holistic_policy(problem, big, blocks, sol, decisions):
@@ -1021,7 +1089,8 @@ def check_time_consistency(problem, policy, subtree_solver=None):
         wc = _nested_worst_cases(problem, decisions)
         if subtree_solver is None:
             assembled = _assemble_holistic(problem)
-            tree_solve = _solve_big(problem, assembled[0], assembled[1], "subtree 0")[0]
+            tree_solve = _solve_big(problem, assembled[0], assembled[1], "subtree 0",
+                                    priced=_answer_columns(assembled[2]))[0]
             kept = _certificate_data(assembled[0], tree_solve)
     else:
         dists = {s: _checked_outcomes(problem, s, decisions) for s in tree.nonleaf_ids()}
@@ -1052,7 +1121,8 @@ def check_time_consistency(problem, policy, subtree_solver=None):
             if local is None:
                 sub = subtree_problem(problem, s, decisions)[0]
                 lp, xvar, blocks = _assemble_holistic(sub)
-                sol, dec = _solve_big(sub, lp, xvar, f"subtree {s}")
+                sol, dec = _solve_big(sub, lp, xvar, f"subtree {s}",
+                                      priced=_answer_columns(blocks))
                 local = _holistic_policy(sub, lp, blocks, sol, dec).value
         achieved = float(achieved)
         return TimeConsistencyEntry(s, tree.nodes[s].stage, local, achieved, local - achieved)

@@ -89,6 +89,26 @@ def test_pairwise_rows_equal_the_scalar_reference(case):
     assert [bulk.row_name(k) for k in rows] == [ref.row_name(k) for k in ref_rows]
 
 
+@settings(max_examples=100, deadline=None)
+@given(questionnaires(), st.data())
+def test_stacked_pairwise_rows_equal_one_call_per_part(case, data):
+    grid, pairs, margin = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=3)))
+    parts = [pairs[i:j] for i, j in zip([0, *cuts], [*cuts, len(pairs)])]
+    stacked, alpha = _program(grid)
+    apart, apart_alpha = _program(grid)
+    rows = append_pairwise_rows(stacked, alpha, grid, *parts, margin=margin)
+    for part in parts:
+        append_pairwise_rows(apart, apart_alpha, grid, part, margin=margin)
+    assert rows.tolist() == list(range(apart.num_rows))
+    a, b = stacked.row_matrix(), apart.row_matrix()
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, part), getattr(b, part))
+    assert stacked.rhs.tobytes() == apart.rhs.tobytes()
+    # each part's rows are named pc[k] from 0
+    assert stacked.row_names == apart.row_names
+
+
 @pytest.mark.parametrize("outcome", [0.3, 0.25 + 2e-9, math.nan])
 def test_pairwise_rows_reject_off_grid_outcomes(outcome):
     grid = np.linspace(0.0, 1.0, 5)

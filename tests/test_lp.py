@@ -404,6 +404,32 @@ def test_warm_minimum_is_none_off_an_optimum_and_reloads_after():
     assert session.status is LpStatus.OPTIMAL
 
 
+def test_a_left_out_column_prices_in_and_the_answer_is_the_whole_lps():
+    # max x0 + 2 x1 + 0.5 x2 over x0 + x1 + x2 <= 1 and x0 - x1 >= -2:
+    # without x1 the optimum is x0 = 1, and x1 prices in under its row duals
+    lp = LinearProgram("max", name="priced")
+    lp.add_vars(3, "x", obj=[1.0, 2.0, 0.5])
+    lp.add_rows([0, 3, 5], [0, 1, 2, 0, 1], [1.0, 1.0, 1.0, 1.0, -1.0], ["<=", ">="],
+                [1.0, -2.0], ["cap", "tilt"])
+    session = HighsSession(lp)
+    session.load(-lp.objective, skip=[1, 2])
+    assert session.cols.tolist() == [0]
+    assert session.run().tolist() == [1.0]
+    reduced = session.reduced_costs(np.array([1, 2]))
+    assert reduced.tolist() == [-1.0, 0.5]  # HiGHS minimizes -2 x1 - 0.5 x2
+    session.add(np.array([1]))
+    x = session.run()
+    assert session.cols.tolist() == [0, 1] and x.tolist() == [0.0, 1.0]
+    assert session.runs == 2 and session.iterations >= 1
+    # x2 stays out: it reads 0, and the answer is the whole LP's
+    priced = session.answer(x, session.reduced_costs(np.array([2])))
+    whole = lp.solve()
+    assert priced.x.tolist() == whole.x.tolist() == [0.0, 1.0, 0.0]
+    assert priced.objective == whole.objective == 2.0
+    assert priced.duals.tolist() == whole.duals.tolist()
+    assert priced.dual_objective == whole.dual_objective == 2.0
+
+
 def test_conflict_names_the_rows_of_one_iis_in_program_order():
     lp = LinearProgram("min")
     x = lp.add_vars(3, "x", ub=1.0)

@@ -389,8 +389,8 @@ def _fail_every_warm_run(monkeypatch):
     held = []
     real_load, real_run = lp_module.HighsSession.load, lp_module.HighsSession.run
 
-    def load(self, cost):
-        real_load(self, cost)
+    def load(self, cost, *args, **kwargs):
+        real_load(self, cost, *args, **kwargs)
         self.cold = True
 
     def run(self):
@@ -815,15 +815,15 @@ def test_tree_refuses_siblings_the_nested_evaluation_would_refuse():
 def test_big_solves_check_the_duality_gap(monkeypatch, shift, fails):
     rng = np.random.default_rng(3)
     problem, spec = random_ball_problem(rng, radius=0.05)
-    solve = lp_module.LinearProgram.solve
+    answer = lp_module.HighsSession.answer
 
     def perturbed(self, *args, **kwargs):
-        sol = solve(self, *args, **kwargs)
-        if self.name in ("tree", "nominal"):
+        sol = answer(self, *args, **kwargs)
+        if self._lp.name in ("tree", "nominal"):
             sol.dual_objective += shift
         return sol
 
-    monkeypatch.setattr(lp_module.LinearProgram, "solve", perturbed)
+    monkeypatch.setattr(lp_module.HighsSession, "answer", perturbed)
     for run in (lambda: solve_holistic(problem),
                 lambda: solve_nominal(problem, spec.nominal)):
         if fails:
@@ -865,16 +865,16 @@ def test_big_solves_check_the_primal_residual(monkeypatch, shift, fails):
     rng = np.random.default_rng(3)
     problem, spec = random_ball_problem(rng, radius=0.05)
     pol = solve_holistic(problem)
-    solve = lp_module.LinearProgram.solve
+    answer = lp_module.HighsSession.answer
 
     def perturbed(self, *args, **kwargs):
-        sol = solve(self, *args, **kwargs)
-        if self.name in ("tree", "nominal"):
+        sol = answer(self, *args, **kwargs)
+        if self._lp.name in ("tree", "nominal"):
             sol.x = sol.x.copy()
             sol.x[0] += shift
         return sol
 
-    monkeypatch.setattr(lp_module.LinearProgram, "solve", perturbed)
+    monkeypatch.setattr(lp_module.HighsSession, "answer", perturbed)
     _refuse_every_certificate(monkeypatch)
     # the two big solves, the check's one tree solve for a policy that keeps
     # none, and the re-solves of the check's rebuilt subtrees
@@ -1007,7 +1007,7 @@ def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
 
     # a rebuilt subtree that ends without an optimum raises after its one
     # solve, before any later subtree runs (node 1, the first after the whole tree)
-    solve, full = lp_module.LinearProgram.solve, _assemble_holistic(problem)[0].num_rows
+    run, full = lp_module.HighsSession.run, _assemble_holistic(problem)[0].num_rows
     rebuilt, rebuild = [], multistage_module.subtree_problem
     monkeypatch.setattr(multistage_module, "subtree_problem",
                         lambda *args: (rebuilt.append(args[1]), rebuild(*args))[1])
@@ -1017,13 +1017,14 @@ def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
         rebuilt.clear()
         failed = []
 
-        def failing(self, *args, **kwargs):
-            if self.name == "tree" and self.num_rows < full:
+        def failing(self):
+            if self._lp.name == "tree" and self._lp.num_rows < full:
                 failed.append(self)
-                return lp_module.LpSolution(status, message="stalled")
-            return solve(self, *args, **kwargs)
+                self.status, self.message = status, "stalled"
+                return None
+            return run(self)
 
-        monkeypatch.setattr(lp_module.LinearProgram, "solve", failing)
+        monkeypatch.setattr(lp_module.HighsSession, "run", failing)
         with pytest.raises(RuntimeError, match=rf"^subtree 1 solve ended {message}$"):
             check_time_consistency(problem, pol)
         assert rebuilt == [0, 1] and len(failed) == 1
@@ -1053,10 +1054,10 @@ def test_checks_give_the_same_bits_on_any_core_count(monkeypatch):
             return WorstCaseResult("infeasible")
         return node_worst_case(problem, s, dist, template)
 
-    def failing_solve(problem, big, xvar, label):
+    def failing_solve(problem, big, xvar, label, **kwargs):
         if label in ("subtree 2", "subtree 5"):
             raise RuntimeError(f"{label} solve ended failed: stalled")
-        return solve_big(problem, big, xvar, label)
+        return solve_big(problem, big, xvar, label, **kwargs)
 
     for cores in (1, 4):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
@@ -1916,11 +1917,11 @@ def test_stacked_answers_are_dropped_once_spliced(monkeypatch):
     monkeypatch.setattr(multistage_module, "dualize", dualize_spy)
     monkeypatch.setattr(multistage_module, "_splice_dual_blocks", splice_spy)
     _, _, blocks = _assemble_holistic(problem)
-    # one base for the shape, and the three nodes' answers on one stack,
-    # which is dropped once dualized, before the splice
+    # one base for the shape, and the three nodes' answers stacked in one
+    # call, dropped once dualized, before the splice
     assert len(bases) == 1
-    assert len(stacks) == 3 and len({key for key, _ in stacks}) == 1
-    assert at_splice == [[False] * 3]
+    assert len(stacks) == 1
+    assert at_splice == [[False]]
     # the base's dual and the stack's are dropped once spliced
     assert len(duals) == 2 and all(ref() is None for ref in duals)
     assert len(blocks) == 3
@@ -1946,3 +1947,113 @@ def test_assembly_dualizes_each_shape_once_and_its_stacked_answers_once(monkeypa
     # template is dualized once, a questionnaire shape's stacked answers once
     assert (balls, len(shapes) - balls, len(tree.nonleaf_ids())) == (2, 4, 13)
     assert calls == ["worst-case"] * 6 + ["answers"] * 4
+
+
+# ------------------------------------------------------------- priced solves
+
+def _tree_sessions(monkeypatch):
+    """Every HiGHS session that runs a tree-wide LP, in order of first run."""
+    sessions, run = [], lp_module.HighsSession.run
+
+    def spy(self):
+        if self._lp.name == "tree" and self not in sessions:
+            sessions.append(self)
+        return run(self)
+
+    monkeypatch.setattr(lp_module.HighsSession, "run", spy)
+    return sessions
+
+
+def _asked_problem():
+    """pro_pc with 20 answers per node on the (3, 3) tree of seed 11."""
+    config = experiment.ExperimentConfig(branching=(3, 3), model="pro_pc", questionnaires=20,
+                                         seeds=(0,), tree_seed=11)
+    tree = experiment.generate_tree(config.branching, config.tree_seed)
+    return experiment.build_investment_consumption(tree, config)
+
+
+def test_answer_columns_are_priced_in_and_the_rest_load_in_full(monkeypatch):
+    problem = _asked_problem()
+    answers = multistage_module._answer_columns(_assemble_holistic(problem)[2])
+    sessions = _tree_sessions(monkeypatch)
+    solve_holistic(problem)
+    [session] = sessions
+    # some answers enter, not all, over more than one HiGHS run
+    loaded = np.isin(answers, session.cols).sum()
+    assert 0 < loaded < answers.size
+    assert session.runs > 1 and session.iterations > 0
+    # a tree without answers loads every column and runs once
+    sessions.clear()
+    solve_holistic(random_ball_problem(np.random.default_rng(3))[0])
+    [session] = sessions
+    assert session.cols is None and session.runs == 1
+
+
+def test_a_priced_solve_stopped_early_is_refused(monkeypatch):
+    problem = _asked_problem()
+    # nothing prices in after the first run, so binding answers stay out; x
+    # is still feasible and the restricted duals close the gap
+    monkeypatch.setattr(lp_module.HighsSession, "reduced_costs",
+                        lambda self, cols: np.zeros(cols.size))
+    with pytest.raises(RuntimeError,
+                       match=r"^holistic solve: column n\d+\.y_pc\[\d+\] has reduced cost "):
+        solve_holistic(problem)
+
+
+def test_answers_that_alone_empty_a_set_are_named(monkeypatch):
+    tree = balanced_tree([2, 2])
+    y = uniform_grid(0.0, 1.0, 5)
+    bounds = {s: (np.zeros(1), np.ones(1)) for s in tree.nonleaf_ids()}
+    rewards = {n.id: (np.array([0.8]), 0.1) for n in tree.nodes if n.parent is not None}
+    sane = elicit_pairwise(ClosedFormUtility.quadratic(), K=10, grid=y, seed=1)
+    # node 1 prefers the sure worst outcome to the sure best
+    worst, best = DiscreteLottery((0.0,), (1.0,)), DiscreteLottery((1.0,), (1.0,))
+    backwards = PairwiseComparisonSpec([(worst, best, 1)], L=sane.L, L_tilde=sane.L_tilde)
+    problem = MultistageProblem(tree, bounds, rewards,
+                                StateDependentAmbiguity({0: sane, 1: backwards, 2: sane}), y)
+    sessions = _tree_sessions(monkeypatch)
+    with pytest.raises(InfeasibleProblemError, match="^ambiguity set at node 1 is empty$") as err:
+        solve_holistic(problem)
+    assert err.value.node == 1
+    # without its answer the set is not empty: the first run ends optimal,
+    # and the tree LP turns unbounded only once that answer prices in
+    [session] = sessions
+    assert session.runs == 2 and session.status is LpStatus.UNBOUNDED
+
+
+@st.composite
+def priced_problems(draw):
+    """A 2- or 3-stage tree of branching 1 to 3 whose nodes carry, drawn node
+    by node, a Kantorovich ball or the shared questionnaire of
+    :func:`_mixed_problem` of 20 or 60 answers; every node asks in half the
+    draws."""
+    branching = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    n_nonleaf = sum(int(np.prod(branching[:t])) for t in range(len(branching)))
+    asked = set(range(n_nonleaf))
+    if draw(st.booleans()):
+        flags = draw(st.lists(st.booleans(), min_size=n_nonleaf, max_size=n_nonleaf))
+        asked = {s for s, a in enumerate(flags) if a}
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return _mixed_problem(rng, branching, asked, draw(st.sampled_from([0.01, 0.05])),
+                          K=draw(st.sampled_from([20, 60])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(priced_problems())
+def test_the_priced_solve_answers_as_the_whole_tree_lp(problem):
+    pol = solve_holistic(problem)
+    big, xvar, blocks = _assemble_holistic(problem)
+    whole = big.solve(presolve=False)
+    assert whole.is_optimal
+    ref = multistage_module._holistic_policy(problem, big, blocks, whole,
+                                             {s: whole.x[xvar[s]] for s in xvar})
+    assert abs(pol.value - whole.objective) <= 1e-9 * (1.0 + abs(whole.objective))
+    for s in xvar:
+        assert np.max(np.abs(pol.decisions[s] - ref.decisions[s]), initial=0.0) <= 1e-9
+    for s, nv in ref.per_node.items():
+        assert abs(pol.per_node[s].value - nv.value) <= 1e-9
+        # a node may have more than one worst-case utility, whose values
+        # differ between its outcomes: the one read back must attain the
+        # node's worst case
+        dist = multistage_module._node_outcomes(problem, s, pol.decisions)
+        assert abs(dist.expectation(pol.per_node[s].utility) - nv.value) <= 1e-9

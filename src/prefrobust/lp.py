@@ -21,14 +21,17 @@ solved (see ``multistage._priced_solve``).  HiGHS handles free variables
 and equality rows natively and is bit-stable for a fixed input.
 
 :meth:`LinearProgram.solve` reads back ``x``, row duals and the dual
-objective (:meth:`HighsSession.answer`).  Reward certification asks for
-many optimal values over one fixed polytope, and nothing else of each
-solve: :class:`HighsSession` keeps that program loaded, and
-:meth:`HighsSession.minimum` pushes the changed costs, re-runs dual simplex
-from the last basis and returns the optimal value only.  Both paths vet HiGHS's ``x`` with one post-solve check and
-classify the run in the session.  A warm run without a checked optimum is
-re-run once, cold, before the session answers ``None``; after an infeasible
-run the session names conflicting rows through HiGHS's IIS.  The loader's
+objective (:meth:`HighsSession.answer`).  The package no longer reads that
+dual objective itself: a tree-wide answer's certificate recomputes the gap
+from ``x`` and the duals (``multistage._pair_value``).  Reward
+certification asks for many optimal values over one fixed polytope, and
+nothing else of each solve: :class:`HighsSession` keeps that program
+loaded, and :meth:`HighsSession.minimum` pushes the changed costs, re-runs
+dual simplex from the last basis and returns the optimal value only.  Both
+paths vet HiGHS's ``x`` with one post-solve check and classify the run in
+the session.  A warm run without a checked optimum is re-run once, cold,
+before the session answers ``None``; after an infeasible run the session
+names conflicting rows through HiGHS's IIS.  The loader's
 row layout (:class:`RowLayout`) depends on the matrix and relations alone,
 so programs that differ only in costs and right-hand sides load from one.
 

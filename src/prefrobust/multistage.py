@@ -95,6 +95,10 @@ class NodeConstraint:
 
 @dataclass
 class NodeValue:
+    """A node's certified worst-case ``value`` and one ``utility`` attaining
+    it.  Where the node's outcomes leave grid values free, other utilities
+    attain it too, and which is read back depends on the simplex path."""
+
     stage: int
     value: float
     utility: object
@@ -102,12 +106,13 @@ class NodeValue:
 
 @dataclass
 class Policy:
-    """Decisions per non-leaf node plus the per-node worst-case breakdown.
+    """Decisions per non-leaf node plus the per-node worst cases (see
+    :class:`NodeValue`: a node's utility need not be unique).
 
-    A policy from :func:`solve_holistic` also keeps the :class:`LpSolution`
-    of its tree LP (``x`` and the row duals, not the LP), from which
-    :func:`check_time_consistency` certifies every subtree's optimum and
-    every node's worst case under ``decisions``."""
+    A policy from :func:`solve_holistic` also keeps its tree solve's
+    certificate record (see :func:`_certificate_data`), not the LP, from
+    which :func:`check_time_consistency` certifies every subtree's optimum
+    and every node's worst case under ``decisions``."""
 
     decisions: dict
     value: float
@@ -462,56 +467,38 @@ def _row_violations(ax, rels, rhs):
     return np.where(rels == "<=", ax - rhs, np.where(rels == ">=", rhs - ax, np.abs(ax - rhs)))
 
 
-def _primal_residual(lp, x):
-    """Largest violation of a row or a bound of ``lp`` by ``x`` (NaN if ``x``
-    holds a NaN)."""
-    rows = _row_violations(lp.row_matrix() @ x, lp.relations, lp.rhs)
-    return float(np.max(np.concatenate([rows, lp.lower - x, x - lp.upper]), initial=0.0))
-
-
-def _certified(big, sol, xvar, label, priced):
-    """Check an optimal solve of a tree-wide LP: its duality gap, the
-    largest row or bound violation of its ``x``, and the reduced costs of
-    the columns ``priced`` (see :func:`_priced_solve`), from its row duals
-    and the whole LP.  Returns it with the decisions read back."""
-    gap = abs(sol.objective - sol.dual_objective)
-    if gap > _GAP_TOL * (1.0 + abs(sol.objective)):
-        raise RuntimeError(
-            f"{label} solve: primal objective {sol.objective!r} and dual objective "
-            f"{sol.dual_objective!r} differ by {gap:.3g}")
-    residual = _primal_residual(big, sol.x)
-    if not residual <= _RESIDUAL_TOL:
-        raise RuntimeError(f"{label} solve: x violates a row or bound by {residual:.3g}")
-    if priced.size:
-        # each has lower bound 0 and no upper one: a maximization is
-        # optimal only if none has a positive reduced cost
-        reduced = big.objective[priced] - (big.row_matrix().T @ sol.duals)[priced]
-        worst = int(np.argmax(reduced))
-        if not reduced[worst] <= _RESIDUAL_TOL:
-            raise RuntimeError(f"{label} solve: column {big.var_name(priced[worst])} has "
-                               f"reduced cost {reduced[worst]:.3g} > 0")
-    decisions = {s: sol.x[xvar[s]] for s in xvar}
-    return sol, decisions
-
-
-def _solve_big(problem, big, xvar, label, holistic=True, priced=()):
-    """Solve a tree-wide LP, the columns ``priced`` priced in (see
-    :func:`_priced_solve`), certify it and read back decisions.  Holistic
-    tree LPs run without HiGHS's presolve, which costs more time on them
-    than it saves, and those of trees with a Kantorovich ball at every node
-    are priced with Devex, whose iterations take about half the time of
-    HiGHS's default dual steepest edge there (on questionnaire trees Devex
-    needs more iterations and loses).  :func:`solve_nominal`'s LP keeps
-    linprog's options."""
+def _solve_big(problem, big, xvar, label, blocks=None):
+    """Solve a tree-wide LP and return its certificate record (see
+    :func:`_certificate_data`) with its ``value``, once :func:`_pair_value`,
+    the rule of every subtree and node certificate too, accepts it against
+    the whole LP; a refusal raises ``"{label} solve: "`` and why.  A
+    holistic tree LP comes with its node ``blocks``, whose answer columns are
+    priced in (see :func:`_priced_solve`).  It runs without HiGHS's
+    presolve, which costs more time than it saves there, and, if every node
+    has a Kantorovich ball, with Devex pricing, whose iterations take about
+    half the time of HiGHS's default dual steepest edge there (on
+    questionnaire trees it loses).  The nominal LP keeps linprog's options."""
+    holistic = blocks is not None
     balls = holistic and all(isinstance(problem.ambiguity.for_node(s), KantorovichBallSpec)
                              for s in problem.tree.nonleaf_ids())
-    priced = np.asarray(priced, dtype=np.int64)
+    priced = _answer_columns(blocks) if holistic else np.empty(0, dtype=np.int64)
     sol = _priced_solve(big, priced, presolve=not holistic, devex=balls)
     if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
         _diagnose_and_raise(problem, f"{label} solve ended {sol.status.value}")
     if not sol.is_optimal:
         raise RuntimeError(f"{label} solve ended {sol.status.value}: {sol.message}")
-    return _certified(big, sol, xvar, label, priced)
+    # Keep copies: the arrays read back from HiGHS sit among the solver's
+    # freed blocks, and holding those raised the peak RSS of solving the
+    # 341-node tree's LPs one after another by ~6 MB.
+    kept = _certificate_data(big, sol.x.copy(), sol.duals.copy(), problem=problem, xvar=xvar,
+                             blocks=blocks)
+    cost = big.objective
+    kept.value, why = _pair_value(kept.sense, cost, kept.x, kept.lower, kept.upper, kept.rows,
+                                  kept.y, kept.rels, kept.rhs, cost - kept.aty,
+                                  big.row_name, big.var_name)
+    if why is not None:
+        raise RuntimeError(f"{label} solve: {why}")
+    return kept
 
 
 def _priced_solve(big, priced, **options):
@@ -523,8 +510,8 @@ def _priced_solve(big, priced, **options):
     and HiGHS re-runs warm, until none prices in (column generation;
     Dantzig and Wolfe, Oper. Res. 8(1), 1960).  Returns the
     :class:`LpSolution` of the whole LP, or of the first run that ends
-    without an optimum.  Columns never loaded read 0, and :func:`_certified`
-    checks their reduced costs on the whole LP.
+    without an optimum.  Columns never loaded read 0; :func:`_solve_big`'s
+    certificate holds their reduced costs to their bounds ``[0, inf)``.
 
     Each answer row of a node's one-stage LP is one such column, and few
     bind: on a 5^3 tree with 200 answers per node, 173 of 6,178 were
@@ -556,10 +543,11 @@ def solve_holistic(problem):
     return _solve_holistic(problem)
 
 
-def _solve_holistic(problem):
+def _solve_holistic(problem, label="holistic"):
+    """The policy of a certified solve of ``problem``'s tree LP, which
+    keeps the solve's certificate record; a failed solve names ``label``."""
     big, xvar, blocks = _assemble_holistic(problem)
-    sol, decisions = _solve_big(problem, big, xvar, "holistic", priced=_answer_columns(blocks))
-    return _holistic_policy(problem, big, blocks, sol, decisions)
+    return _holistic_policy(problem, big, _solve_big(problem, big, xvar, label, blocks=blocks))
 
 
 def _template_key(spec, n_children):
@@ -676,23 +664,20 @@ def _answer_columns(blocks):
                           + [nb.answers for nb in blocks.values()])
 
 
-def _holistic_policy(problem, big, blocks, sol, decisions):
-    """Policy read back from a certified solve of an assembled tree LP: each
-    node's value from its block's costs, its worst-case utility from the
-    marginals of its alpha rows."""
+def _holistic_policy(problem, big, kept):
+    """Policy read back from the certificate record ``kept`` of a solve of
+    the assembled tree LP ``big`` (see :func:`_solve_big`), which it keeps:
+    each node's value from its block's costs, its worst-case utility from
+    the marginals of its alpha rows."""
     obj = big.objective
     per_node = {}
-    for s, nb in blocks.items():
-        val = float(np.dot(obj[nb.cols], sol.x[nb.cols])) / nb.prob
-        alpha = sol.duals[nb.rows[nb.alpha]] / nb.prob
+    for s, nb in kept.blocks.items():
+        val = float(np.dot(obj[nb.cols], kept.x[nb.cols])) / nb.prob
+        alpha = kept.y[nb.rows[nb.alpha]] / nb.prob
         per_node[s] = NodeValue(
             problem.tree.nodes[s].stage, val, _utility_from_marginals(problem.grid, alpha, s))
-    # Keep copies: the arrays read back from HiGHS sit among the solver's
-    # freed blocks, and holding those raised the peak RSS of solving the
-    # 341-node tree's LPs one after another by ~6 MB.
-    kept = LpSolution(sol.status, sol.objective, sol.x.copy(), sol.duals.copy(),
-                      sol.dual_objective, sol.message)
-    return Policy(decisions, float(sol.objective), per_node, kept)
+    decisions = {s: kept.x[cols] for s, cols in kept.xvar.items()}
+    return Policy(decisions, kept.value, per_node, kept)
 
 
 # ------------------------------------------------------------------ nominal
@@ -740,7 +725,8 @@ def solve_nominal(problem, utilities):
         names += [f"hyp[{node.id},{j}]" for j in range(beta.size)]
     big.add_rows(np.cumsum([0, *widths]), cols, coefs, "<=", rhs, names)
 
-    sol, decisions = _solve_big(problem, big, xvar, "nominal", holistic=False)
+    kept = _solve_big(problem, big, xvar, "nominal")
+    decisions = {s: kept.x[cols] for s, cols in xvar.items()}
     per_node = {}
     for s in tree.nonleaf_ids():
         kids = tree.children[s]
@@ -751,7 +737,7 @@ def solve_nominal(problem, utilities):
         ])
         per_node[s] = NodeValue(
             tree.nodes[s].stage, float(np.dot(probs, util[s](h))), util[s])
-    return Policy(decisions, float(sol.objective), per_node)
+    return Policy(decisions, kept.value, per_node)
 
 
 # --------------------------------------------------------------- evaluation
@@ -1052,12 +1038,13 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     fails.  With the parent decision folded into its root rows, a subtree's
     columns meet only its own rows of the tree LP, so an optimal solve of
     the tree LP cut down to the subtree is a primal-dual pair of the
-    subtree's LP.  The tree LP is assembled once; its solve is the policy's
-    own when :func:`solve_holistic` made the policy, else it is solved once
-    here.  :func:`_subtree_certificate` checks each subtree's cut of it.  A
-    refused subtree is rebuilt by :func:`subtree_problem`, and its LP
-    assembled, solved and certified like the tree LP; one that does not
-    solve to optimality raises, naming its subtree's root.
+    subtree's LP.  The tree solve is the certificate record the policy keeps
+    if it is of ``problem`` itself (the same object), as one from
+    :func:`solve_holistic` is, and the tree LP is not assembled again; else
+    the tree LP is solved once here.  :func:`_subtree_certificate` checks
+    each subtree's cut of it.  A refused subtree is rebuilt by
+    :func:`subtree_problem`, and its LP solved and certified like the tree
+    LP; one whose solve fails or is refused raises, naming its root.
 
     The node worst cases are certified the same way, from the policy's own
     tree solve only: with the plan fixed, a node's block of the tree LP is
@@ -1065,9 +1052,9 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     and columns are a primal-dual pair of it.  :func:`_node_certificate`
     checks that pair against the node's LP built on its own, from one
     template per shape.  A refused node, and every node of a policy that
-    keeps no tree solve, is solved cold (see :func:`_nested_worst_cases`).
-    A tree solve made here is never such a certificate: its decisions are
-    not the plan's.
+    keeps no tree solve of ``problem``, is solved cold (see
+    :func:`_nested_worst_cases`).  A tree solve made here is never such a
+    certificate: its decisions are not the plan's.
 
     ``subtree_solver`` replaces the tree solve and the subtree certificates
     and re-solves (required for ambiguity types they do not cover): it
@@ -1082,27 +1069,21 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     run on the calling thread in node order, and the first failing one
     raises.
     """
-    tree = problem.tree
-    decisions = policy.decisions
+    tree, decisions = problem.tree, policy.decisions
     _check_decisions(problem, decisions)
-    if subtree_solver is not None or policy._tree_solve is None:
-        wc = _nested_worst_cases(problem, decisions)
-        if subtree_solver is None:
-            assembled = _assemble_holistic(problem)
-            tree_solve = _solve_big(problem, assembled[0], assembled[1], "subtree 0",
-                                    priced=_answer_columns(assembled[2]))[0]
-            kept = _certificate_data(assembled[0], tree_solve)
-    else:
+    kept, wc = policy._tree_solve, {}
+    own = subtree_solver is None and kept is not None and kept.problem is problem
+    if own:
         dists = {s: _checked_outcomes(problem, s, decisions) for s in tree.nonleaf_ids()}
-        assembled = _assemble_holistic(problem)
-        kept = _certificate_data(assembled[0], policy._tree_solve)
-        keys, templates, wc = _node_keys(problem, dists), {}, {}
+        keys, templates = _node_keys(problem, dists), {}
         for s, dist in dists.items():
             if keys[s] not in templates:
                 templates[keys[s]] = _node_template(problem, s)
-            wc[s] = _node_certificate(problem, s, dist, templates[keys[s]], assembled[2][s],
-                                      kept)
-        wc.update(_nested_worst_cases(problem, decisions, [s for s in wc if wc[s] is None]))
+            wc[s] = _node_certificate(problem, s, dist, templates[keys[s]], kept)
+    wc.update(_nested_worst_cases(
+        problem, decisions, [s for s in tree.nonleaf_ids() if wc.get(s) is None]))
+    if subtree_solver is None and not own:
+        kept = _solve_holistic(problem, "subtree 0")._tree_solve
 
     def entry(s):
         order = tree.descendants(s)
@@ -1117,13 +1098,10 @@ def check_time_consistency(problem, policy, subtree_solver=None):
         if subtree_solver is not None:
             local = float(subtree_solver(subtree_problem(problem, s, decisions)[0]).value)
         else:
-            local = _subtree_certificate(problem, assembled, kept, order, pu, decisions)
+            local = _subtree_certificate(problem, kept, order, pu, decisions)
             if local is None:
-                sub = subtree_problem(problem, s, decisions)[0]
-                lp, xvar, blocks = _assemble_holistic(sub)
-                sol, dec = _solve_big(sub, lp, xvar, f"subtree {s}",
-                                      priced=_answer_columns(blocks))
-                local = _holistic_policy(sub, lp, blocks, sol, dec).value
+                local = _solve_holistic(subtree_problem(problem, s, decisions)[0],
+                                        f"subtree {s}").value
         achieved = float(achieved)
         return TimeConsistencyEntry(s, tree.nodes[s].stage, local, achieved, local - achieved)
 
@@ -1141,12 +1119,15 @@ def _checked_outcomes(problem, s, decisions):
     return dist
 
 
-def _pair_value(sense, cost, x, lower, upper, off, y, rels, rhs, reduced):
-    """The value ``cost'x`` of the candidate primal point ``x`` of an LP of
-    sense ``sense`` with the candidate row duals ``y``, or ``None`` unless
-    the pair passes three checks.  ``off`` is each row's violation by ``x``
-    (see :func:`_row_violations`), ``reduced`` the reduced costs
-    ``cost - A'y``, and ``rels``, ``rhs``, ``lower`` and ``upper`` the LP's.
+def _pair_value(sense, cost, x, lower, upper, off, y, rels, rhs, reduced,
+                row_name=str, var_name=str):
+    """``(cost'x, None)`` if the candidate primal point ``x`` of an LP of
+    sense ``sense`` and the candidate row duals ``y`` pass three checks,
+    else ``(None, why)``: the check failed and the row or column (named by
+    ``row_name`` or ``var_name``) where it fails worst.  ``off`` is each
+    row's violation by ``x`` (see :func:`_row_violations`), ``reduced`` the
+    reduced costs ``cost - A'y``, and ``rels``, ``rhs``, ``lower`` and
+    ``upper`` the LP's.
 
     * ``x`` meets the rows and bounds within ``_RESIDUAL_TOL``;
     * the duals have their relations' signs, and no reduced cost points past
@@ -1157,40 +1138,57 @@ def _pair_value(sense, cost, x, lower, upper, off, y, rels, rhs, reduced):
     * the primal and dual values differ by at most ``_GAP_TOL * (1 + |value|)``.
       The dual value is ``b'y`` plus each column's reduced cost times the
       bound it prices (``x`` where that bound is infinite): by weak duality,
-      a bound on the optimum.
+      a bound on the optimum.  The gap sums ``y_i (a_i x - b_i)`` and
+      ``r_j (x_j - priced_j)``; its largest term is named.
     """
+    m = off.size
+
+    def where(k):  # k indexes the rows, then the columns, repeated
+        return f"row {row_name(k)}" if k < m else f"column {var_name((k - m) % x.size)}"
+
     sign = 1.0 if sense == "max" else -1.0
-    primal = np.max(np.concatenate([off, lower - x, x - upper]), initial=0.0)
-    signs = sign * np.where(rels == "<=", -y, np.where(rels == ">=", y, 0.0))
-    dual = np.max(np.concatenate([signs, sign * reduced[upper == math.inf],
-                                  -sign * reduced[lower == -math.inf]]), initial=0.0)
+    primal = np.concatenate([off, lower - x, x - upper])
+    worst = np.max(primal, initial=0.0)
+    if not worst <= _RESIDUAL_TOL:
+        return None, f"x violates a row or bound by {worst:.3g} at {where(np.argmax(primal))}"
+    dual = np.concatenate([sign * np.where(rels == "<=", -y, np.where(rels == ">=", y, 0.0)),
+                           np.where(upper == math.inf, sign * reduced, -math.inf),
+                           np.where(lower == -math.inf, -sign * reduced, -math.inf)])
+    worst = np.max(dual, initial=0.0)
+    if not worst <= _RESIDUAL_TOL:
+        k = int(np.argmax(dual))
+        if k < m:
+            return None, f"row {row_name(k)} ({rels[k]}) has dual {y[k]:.3g} of the wrong sign"
+        r = reduced[(k - m) % x.size]
+        return None, f"{where(k)} has reduced cost {r:.3g} {'>' if r > 0 else '<'} 0"
     value = float(cost @ x)
     priced = np.where(sign * reduced > 0.0, upper, lower)
-    dual_value = float(rhs @ y) + float(reduced @ np.where(np.isfinite(priced), priced, x))
-    if (primal <= _RESIDUAL_TOL and dual <= _RESIDUAL_TOL
-            and abs(value - dual_value) <= _GAP_TOL * (1.0 + abs(value))):
-        return value
-    return None
+    priced = np.where(np.isfinite(priced), priced, x)
+    dual_value = float(rhs @ y) + float(reduced @ priced)
+    gap = abs(value - dual_value)
+    if not gap <= _GAP_TOL * (1.0 + abs(value)):
+        terms = np.abs(np.concatenate([y * off, reduced * (x - priced)]))
+        return None, (f"primal objective {value!r} and dual objective {dual_value!r} differ "
+                      f"by {gap:.3g}, most at {where(np.argmax(terms))}")
+    return value, None
 
 
-def _certificate_data(big, sol):
-    """What every certificate reads of the solve ``sol`` of the tree LP
-    ``big``, computed once for the whole tree: ``x``, the row duals ``y``,
+def _certificate_data(big, x, y, **record):
+    """The certificate record of the solve ``x``, ``y`` (row duals) of the
+    tree LP ``big``: what every certificate reads of it (``x``, ``y``,
     ``A'y``, each row's violation by ``x``, and the LP's sense, rhs,
-    relations and bounds.  ``None`` if ``sol`` does not fit ``big``."""
-    x, y = sol.x, sol.duals
-    if np.shape(x) != (big.num_vars,) or np.shape(y) != (big.num_rows,):
-        return None
+    relations and bounds), plus ``record``: a tree solve's ``problem``,
+    decision columns ``xvar`` and node ``blocks``."""
     mat, rels, rhs = big.row_matrix(), big.relations, big.rhs
     return SimpleNamespace(
         x=x, y=y, aty=mat.T @ y, sense=big.sense, rhs=rhs, rels=rels, lower=big.lower,
-        upper=big.upper, rows=_row_violations(mat @ x, rels, rhs))
+        upper=big.upper, rows=_row_violations(mat @ x, rels, rhs), **record)
 
 
-def _node_certificate(problem, s, dist, template, nb, kept):
+def _node_certificate(problem, s, dist, template, kept):
     """Node ``s``'s one-stage worst case under the outcomes ``dist``, from
-    its block ``nb`` of the tree solve ``kept`` (see
-    :func:`_certificate_data`), or ``None`` if the pair is refused.
+    its block of the tree solve ``kept`` (see :func:`_certificate_data`),
+    or ``None`` if the pair is refused.
 
     The block's row duals divided by its node's probability are a candidate
     utility (a primal point of the node's LP) and its columns a candidate
@@ -1198,18 +1196,16 @@ def _node_certificate(problem, s, dist, template, nb, kept):
     LP, ``template`` stamped with ``dist``: a :func:`node_primal` built on
     its own, not the tree LP's rows, so the check does not rest on
     :func:`dualize`."""
-    if kept is None:
-        return None
-    lp = template.lp
+    lp, nb = template.lp, kept.blocks[s]
     cost, rhs = template.stamped(dist.support, dist.probs, problem.ambiguity.for_node(s),
                                  problem.grid)
     mat, rels = lp.row_matrix(), lp.relations
     u, w = kept.y[nb.rows] / nb.prob, kept.x[nb.cols]
     return _pair_value(lp.sense, cost, u, lp.lower, lp.upper,
-                       _row_violations(mat @ u, rels, rhs), w, rels, rhs, cost - mat.T @ w)
+                       _row_violations(mat @ u, rels, rhs), w, rels, rhs, cost - mat.T @ w)[0]
 
 
-def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
+def _subtree_certificate(problem, kept, order, pu, decisions):
     """The optimal value of the LP that :func:`subtree_problem` and
     :func:`_assemble_holistic` build for the subtree ``order``, from the
     tree solve ``kept`` (see :func:`_certificate_data`).
@@ -1223,9 +1219,7 @@ def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
     duals rescaled to those costs, gives its value, if :func:`_pair_value`
     accepts the pair (root rows folded); else ``None``.
     """
-    if kept is None:
-        return None
-    _, xvar, blocks = assembled
+    xvar, blocks = kept.xvar, kept.blocks
     s, inside = order[0], set(order)
     scale = blocks[s].prob  # the tree LP's costs are the subtree LP's times this
     nodes = [n for n in order if n in blocks]
@@ -1246,4 +1240,4 @@ def _subtree_certificate(problem, assembled, kept, order, pu, decisions):
                for p in folded]
         off[folded] = _row_violations(np.array(lhs), rels[folded], rhs[folded])
     return _pair_value(kept.sense, cost, kept.x[cols], kept.lower[cols], kept.upper[cols], off,
-                       kept.y[rows] / scale, rels, rhs, cost - kept.aty[cols] / scale)
+                       kept.y[rows] / scale, rels, rhs, cost - kept.aty[cols] / scale)[0]

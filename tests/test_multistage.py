@@ -658,11 +658,10 @@ def test_noisy_marginals_name_their_node(monkeypatch):
     problem, _ = random_ball_problem(np.random.default_rng(5), branching=(2, 2))
     real = multistage_module._holistic_policy
 
-    def noisy(problem, big, blocks, sol, decisions):
-        nb = blocks[2]
-        sol.duals = sol.duals.copy()
-        sol.duals[nb.rows[nb.alpha[1]]] = -0.25 * nb.prob
-        return real(problem, big, blocks, sol, decisions)
+    def noisy(problem, big, kept):
+        nb = kept.blocks[2]
+        kept.y[nb.rows[nb.alpha[1]]] = -0.25 * nb.prob
+        return real(problem, big, kept)
 
     monkeypatch.setattr(multistage_module, "_holistic_policy", noisy)
     with pytest.raises(RuntimeError,
@@ -813,6 +812,12 @@ def test_tree_refuses_siblings_the_nested_evaluation_would_refuse():
 
 @pytest.mark.parametrize("shift, fails", [(1e-5, True), (1e-9, False)])
 def test_big_solves_check_the_duality_gap(monkeypatch, shift, fails):
+    # raising the dual of node 1's carry-over row con1[1] (<=, in a
+    # maximization) keeps its sign, and the row meets only decision columns,
+    # whose bounds are finite: x stays, every sign holds, and only the gap
+    # moves, by the shift times the row's slack at the bounds its columns
+    # are priced at, which the shift moves for a column at a bound with
+    # reduced cost 0
     rng = np.random.default_rng(3)
     problem, spec = random_ball_problem(rng, radius=0.05)
     answer = lp_module.HighsSession.answer
@@ -820,14 +825,16 @@ def test_big_solves_check_the_duality_gap(monkeypatch, shift, fails):
     def perturbed(self, *args, **kwargs):
         sol = answer(self, *args, **kwargs)
         if self._lp.name in ("tree", "nominal"):
-            sol.dual_objective += shift
+            assert self._lp.row_name(1) == "con1[1]"
+            sol.duals[1] += shift
         return sol
 
     monkeypatch.setattr(lp_module.HighsSession, "answer", perturbed)
-    for run in (lambda: solve_holistic(problem),
-                lambda: solve_nominal(problem, spec.nominal)):
+    for label, run in (("holistic", lambda: solve_holistic(problem)),
+                       ("nominal", lambda: solve_nominal(problem, spec.nominal))):
         if fails:
-            with pytest.raises(RuntimeError, match="dual objective"):
+            with pytest.raises(RuntimeError, match=rf"^{label} solve: primal objective \S+ and "
+                                                   rf"dual objective \S+ differ by "):
                 run()
         else:
             run()
@@ -1130,12 +1137,16 @@ def test_one_pass_check_equals_the_subtree_rebuilds(problem):
     assert abs(pol.value - evaluate_policy_worst_case(problem, pol.decisions)) <= 1e-6
 
 
-def _with_kept_solve(pol, x=None, duals=None):
-    """``pol`` with its kept tree solve's ``x`` or row duals replaced."""
-    sol = pol._tree_solve
-    kept = lp_module.LpSolution(sol.status, sol.objective, sol.x if x is None else x,
-                                sol.duals if duals is None else duals, sol.dual_objective)
-    return Policy(pol.decisions, pol.value, pol.per_node, kept)
+def _with_kept_solve(pol, x=None, duals=None, decisions=None):
+    """``pol`` with its kept tree solve's ``x`` or row duals replaced (its
+    certificate record computed anew from them), or its decisions."""
+    kept = pol._tree_solve
+    record = multistage_module._certificate_data(
+        _assemble_holistic(kept.problem)[0], kept.x if x is None else x,
+        kept.y if duals is None else duals, problem=kept.problem, xvar=kept.xvar,
+        blocks=kept.blocks, value=kept.value)
+    return Policy(pol.decisions if decisions is None else decisions, pol.value, pol.per_node,
+                  record)
 
 
 def test_a_tampered_tree_solve_is_refused_where_it_was_tampered(monkeypatch):
@@ -1158,14 +1169,14 @@ def test_a_tampered_tree_solve_is_refused_where_it_was_tampered(monkeypatch):
     big, xvar, blocks = _assemble_holistic(problem)
     sol, nb = pol._tree_solve, blocks[4]
     rels = np.asarray(big.relations)[nb.rows]
-    row = nb.rows[np.argmax(np.where(rels != "=", np.abs(sol.duals[nb.rows]), 0.0))]
-    assert abs(sol.duals[row]) > 1e-3
-    duals = sol.duals.copy()
+    row = nb.rows[np.argmax(np.where(rels != "=", np.abs(sol.y[nb.rows]), 0.0))]
+    assert abs(sol.y[row]) > 1e-3
+    duals = sol.y.copy()
     duals[row] = -duals[row]
     x, decided = sol.x.copy(), sol.x.copy()
     x[nb.cols[np.argmax(np.abs(big.objective[nb.cols]))]] += 1e-3
     decided[xvar[4]] += 1e-3
-    raised = sol.duals.copy()
+    raised = sol.y.copy()
     raised[[k for k, con in enumerate(problem.constraints) if con.node == 4]] += 0.5
     tampered = [_with_kept_solve(pol, duals=duals), _with_kept_solve(pol, x=x),
                 _with_kept_solve(pol, x=decided), _with_kept_solve(pol, duals=raised)]
@@ -1186,9 +1197,11 @@ def test_a_tampered_tree_solve_is_refused_where_it_was_tampered(monkeypatch):
             (cold if nodes else certified_nodes)[4])
         _assert_close_to_reference(got, resolved)
 
-    # a solve of the same tree at another radius is certified only where it
-    # holds: each node's block prices its budget at the other radius
-    other = solve_holistic(build(0.2))
+    # a solve of the same tree at another radius, put in this policy's
+    # record, is certified only where it holds: each node's block prices its
+    # budget at the other radius
+    far = solve_holistic(build(0.2))
+    other = _with_kept_solve(pol, far._tree_solve.x, far._tree_solve.y, far.decisions)
     # and so is the policy's own solve under another feasible plan: a node
     # whose decision moved no longer faces the outcomes its block priced
     plan = Policy(other.decisions, pol.value, pol.per_node, pol._tree_solve)
@@ -1207,6 +1220,60 @@ def test_a_tampered_tree_solve_is_refused_where_it_was_tampered(monkeypatch):
         _assert_close_to_reference(got, resolved)
 
 
+@pytest.mark.parametrize("kind", ["holistic", "nominal", "subtree"])
+def test_a_tree_solve_with_a_wrong_signed_row_dual_is_refused(monkeypatch, kind):
+    # flip the sign of the largest inequality dual HiGHS returns for a
+    # tree-wide LP: x and the dual objective HiGHS reports are untouched, so
+    # the primal residual and that gap still pass, but the row's dual has
+    # the wrong sign and the columns it meets are priced off by twice its
+    # share; the refusal names the row or one of those columns
+    problem, spec = random_ball_problem(np.random.default_rng(3), radius=0.05)
+    pol = solve_holistic(problem)
+    answer, flipped = lp_module.HighsSession.answer, []
+
+    def flipping(self, *args, **kwargs):
+        sol, lp = answer(self, *args, **kwargs), self._lp
+        if lp.name in ("tree", "nominal"):
+            k = int(np.argmax(np.where(lp.relations != "=", np.abs(sol.duals), 0.0)))
+            assert abs(sol.duals[k]) > 1e-3
+            sol.duals[k] = -sol.duals[k]
+            row = lp.row_matrix()[k]
+            flipped.append((lp.row_name(k), [lp.var_name(j) for j in row.indices]))
+        return sol
+
+    monkeypatch.setattr(lp_module.HighsSession, "answer", flipping)
+    if kind == "subtree":
+        # every subtree is rebuilt and solved, the whole tree first
+        _refuse_every_certificate(monkeypatch)
+    label, run = {"holistic": ("holistic", lambda: solve_holistic(problem)),
+                  "nominal": ("nominal", lambda: solve_nominal(problem, spec.nominal)),
+                  "subtree": ("subtree 0", lambda: check_time_consistency(problem, pol))}[kind]
+    with pytest.raises(RuntimeError, match=rf"^{label} solve: ") as err:
+        run()
+    [(row, cols)] = flipped
+    named = [f"row {row} (", *(f"column {c} has reduced cost " for c in cols)]
+    assert any(str(err.value).startswith(f"{label} solve: {n}") for n in named), str(err.value)
+
+
+def test_a_check_assembles_the_tree_lp_only_without_a_kept_solve_of_its_problem(monkeypatch):
+    problem = random_ball_problem(np.random.default_rng(11), (2, 2, 2), 0.05)[0]
+    pol = solve_holistic(problem)
+    assembled, real = [], multistage_module._assemble_holistic
+    monkeypatch.setattr(multistage_module, "_assemble_holistic",
+                        lambda p: (assembled.append(p), real(p))[1])
+    certified = _entries(check_time_consistency(problem, pol))
+    assert assembled == []
+    # a plan that keeps no tree solve, and a policy whose record is of another
+    # problem object (an equal one), are each checked with one tree solve
+    twin = MultistageProblem(problem.tree, problem.decision_bounds, problem.rewards,
+                             problem.ambiguity, problem.grid, problem.constraints)
+    for checked, plan in ((problem, Policy(pol.decisions, pol.value, {})), (twin, pol)):
+        assembled.clear()
+        entries = _entries(check_time_consistency(checked, plan))
+        assert assembled == [checked]
+        _assert_close_to_reference(entries, certified)
+
+
 def _spied_check(monkeypatch, problem, policy):
     """``check_time_consistency(problem, policy)``'s entries, with the roots
     of the subtrees whose certificates were refused, the roots of the
@@ -1216,8 +1283,8 @@ def _spied_check(monkeypatch, problem, policy):
     rebuild, nested = multistage_module.subtree_problem, multistage_module._nested_worst_cases
     refused, rebuilt, certified, cold = [], [], {}, []
 
-    def spy_subtree(problem, assembled, kept, order, *args):
-        value = subtree(problem, assembled, kept, order, *args)
+    def spy_subtree(problem, kept, order, *args):
+        value = subtree(problem, kept, order, *args)
         if value is None:
             refused.append(order[0])
         return value
@@ -2045,8 +2112,8 @@ def test_the_priced_solve_answers_as_the_whole_tree_lp(problem):
     big, xvar, blocks = _assemble_holistic(problem)
     whole = big.solve(presolve=False)
     assert whole.is_optimal
-    ref = multistage_module._holistic_policy(problem, big, blocks, whole,
-                                             {s: whole.x[xvar[s]] for s in xvar})
+    ref = multistage_module._holistic_policy(problem, big, multistage_module._certificate_data(
+        big, whole.x, whole.duals, xvar=xvar, blocks=blocks, value=whole.objective))
     assert abs(pol.value - whole.objective) <= 1e-9 * (1.0 + abs(whole.objective))
     for s in xvar:
         assert np.max(np.abs(pol.decisions[s] - ref.decisions[s]), initial=0.0) <= 1e-9

@@ -17,7 +17,8 @@ which takes fewer HiGHS seconds on them than its default dual steepest
 edge; on questionnaire trees it takes more.  A session can also load a
 program without some of its columns and add them as they price in
 (column generation), which is how the tree LP's answer columns are
-solved (see ``multistage._priced_solve``).  HiGHS handles free variables
+solved (see ``multistage._priced_solve``), and start from a given basis
+(``multistage._start_basis``).  HiGHS handles free variables
 and equality rows natively and is bit-stable for a fixed input.
 
 :meth:`LinearProgram.solve` reads back ``x``, row duals and the dual
@@ -51,6 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy._core import (
+    HighsBasis,
+    HighsBasisStatus,
     HighsIis,
     HighsModelStatus,
     HighsStatus,
@@ -329,9 +332,28 @@ _COLWISE, _MINIMIZE = int(MatrixFormat.kColwise), int(ObjSense.kMinimize)
 _DEVEX = int(simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex)
 # The slack linprog's own post-solve check allows: 10 * sqrt(its default tol 1e-9).
 _CHECK_TOL = 10 * math.sqrt(1e-9)
+# HiGHS's basis statuses (HighsBasisStatus) by their small-int codes
+_BASIS = {int(status): status for status in HighsBasisStatus.__members__.values()}
+LOWER, BASIC, UPPER, ZERO = (int(HighsBasisStatus.kLower), int(HighsBasisStatus.kBasic),
+                             int(HighsBasisStatus.kUpper), int(HighsBasisStatus.kZero))
 _STATUS = {HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
            HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
            HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED}
+
+
+def at_bound(lower, upper):
+    """The nonbasic status and value of columns with bounds ``lower`` and
+    ``upper``: at the lower bound (``LOWER``) where it is finite, else at
+    the upper one (``UPPER``) where that is, else free at 0 (``ZERO``)."""
+    low, up = lower > -math.inf, upper < math.inf
+    status = np.where(low, LOWER, np.where(up, UPPER, ZERO)).astype(np.int8)
+    return status, np.where(low, lower, np.where(up, upper, 0.0))
+
+
+def _vector(values):
+    """A solution vector read from HiGHS, which hands it over as a list, as
+    an array: faster than ``np.array``; read once per run."""
+    return np.fromiter(values, float, count=len(values))
 
 
 def _require_finite(lp, cost, rhs, mat):
@@ -400,14 +422,16 @@ class HighsSession:
         self.highs = self.solution = self._cost = self.status = None
         self.runs = self.iterations = 0
 
-    def load(self, cost, rhs=None, skip=()):
+    def load(self, cost, rhs=None, skip=(), basis=None):
         """Load the program into a fresh HiGHS instance, to minimize
         ``cost . x`` subject to its rows with the right-hand sides ``rhs``
         (by default its own).  HiGHS row ``k`` is program row ``order[k]``
         times ``flip[k]``.  The program columns ``skip`` are left out, so
         they sit at 0, until :meth:`add` loads them; HiGHS column ``j`` is
         program column ``cols[j]`` (``cols`` is ``None`` when none is left
-        out).  A model HiGHS refuses (``kError``, not ``kWarning``) is
+        out).  ``basis``, as :meth:`basis` reads one (a flipped row keeps
+        its status), starts the first run instead of HiGHS's slack basis.  A
+        model or basis HiGHS refuses (``kError``, not ``kWarning``) is
         refused naming the program."""
         lp = self._lp
         rhs = lp.rhs if rhs is None else rhs
@@ -440,6 +464,30 @@ class HighsSession:
         if status == HighsStatus.kError:
             self.highs = None
             raise ValueError(f"LP {lp.name or '<unnamed>'}: HiGHS refused the model")
+        if basis is not None:
+            start, (cols, rows) = HighsBasis(), basis
+            start.valid, start.alien = True, False  # checked, not repaired
+            if np.shape(cols) == (lp.num_vars,) and np.shape(rows) == (lp.num_rows,):
+                # else HiGHS gets no statuses, which it refuses
+                cols = cols if self.cols is None else cols[self.cols]
+                start.col_status = [_BASIS[k] for k in cols.tolist()]
+                start.row_status = [_BASIS[k] for k in rows[self.order].tolist()]
+            if self.highs.setBasis(start) == HighsStatus.kError:
+                self.highs = None
+                raise ValueError(f"LP {lp.name or '<unnamed>'}: HiGHS refused the start basis")
+
+    def basis(self):
+        """The last run's basis: the HiGHS status codes (``LOWER``,
+        ``BASIC``, ``UPPER``, ``ZERO``) of the program's columns and of its
+        rows, in program order.  A column left out reads ``LOWER``, where it
+        sits."""
+        basis = self.highs.getBasis()
+        cols = np.full(self._lp.num_vars, LOWER, np.int8)
+        cols[slice(None) if self.cols is None else self.cols] = np.fromiter(
+            map(int, basis.col_status), np.int8)
+        rows = np.empty(self._lp.num_rows, np.int8)
+        rows[self.order] = np.fromiter(map(int, basis.row_status), np.int8)
+        return cols, rows
 
     def _columns(self, cols):
         """The laid-out matrix columns and the bounds of the program
@@ -454,7 +502,7 @@ class HighsSession:
         duals ``y``: in HiGHS's form (minimized, rows laid out), where a
         column at its lower bound prices in when its reduced cost is
         negative."""
-        return self._cost[cols] - self._columns(cols)[0].T @ np.asarray(self.solution.row_dual)
+        return self._cost[cols] - self._columns(cols)[0].T @ self.row_dual
 
     def add(self, cols):
         """Load the program columns ``cols``, left out so far, into the
@@ -485,9 +533,9 @@ class HighsSession:
         self.status = _STATUS.get(h.getModelStatus(), LpStatus.FAILED)
         self.message = h.modelStatusToString(h.getModelStatus())
         if self.status is LpStatus.OPTIMAL:
-            self.solution = h.getSolution()
-            x = np.array(self.solution.col_value)
-            rows = np.array(self.solution.row_value)
+            self.solution = solution = h.getSolution()
+            x, rows, self.row_dual = map(_vector, (solution.col_value, solution.row_value,
+                                                   solution.row_dual))
             if (np.all((x >= self.lower - _CHECK_TOL) & (x <= self.upper + _CHECK_TOL))
                     and np.all((rows >= self.row_lower - _CHECK_TOL)
                                & (rows <= self.row_upper + _CHECK_TOL))):
@@ -506,7 +554,7 @@ class HighsSession:
         nothing to the dual objective."""
         lp = self._lp
         sign = 1.0 if lp.sense == "min" else -1.0
-        col_dual = np.array(self.solution.col_dual)
+        col_dual = _vector(self.solution.col_dual)
         if self.cols is not None:
             left_out = np.ones(lp.num_vars, dtype=bool)
             left_out[self.cols] = False
@@ -518,7 +566,7 @@ class HighsSession:
         # dual of a variable sitting at that bound (a fixed one books it by
         # the sign of its dual, as HiGHS does).
         duals = np.zeros(lp.num_rows)
-        duals[self.order] = self.flip * np.array(self.solution.row_dual)
+        duals[self.order] = self.flip * self.row_dual
         duals *= sign
         lo, hi = lp.lower, lp.upper
         at_lo = (x == lo) & ((x != hi) | (col_dual >= 0.0))

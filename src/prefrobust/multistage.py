@@ -33,7 +33,8 @@ from .ambiguity import (
     feasibility_check,
 )
 from .blocks import append_pairwise_rows
-from .lp import DEFAULT_TOL, HighsSession, LinearProgram, LpSolution, LpStatus, dualize
+from .lp import (BASIC, DEFAULT_TOL, HighsSession, LinearProgram, LpSolution, LpStatus,
+                 at_bound, dualize)
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
     DOMAIN_TOL,
@@ -379,6 +380,7 @@ class _NodeBlock:
     cost: np.ndarray   # dual costs before scaling by the node probability
     prob: float        # the scale applied to ``cost`` in this LP
     answers: np.ndarray  # the columns in ``cols`` that dualize answer rows
+    start: tuple | None  # its shape's basis (see _shape_basis), shared by the shape's blocks
 
 
 def _splice_dual_blocks(big, parts, n_vars, n_rows, n_entries):
@@ -473,16 +475,19 @@ def _solve_big(problem, big, xvar, label, blocks=None):
     the rule of every subtree and node certificate too, accepts it against
     the whole LP; a refusal raises ``"{label} solve: "`` and why.  A
     holistic tree LP comes with its node ``blocks``, whose answer columns are
-    priced in (see :func:`_priced_solve`).  It runs without HiGHS's
+    priced in (see :func:`_priced_solve`), from a basis stitched from them
+    (see :func:`_start_basis`).  It runs without HiGHS's
     presolve, which costs more time than it saves there, and, if every node
     has a Kantorovich ball, with Devex pricing, whose iterations take about
     half the time of HiGHS's default dual steepest edge there (on
-    questionnaire trees it loses).  The nominal LP keeps linprog's options."""
+    questionnaire trees it loses).  The nominal LP keeps linprog's options
+    and HiGHS's own start."""
     holistic = blocks is not None
     balls = holistic and all(isinstance(problem.ambiguity.for_node(s), KantorovichBallSpec)
                              for s in problem.tree.nonleaf_ids())
     priced = _answer_columns(blocks) if holistic else np.empty(0, dtype=np.int64)
-    sol = _priced_solve(big, priced, presolve=not holistic, devex=balls)
+    basis = _start_basis(big, blocks) if holistic else None
+    sol = _priced_solve(big, priced, basis, presolve=not holistic, devex=balls)
     if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
         _diagnose_and_raise(problem, f"{label} solve ended {sol.status.value}")
     if not sol.is_optimal:
@@ -501,10 +506,11 @@ def _solve_big(problem, big, xvar, label, blocks=None):
     return kept
 
 
-def _priced_solve(big, priced, **options):
+def _priced_solve(big, priced, basis, **options):
     """Maximize the tree-wide LP ``big`` in one :class:`HighsSession` with
-    ``options``, the columns ``priced`` (the answer columns of a holistic
-    tree LP, see :func:`_answer_columns`) left out of the load and priced
+    ``options``, from ``basis`` (``None``: HiGHS's slack basis), the
+    columns ``priced`` (the answer columns of a holistic tree LP, see
+    :func:`_answer_columns`) left out of the load and priced
     in: after each optimal run, those still out are priced with its row
     duals, the ones whose reduced cost is below ``-DEFAULT_TOL`` are added,
     and HiGHS re-runs warm, until none prices in (column generation;
@@ -521,7 +527,7 @@ def _priced_solve(big, priced, **options):
     certified."""
     session = HighsSession(big, **options)
     waiting, reduced = priced, np.empty(0)
-    session.load(-big.objective, skip=waiting)  # HiGHS minimizes; tree LPs maximize
+    session.load(-big.objective, skip=waiting, basis=basis)  # HiGHS minimizes; tree LPs maximize
     x = session.run()
     while x is not None and waiting.size:
         reduced = session.reduced_costs(waiting)
@@ -534,6 +540,19 @@ def _priced_solve(big, priced, **options):
     if x is None:
         return LpSolution(session.status, message=session.message)
     return session.answer(x, reduced)
+
+
+def _start_basis(big, blocks):
+    """A start basis for the tree LP ``big``, a crash basis built from its
+    structure (Bixby, ORSA J. Comput. 4(3), 1992): every row basic and every
+    column at a bound (:func:`~prefrobust.lp.at_bound`), the decisions at
+    the ``xbar`` of :func:`_shape_basis`, until each of the ``blocks`` takes
+    its shape's statuses, if it has any.  Every row has one basic entry."""
+    cols, rows = at_bound(big.lower, big.upper)[0], np.full(big.num_rows, BASIC, np.int8)
+    for nb in blocks.values():
+        if nb.start is not None:
+            cols[nb.cols[:nb.start[0].size]], rows[nb.rows] = nb.start
+    return cols, rows
 
 
 def solve_holistic(problem):
@@ -576,7 +595,8 @@ def _assemble_holistic(problem):
     the tree LP in one splice (:func:`_splice_dual_blocks`).  A node's
     answer columns, the duals of its answer rows, close its block; its
     :class:`_NodeBlock` reports them in ``answers``, for
-    :func:`_priced_solve` to price in."""
+    :func:`_priced_solve` to price in, and in ``start`` its shape's basis
+    (see :func:`_shape_basis`), for :func:`_start_basis`."""
     tree, grid = problem.tree, problem.grid
     pu = tree.unconditional_probs()
     specs, keys = {}, {}
@@ -595,7 +615,7 @@ def _assemble_holistic(problem):
     big = LinearProgram("max", name="tree")
     xvar = problem.add_decisions(big)
 
-    child_data, templates, asked, own = {}, {}, {}, {}
+    child_data, templates, starts, asked, own = {}, {}, {}, {}, {}
     sizes = np.zeros(3, dtype=np.int64)
     for s, key in keys.items():
         spec, kids = specs[s], tree.children[s]
@@ -610,6 +630,9 @@ def _assemble_holistic(problem):
                 node = NodeLP(*supporting_line_primal(offsets, probs, grid, spec.L, spec.L_tilde))
                 asked[key] = []
             templates[key] = node, dualize(node.lp)
+            with np.errstate(over="ignore", invalid="ignore"):  # _shape_basis refuses it
+                h = offsets + coef @ at_bound(*problem.decision_bounds[s])[1]
+            starts[key] = _shape_basis(*templates[key], h, probs, spec, grid)
         node, dual = templates[key]
         rows = entries = 0
         if key in asked:  # one answer row per answer, one entry at most per lottery outcome
@@ -641,9 +664,24 @@ def _assemble_holistic(problem):
 
     spans = _splice_dual_blocks(big, parts(), *sizes.tolist())
     blocks = {s: _NodeBlock(cols, rows, *stamps[s], float(pu[s]),
-                            cols[templates[keys[s]][1].num_vars:])
+                            cols[templates[keys[s]][1].num_vars:], starts[keys[s]])
               for s, (cols, rows) in zip(keys, spans)}
     return big, xvar, blocks
+
+
+def _shape_basis(node, dual, h, probs, spec, grid):
+    """The basis of ``dual``, the dual of a shape's one-stage LP ``node``
+    (no answers), stamped with a node's ``spec``, outcome ``probs`` and
+    rewards ``h``, which the shape's first node has at its decisions' box
+    ends (the ``xbar`` of :func:`~prefrobust.lp.at_bound`), solved with
+    linprog's options; ``None`` if ``h`` is not finite or the run does not
+    end optimal."""
+    if not np.all(np.isfinite(h)):  # a box end far out may overflow a reward
+        return None
+    cost, rhs = node.stamped(h, probs, spec, grid)
+    session = HighsSession(dual)
+    session.load(-rhs, cost)  # the dual maximizes; its right-hand sides are the primal costs
+    return None if session.run() is None else session.basis()
 
 
 def _dualized_answers(node, grid, arrays):

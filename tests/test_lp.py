@@ -9,11 +9,16 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import MatrixFormat, ObjSense
 
 from prefrobust.lp import (
+    BASIC,
+    LOWER,
+    UPPER,
+    ZERO,
     HighsSession,
     LinearProgram,
     LpSolution,
     LpStatus,
     RowLayout,
+    at_bound,
     dualize,
 )
 from oracles import lp_vertex_oracle
@@ -428,6 +433,55 @@ def test_a_left_out_column_prices_in_and_the_answer_is_the_whole_lps():
     assert priced.objective == whole.objective == 2.0
     assert priced.duals.tolist() == whole.duals.tolist()
     assert priced.dual_objective == whole.dual_objective == 2.0
+
+
+def _basis_program():
+    """min x3 - x0 - 2 x1 + 0.5 x2 + x4 with x1 bounded above only, x2 free
+    and x3, in the last row, first: left out, the loaded columns' statuses
+    shift.  The ``=`` row is second, so the layout moves it last."""
+    lp = LinearProgram("min", name="based")
+    lp.add_vars(5, ["x3", "x0", "x1", "x2", "x4"], lb=[0.0, 0.0, -math.inf, -math.inf, 0.0],
+                ub=[math.inf, 4.0, 3.0, math.inf, math.inf], obj=[1.0, -1.0, -2.0, 0.5, 1.0])
+    lp.add_rows([0, 3, 5, 7, 10], [1, 2, 3, 2, 4, 1, 3, 3, 4, 0],
+                [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0], ["<=", "=", ">=", ">="],
+                [5.0, 2.0, -1.0, 0.5], ["cap", "pin", "tilt", "floor"])
+    return lp
+
+
+def test_a_basis_read_back_restarts_a_fresh_load_at_the_optimum():
+    lp = _basis_program()
+    first = HighsSession(lp)
+    first.load(lp.objective, skip=[0])
+    x = first.run()
+    assert first.iterations > 0
+    cols, rows = first.basis()
+    assert cols.dtype == rows.dtype == np.int8
+    # in program order: x3 left out reads LOWER, where it sits; the flipped
+    # '>=' row "floor" binds at HiGHS's upper bound, "pin" at its one value
+    assert cols.tolist() == [LOWER, BASIC, BASIC, BASIC, LOWER]
+    assert rows.tolist() == [UPPER, LOWER, BASIC, UPPER]
+    again = HighsSession(lp)
+    again.load(lp.objective, skip=[0], basis=(cols, rows))
+    assert again.run().tolist() == x.tolist() == [2.5, 2.0, 0.5, 0.0]
+    assert again.runs == 1 and again.iterations == 0
+
+
+@pytest.mark.parametrize("cut", ["cols", "rows"])
+def test_a_start_basis_of_the_wrong_length_is_refused(cut):
+    lp = _basis_program()
+    session = HighsSession(lp)
+    session.load(lp.objective)
+    assert session.run().tolist() == [1.5, 4.0, 2.0, -1.0, 0.0]  # x3 enters
+    cols, rows = session.basis()
+    basis = (cols[:-1], rows) if cut == "cols" else (cols, np.append(rows, BASIC))
+    with pytest.raises(ValueError, match=r"^LP based: HiGHS refused the start basis$"):
+        HighsSession(lp).load(lp.objective, basis=basis)
+
+
+def test_columns_start_nonbasic_at_a_finite_bound_else_free_at_zero():
+    status, value = at_bound(np.array([1.0, -math.inf, -math.inf]),
+                             np.array([2.0, 3.0, math.inf]))
+    assert status.tolist() == [LOWER, UPPER, ZERO] and value.tolist() == [1.0, 3.0, 0.0]
 
 
 def test_conflict_names_the_rows_of_one_iis_in_program_order():

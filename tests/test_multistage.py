@@ -1330,9 +1330,11 @@ def test_a_check_of_a_holistic_policy_solves_no_lp(monkeypatch):
     assert runs == [] and rebuilt == []
     assert report.max_discrepancy <= 1e-6
     # the count sees the runs of a policy that keeps no tree solve: one per
-    # node worst case and the check's own tree solve
+    # node worst case, then the check's own tree solve, after the one run
+    # of its one shape's start (see _shape_basis)
     check_time_consistency(problem, Policy(pol.decisions, pol.value, {}))
-    assert len(runs) == 41
+    assert [session._lp.name for session in runs] == (
+        ["worst-case"] * 40 + ["dual(worst-case)", "tree"])
 
 
 def _highs_presolve_options(monkeypatch):
@@ -1380,15 +1382,17 @@ def test_only_holistic_tree_lps_run_without_presolve(monkeypatch):
     certify = list(loads)  # reward certification
     assert certify and set(certify) == {(None, *linprog)}
     pol = solve_holistic(problem)
-    # every node carries a ball: the tree LP is priced with Devex
-    assert loads[len(certify):] == [("holistic", "off", "devex")]
+    # every node carries a ball: the tree LP is priced with Devex, after its
+    # one shape's start LP (see _shape_basis) keeps linprog's options
+    start = [(None, *linprog)]
+    assert loads[len(certify):] == start + [("holistic", "off", "devex")]
     nominal = {s: problem.ambiguity.for_node(s).nominal_on(problem.grid) for s in nonleaf}
     assert run(lambda: solve_nominal(problem, nominal)) == [("nominal", *linprog)]
     # the node worst cases, then the check's own tree solve for a policy that keeps none
     node_solves = [(None, *linprog)] * len(nonleaf)
     assert run(lambda: evaluate_policy_worst_case(problem, pol.decisions)) == node_solves
     assert (run(lambda: check_time_consistency(problem, Policy(pol.decisions, pol.value, {})))
-            == node_solves + [("subtree 0", "off", "devex")])
+            == node_solves + start + [("subtree 0", "off", "devex")])
     # every subtree refused: its rebuild certifies its rewards, its re-solve skips
     # presolve and prices with Devex
     _refuse_every_certificate(monkeypatch)
@@ -1403,7 +1407,11 @@ def test_only_holistic_tree_lps_run_without_presolve(monkeypatch):
         tree, replace(config, model="pro_pc", questionnaires=20))
     mixed = _mixed_problem(np.random.default_rng(11), (2, 3, 2), asked_nodes={1, 5, 6})
     for other in (asked, mixed):
-        assert run(lambda: solve_holistic(other)) == [("holistic", "off", "choose")]
+        shapes = {multistage_module._template_key(other.ambiguity.for_node(s),
+                                                  len(other.tree.children[s]))
+                  for s in other.tree.nonleaf_ids()}
+        assert (run(lambda: solve_holistic(other))
+                == start * len(shapes) + [("holistic", "off", "choose")])
 
 
 @st.composite
@@ -2088,12 +2096,30 @@ def test_answers_that_alone_empty_a_set_are_named(monkeypatch):
     assert session.runs == 2 and session.status is LpStatus.UNBOUNDED
 
 
+def _unboxed(problem, kinds):
+    """``problem`` with the box of each node ``s`` opened as ``kinds[s]``
+    says: ``"box"`` keeps it, ``"below"`` moves its lower bounds to -inf and
+    ``"free"`` both bounds to infinity.  Constraint rows hold each opened
+    bound instead, so the decision set is the same."""
+    bounds, cons = {}, list(problem.constraints)
+    for s, (lb, ub) in problem.decision_bounds.items():
+        opened = {"box": (), "below": (">=",), "free": (">=", "<=")}[kinds[s]]
+        bounds[s] = (np.full(lb.size, -math.inf) if opened else lb,
+                     np.full(ub.size, math.inf) if "<=" in opened else ub)
+        cons += [NodeConstraint(s, rel, (lb if rel == ">=" else ub)[k], coef_self={k: 1.0})
+                 for rel in opened for k in range(lb.size)]
+    return MultistageProblem(problem.tree, bounds, problem.rewards, problem.ambiguity,
+                             problem.grid, cons)
+
+
 @st.composite
 def priced_problems(draw):
     """A 2- or 3-stage tree of branching 1 to 3 whose nodes carry, drawn node
     by node, a Kantorovich ball or the shared questionnaire of
     :func:`_mixed_problem` of 20 or 60 answers; every node asks in half the
-    draws."""
+    draws.  Each node's decision box is kept, or opened below or both ways
+    (see :func:`_unboxed`), so the tree LP's start puts decisions at their
+    upper bounds and free at 0 too."""
     branching = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
     n_nonleaf = sum(int(np.prod(branching[:t])) for t in range(len(branching)))
     asked = set(range(n_nonleaf))
@@ -2101,8 +2127,10 @@ def priced_problems(draw):
         flags = draw(st.lists(st.booleans(), min_size=n_nonleaf, max_size=n_nonleaf))
         asked = {s for s, a in enumerate(flags) if a}
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    return _mixed_problem(rng, branching, asked, draw(st.sampled_from([0.01, 0.05])),
-                          K=draw(st.sampled_from([20, 60])))
+    kinds = draw(st.lists(st.sampled_from(["box", "below", "free"]), min_size=n_nonleaf,
+                          max_size=n_nonleaf))
+    return _unboxed(_mixed_problem(rng, branching, asked, draw(st.sampled_from([0.01, 0.05])),
+                                   K=draw(st.sampled_from([20, 60]))), kinds)
 
 
 @settings(max_examples=40, deadline=None)
@@ -2124,3 +2152,104 @@ def test_the_priced_solve_answers_as_the_whole_tree_lp(problem):
         # node's worst case
         dist = multistage_module._node_outcomes(problem, s, pol.decisions)
         assert abs(dist.expectation(pol.per_node[s].utility) - nv.value) <= 1e-9
+
+
+def _started(monkeypatch, problem):
+    """Solve ``problem``'s tree LP; return its HiGHS session, the start
+    basis it was loaded with, and the basis each shape's start LP ended
+    with, in order of its first node (see :func:`multistage._shape_basis`)."""
+    sessions, starts, shapes = _tree_sessions(monkeypatch), [], []
+    load, shape_basis = lp_module.HighsSession.load, multistage_module._shape_basis
+
+    def load_spy(self, *args, basis=None, **kwargs):
+        if self._lp.name == "tree":
+            starts.append(basis)
+        return load(self, *args, basis=basis, **kwargs)
+
+    monkeypatch.setattr(lp_module.HighsSession, "load", load_spy)
+    monkeypatch.setattr(multistage_module, "_shape_basis",
+                        lambda *args: (shapes.append(shape_basis(*args)), shapes[-1])[1])
+    pol = solve_holistic(problem)
+    [session], [start] = sessions, starts
+    return pol, session, start, shapes
+
+
+@pytest.mark.parametrize("make", [
+    lambda: experiment.build_investment_consumption(
+        experiment.generate_tree((3, 3, 3, 3), 11), experiment.ExperimentConfig(
+            branching=(3, 3, 3, 3), n_breakpoints=20, radius=0.01, model="pro_kan",
+            seeds=(0,), tree_seed=11)),
+    mixed_problem,
+], ids=["pro_kan 3^4", "mixed"])
+def test_every_block_starts_from_its_shapes_solved_basis(monkeypatch, make):
+    problem = make()
+    tree = problem.tree
+    pol, _, (cols, rows), shapes = _started(monkeypatch, problem)
+    keys = {s: multistage_module._template_key(problem.ambiguity.for_node(s),
+                                               len(tree.children[s]))
+            for s in tree.nonleaf_ids()}
+    assert len(shapes) == len(set(keys.values())) and all(b is not None for b in shapes)
+    basis = dict(zip(dict.fromkeys(keys.values()), shapes))
+    blocks = pol._tree_solve.blocks
+    for s, nb in blocks.items():
+        shape_cols, shape_rows = basis[keys[s]]
+        assert np.array_equal(cols[nb.cols[:shape_cols.size]], shape_cols)
+        assert np.array_equal(rows[nb.rows], shape_rows)
+    # decisions nonbasic at their box's lower ends, constraint rows basic
+    decisions = np.concatenate(list(pol._tree_solve.xvar.values()))
+    assert np.all(cols[decisions] == lp_module.LOWER)
+    assert np.all(rows[:len(problem.constraints)] == lp_module.BASIC)
+    # one basic entry per row of the tree LP
+    answers = multistage_module._answer_columns(blocks)
+    assert np.all(cols[answers] == lp_module.LOWER)
+    assert np.count_nonzero(cols == lp_module.BASIC) + np.count_nonzero(
+        rows == lp_module.BASIC) == rows.size
+
+
+def test_the_started_tree_lp_runs_in_half_the_iterations_of_a_cold_load(monkeypatch):
+    config = experiment.ExperimentConfig(branching=(3, 3, 3, 3), n_breakpoints=20, radius=0.01,
+                                         model="pro_kan", seeds=(0,), tree_seed=11)
+    problem = experiment.build_investment_consumption(
+        experiment.generate_tree(config.branching, config.tree_seed), config)
+    _, session, _, _ = _started(monkeypatch, problem)
+    big = _assemble_holistic(problem)[0]
+    cold = lp_module.HighsSession(big, presolve=False, devex=True)
+    cold.load(-big.objective)
+    assert cold.run() is not None
+    assert 0 < session.iterations <= cold.iterations / 2
+
+
+def test_a_shape_whose_start_lp_fails_leaves_its_blocks_at_slack_statuses(monkeypatch):
+    problem = random_ball_problem(np.random.default_rng(3), branching=(3, 2))[0]
+    run = lp_module.HighsSession.run
+    monkeypatch.setattr(lp_module.HighsSession, "run",
+                        lambda self: None if self._lp.name == "dual(worst-case)" else run(self))
+    pol, session, (cols, rows), shapes = _started(monkeypatch, problem)
+    assert shapes == [None, None]  # nodes with three children and with two
+    big = _assemble_holistic(problem)[0]
+    assert np.array_equal(cols, lp_module.at_bound(big.lower, big.upper)[0])
+    assert np.all(rows == lp_module.BASIC)
+    # that is HiGHS's own slack start: the run is a cold load's, bit for bit
+    cold = lp_module.HighsSession(big, presolve=False, devex=True)
+    cold.load(-big.objective)
+    assert cold.run().tolist() == pol._tree_solve.x.tolist()
+    assert session.iterations == cold.iterations
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_box_end_that_overflows_a_reward_leaves_its_shape_at_slack(monkeypatch):
+    # the root's box starts at -1e308, held at 0 by a row: at that box end
+    # the reward 2 x + 0.1 overflows, silently, so the root's shape gets no
+    # start LP
+    tree = balanced_tree([2])
+    y = uniform_grid(0.0, 1.0, 5)
+    spec = random_ball_problem(np.random.default_rng(3))[1]
+    problem = MultistageProblem(
+        tree, {0: (np.array([-1e308]), np.array([0.4]))}, {1: ([2.0], 0.1), 2: ([1.0], 0.2)},
+        spec, y, [NodeConstraint(0, ">=", 0.0, coef_self={0: 1.0})])
+    pol, _, (cols, rows), shapes = _started(monkeypatch, problem)
+    assert shapes == [None]
+    big = _assemble_holistic(problem)[0]
+    assert np.array_equal(cols, lp_module.at_bound(big.lower, big.upper)[0])
+    assert np.all(rows == lp_module.BASIC)
+    assert pol.value == pytest.approx(big.solve(presolve=False).objective, abs=1e-12)

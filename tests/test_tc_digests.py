@@ -8,9 +8,11 @@ instances of the benchmark's ``tc_check`` workload at seeds 0 to 2), the
 ``check_time_consistency`` reports for it.  A change to how the node worst
 cases or the subtree optima (certified, solved cold or re-solved) are
 computed must leave these bits alone.  They pin the tree solve's HiGHS
-options too: the check certifies each subtree and each node worst case from
-that solve, so running it with presolve on again, or pricing it with HiGHS's
-default dual steepest edge instead of Devex, moves the entries.  The nested
+options and its start basis too: the check certifies each subtree and each
+node worst case from that solve, so running it with presolve on again,
+pricing it with HiGHS's default dual steepest edge instead of Devex, or
+starting it from another basis than the one stitched from its node shapes
+(``multistage._start_basis``), moves the entries.  The nested
 values are solved cold, apart from the tree solve, whose plan they score.
 To record them again after an intended change of the values, run from the
 repo root:

@@ -89,7 +89,7 @@ def _number_list(text, flag, kind=int):
 
 def _config_from_args(args):
     base = {}
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
@@ -98,9 +98,9 @@ def _config_from_args(args):
         val = getattr(args, flag, None)
         if val is not None:
             base[field] = val
-    if getattr(args, "branching", None):
+    if getattr(args, "branching", None) is not None:
         base["branching"] = _number_list(args.branching, "--branching")
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         base["seeds"] = _number_list(args.seeds, "--seeds")
     if base.get("timing") is None:
         base["timing"] = os.environ.get(TIMING_ENV, "") in ("1", "true", "yes")
@@ -108,7 +108,7 @@ def _config_from_args(args):
 
 
 def _load_tree(args, config):
-    if getattr(args, "tree", None):
+    if getattr(args, "tree", None) is not None:
         with open(args.tree, encoding="utf-8") as fh:
             return ScenarioTree.from_json(fh.read())
     return generate_tree(config.branching, config.tree_seed, config.returns)

@@ -299,16 +299,13 @@ class LinearProgram:
         return [name or f"r{k}" for k, name in enumerate(self._row_names)]
 
     # ----------------------------------------------------------------- solve
-    def solve(self, tol=None, presolve=True, devex=False):
-        """Solve with HiGHS dual simplex and return an :class:`LpSolution`.
-        ``presolve=False`` skips HiGHS's presolve and ``devex=True`` prices
-        with Devex (linprog's ``simplex_dual_edge_weight_strategy="devex"``);
-        the defaults keep linprog's options, and so its answer bit for bit."""
+    def solve(self, tol=None):
+        """Solve with HiGHS dual simplex under linprog's options, and so with
+        its answer bit for bit, and return an :class:`LpSolution`."""
         if self.num_vars == 0:
             raise ValueError("cannot solve an LP with no variables")
         sign = 1.0 if self.sense == "min" else -1.0
-        session = HighsSession(self, DEFAULT_TOL if tol is None else float(tol),
-                               presolve=presolve, devex=devex)
+        session = HighsSession(self, DEFAULT_TOL if tol is None else float(tol))
         session.load(sign * self.objective)
         x = session.run()
         if x is None:

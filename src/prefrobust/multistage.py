@@ -16,8 +16,8 @@ utilities are then read back from the row marginals of those blocks.
 
 import math
 import os
-import threading
-from collections import Counter, deque
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -802,8 +802,12 @@ def _node_worst_case(problem, s, dist, template):
 
 
 def _check_decisions(problem, decisions):
-    """Refuse a plan that misses a node or breaks a bound or a row."""
+    """Refuse a plan that misses a node, has a decision for a node that
+    takes none, or breaks a bound or a row."""
     tree = problem.tree
+    stray = set(decisions) - set(tree.nonleaf_ids())
+    if stray:
+        raise ValueError(f"the plan has decisions for non-decision nodes {sorted(stray)}")
     x = {}
     for s in tree.nonleaf_ids():
         if s not in decisions:
@@ -837,91 +841,46 @@ def _check_row(con, idx, lhs):
                          f"{float(lhs)!r} {con.rel} {con.rhs!r}")
 
 
-def _in_parallel(fn, items):
-    """``[fn(i) for i in items]``, run on every usable core, the calling
-    thread among them, each thread taking the next item in order.
+def _nested_worst_cases(problem, decisions, kept=None):
+    """The one-stage worst case under ``decisions`` of every non-leaf node,
+    which depends only on the node's decision, children and spec.
 
-    Each item is an independent solve, and HiGHS lets go of the interpreter
-    lock while it runs.  Every item runs; then the first failed item's
-    exception, in item order, is raised."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cores = os.cpu_count() or 1
-    queue = deque(enumerate(items))
-    results, errors = [None] * len(queue), [None] * len(queue)
+    With ``kept``, the certificate record of a tree solve of ``problem``
+    (see :func:`_certificate_data`), each node's outcomes are checked and
+    :func:`_node_certificate` tried, on the calling thread in node order.
+    The nodes it refuses, and without ``kept`` every node, are solved cold,
+    each in its own HiGHS instance as it would be on its own.  A node LP
+    (a :func:`node_primal`) that two or more of them share up to its costs
+    and right-hand sides is built once, with its HiGHS layout, before the
+    solves start, and each of its nodes stamps its own costs and right-hand
+    sides into it; a node of an LP of its own (a questionnaire with its own
+    answers) builds it in its own solve, so such LPs do not pile up.  The
+    cold solves run on one worker thread per usable core, since HiGHS lets
+    go of the interpreter lock while it runs; every node runs, and then the
+    first failure in node order is raised."""
+    tree, templates = problem.tree, {}
+    specs = {s: problem.ambiguity.for_node(s) for s in tree.nonleaf_ids()}
+    # ball and questionnaire nodes of one key share their LP: _template_key,
+    # plus a questionnaire's answers, which stamping does not write
+    keys = {s: (_template_key(sp, len(tree.children[s])),
+                sp if isinstance(sp, PairwiseComparisonSpec) else None)
+            for s, sp in specs.items()
+            if isinstance(sp, (KantorovichBallSpec, PairwiseComparisonSpec))}
 
-    def drain():
-        while queue:
-            try:
-                k, item = queue.popleft()
-            except IndexError:  # another thread took the last one
-                return
-            try:
-                results[k] = fn(item)
-            except Exception as exc:
-                errors[k] = exc
+    def template(s):
+        if keys[s] not in templates:
+            kids = tree.children[s]
+            templates[keys[s]] = node_primal([problem.rewards[i].offset for i in kids],
+                                             [tree.nodes[i].prob for i in kids], specs[s],
+                                             problem.grid)
+        return templates[keys[s]]
 
-    workers = [threading.Thread(target=drain) for _ in range(min(cores, len(queue)) - 1)]
-    for w in workers:
-        w.start()
-    try:
-        drain()
-    finally:
-        queue.clear()  # after an interrupt, the workers stop at their next item
-        for w in workers:
-            w.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
-def _node_keys(problem, ids):
-    """The key under which each ball or questionnaire node of ``ids`` shares
-    its one-stage LP: :func:`_template_key` plus, for a questionnaire, the
-    questionnaire itself, since stamping writes no answer rows."""
-    keys = {}
-    for s in ids:
-        spec = problem.ambiguity.for_node(s)
-        if isinstance(spec, (KantorovichBallSpec, PairwiseComparisonSpec)):
-            answers = spec if isinstance(spec, PairwiseComparisonSpec) else None
-            keys[s] = _template_key(spec, len(problem.tree.children[s])), answers
-    return keys
-
-
-def _node_template(problem, s):
-    """Node ``s``'s own one-stage LP, built by :func:`node_primal`."""
-    kids = problem.tree.children[s]
-    return node_primal([problem.rewards[i].offset for i in kids],
-                       [problem.tree.nodes[i].prob for i in kids],
-                       problem.ambiguity.for_node(s), problem.grid)
-
-
-def _nested_worst_cases(problem, decisions, nodes=None):
-    """The one-stage worst case under ``decisions`` of each node of
-    ``nodes`` (by default every non-leaf node), which depends only on the
-    node's decision, children and spec.
-
-    A node LP that two or more of those nodes share up to its costs and
-    right-hand sides (see :func:`_node_keys`) is built once, with its HiGHS
-    layout, before the solves start; each of its nodes stamps its own costs
-    and right-hand sides into it and is solved cold in its own HiGHS
-    instance, as it would be on its own.  A node of an LP of its own (a
-    questionnaire with its own answers) builds it in its own solve, so such
-    LPs do not pile up.  The nodes run on every usable core (see
-    :func:`_in_parallel`)."""
-    ids = problem.tree.nonleaf_ids() if nodes is None else list(nodes)
-    keys = _node_keys(problem, ids)
-    uses, templates = Counter(keys.values()), {}
-    for s, key in keys.items():
-        if uses[key] > 1 and key not in templates:
-            templates[key] = _node_template(problem, s)
-            templates[key].layout  # fill the shared cache before the threads read it
-
-    def value(s):
+    def value(s, certify=False):
         dist = _node_outcomes(problem, s, decisions)
         try:
+            if certify:  # outcomes the cold solve refuses are refused here too
+                _check_outcomes(dist, problem.grid)
+                return _node_certificate(problem, s, dist, template(s), kept)
             res = _node_worst_case(problem, s, dist, templates.get(keys.get(s)))
         except ValueError as exc:  # the outcome checks do not know the node
             raise ValueError(f"node {s}: {exc}") from exc
@@ -929,7 +888,25 @@ def _nested_worst_cases(problem, decisions, nodes=None):
             raise InfeasibleProblemError(f"worst case at node {s} is {res.status}", node=s)
         return res.value
 
-    return dict(zip(ids, _in_parallel(value, ids)))
+    wc = {s: value(s, certify=True) for s in specs} if kept is not None else {}
+    cold = [s for s in specs if wc.get(s) is None]
+    uses = Counter(keys[s] for s in cold if s in keys)
+    for s in cold:
+        if uses[keys.get(s)] > 1:
+            template(s).layout  # fill the shared cache before the threads read it
+    if cold:
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            cores = os.cpu_count() or 1
+        pool = ThreadPoolExecutor(min(cores, len(cold)))
+        try:
+            futures = [pool.submit(value, s) for s in cold]
+            wait(futures)
+        finally:  # after an interrupt, the items not started are dropped
+            pool.shutdown(cancel_futures=True)
+        wc.update((s, f.result()) for s, f in zip(cold, futures))
+    return wc
 
 
 def evaluate_policy_worst_case(problem, decisions, mode="nested"):
@@ -945,9 +922,9 @@ def evaluate_policy_worst_case(problem, decisions, mode="nested"):
     every node shares one finite utility set, where the minimum splits by
     stage because the objective is a sum over stages.
 
-    The plan must give every non-leaf node a decision of the node's length
-    that meets its bounds and every constraint row within 1e-7; otherwise a
-    ``ValueError`` names the node or the row.
+    The plan must give every non-leaf node, and no other, a decision of the
+    node's length that meets its bounds and every constraint row within
+    1e-7; otherwise a ``ValueError`` names the node or the row.
     """
     _check_decisions(problem, decisions)
     tree = problem.tree
@@ -985,22 +962,30 @@ def evaluate_policy_worst_case(problem, decisions, mode="nested"):
 
 
 # --------------------------------------------------------- time consistency
-def _folded_rhs(con, parent_decision):
-    """Right-hand side of ``con`` once the parent decision is fixed and its
-    part of the row moved over."""
-    fixed = np.asarray(parent_decision, dtype=float)
-    return con.rhs - sum(fixed[k] * v for k, v in con.coef_parent.items())
+def _subtree_rows(problem, s, inside, decisions):
+    """The constraint rows that the subtree of ``s`` (its nodes are
+    ``inside``) keeps, as ``(index, row)`` pairs in constraint order.  With
+    the parent decision fixed by ``decisions``, a root row on it alone is a
+    constant: it is dropped when it holds within 1e-7 and refused with a
+    ``ValueError`` naming it otherwise.  The parent decision's part of every
+    other root row is folded into its right-hand side."""
+    for idx, con in enumerate(problem.constraints):
+        if con.node not in inside:
+            continue
+        if con.node == s and con.coef_parent:
+            fixed = np.asarray(decisions[problem.tree.nodes[s].parent], dtype=float)
+            part = sum(v * fixed[k] for k, v in con.coef_parent.items())
+            if not con.coef_self:
+                _check_row(con, idx, part)
+                continue
+            con = NodeConstraint(con.node, con.rel, con.rhs - part, con.coef_self)
+        yield idx, con
 
 
 def subtree_problem(problem, node_id, decisions):
-    """Re-rooted copy of the problem with the history fixed.
-
-    Rows at the new root that referenced the parent decision have that part
-    folded into their right-hand sides using ``decisions``.  A root row on
-    the parent decision alone is then a constant: it is dropped when it
-    holds within 1e-7 and refused with a ``ValueError`` naming it otherwise.
-    Returns the new problem together with the new-id -> original-id map.
-    """
+    """Re-rooted copy of the problem with the history fixed by
+    ``decisions``: its rows are those :func:`_subtree_rows` keeps.  Returns
+    the new problem together with the new-id -> original-id map."""
     tree = problem.tree
     if tree.is_leaf(node_id):
         raise ValueError(f"node {node_id} is a leaf")
@@ -1012,23 +997,9 @@ def subtree_problem(problem, node_id, decisions):
     rewards = {new_of[o]: problem.rewards[o] for o in orig if o != node_id}
     specs = {new_of[o]: problem.ambiguity.for_node(o) for o in orig if not tree.is_leaf(o)}
 
-    parent = tree.nodes[node_id].parent
-    cons = []
-    for idx, con in enumerate(problem.constraints):
-        if con.node not in new_of:
-            continue
-        if con.node == node_id and not con.coef_self:
-            fixed = np.asarray(decisions[parent], dtype=float)
-            _check_row(con, idx, sum(v * fixed[k] for k, v in con.coef_parent.items()))
-        elif con.node == node_id and con.coef_parent:
-            cons.append(NodeConstraint(
-                new_of[con.node], con.rel, _folded_rhs(con, decisions[parent]),
-                dict(con.coef_self), {}))
-        else:
-            cons.append(NodeConstraint(
-                new_of[con.node], con.rel, con.rhs,
-                dict(con.coef_self), dict(con.coef_parent)))
-
+    cons = [NodeConstraint(new_of[con.node], con.rel, con.rhs, dict(con.coef_self),
+                           dict(con.coef_parent))
+            for _, con in _subtree_rows(problem, node_id, new_of, decisions)]
     sub = MultistageProblem(
         view.tree, bounds, rewards, StateDependentAmbiguity(specs), problem.grid, cons)
     return sub, orig
@@ -1065,34 +1036,22 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     Per-node ambiguity keeps every discrepancy at solver noise; a shared
     state-independent set need not.
 
-    What the policy achieves: the plan and each non-leaf node's outcomes
-    under it are checked once, before anything is solved, and each node's
-    one-stage worst case under the plan is found once.  A subtree's
-    achieved value is the sum of its nodes' worst cases weighted by their
-    probabilities given the subtree's root, which is exactly what
-    :func:`evaluate_policy_worst_case` returns on the re-rooted problem.
+    What the policy achieves: the plan is checked before anything is
+    solved, and each node's one-stage worst case under it is found once by
+    :func:`_nested_worst_cases`, from the policy's certificate record where
+    that record is of ``problem`` itself (the same object), as one from
+    :func:`solve_holistic` is.  A subtree's achieved value is the sum of its
+    nodes' worst cases weighted by their probabilities given the subtree's
+    root, which is exactly what :func:`evaluate_policy_worst_case` returns
+    on the re-rooted problem.
 
-    Each subtree's optimum is certified, and re-solved only where that
-    fails.  With the parent decision folded into its root rows, a subtree's
-    columns meet only its own rows of the tree LP, so an optimal solve of
-    the tree LP cut down to the subtree is a primal-dual pair of the
-    subtree's LP.  The tree solve is the certificate record the policy keeps
-    if it is of ``problem`` itself (the same object), as one from
-    :func:`solve_holistic` is, and the tree LP is not assembled again; else
-    the tree LP is solved once here.  :func:`_subtree_certificate` checks
-    each subtree's cut of it.  A refused subtree is rebuilt by
-    :func:`subtree_problem`, and its LP solved and certified like the tree
-    LP; one whose solve fails or is refused raises, naming its root.
-
-    The node worst cases are certified the same way, from the policy's own
-    tree solve only: with the plan fixed, a node's block of the tree LP is
-    the mechanical dual of the node's one-stage LP, so the block's row duals
-    and columns are a primal-dual pair of it.  :func:`_node_certificate`
-    checks that pair against the node's LP built on its own, from one
-    template per shape.  A refused node, and every node of a policy that
-    keeps no tree solve of ``problem``, is solved cold (see
-    :func:`_nested_worst_cases`).  A tree solve made here is never such a
-    certificate: its decisions are not the plan's.
+    Each subtree's optimum is certified from the same record by
+    :func:`_subtree_certificate`, and the tree LP is not assembled again;
+    without such a record the tree LP is solved once here (its decisions are
+    not the plan's, so it certifies no node worst case).  A refused subtree
+    is rebuilt by :func:`subtree_problem`, and its LP solved and certified
+    like the tree LP; one whose solve fails or is refused raises, naming its
+    root.
 
     ``subtree_solver`` replaces the tree solve and the subtree certificates
     and re-solves (required for ambiguity types they do not cover): it
@@ -1100,26 +1059,15 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     must return an object with a ``value`` attribute.  With it, every node
     worst case is solved cold.
 
-    The cold node worst cases run on every usable core (see
-    :func:`_in_parallel`), each the same computation it is on one thread,
-    so the report does not depend on the core count; every node runs, and
-    an error names the first failing one in node order.  The subtrees then
-    run on the calling thread in node order, and the first failing one
-    raises.
+    Each cold node worst case is the same computation on any thread, so the
+    report does not depend on the core count.  The subtrees run on the
+    calling thread in node order, and the first failing one raises.
     """
     tree, decisions = problem.tree, policy.decisions
     _check_decisions(problem, decisions)
-    kept, wc = policy._tree_solve, {}
+    kept = policy._tree_solve
     own = subtree_solver is None and kept is not None and kept.problem is problem
-    if own:
-        dists = {s: _checked_outcomes(problem, s, decisions) for s in tree.nonleaf_ids()}
-        keys, templates = _node_keys(problem, dists), {}
-        for s, dist in dists.items():
-            if keys[s] not in templates:
-                templates[keys[s]] = _node_template(problem, s)
-            wc[s] = _node_certificate(problem, s, dist, templates[keys[s]], kept)
-    wc.update(_nested_worst_cases(
-        problem, decisions, [s for s in tree.nonleaf_ids() if wc.get(s) is None]))
+    wc = _nested_worst_cases(problem, decisions, kept if own else None)
     if subtree_solver is None and not own:
         kept = _solve_holistic(problem, "subtree 0")._tree_solve
 
@@ -1144,17 +1092,6 @@ def check_time_consistency(problem, policy, subtree_solver=None):
         return TimeConsistencyEntry(s, tree.nodes[s].stage, local, achieved, local - achieved)
 
     return TimeConsistencyReport([entry(s) for s in tree.nonleaf_ids()], _CONSISTENT_TOL)
-
-
-def _checked_outcomes(problem, s, decisions):
-    """Node ``s``'s outcomes under ``decisions``, refused, naming the node,
-    where its one-stage LP would refuse them."""
-    dist = _node_outcomes(problem, s, decisions)
-    try:
-        _check_outcomes(dist, problem.grid)
-    except ValueError as exc:
-        raise ValueError(f"node {s}: {exc}") from exc
-    return dist
 
 
 def _pair_value(sense, cost, x, lower, upper, off, y, rels, rhs, reduced,
@@ -1248,34 +1185,31 @@ def _subtree_certificate(problem, kept, order, pu, decisions):
     :func:`_assemble_holistic` build for the subtree ``order``, from the
     tree solve ``kept`` (see :func:`_certificate_data`).
 
-    That LP is a part of the assembled tree LP: its rows are the subtree's
-    constraints (a root row on the parent decision alone left out, the fixed
-    parent decision folded into the other root rows), then its nodes'
-    blocks; its columns are its decisions, then its blocks; its costs are
-    each block's costs times the node's probability ``pu`` given the
-    subtree's root.  The tree solve restricted to those rows and columns,
-    duals rescaled to those costs, gives its value, if :func:`_pair_value`
-    accepts the pair (root rows folded); else ``None``.
+    That LP is a part of the assembled tree LP: its rows are the rows
+    :func:`_subtree_rows` keeps, then its nodes' blocks; its columns are its
+    decisions, then its blocks; its costs are each block's costs times the
+    node's probability ``pu`` given the subtree's root.  The tree solve
+    restricted to those rows and columns, duals rescaled to those costs,
+    gives its value, if :func:`_pair_value` accepts the pair (root rows
+    folded); else ``None``.
     """
     xvar, blocks = kept.xvar, kept.blocks
-    s, inside = order[0], set(order)
+    s = order[0]
     scale = blocks[s].prob  # the tree LP's costs are the subtree LP's times this
     nodes = [n for n in order if n in blocks]
-    cons = [k for k, con in enumerate(problem.constraints)
-            if con.node in inside and (con.node != s or con.coef_self)]
-    rows = np.concatenate([np.asarray(cons, dtype=np.int64)] + [blocks[n].rows for n in nodes])
+    cons = list(_subtree_rows(problem, s, set(order), decisions))
+    rows = np.concatenate([np.array([k for k, _ in cons], dtype=np.int64)]
+                          + [blocks[n].rows for n in nodes])
     cols = np.concatenate([xvar[n] for n in nodes] + [blocks[n].cols for n in nodes])
     cost = np.concatenate([np.zeros(sum(xvar[n].size for n in nodes))]
                           + [pu[n] * blocks[n].cost for n in nodes])
     rhs, off, rels = kept.rhs[rows], kept.rows[rows], kept.rels[rows]
-    folded = [pos for pos, k in enumerate(cons)
-              if problem.constraints[k].node == s and problem.constraints[k].coef_parent]
+    folded = [p for p, (k, con) in enumerate(cons)
+              if con.node == s and problem.constraints[k].coef_parent]
     if folded:
-        parent = decisions[problem.tree.nodes[s].parent]
-        rhs[folded] = [_folded_rhs(problem.constraints[cons[p]], parent) for p in folded]
+        rhs[folded] = [cons[p][1].rhs for p in folded]
         own = kept.x[xvar[s]]  # a folded root row keeps only the root's own columns
-        lhs = [sum(v * own[k] for k, v in problem.constraints[cons[p]].coef_self.items())
-               for p in folded]
+        lhs = [sum(v * own[k] for k, v in cons[p][1].coef_self.items()) for p in folded]
         off[folded] = _row_violations(np.array(lhs), rels[folded], rhs[folded])
     return _pair_value(kept.sense, cost, kept.x[cols], kept.lower[cols], kept.upper[cols], off,
                        kept.y[rows] / scale, rels, rhs, cost - kept.aty[cols] / scale)[0]

@@ -206,8 +206,11 @@ def test_eval_refuses_a_plan_off_the_decision_set(tmp_path, capsys):
         node, stage, dec, value = row.split("\t")
         dec = ",".join(repr(1.05 * float(v)) for v in dec.split(","))
         over.append("\t".join([node, stage, dec, value]))
+    # a row for leaf 5 or for node 99, which take no decision, is refused too
+    stray = [f"{s}\t2\t0.5,0.5\t0" for s in (5, 99)]
     cases = [(over, r"error: row con0\[0\] does not hold"),
-             (rows[:-1], "error: node 2: the plan has no decision")]
+             (rows[:-1], "error: node 2: the plan has no decision"),
+             ([*rows, *stray], r"error: the plan has decisions for non-decision nodes \[5, 99\]")]
     for plan, message in cases:
         policy_file = tmp_path / "policy.tsv"
         policy_file.write_text(table(plan))
@@ -380,6 +383,11 @@ def test_wrongly_typed_config_exits_cleanly(tmp_path, capsys, config, message):
     *[(["counterexample", "--step", step], f"step must be a number in [0.0005, 1], got {got}")
       for step, got in (("0", "0.0"), ("2", "2.0"), ("-1", "-1.0"), ("nan", "nan"),
                         ("inf", "inf"), ("1e-4", "0.0001"), ("4.9e-4", "0.00049"))],
+    # an empty list or path is refused, not read as the flag left out
+    (["solve", "--seeds", ""], "at least one seed is required"),
+    (["solve", "--branching", ""], "branching must be a non-empty vector of positive counts"),
+    (["solve", "--tree", ""], "[Errno 2] No such file or directory: ''"),
+    (["solve", "--config", ""], "[Errno 2] No such file or directory: ''"),
 ])
 def test_bad_flag_values_exit_cleanly(monkeypatch, capsys, argv, message):
     # a refused step must not reach the search grid

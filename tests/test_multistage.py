@@ -57,6 +57,7 @@ from prefrobust.worst_case import (
 )
 from oracles import reward_ranges_oracle
 from test_blocks import assert_same_program
+from test_lp import solved_in_session
 from test_lp_digests import mixed_problem
 
 
@@ -861,10 +862,16 @@ def test_evaluation_refuses_plans_off_the_decision_set():
         (plan(n1=np.zeros(3)), r"node 1: decision has shape \(3,\)"),
         ({s: x for s, x in dec.items() if s != 2}, "node 2: the plan has no decision"),
     ]
+    # a decision for a leaf, or for a node not in the tree, is not ignored
+    leaf = next(n.id for n in problem.tree.nodes if problem.tree.is_leaf(n.id))
+    stray = plan(**{f"n{leaf}": dec[0], "n99": dec[0]})
+    cases.append((stray, rf"^the plan has decisions for non-decision nodes \[{leaf}, 99\]$"))
     for bad, message in cases:
         for mode in ("nested", "sequence_global"):
             with pytest.raises(ValueError, match=message):
                 evaluate_policy_worst_case(problem, bad, mode)
+    with pytest.raises(ValueError, match=cases[-1][1]):
+        check_time_consistency(problem, Policy(stray, pol.value, pol.per_node, pol._tree_solve))
 
 
 @pytest.mark.parametrize("shift, fails", [(1e-5, True), (math.nan, True), (1e-10, False)])
@@ -1110,6 +1117,40 @@ def test_subtrees_run_on_the_calling_thread_in_node_order(monkeypatch):
     assert seen == [(s, True) for s in problem.tree.nonleaf_ids()]
 
 
+def test_an_interrupt_drops_the_cold_solves_not_started(monkeypatch):
+    # one worker; the first node holds it until the pool is shut down, and an
+    # interrupt reaches the calling thread while it waits
+    problem = _mixed_problem(np.random.default_rng(11), (2, 3, 2), asked_nodes={1, 5})
+    decisions = solve_holistic(problem).decisions
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen, started, gate = [], threading.Event(), threading.Event()
+    solve, pool = multistage_module._node_worst_case, multistage_module.ThreadPoolExecutor
+
+    def held(problem, s, *args):
+        seen.append(s)
+        started.set()
+        assert gate.wait(timeout=30)
+        return solve(problem, s, *args)
+
+    def interrupted(futures):
+        assert started.wait(timeout=30)
+        raise KeyboardInterrupt
+
+    class Gated(pool):
+        def shutdown(self, wait=True, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            gate.set()  # the first node finishes only once the others are dropped
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(multistage_module, "_node_worst_case", held)
+    monkeypatch.setattr(multistage_module, "wait", interrupted)
+    monkeypatch.setattr(multistage_module, "ThreadPoolExecutor", Gated)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_policy_worst_case(problem, decisions)
+    assert seen == [0] and threading.active_count() == threads
+
+
 @st.composite
 def small_mixed_problems(draw):
     """A 2- or 3-stage tree of branching 1 to 3 per stage whose nodes carry
@@ -1278,9 +1319,10 @@ def _spied_check(monkeypatch, problem, policy):
     """``check_time_consistency(problem, policy)``'s entries, with the roots
     of the subtrees whose certificates were refused, the roots of the
     subtrees rebuilt, and each node's certified worst case (``None`` where
-    refused); checks that exactly the refused nodes were solved cold."""
+    refused); checks that exactly the refused nodes were solved cold, once
+    each."""
     subtree, node = multistage_module._subtree_certificate, multistage_module._node_certificate
-    rebuild, nested = multistage_module.subtree_problem, multistage_module._nested_worst_cases
+    rebuild, solve = multistage_module.subtree_problem, multistage_module._node_worst_case
     refused, rebuilt, certified, cold = [], [], {}, []
 
     def spy_subtree(problem, kept, order, *args):
@@ -1297,17 +1339,17 @@ def _spied_check(monkeypatch, problem, policy):
         rebuilt.append(s)
         return rebuild(problem, s, decisions)
 
-    def spy_nested(problem, decisions, nodes=None):
-        cold.append(list(nodes))
-        return nested(problem, decisions, nodes)
+    def spy_solve(problem, s, *args):
+        cold.append(s)
+        return solve(problem, s, *args)
 
     with monkeypatch.context() as m:
         m.setattr(multistage_module, "_subtree_certificate", spy_subtree)
         m.setattr(multistage_module, "_node_certificate", spy_node)
         m.setattr(multistage_module, "subtree_problem", spy_rebuild)
-        m.setattr(multistage_module, "_nested_worst_cases", spy_nested)
+        m.setattr(multistage_module, "_node_worst_case", spy_solve)
         entries = _entries(check_time_consistency(problem, policy))
-    assert cold == [[s for s, v in certified.items() if v is None]]
+    assert sorted(cold) == [s for s, v in certified.items() if v is None]
     return entries, refused, rebuilt, certified
 
 
@@ -1325,9 +1367,16 @@ def test_a_check_of_a_holistic_policy_solves_no_lp(monkeypatch):
                         lambda self: (runs.append(self), run(self))[1])
     monkeypatch.setattr(multistage_module, "subtree_problem",
                         lambda *args: (rebuilt.append(args), rebuild(*args))[1])
-    report = check_time_consistency(problem, pol)
+    # nor a pool, nor any thread
+    pools, started = [], []
+    pool, start = multistage_module.ThreadPoolExecutor, threading.Thread.start
+    with monkeypatch.context() as m:
+        m.setattr(multistage_module, "ThreadPoolExecutor",
+                  lambda *args: (pools.append(args), pool(*args))[1])
+        m.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self))[1])
+        report = check_time_consistency(problem, pol)
     assert len(report.entries) == 40
-    assert runs == [] and rebuilt == []
+    assert runs == [] and rebuilt == [] and pools == [] and started == []
     assert report.max_discrepancy <= 1e-6
     # the count sees the runs of a policy that keeps no tree solve: one per
     # node worst case, then the check's own tree solve, after the one run
@@ -1429,7 +1478,7 @@ def small_ball_problems(draw):
 def test_devex_pricing_moves_no_value(problem):
     pol = solve_holistic(problem)
     # the same tree LP under HiGHS's own pricing
-    default = multistage_module._assemble_holistic(problem)[0].solve(presolve=False)
+    default = solved_in_session(multistage_module._assemble_holistic(problem)[0], presolve=False)
     assert default.is_optimal
     assert abs(pol.value - default.objective) <= (
         multistage_module._GAP_TOL * (1.0 + abs(default.objective)))
@@ -2138,7 +2187,7 @@ def priced_problems(draw):
 def test_the_priced_solve_answers_as_the_whole_tree_lp(problem):
     pol = solve_holistic(problem)
     big, xvar, blocks = _assemble_holistic(problem)
-    whole = big.solve(presolve=False)
+    whole = solved_in_session(big, presolve=False)
     assert whole.is_optimal
     ref = multistage_module._holistic_policy(problem, big, multistage_module._certificate_data(
         big, whole.x, whole.duals, xvar=xvar, blocks=blocks, value=whole.objective))
@@ -2252,4 +2301,4 @@ def test_a_box_end_that_overflows_a_reward_leaves_its_shape_at_slack(monkeypatch
     big = _assemble_holistic(problem)[0]
     assert np.array_equal(cols, lp_module.at_bound(big.lower, big.upper)[0])
     assert np.all(rows == lp_module.BASIC)
-    assert pol.value == pytest.approx(big.solve(presolve=False).objective, abs=1e-12)
+    assert pol.value == pytest.approx(solved_in_session(big, presolve=False).objective, abs=1e-12)

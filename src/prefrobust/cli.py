@@ -115,7 +115,7 @@ def _load_tree(args, config):
 
 
 def _emit(text, out):
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:

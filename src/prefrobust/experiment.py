@@ -156,7 +156,7 @@ class ExperimentConfig:
             raise ValueError(f"returns must be a ReturnModel, got {self.returns!r}")
         if not isinstance(self.model, str):
             raise ValueError(f"model must be a string, got {self.model!r}")
-        if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
+        if not (self.out is None or isinstance(self.out, (str, os.PathLike))) or self.out == "":
             raise ValueError(f"out must be a path, got {self.out!r}")
         if not self.branching or any(b < 1 for b in self.branching):
             raise ValueError("branching must be a non-empty vector of positive counts")

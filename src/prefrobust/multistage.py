@@ -14,6 +14,7 @@ enter exactly the dual rows that price the children rewards.  Worst-case
 utilities are then read back from the row marginals of those blocks.
 """
 
+import functools
 import math
 import os
 from collections import Counter
@@ -144,10 +145,11 @@ class MultistageProblem:
     ``coef . x(parent) + offset`` is ``lam * (d . x(parent)) + offset`` with
     ``lam = max |coef|``, so rewards share their range when they share the
     parent and the direction ``d``.  Each side of a (parent, direction)
-    range is first bounded by the parent's box; a bound that keeps every
-    reward along ``d`` inside the domain decides that side.  Only the open
-    sides are solved, in reward id order, warm in one HiGHS session per
-    build, and at least one LP runs, so an empty decision set is refused.
+    range is first bounded through the parent's box and rows (see
+    :meth:`_row_bounds`); a bound that keeps every reward along ``d`` inside
+    the domain decides that side.  Only the open sides are solved, in reward
+    id order, warm in one HiGHS session per build, and at least one LP runs,
+    so an empty decision set is refused.
     """
 
     def __init__(self, tree, decision_bounds, rewards, ambiguity, grid, constraints=()):
@@ -269,8 +271,25 @@ class MultistageProblem:
         lp = LinearProgram("min", name="decisions")
         return lp, self.add_decisions(lp)
 
+    def _row_bounds(self):
+        """A function ``upper(s, d)``, memoized: an upper bound on ``d . x(s)``
+        over the decision set, for a tuple ``d``.  By weak duality, a row ``a
+        . x(s) + c . x(parent) rel rhs`` at ``s`` and a multiplier ``lam`` of
+        its sign (>= 0 on ``<=``, <= 0 on ``>=``, free on ``=``) bound it by
+        the box's maximum of ``(d - lam a) . x(s)``, plus ``lam rhs``, plus
+        ``|lam|`` times the bound on ``-sign(lam) c . x(parent)``; ``upper``
+        is the least of these over the rows at ``s`` and ``lam = d_k / a_k``,
+        and of the box's own (``lam = 0``)."""
+        rows = {}
+        for con in self.constraints:
+            rows.setdefault(con.node, []).append(con)
+        box = {s: (lb.tolist(), ub.tolist()) for s, (lb, ub) in self.decision_bounds.items()}
+        # a partial, not a closure, so that no reference cycle keeps the problem alive
+        return functools.partial(_row_bound, rows, box, [n.parent for n in self.tree.nodes], {})
+
     def _certify_rewards(self):
         a, b = float(self.grid[0]), float(self.grid[-1])
+        upper = self._row_bounds()
         ranges = {}  # (parent, direction bytes) -> _Range of d . x(parent)
         along = []  # (reward, its range, lam, offset) in id order
         for i in sorted(self.rewards):
@@ -280,10 +299,11 @@ class MultistageProblem:
             d = rm.coef / lam
             key = (parent, d.tobytes())
             if key not in ranges:
-                ranges[key] = _Range(parent, d, _box_range(d, *self.decision_bounds[parent]))
+                ends = [-upper(parent, tuple((-d).tolist())), upper(parent, tuple(d.tolist()))]
+                ranges[key] = _Range(parent, d, ends)
             r = ranges[key]
             along.append((i, r, lam, rm.offset))
-            # The box contains the decision set, so a box end that keeps every
+            # The bounds hold over the decision set, so an end that keeps every
             # reward along d inside the domain decides that side; the others
             # are left open (written so that a NaN end opens its side too).
             lo, hi = (lam * v + rm.offset for v in r.ends)
@@ -343,8 +363,8 @@ class MultistageProblem:
 @dataclass
 class _Range:
     """The range of ``d . x(parent)`` over the decision set, which every
-    reward along ``d`` scales to its own.  ``ends`` holds the box's ``[min,
-    max]`` until an LP solves a side; ``open`` marks the sides the box
+    reward along ``d`` scales to its own.  ``ends`` holds the row bounds'
+    ``[min, max]`` until an LP solves a side; ``open`` marks the sides they
     cannot decide, ``solved`` those an LP gave."""
 
     parent: int
@@ -354,12 +374,32 @@ class _Range:
     solved: list = field(default_factory=lambda: [False, False])
 
 
-def _box_range(d, lb, ub):
-    """``[min, max]`` of ``d . x`` over the box ``lb <= x <= ub``; a zero
-    ``d_k`` adds nothing even where its bound is infinite."""
-    on = d != 0
-    lo, hi = d[on] * lb[on], d[on] * ub[on]
-    return [float(np.sum(np.minimum(lo, hi))), float(np.sum(np.maximum(lo, hi)))]
+def _row_bound(rows, box, parents, memo, s, d):
+    """The bound of :meth:`MultistageProblem._row_bounds` on ``d . x(s)``."""
+    if (s, d) in memo:
+        return memo[s, d]
+
+    def boxmax(r):
+        # a zero entry adds nothing even where its bound is infinite
+        return sum(max(v * lo, v * hi) for v, lo, hi in zip(r, *box[s]) if v)
+
+    best, parent = boxmax(d), parents[s]
+    for con in rows.get(s, ()):
+        for k, ak in con.coef_self.items():
+            lam = d[k] / ak if ak else 0.0
+            if (not 0.0 < abs(lam) < math.inf or con.rel == "<=" and lam < 0
+                    or con.rel == ">=" and lam > 0):
+                continue
+            r = [v - lam * con.coef_self.get(j, 0.0) for j, v in enumerate(d)]
+            r[k] = 0.0  # exactly: rounding times an infinite bound is infinite
+            value = boxmax(r) + lam * con.rhs
+            if con.coef_parent and value < math.inf:
+                sign = -1.0 if lam > 0 else 1.0
+                c = tuple(sign * con.coef_parent.get(j, 0.0) for j in range(len(box[parent][0])))
+                value += abs(lam) * _row_bound(rows, box, parents, memo, parent, c)
+            best = min(best, value)  # a NaN value is passed over
+    memo[s, d] = best
+    return best
 
 
 def _require_finite(values, where, field, index=True):

@@ -139,6 +139,42 @@ def worst_case_value_scan(grid3, nominal_mid, radius, L, Ltilde, outcome,
     return best
 
 
+def decision_linprog(tree, bounds, constraints, cost, last=math.inf):
+    """One dense ``linprog`` LP over the decision set: the boxes ``bounds[s]
+    = (lb, ub)`` plus the ``constraints`` rows of the nodes up to ``last``,
+    minimizing the sum over ``s`` of ``cost[s] . x(s)``."""
+    nodes = sorted(bounds)
+    sizes = [len(bounds[s][0]) for s in nodes]
+    start = dict(zip(nodes, np.cumsum([0] + sizes)))
+    n = sum(sizes)
+    box = [(lo, hi) for s in nodes for lo, hi in zip(*bounds[s])]
+    c = np.zeros(n)
+    for s, coef in cost.items():
+        c[start[s]:start[s] + len(coef)] = coef
+    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    for con in constraints:
+        if con.node > last:
+            continue
+        row = np.zeros(n)
+        for k, v in con.coef_self.items():
+            row[start[con.node] + k] += v
+        for k, v in con.coef_parent.items():
+            row[start[tree.nodes[con.node].parent] + k] += v
+        if con.rel == "=":
+            eq_rows.append(row)
+            eq_rhs.append(con.rhs)
+        else:
+            sign = 1.0 if con.rel == "<=" else -1.0
+            ub_rows.append(sign * row)
+            ub_rhs.append(sign * con.rhs)
+    res = linprog(c, A_ub=np.array(ub_rows) if ub_rows else None,
+                  b_ub=ub_rhs or None, A_eq=np.array(eq_rows) if eq_rows else None,
+                  b_eq=eq_rhs or None, bounds=box, method="highs",
+                  options={"presolve": False})
+    assert res.status in (0, 2, 3), res.message
+    return res
+
+
 def reward_ranges_oracle(tree, bounds, rewards, constraints, a, b, tol=1e-9):
     """Certify every reward ``coef . x(parent) + offset`` inside ``[a, b]``
     (within ``tol``) over the decision set: the boxes ``bounds[s] = (lb, ub)``
@@ -151,50 +187,19 @@ def reward_ranges_oracle(tree, bounds, rewards, constraints, a, b, tol=1e-9):
     it have no solution; ``("unbounded", reward, None)``; or ``("domain",
     reward, (lo, hi))``.
     """
-    nodes = sorted(bounds)
-    sizes = [len(bounds[s][0]) for s in nodes]
-    start = dict(zip(nodes, np.cumsum([0] + sizes)))
-    n = sum(sizes)
-    box = [(lo, hi) for s in nodes for lo, hi in zip(*bounds[s])]
-
-    def solve(cost, last=math.inf):
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for con in constraints:
-            if con.node > last:
-                continue
-            row = np.zeros(n)
-            for k, v in con.coef_self.items():
-                row[start[con.node] + k] += v
-            for k, v in con.coef_parent.items():
-                row[start[tree.nodes[con.node].parent] + k] += v
-            if con.rel == "=":
-                eq_rows.append(row)
-                eq_rhs.append(con.rhs)
-            else:
-                sign = 1.0 if con.rel == "<=" else -1.0
-                ub_rows.append(sign * row)
-                ub_rhs.append(sign * con.rhs)
-        res = linprog(cost, A_ub=np.array(ub_rows) if ub_rows else None,
-                      b_ub=ub_rhs or None, A_eq=np.array(eq_rows) if eq_rows else None,
-                      b_eq=eq_rhs or None, bounds=box, method="highs",
-                      options={"presolve": False})
-        assert res.status in (0, 2, 3), res.message
-        return res
-
     def first_infeasible_prefix():
         for last in sorted({con.node for con in constraints}):
-            if solve(np.zeros(n), last).status == 2:
+            if decision_linprog(tree, bounds, constraints, {}, last).status == 2:
                 return last
         return None
 
     for i in sorted(rewards):
         coef, offset = rewards[i]
-        cost = np.zeros(n)
         parent = tree.nodes[i].parent
-        cost[start[parent]:start[parent] + len(coef)] = coef
         ends = []
         for sign in (1.0, -1.0):
-            res = solve(sign * cost)
+            res = decision_linprog(tree, bounds, constraints,
+                                   {parent: sign * np.asarray(coef, dtype=float)})
             if res.status == 2:
                 return "empty", first_infeasible_prefix(), None
             if res.status == 3:

@@ -388,11 +388,18 @@ def test_wrongly_typed_config_exits_cleanly(tmp_path, capsys, config, message):
     (["solve", "--branching", ""], "branching must be a non-empty vector of positive counts"),
     (["solve", "--tree", ""], "[Errno 2] No such file or directory: ''"),
     (["solve", "--config", ""], "[Errno 2] No such file or directory: ''"),
+    (["solve", "--out", ""], "out must be a path, got ''"),
+    # a dict stands for a config file holding it
+    (["solve", "--config", {"out": ""}], "out must be a path, got ''"),
 ])
-def test_bad_flag_values_exit_cleanly(monkeypatch, capsys, argv, message):
+def test_bad_flag_values_exit_cleanly(monkeypatch, capsys, tmp_path, argv, message):
     # a refused step must not reach the search grid
     monkeypatch.setattr(counterexample_module, "_grid",
                         lambda step: pytest.fail(f"grid built for step {step!r}"))
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(cfg)]
     extra = [] if argv[0] == "counterexample" else ["--branching", "2"]
     assert main([*argv[:1], *extra, *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

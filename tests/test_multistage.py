@@ -55,7 +55,7 @@ from prefrobust.worst_case import (
     worst_case_kantorovich_primal,
     worst_case_pairwise,
 )
-from oracles import reward_ranges_oracle
+from oracles import decision_linprog, reward_ranges_oracle
 from test_blocks import assert_same_program
 from test_lp import solved_in_session
 from test_lp_digests import mixed_problem
@@ -1002,6 +1002,24 @@ def test_subtree_problems_certify_their_rewards(monkeypatch):
         subtree_problem(problem, 1, {0: np.array([-1.0, 0.0])})
 
 
+def test_a_rebuilt_subtree_solves_one_range_lp(monkeypatch):
+    # the subtree roots' rows fold in the fixed parent decision, so the row
+    # bounds decide every side of every rebuilt subtree's reward ranges
+    config = experiment.ExperimentConfig(branching=(3, 3, 3, 3), model="pro_kan", radius=0.01,
+                                         tree_seed=11, n_breakpoints=20)
+    tree = experiment.generate_tree(config.branching, config.tree_seed)
+    problem = experiment.build_investment_consumption(tree, config)
+    pol = solve_holistic(problem)
+    rebuilt, rebuild = [], multistage_module.subtree_problem
+    monkeypatch.setattr(multistage_module, "subtree_problem",
+                        lambda *args: (rebuilt.append(args[1]), rebuild(*args))[1])
+    _refuse_every_certificate(monkeypatch)
+    calls = _count_reward_extremes(monkeypatch)
+    check_time_consistency(problem, pol)
+    assert sorted(rebuilt) == tree.nonleaf_ids()
+    assert calls == [(1, 1.0)] * len(rebuilt)
+
+
 def test_slices_drop_parent_only_rows_and_name_a_failed_subtree(monkeypatch):
     rng = np.random.default_rng(11)
     problem, _ = random_ball_problem(rng, branching=(2, 2), radius=0.05)
@@ -1679,34 +1697,67 @@ def _count_reward_extremes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("branching, lps", [((4, 4), 5), ((4, 4, 4, 4), 85)])
-def test_certification_solves_one_max_lp_per_parent_and_direction(monkeypatch, branching, lps):
-    config = experiment.ExperimentConfig(branching=branching, model="pro_kan", tree_seed=11)
+# the builds of the benchmark's instances (tree seed 11, 20 breakpoints), and
+# one on a 4x4 tree
+_BENCH_BUILDS = [((4, 4), "pro_kan", {}),
+                 ((4, 4, 4, 4), "msp_pln", {}),
+                 ((4, 4, 4, 4), "pro_kan", {"radius": 0.001}),
+                 ((4, 4, 4, 4), "pro_kan", {"radius": 0.1}),
+                 ((5, 5, 5), "pro_pc", {"questionnaires": 200, "seeds": (0,)}),
+                 ((5, 5, 5), "pro_pc", {"questionnaires": 200, "seeds": (1,)}),
+                 ((3, 3, 3, 3), "pro_kan", {"radius": 0.01})]
+
+
+@pytest.mark.parametrize("branching, model, kw", _BENCH_BUILDS, ids=[
+    "4x4", "tree341_msp_pln", "tree341_R0.001", "tree341_R0.1", "pc_elicit_e0", "pc_elicit_e1",
+    "tc_check"])
+def test_certification_solves_one_range_lp_per_build(monkeypatch, branching, model, kw):
+    config = experiment.ExperimentConfig(branching=branching, model=model, tree_seed=11,
+                                         n_breakpoints=20, **kw)
     tree = experiment.generate_tree(config.branching, config.tree_seed)
     calls = _count_reward_extremes(monkeypatch)
     problem = experiment.build_investment_consumption(tree, config)
-    first = {}  # (parent, direction) -> its first reward in id order
-    for i in sorted(problem.rewards):
-        rm = problem.rewards[i]
-        first.setdefault((tree.nodes[i].parent, (rm.coef / np.max(np.abs(rm.coef))).tobytes()), i)
     # every lower bound is 0 and every coefficient >= 0, so the box decides
-    # every minimum; the maxima, whose upper bounds are infinite, run in order
-    assert calls == [(i, -1.0) for i in first.values()]
-    assert len(calls) == lps < len(problem.rewards)
+    # every minimum, and the budget rows every maximum: the one LP left is
+    # the one that refuses an empty decision set
+    assert calls == [(1, 1.0)]
+    # the rows' bound on a node's consumption is its wealth cap, so the
+    # largest reward reaches 1, as the reward scale is chosen to
+    upper = problem._row_bounds()
+    tops = {}
+    for i, rm in problem.rewards.items():
+        parent, lam = tree.nodes[i].parent, float(np.max(rm.coef))
+        tops[parent, lam] = lam * upper(parent, tuple((rm.coef / lam).tolist()))
+    assert max(tops.values()) == pytest.approx(1.0, rel=1e-12)
+    if branching == (4, 4):
+        # and it is the LP maximum at every node (one linprog per node, so
+        # on the small tree only)
+        for (parent, lam), top in tops.items():
+            coef = np.zeros(problem.dim(parent))
+            coef[-1] = lam
+            res = decision_linprog(tree, problem.decision_bounds, problem.constraints,
+                                   {parent: -coef})
+            assert top == pytest.approx(-res.fun, rel=1e-9)
 
 
-def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_backend):
+def _shared_directions():
+    """A 5-leaf problem whose x[1] at the root is bounded only by a row at
+    leaf 1 on its parent alone, which the row bounds do not use, so the box
+    leaves open each side that x[1] pushes up.  Rewards 1 and 2 are positive
+    multiples, so are 3 and 5, which point the other way; 4 points
+    elsewhere.  Returns the arguments of :class:`MultistageProblem`."""
     tree = balanced_tree([5])
     y = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
-    # x[1] is bounded by a row, not by the box, so the box leaves open each
-    # side that x[1] pushes up
     bounds = {0: (np.zeros(2), np.array([1.0, math.inf]))}
-    rows = [NodeConstraint(0, "<=", 1.0, coef_self={1: 1.0})]
-    # 1 and 2 are positive multiples, so are 3 and 5, which point the other
-    # way; 4 points elsewhere
+    rows = [NodeConstraint(1, "<=", 1.0, coef_parent={1: 1.0})]
     rewards = {1: ([0.25, 0.125], 0.1), 2: ([0.5, 0.25], 0.0),
                3: ([-0.25, -0.125], 0.5), 4: ([0.125, 0.5], 0.0), 5: ([-0.5, -0.25], 0.75)}
+    return tree, bounds, rewards, spec, y, rows
+
+
+def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_backend):
+    tree, bounds, rewards, spec, y, rows = _shared_directions()
     calls = _count_reward_extremes(monkeypatch)
     MultistageProblem(tree, bounds, rewards, spec, y, rows)
     # each open side once, at the first reward along its direction
@@ -1725,10 +1776,13 @@ def test_the_box_decides_a_side_only_for_every_reward_along_it(monkeypatch, cert
     tree = balanced_tree([3])
     y = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
-    bounds = {0: (np.zeros(2), np.array([2.0, 1.0]))}
-    rows = [NodeConstraint(0, "<=", 1.0, coef_self={0: 1.0})]
+    bounds = {0: (np.zeros(2), np.array([2.0, math.inf]))}
+    # x[0] <= x[1] <= 1 holds x[0] to 1 only through both rows, which no
+    # single row's bound sees
+    rows = [NodeConstraint(0, "<=", 0.0, coef_self={0: 1.0, 1: -1.0}),
+            NodeConstraint(0, "<=", 1.0, coef_self={1: 1.0})]
     # the box keeps the narrow reward inside the domain but lets the wide one
-    # reach 2 (or -1); the row keeps both inside it, which only the LP shows.
+    # reach 2 (or -1); the rows keep both inside it, which only the LP shows.
     # Node 3's max is open too, so no side is solved just to run one LP.
     calls = _count_reward_extremes(monkeypatch)
     other = ([0.5, 0.5], 0.0)
@@ -1739,14 +1793,73 @@ def test_the_box_decides_a_side_only_for_every_reward_along_it(monkeypatch, cert
             MultistageProblem(tree, bounds, rewards, spec, y, rows)
             assert calls == [(1, sign), (3, -1.0)]
 
-    # a box open at both ends leaves both sides to the LPs, min first
+    # a box open at both ends leaves both sides to the LPs, min first, when
+    # the rows on x(0) sit at its child
     tree = balanced_tree([1])
     free = {0: (np.array([-math.inf]), np.array([math.inf]))}
-    rows = [NodeConstraint(0, "<=", 1.0, coef_self={0: 1.0}),
-            NodeConstraint(0, ">=", -1.0, coef_self={0: 1.0})]
+    rows = [NodeConstraint(1, "<=", 1.0, coef_parent={0: 1.0}),
+            NodeConstraint(1, ">=", -1.0, coef_parent={0: 1.0})]
     calls.clear()
     MultistageProblem(tree, free, {1: ([0.5], 0.5)}, spec, y, rows)
     assert calls == [(1, 1.0), (1, -1.0)]
+    # the same rows at node 0 bound both sides, so only the one LP that
+    # refuses an empty decision set runs
+    rows = [replace(con, node=0, coef_self=con.coef_parent, coef_parent={}) for con in rows]
+    calls.clear()
+    problem = MultistageProblem(tree, free, {1: ([0.5], 0.5)}, spec, y, rows)
+    assert calls == [(1, 1.0)]
+    upper = problem._row_bounds()
+    assert (upper(0, (1.0,)), upper(0, (-1.0,))) == (1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_bounds_never_fall_below_the_lp_maximum(data):
+    """Boxes with finite and infinite ends and rows of every relation that
+    hold at a point of the box, drawn as in
+    :func:`test_certification_refuses_exactly_what_two_lps_per_reward_refuse`:
+    at every decision node ``s``, the row bound on ``d . x(s)`` is at least
+    linprog's maximum for each of a few directions ``d`` and their
+    negatives, and infinite where that maximum is."""
+    tree = balanced_tree(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dims = {s: int(rng.integers(1, 4)) for s in tree.nonleaf_ids()}
+    bounds = {s: (rng.choice([0.0, -0.5, -math.inf], d), rng.choice([1.0, 1.5, math.inf], d))
+              for s, d in dims.items()}
+    point = {s: rng.uniform(0.0, 1.0, d) for s, d in dims.items()}
+    rows = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        node = int(rng.integers(len(tree.nodes)))
+        par = tree.nodes[node].parent
+        cs = {} if tree.is_leaf(node) else {
+            k: float(rng.choice([-1.0, 0.5, 1.0])) for k in range(dims[node])
+            if rng.random() < 0.6}
+        cp = {} if par is None else {
+            k: float(rng.choice([-1.0, 0.5, 1.0])) for k in range(dims[par])
+            if rng.random() < 0.6}
+        if not cs and not cp:
+            continue
+        value = sum(v * point[node][k] for k, v in cs.items())
+        value += sum(v * point[par][k] for k, v in cp.items())
+        rel = data.draw(st.sampled_from(["<=", ">=", "="]))
+        rows.append(NodeConstraint(node, rel, value + {"<=": 0.5, ">=": -0.5, "=": 0.0}[rel],
+                                   cs, cp))
+    y = uniform_grid(0.0, 1.0, 5)
+    spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
+    flat = {n.id: (np.zeros(dims[n.parent]), 0.5) for n in tree.nodes[1:]}
+    upper = MultistageProblem(tree, bounds, flat, spec, y, rows)._row_bounds()
+    for s in tree.nonleaf_ids():
+        for _ in range(2):
+            d = rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0], dims[s]) * rng.choice([0.05, 0.3, 1.0])
+            for d in (d, -d):
+                bound = upper(s, tuple(d.tolist()))
+                res = decision_linprog(tree, bounds, rows, {s: -d})
+                event("unbounded" if res.status == 3 else "bounded")
+                if res.status == 3:
+                    assert bound == math.inf
+                else:
+                    assert res.status == 0
+                    assert bound >= -res.fun - 1e-9 * (1.0 + abs(res.fun))
 
 
 def test_certification_names_the_same_node_as_one_lp_pair_per_reward(certify_backend):
@@ -1853,8 +1966,8 @@ def test_certification_refuses_exactly_what_two_lps_per_reward_refuse(data):
             np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-9)
 
 
-def _certified_extremes(monkeypatch, tree, config):
-    """Every reward-range extreme that building the problem computes."""
+def _certified_extremes(monkeypatch, build):
+    """Every reward-range extreme that ``build()`` computes."""
     values = []
     real = MultistageProblem._reward_extreme
 
@@ -1864,20 +1977,19 @@ def _certified_extremes(monkeypatch, tree, config):
 
     with monkeypatch.context() as patch:
         patch.setattr(MultistageProblem, "_reward_extreme", spy)
-        experiment.build_investment_consumption(tree, config)
+        build()
     return values
 
 
 def test_a_declined_warm_solve_is_answered_cold(monkeypatch):
-    config = experiment.ExperimentConfig(branching=(3, 3), model="pro_kan", tree_seed=5)
-    tree = experiment.generate_tree(config.branching, config.tree_seed)
-    warm = _certified_extremes(monkeypatch, tree, config)
+    instance = _shared_directions()
+    warm = _certified_extremes(monkeypatch, lambda: MultistageProblem(*instance))
     with monkeypatch.context() as patch:
         held = _fail_every_warm_run(patch)
-        cold = _certified_extremes(monkeypatch, tree, config)
+        cold = _certified_extremes(monkeypatch, lambda: MultistageProblem(*instance))
     # every extreme but the first one of the build ran warm, failed and
     # was run again cold
-    assert len(held) + 1 == len(cold) == len(warm) > 1
+    assert len(held) + 1 == len(cold) == len(warm) > 2
     assert all(x is not None for x in held)
     np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-9)
 

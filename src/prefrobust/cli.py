@@ -79,9 +79,10 @@ _FLAG_TO_FIELD = {
 
 def _number_list(text, flag, kind=int):
     """The comma-separated integers (or, with ``kind=float``, numbers)
-    given to ``flag``."""
+    given to ``flag``; an empty text is an empty list, and an empty token in
+    a non-empty one is refused."""
     try:
-        return [kind(tok) for tok in str(text).split(",") if tok != ""]
+        return [kind(tok) for tok in str(text).split(",")] if text != "" else []
     except ValueError:
         what = "integers" if kind is int else "numbers"
         raise ValueError(f"{flag} takes comma-separated {what}, got {text!r}") from None

@@ -24,17 +24,14 @@ and equality rows natively and is bit-stable for a fixed input.
 :meth:`LinearProgram.solve` reads back ``x``, row duals and the dual
 objective (:meth:`HighsSession.answer`).  The package no longer reads that
 dual objective itself: a tree-wide answer's certificate recomputes the gap
-from ``x`` and the duals (``multistage._pair_value``).  Reward
-certification asks for many optimal values over one fixed polytope, and
-nothing else of each solve: :class:`HighsSession` keeps that program
-loaded, and :meth:`HighsSession.minimum` pushes the changed costs, re-runs
-dual simplex from the last basis and returns the optimal value only.  Both
-paths vet HiGHS's ``x`` with one post-solve check and classify the run in
-the session.  A warm run without a checked optimum is re-run once, cold,
-before the session answers ``None``; after an infeasible run the session
-names conflicting rows through HiGHS's IIS.  The loader's
-row layout (:class:`RowLayout`) depends on the matrix and relations alone,
-so programs that differ only in costs and right-hand sides load from one.
+from ``x`` and the duals (``multistage._pair_value``).  Every run vets
+HiGHS's ``x`` with one post-solve check and classifies its end in the
+session; after an infeasible run the session names conflicting rows
+through HiGHS's IIS.  Reward certification solves each of its few range
+LPs cold in a session of its own (``multistage._reward_extreme``).  The
+loader's row layout (:class:`RowLayout`) depends on the matrix and
+relations alone, so programs that differ only in costs and right-hand
+sides load from one.
 
 The module also provides a mechanical dualizer.  Several published dual
 formulations in this problem family carry typographical sign slips, so
@@ -395,20 +392,19 @@ class HighsSession:
     :meth:`load` and :meth:`run` are the one path into HiGHS, for the cold
     solves of :meth:`LinearProgram.solve` too, and :meth:`run` classifies
     each end; :meth:`answer` reads an optimal run back as the program's
-    :class:`LpSolution`.  :meth:`minimum` keeps the model loaded for the
-    optimal values of many objectives: later calls push only the changed
-    costs and re-run warm from the last basis.  A load may leave columns
-    out, at 0: :meth:`reduced_costs` prices them with the last run's row
-    duals, and :meth:`add` loads those that price in, for a warm re-run
-    (column generation).  Only :meth:`answer` reads the program's own
-    costs.  The program must not gain rows or variables while the session
-    is in use.  ``layout`` is the program's :class:`RowLayout`; without it
-    each load lays the rows out anew and keeps only ``order`` and ``flip``,
-    and the laid-out columns it leaves out.  ``presolve`` is linprog's
-    option of that name, on by default; ``devex`` sets linprog's
-    ``simplex_dual_edge_weight_strategy`` to ``"devex"`` instead of leaving
-    HiGHS's own choice.  ``runs`` and ``iterations`` count the session's
-    HiGHS runs and their simplex iterations.
+    :class:`LpSolution`, and :meth:`conflict` names an infeasible one's
+    rows.  A load may leave columns out, at 0: :meth:`reduced_costs`
+    prices them with the last run's row duals, and :meth:`add` loads those
+    that price in, for a warm re-run (column generation).  Only
+    :meth:`answer` reads the program's own costs.  The program must not
+    gain rows or variables while the session is in use.  ``layout`` is the
+    program's :class:`RowLayout`; without it each load lays the rows out
+    anew and keeps only ``order`` and ``flip``, and the laid-out columns it
+    leaves out.  ``presolve`` is linprog's option of that name, on by
+    default; ``devex`` sets linprog's ``simplex_dual_edge_weight_strategy``
+    to ``"devex"`` instead of leaving HiGHS's own choice.  ``runs`` and
+    ``iterations`` count the session's HiGHS runs and their simplex
+    iterations.
     """
 
     def __init__(self, lp, tol=DEFAULT_TOL, layout=None, presolve=True, devex=False):
@@ -459,7 +455,6 @@ class HighsSession:
             self.row_lower, self.row_upper, A.indptr.astype(np.int32, copy=False),
             A.indices.astype(np.int32, copy=False), A.data, np.zeros(n, np.int32))
         if status == HighsStatus.kError:
-            self.highs = None
             raise ValueError(f"LP {lp.name or '<unnamed>'}: HiGHS refused the model")
         if basis is not None:
             start, (cols, rows) = HighsBasis(), basis
@@ -470,7 +465,6 @@ class HighsSession:
                 start.col_status = [_BASIS[k] for k in cols.tolist()]
                 start.row_status = [_BASIS[k] for k in rows[self.order].tolist()]
             if self.highs.setBasis(start) == HighsStatus.kError:
-                self.highs = None
                 raise ValueError(f"LP {lp.name or '<unnamed>'}: HiGHS refused the start basis")
 
     def basis(self):
@@ -574,23 +568,6 @@ class HighsSession:
         dual_obj += float(hi[finite_hi] @ (sign * np.where(at_hi, col_dual, 0.0))[finite_hi])
         return LpSolution(LpStatus.OPTIMAL, objective=float(lp.objective @ x), x=x,
                           duals=duals, dual_objective=dual_obj, message=self.message)
-
-    def minimum(self, cost):
-        """``min cost . x`` over the program, or ``None`` when the last
-        :meth:`run` has no ``x``, a warm one being re-run cold in a fresh
-        instance first; ``status`` says why.  ``cost`` is kept to diff the
-        next call against, so it must not be modified afterwards."""
-        x = None
-        if self.highs is not None:
-            changed = np.flatnonzero(cost != self._cost)
-            if changed.size:
-                self.highs.changeColsCost(changed.size, changed.astype(np.int32), cost[changed])
-            x = self.run()
-        if x is None:
-            self.load(cost)
-            x = self.run()
-        self._cost = cost
-        return None if x is None else float(cost @ x)
 
     def conflict(self):
         """After an infeasible run, the program rows of one irreducible

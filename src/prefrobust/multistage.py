@@ -146,10 +146,10 @@ class MultistageProblem:
     ``lam = max |coef|``, so rewards share their range when they share the
     parent and the direction ``d``.  Each side of a (parent, direction)
     range is first bounded through the parent's box and rows (see
-    :meth:`_row_bounds`); a bound that keeps every reward along ``d`` inside
-    the domain decides that side.  Only the open sides are solved, in reward
-    id order, warm in one HiGHS session per build, and at least one LP runs,
-    so an empty decision set is refused.
+    :meth:`_row_bounds`).  In reward id order, a side whose bound leaves the
+    reward outside the domain is solved by one cold LP, once per range; a
+    reward still outside is refused with both ends as the LPs find them.
+    At least one LP runs, so an empty decision set is refused.
     """
 
     def __init__(self, tree, decision_bounds, rewards, ambiguity, grid, constraints=()):
@@ -289,62 +289,52 @@ class MultistageProblem:
 
     def _certify_rewards(self):
         a, b = float(self.grid[0]), float(self.grid[-1])
-        upper = self._row_bounds()
-        ranges = {}  # (parent, direction bytes) -> _Range of d . x(parent)
-        along = []  # (reward, its range, lam, offset) in id order
+        upper, (lp, xvar) = self._row_bounds(), self._decision_lp()
+        # ranges: (parent, direction bytes) -> [min, max] of d . x(parent);
+        # solved: (that key, side) -> the end as the one cold LP on it found
+        ranges, solved = {}, {}
+
+        def solve(i, key, sides):
+            for side in sides:
+                if (key, side) not in solved:
+                    solved[key, side] = ranges[key][side] = self._reward_extreme(
+                        lp, xvar[key[0]], np.frombuffer(key[1]), (1.0, -1.0)[side], i)
+
         for i in sorted(self.rewards):
-            rm = self.rewards[i]
-            parent = self.tree.nodes[i].parent
+            rm, parent = self.rewards[i], self.tree.nodes[i].parent
             lam = float(np.max(np.abs(rm.coef), initial=0.0)) or 1.0
             d = rm.coef / lam
             key = (parent, d.tobytes())
             if key not in ranges:
-                ends = [-upper(parent, tuple((-d).tolist())), upper(parent, tuple(d.tolist()))]
-                ranges[key] = _Range(parent, d, ends)
-            r = ranges[key]
-            along.append((i, r, lam, rm.offset))
-            # The bounds hold over the decision set, so an end that keeps every
-            # reward along d inside the domain decides that side; the others
-            # are left open (written so that a NaN end opens its side too).
-            lo, hi = (lam * v + rm.offset for v in r.ends)
-            r.open[0] |= not lo >= a - DOMAIN_TOL
-            r.open[1] |= not hi <= b + DOMAIN_TOL
-        if not along:
-            return
-        if not any(r.open[0] or r.open[1] for r in ranges.values()):
-            along[0][1].open[0] = True  # one run still refuses an empty decision set
-
-        # Every extreme shares the decision polytope, so one warm HiGHS model
-        # serves them all.  A range's open sides are solved at its first reward.
-        lp, xvar = self._decision_lp()
-        session = HighsSession(lp)
-
-        def solve(i, r, sides):
-            for side in sides:
-                if not r.solved[side]:
-                    r.ends[side] = self._reward_extreme(
-                        lp, xvar[r.parent], r.d, (1.0, -1.0)[side], i, session)
-                    r.solved[side] = True
-
-        for i, r, lam, offset in along:
-            solve(i, r, [side for side in (0, 1) if r.open[side]])
-            lo, hi = (lam * v + offset for v in r.ends)
+                ranges[key] = [-upper(parent, tuple((-d).tolist())),
+                               upper(parent, tuple(d.tolist()))]
+            # The bounds hold over the decision set, so an end that keeps this
+            # reward inside the domain decides its side; the others are solved
+            # (written so that a NaN end counts as outside).
+            lo, hi = (lam * v + rm.offset for v in ranges[key])
+            solve(i, key, [side for side, inside in enumerate(
+                (lo >= a - DOMAIN_TOL, hi <= b + DOMAIN_TOL)) if not inside])
+            lo, hi = (lam * v + rm.offset for v in ranges[key])
             if lo < a - DOMAIN_TOL or hi > b + DOMAIN_TOL:
-                solve(i, r, (0, 1))  # print both ends as the LPs find them
-                lo, hi = (lam * v + offset for v in r.ends)
+                solve(i, key, (0, 1))  # print both ends as the LPs find them
+                lo, hi = (lam * v + rm.offset for v in ranges[key])
                 raise ValueError(
                     f"reward at node {i} spans [{lo!r}, {hi!r}], outside the "
                     f"utility domain [{a:g}, {b:g}]")
+        if ranges and not solved:  # one LP still refuses an empty decision set
+            solve(min(self.rewards), next(iter(ranges)), (0,))
 
-    def _reward_extreme(self, lp, cols, coef, sign, node, session):
+    def _reward_extreme(self, lp, cols, coef, sign, node):
         """``sign * min(sign * coef . x[cols])`` over the decision set ``lp``,
-        solved in ``session``.  An empty set is refused naming the rows of one
-        conflict and the last node they belong to."""
+        solved cold.  An empty set is refused naming the rows of one conflict
+        and the last node they belong to."""
         cost = np.zeros(lp.num_vars)
         cost[cols] = sign * coef
-        value = session.minimum(cost)
-        if value is not None:
-            return sign * value
+        session = HighsSession(lp)
+        session.load(cost)
+        x = session.run()
+        if x is not None:
+            return sign * float(cost @ x)
         if session.status is LpStatus.INFEASIBLE:
             rows = session.conflict()
             if not rows.size:
@@ -358,20 +348,6 @@ class MultistageProblem:
                 f"reward at node {node} is unbounded over the decision set; "
                 "add box bounds")
         raise RuntimeError(f"reward range solve ended {session.status.value}")
-
-
-@dataclass
-class _Range:
-    """The range of ``d . x(parent)`` over the decision set, which every
-    reward along ``d`` scales to its own.  ``ends`` holds the row bounds'
-    ``[min, max]`` until an LP solves a side; ``open`` marks the sides they
-    cannot decide, ``solved`` those an LP gave."""
-
-    parent: int
-    d: np.ndarray
-    ends: list
-    open: list = field(default_factory=lambda: [False, False])
-    solved: list = field(default_factory=lambda: [False, False])
 
 
 def _row_bound(rows, box, parents, memo, s, d):

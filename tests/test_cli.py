@@ -391,6 +391,11 @@ def test_wrongly_typed_config_exits_cleanly(tmp_path, capsys, config, message):
     (["solve", "--out", ""], "out must be a path, got ''"),
     # a dict stands for a config file holding it
     (["solve", "--config", {"out": ""}], "out must be a path, got ''"),
+    # an empty token is refused, not dropped
+    (["solve", "--seeds", "0,1,"], "--seeds takes comma-separated integers, got '0,1,'"),
+    (["solve", "--branching", ",2"], "--branching takes comma-separated integers, got ',2'"),
+    (["sweep", "--param", "R", "--values", "0,,1"],
+     "--values takes comma-separated numbers, got '0,,1'"),
 ])
 def test_bad_flag_values_exit_cleanly(monkeypatch, capsys, tmp_path, argv, message):
     # a refused step must not reach the search grid

@@ -383,41 +383,7 @@ def test_sequence_global_requires_finite_sets():
         evaluate_policy_worst_case(problem, dec, "sequence_global")
 
 
-def _fail_every_warm_run(monkeypatch):
-    """Make every warm run of a session fail, as if HiGHS broke down there:
-    a run on an instance that has run since its load ends FAILED.  Returns
-    the list of the answers the failed runs held back."""
-    held = []
-    real_load, real_run = lp_module.HighsSession.load, lp_module.HighsSession.run
-
-    def load(self, cost, *args, **kwargs):
-        real_load(self, cost, *args, **kwargs)
-        self.cold = True
-
-    def run(self):
-        x = real_run(self)
-        if self.cold:
-            self.cold = False
-            return x
-        held.append(x)
-        self.status, self.message = LpStatus.FAILED, "warm run made to fail"
-        return None
-
-    monkeypatch.setattr(lp_module.HighsSession, "load", load)
-    monkeypatch.setattr(lp_module.HighsSession, "run", run)
-    return held
-
-
-@pytest.fixture(params=["session", "session declines"])
-def certify_backend(request, monkeypatch):
-    """Certify reward ranges in a warm HiGHS session, or in one whose every
-    warm run fails, so that each LP is run cold again in a fresh instance."""
-    if request.param == "session declines":
-        _fail_every_warm_run(monkeypatch)
-    return request.param
-
-
-def test_infeasibility_names_the_offending_node(monkeypatch, certify_backend):
+def test_infeasibility_names_the_offending_node(monkeypatch):
     tree = balanced_tree([2, 2])
     y = uniform_grid(0.0, 1.0, 5)
     identity = PiecewiseLinearUtility(y, y)
@@ -532,7 +498,7 @@ def test_one_conflict_is_named_as_the_prefix_loop_names_it(data):
     assert str(err.value) == f"decision constraints become infeasible at node {last}: rows {named}"
 
 
-def test_reward_ranges_are_certified_at_build_time(certify_backend):
+def test_reward_ranges_are_certified_at_build_time():
     tree = balanced_tree([2])
     y = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
@@ -1689,9 +1655,9 @@ def _count_reward_extremes(monkeypatch):
     calls = []
     real = MultistageProblem._reward_extreme
 
-    def spy(self, lp, cols, coef, sign, node, session):
+    def spy(self, lp, cols, coef, sign, node):
         calls.append((node, sign))
-        return real(self, lp, cols, coef, sign, node, session)
+        return real(self, lp, cols, coef, sign, node)
 
     monkeypatch.setattr(MultistageProblem, "_reward_extreme", spy)
     return calls
@@ -1756,7 +1722,7 @@ def _shared_directions():
     return tree, bounds, rewards, spec, y, rows
 
 
-def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_backend):
+def test_rewards_along_one_direction_share_their_range_lps(monkeypatch):
     tree, bounds, rewards, spec, y, rows = _shared_directions()
     calls = _count_reward_extremes(monkeypatch)
     MultistageProblem(tree, bounds, rewards, spec, y, rows)
@@ -1772,7 +1738,7 @@ def test_rewards_along_one_direction_share_their_range_lps(monkeypatch, certify_
     assert calls == [(1, -1.0), (2, 1.0)]
 
 
-def test_the_box_decides_a_side_only_for_every_reward_along_it(monkeypatch, certify_backend):
+def test_the_box_decides_a_side_only_for_every_reward_along_it(monkeypatch):
     tree = balanced_tree([3])
     y = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
@@ -1782,16 +1748,18 @@ def test_the_box_decides_a_side_only_for_every_reward_along_it(monkeypatch, cert
     rows = [NodeConstraint(0, "<=", 0.0, coef_self={0: 1.0, 1: -1.0}),
             NodeConstraint(0, "<=", 1.0, coef_self={1: 1.0})]
     # the box keeps the narrow reward inside the domain but lets the wide one
-    # reach 2 (or -1); the rows keep both inside it, which only the LP shows.
-    # Node 3's max is open too, so no side is solved just to run one LP.
+    # reach 2 (or -1); the rows keep both inside it, which only the LP shows,
+    # solved at the wide reward, the first the box leaves outside.  Node 3's
+    # max is open too, so no side is solved just to run one LP.
     calls = _count_reward_extremes(monkeypatch)
     other = ([0.5, 0.5], 0.0)
     for narrow, wide, sign in ((([0.25, 0.0], 0.0), ([1.0, 0.0], 0.0), -1.0),
                                (([-0.25, 0.0], 0.5), ([-1.0, 0.0], 1.0), 1.0)):
-        for rewards in ({1: narrow, 2: wide, 3: other}, {1: wide, 2: narrow, 3: other}):
+        for rewards, at in (({1: narrow, 2: wide, 3: other}, 2),
+                            ({1: wide, 2: narrow, 3: other}, 1)):
             calls.clear()
             MultistageProblem(tree, bounds, rewards, spec, y, rows)
-            assert calls == [(1, sign), (3, -1.0)]
+            assert calls == [(at, sign), (3, -1.0)]
 
     # a box open at both ends leaves both sides to the LPs, min first, when
     # the rows on x(0) sit at its child
@@ -1862,7 +1830,7 @@ def test_row_bounds_never_fall_below_the_lp_maximum(data):
                     assert bound >= -res.fun - 1e-9 * (1.0 + abs(res.fun))
 
 
-def test_certification_names_the_same_node_as_one_lp_pair_per_reward(certify_backend):
+def test_certification_names_the_same_node_as_one_lp_pair_per_reward():
     tree = balanced_tree([3])
     y = uniform_grid(0.0, 1.0, 5)
     spec = KantorovichBallSpec(PiecewiseLinearUtility(y, y), 0.1, L=2.0, L_tilde=3.0)
@@ -1964,34 +1932,6 @@ def test_certification_refuses_exactly_what_two_lps_per_reward_refuse(data):
         assert got[:2] == want[:2]
         if want[2] is not None:
             np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-9)
-
-
-def _certified_extremes(monkeypatch, build):
-    """Every reward-range extreme that ``build()`` computes."""
-    values = []
-    real = MultistageProblem._reward_extreme
-
-    def spy(self, lp, cols, coef, sign, node, session):
-        values.append(real(self, lp, cols, coef, sign, node, session))
-        return values[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(MultistageProblem, "_reward_extreme", spy)
-        build()
-    return values
-
-
-def test_a_declined_warm_solve_is_answered_cold(monkeypatch):
-    instance = _shared_directions()
-    warm = _certified_extremes(monkeypatch, lambda: MultistageProblem(*instance))
-    with monkeypatch.context() as patch:
-        held = _fail_every_warm_run(patch)
-        cold = _certified_extremes(monkeypatch, lambda: MultistageProblem(*instance))
-    # every extreme but the first one of the build ran warm, failed and
-    # was run again cold
-    assert len(held) + 1 == len(cold) == len(warm) > 2
-    assert all(x is not None for x in held)
-    np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-9)
 
 
 def _random_problem(rng, branching, assign):

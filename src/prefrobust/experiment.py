@@ -147,6 +147,10 @@ class ExperimentConfig:
         self.seeds = _numbers(self.seeds, "seeds", _integer)
         for name in ("n_breakpoints", "questionnaires", "tree_seed", "n_true"):
             setattr(self, name, _integer(getattr(self, name), name))
+        for name, seed in [("tree_seed", self.tree_seed)] + [
+                (f"seeds[{k}]", seed) for k, seed in enumerate(self.seeds)]:
+            if seed < 0:
+                raise ValueError(f"{name} must be nonnegative, got {seed}")
         _number(self.radius, "radius")
         if (self.scale_override is not None
                 and not 0 < _number(self.scale_override, "scale_override") < math.inf):

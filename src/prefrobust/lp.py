@@ -14,10 +14,8 @@ on them HiGHS's presolve costs more time than it saves.  Those whose tree
 carries a Kantorovich ball at every node are also priced with Devex
 (``devex=True``, linprog's ``simplex_dual_edge_weight_strategy="devex"``),
 which takes fewer HiGHS seconds on them than its default dual steepest
-edge; on questionnaire trees it takes more.  A session can also load a
-program without some of its columns and add them as they price in
-(column generation), which is how the tree LP's answer columns are
-solved (see ``multistage._priced_solve``), and start from a given basis
+edge; on questionnaire trees it takes more.  A tree LP is loaded whole
+and run once, from a basis stitched from its node blocks
 (``multistage._start_basis``).  HiGHS handles free variables
 and equality rows natively and is bit-stable for a fixed input.
 
@@ -393,16 +391,13 @@ class HighsSession:
     solves of :meth:`LinearProgram.solve` too, and :meth:`run` classifies
     each end; :meth:`answer` reads an optimal run back as the program's
     :class:`LpSolution`, and :meth:`conflict` names an infeasible one's
-    rows.  A load may leave columns out, at 0: :meth:`reduced_costs`
-    prices them with the last run's row duals, and :meth:`add` loads those
-    that price in, for a warm re-run (column generation).  Only
-    :meth:`answer` reads the program's own costs.  The program must not
-    gain rows or variables while the session is in use.  ``layout`` is the
-    program's :class:`RowLayout`; without it each load lays the rows out
-    anew and keeps only ``order`` and ``flip``, and the laid-out columns it
-    leaves out.  ``presolve`` is linprog's option of that name, on by
-    default; ``devex`` sets linprog's ``simplex_dual_edge_weight_strategy``
-    to ``"devex"`` instead of leaving HiGHS's own choice.  ``runs`` and
+    rows.  Only :meth:`answer` reads the program's own costs.  The program
+    must not gain rows or variables while the session is in use.
+    ``layout`` is the program's :class:`RowLayout`; without it each load
+    lays the rows out anew and keeps only ``order`` and ``flip``.
+    ``presolve`` is linprog's option of that name, on by default;
+    ``devex`` sets linprog's ``simplex_dual_edge_weight_strategy`` to
+    ``"devex"`` instead of leaving HiGHS's own choice.  ``runs`` and
     ``iterations`` count the session's HiGHS runs and their simplex
     iterations.
     """
@@ -412,20 +407,17 @@ class HighsSession:
         self._options = _OPTIONS + (("presolve", "on" if presolve else "off"),)
         if devex:
             self._options += (("simplex_dual_edge_weight_strategy", _DEVEX),)
-        self.highs = self.solution = self._cost = self.status = None
+        self.highs = self.solution = self.status = None
         self.runs = self.iterations = 0
 
-    def load(self, cost, rhs=None, skip=(), basis=None):
+    def load(self, cost, rhs=None, basis=None):
         """Load the program into a fresh HiGHS instance, to minimize
         ``cost . x`` subject to its rows with the right-hand sides ``rhs``
         (by default its own).  HiGHS row ``k`` is program row ``order[k]``
-        times ``flip[k]``.  The program columns ``skip`` are left out, so
-        they sit at 0, until :meth:`add` loads them; HiGHS column ``j`` is
-        program column ``cols[j]`` (``cols`` is ``None`` when none is left
-        out).  ``basis``, as :meth:`basis` reads one (a flipped row keeps
-        its status), starts the first run instead of HiGHS's slack basis.  A
-        model or basis HiGHS refuses (``kError``, not ``kWarning``) is
-        refused naming the program."""
+        times ``flip[k]``.  ``basis``, as :meth:`basis` reads one (a flipped
+        row keeps its status), starts the first run instead of HiGHS's slack
+        basis.  A model or basis HiGHS refuses (``kError``, not
+        ``kWarning``) is refused naming the program."""
         lp = self._lp
         rhs = lp.rhs if rhs is None else rhs
         _require_finite(lp, cost, rhs, lp.row_matrix())
@@ -434,16 +426,7 @@ class HighsSession:
         rhs = layout.flip * rhs[layout.order]
         self.row_lower = np.where(layout.eq, rhs, -math.inf)
         self.row_upper = rhs
-        self.lower, self.upper = layout.lower, layout.upper
-        A, self.cols, self._left_out, self._cost = layout.matrix, None, None, cost
-        if np.size(skip):
-            keep = np.ones(lp.num_vars, dtype=bool)
-            keep[skip] = False
-            out = np.flatnonzero(~keep)
-            self._left_out = out, A[:, out], self.lower[out], self.upper[out]
-            self.cols = np.flatnonzero(keep)
-            A, cost = A[:, self.cols], cost[self.cols]
-            self.lower, self.upper = self.lower[self.cols], self.upper[self.cols]
+        self.lower, self.upper, A = layout.lower, layout.upper, layout.matrix
         self.highs = _Highs()
         for name, value in self._options + (("primal_feasibility_tolerance", self._tol),
                                             ("dual_feasibility_tolerance", self._tol)):
@@ -461,7 +444,6 @@ class HighsSession:
             start.valid, start.alien = True, False  # checked, not repaired
             if np.shape(cols) == (lp.num_vars,) and np.shape(rows) == (lp.num_rows,):
                 # else HiGHS gets no statuses, which it refuses
-                cols = cols if self.cols is None else cols[self.cols]
                 start.col_status = [_BASIS[k] for k in cols.tolist()]
                 start.row_status = [_BASIS[k] for k in rows[self.order].tolist()]
             if self.highs.setBasis(start) == HighsStatus.kError:
@@ -470,50 +452,17 @@ class HighsSession:
     def basis(self):
         """The last run's basis: the HiGHS status codes (``LOWER``,
         ``BASIC``, ``UPPER``, ``ZERO``) of the program's columns and of its
-        rows, in program order.  A column left out reads ``LOWER``, where it
-        sits."""
+        rows, in program order."""
         basis = self.highs.getBasis()
-        cols = np.full(self._lp.num_vars, LOWER, np.int8)
-        cols[slice(None) if self.cols is None else self.cols] = np.fromiter(
-            map(int, basis.col_status), np.int8)
+        cols = np.fromiter(map(int, basis.col_status), np.int8)
         rows = np.empty(self._lp.num_rows, np.int8)
         rows[self.order] = np.fromiter(map(int, basis.row_status), np.int8)
         return cols, rows
 
-    def _columns(self, cols):
-        """The laid-out matrix columns and the bounds of the program
-        columns ``cols``, left out of the load."""
-        out, A, lower, upper = self._left_out
-        pos = np.searchsorted(out, cols)
-        return A[:, pos], lower[pos], upper[pos]
-
-    def reduced_costs(self, cols):
-        """The reduced costs ``cost_j - a_j . y`` of the program columns
-        ``cols``, left out of the load, under the last optimal run's row
-        duals ``y``: in HiGHS's form (minimized, rows laid out), where a
-        column at its lower bound prices in when its reduced cost is
-        negative."""
-        return self._cost[cols] - self._columns(cols)[0].T @ self.row_dual
-
-    def add(self, cols):
-        """Load the program columns ``cols``, left out so far, into the
-        loaded instance, which keeps its basis: the next :meth:`run`
-        starts from it, the new columns nonbasic at their lower bounds."""
-        A, lower, upper = self._columns(cols)
-        status = self.highs.addCols(
-            cols.size, self._cost[cols], lower, upper, A.nnz,
-            A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32), A.data)
-        if status == HighsStatus.kError:
-            raise ValueError(f"LP {self._lp.name or '<unnamed>'}: HiGHS refused columns")
-        self.cols = np.concatenate((self.cols, cols))
-        self.lower = np.concatenate((self.lower, lower))
-        self.upper = np.concatenate((self.upper, upper))
-
     def run(self):
         """Run HiGHS and classify the end in ``status`` and ``message``;
-        return ``x`` of the loaded columns, or ``None`` unless it ends
-        optimal with an ``x`` within ``_CHECK_TOL`` of every bound and row
-        (linprog's own check)."""
+        return ``x``, or ``None`` unless it ends optimal with an ``x``
+        within ``_CHECK_TOL`` of every bound and row (linprog's own check)."""
         h = self.highs
         h.run()
         self.runs += 1
@@ -535,23 +484,13 @@ class HighsSession:
             self.message += f", but x strays from a bound or row by more than {_CHECK_TOL:.2e}"
         return None
 
-    def answer(self, x, reduced=()):
+    def answer(self, x):
         """The program's :class:`LpSolution` from the ``x`` that the last
         :meth:`run` returned, for the costs the program was loaded with
-        (its own objective, negated for a maximization).  A column left out
-        reads 0 in ``x``; ``reduced`` holds the reduced costs of those
-        columns, in program order, which stand for their column duals.
-        Each sits at its lower bound 0 with no upper one, so it adds
-        nothing to the dual objective."""
+        (its own objective, negated for a maximization)."""
         lp = self._lp
         sign = 1.0 if lp.sense == "min" else -1.0
         col_dual = _vector(self.solution.col_dual)
-        if self.cols is not None:
-            left_out = np.ones(lp.num_vars, dtype=bool)
-            left_out[self.cols] = False
-            full_x, full_dual = np.zeros(lp.num_vars), np.empty(lp.num_vars)
-            full_x[self.cols], full_dual[self.cols], full_dual[left_out] = x, col_dual, reduced
-            x, col_dual = full_x, full_dual
         # HiGHS reports multipliers for the minimized, <=-oriented rows; undo
         # the row flips and the sense flip.  A bound multiplier is the column
         # dual of a variable sitting at that bound (a fixed one books it by

@@ -34,8 +34,7 @@ from .ambiguity import (
     feasibility_check,
 )
 from .blocks import append_pairwise_rows
-from .lp import (BASIC, DEFAULT_TOL, HighsSession, LinearProgram, LpSolution, LpStatus,
-                 at_bound, dualize)
+from .lp import BASIC, HighsSession, LinearProgram, LpStatus, at_bound, dualize
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
     DOMAIN_TOL,
@@ -395,7 +394,6 @@ class _NodeBlock:
     alpha: np.ndarray  # positions in ``rows`` whose marginals carry p_s * alpha
     cost: np.ndarray   # dual costs before scaling by the node probability
     prob: float        # the scale applied to ``cost`` in this LP
-    answers: np.ndarray  # the columns in ``cols`` that dualize answer rows
     start: tuple | None  # its shape's basis (see _shape_basis), shared by the shape's blocks
 
 
@@ -489,25 +487,28 @@ def _solve_big(problem, big, xvar, label, blocks=None):
     """Solve a tree-wide LP and return its certificate record (see
     :func:`_certificate_data`) with its ``value``, once :func:`_pair_value`,
     the rule of every subtree and node certificate too, accepts it against
-    the whole LP; a refusal raises ``"{label} solve: "`` and why.  A
-    holistic tree LP comes with its node ``blocks``, whose answer columns are
-    priced in (see :func:`_priced_solve`), from a basis stitched from them
-    (see :func:`_start_basis`).  It runs without HiGHS's
-    presolve, which costs more time than it saves there, and, if every node
-    has a Kantorovich ball, with Devex pricing, whose iterations take about
-    half the time of HiGHS's default dual steepest edge there (on
-    questionnaire trees it loses).  The nominal LP keeps linprog's options
-    and HiGHS's own start."""
+    the whole LP; a refusal raises ``"{label} solve: "`` and why.  The LP is
+    loaded whole into one :class:`HighsSession` and run once.  A holistic
+    tree LP comes with its node ``blocks`` and starts from a basis stitched
+    from them (see :func:`_start_basis`).  It runs without HiGHS's presolve,
+    which costs more time than it saves there, and, if every node has a
+    Kantorovich ball, with Devex pricing, whose iterations take about half
+    the time of HiGHS's default dual steepest edge there (on questionnaire
+    trees it loses).  The nominal LP keeps linprog's options and HiGHS's
+    own start."""
     holistic = blocks is not None
     balls = holistic and all(isinstance(problem.ambiguity.for_node(s), KantorovichBallSpec)
                              for s in problem.tree.nonleaf_ids())
-    priced = _answer_columns(blocks) if holistic else np.empty(0, dtype=np.int64)
-    basis = _start_basis(big, blocks) if holistic else None
-    sol = _priced_solve(big, priced, basis, presolve=not holistic, devex=balls)
-    if sol.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
-        _diagnose_and_raise(problem, f"{label} solve ended {sol.status.value}")
-    if not sol.is_optimal:
-        raise RuntimeError(f"{label} solve ended {sol.status.value}: {sol.message}")
+    session = HighsSession(big, presolve=not holistic, devex=balls)
+    # HiGHS minimizes; tree LPs maximize
+    session.load(-big.objective, basis=_start_basis(big, blocks) if holistic else None)
+    x = session.run()
+    if x is None:
+        if session.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
+            _diagnose_and_raise(problem, f"{label} solve ended {session.status.value}")
+        raise RuntimeError(f"{label} solve ended {session.status.value}: {session.message}")
+    sol = session.answer(x)
+    del session  # so HiGHS's memory is freed before the answer is certified
     # Keep copies: the arrays read back from HiGHS sit among the solver's
     # freed blocks, and holding those raised the peak RSS of solving the
     # 341-node tree's LPs one after another by ~6 MB.
@@ -520,42 +521,6 @@ def _solve_big(problem, big, xvar, label, blocks=None):
     if why is not None:
         raise RuntimeError(f"{label} solve: {why}")
     return kept
-
-
-def _priced_solve(big, priced, basis, **options):
-    """Maximize the tree-wide LP ``big`` in one :class:`HighsSession` with
-    ``options``, from ``basis`` (``None``: HiGHS's slack basis), the
-    columns ``priced`` (the answer columns of a holistic tree LP, see
-    :func:`_answer_columns`) left out of the load and priced
-    in: after each optimal run, those still out are priced with its row
-    duals, the ones whose reduced cost is below ``-DEFAULT_TOL`` are added,
-    and HiGHS re-runs warm, until none prices in (column generation;
-    Dantzig and Wolfe, Oper. Res. 8(1), 1960).  Returns the
-    :class:`LpSolution` of the whole LP, or of the first run that ends
-    without an optimum.  Columns never loaded read 0; :func:`_solve_big`'s
-    certificate holds their reduced costs to their bounds ``[0, inf)``.
-
-    Each answer row of a node's one-stage LP is one such column, and few
-    bind: on a 5^3 tree with 200 answers per node, 173 of 6,178 were
-    loaded, in four runs that took about half the HiGHS time of the whole
-    LP.  A tree without answers loads in full and runs once.  The session
-    goes on return, so HiGHS's memory is freed before the answer is
-    certified."""
-    session = HighsSession(big, **options)
-    waiting, reduced = priced, np.empty(0)
-    session.load(-big.objective, skip=waiting, basis=basis)  # HiGHS minimizes; tree LPs maximize
-    x = session.run()
-    while x is not None and waiting.size:
-        reduced = session.reduced_costs(waiting)
-        enter = reduced < -DEFAULT_TOL
-        if not enter.any():
-            break
-        session.add(waiting[enter])
-        waiting, reduced = waiting[~enter], reduced[~enter]
-        x = session.run()
-    if x is None:
-        return LpSolution(session.status, message=session.message)
-    return session.answer(x, reduced)
 
 
 def _start_basis(big, blocks):
@@ -609,10 +574,10 @@ def _assemble_holistic(problem):
     right-hand sides: its primal costs become the dual's right-hand sides
     and its primal right-hand sides the dual's costs.  All blocks then enter
     the tree LP in one splice (:func:`_splice_dual_blocks`).  A node's
-    answer columns, the duals of its answer rows, close its block; its
-    :class:`_NodeBlock` reports them in ``answers``, for
-    :func:`_priced_solve` to price in, and in ``start`` its shape's basis
-    (see :func:`_shape_basis`), for :func:`_start_basis`."""
+    answer columns, the duals of its answer rows, close its block, after
+    the columns that take its shape's basis (see :func:`_shape_basis`),
+    which its :class:`_NodeBlock` keeps in ``start`` for
+    :func:`_start_basis`."""
     tree, grid = problem.tree, problem.grid
     pu = tree.unconditional_probs()
     specs, keys = {}, {}
@@ -679,8 +644,7 @@ def _assemble_holistic(problem):
                    (node.eps[pos], xvar[s][k], -probs[pos] * coef[pos, k]))
 
     spans = _splice_dual_blocks(big, parts(), *sizes.tolist())
-    blocks = {s: _NodeBlock(cols, rows, *stamps[s], float(pu[s]),
-                            cols[templates[keys[s]][1].num_vars:], starts[keys[s]])
+    blocks = {s: _NodeBlock(cols, rows, *stamps[s], float(pu[s]), starts[keys[s]])
               for s, (cols, rows) in zip(keys, spans)}
     return big, xvar, blocks
 
@@ -709,13 +673,6 @@ def _dualized_answers(node, grid, arrays):
     lp.add_vars(node.lp.num_vars, lb=node.lp.lower, ub=node.lp.upper)
     append_pairwise_rows(lp, node.block.alpha, grid, *arrays)
     return dualize(lp)
-
-
-def _answer_columns(blocks):
-    """The answer columns of the tree LP whose node blocks are ``blocks``,
-    which :func:`_priced_solve` prices in."""
-    return np.concatenate([np.empty(0, dtype=np.int64)]
-                          + [nb.answers for nb in blocks.values()])
 
 
 def _holistic_policy(problem, big, kept):

@@ -220,6 +220,8 @@ class ClosedFormUtility:
 def uniform_grid(a, b, n):
     if n < 2:
         raise ValueError("a grid needs at least 2 points")
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"a grid needs finite ends a < b, got {a!r} and {b!r}")
     return np.linspace(a, b, n)
 
 

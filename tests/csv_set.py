@@ -12,7 +12,7 @@ checkouts print byte-identical output exactly when
 
     diff <(python tests/csv_set.py) <(python tests/csv_set.py OTHER)
 
-prints nothing.  Not collected by pytest: the set takes about 13 s on two
+prints nothing.  Not collected by pytest: the set takes about 11 s on two
 vCPUs.
 """
 
@@ -38,6 +38,8 @@ COMMANDS = {
     "solve pro_kan 5,5,5,5": ["solve", "--branching", "5,5,5,5", "--model", "pro_kan"],
     "solve pro_pc K=200 5,5,5": ["solve", "--branching", "5,5,5", "--model", "pro_pc",
                                  "--questionnaires", "200"],
+    "solve pro_pc K=200 4,4,4,4": ["solve", "--branching", "4,4,4,4", "--model", "pro_pc",
+                                   "--questionnaires", "200", "--seeds", "0,1"],
 }
 
 

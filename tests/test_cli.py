@@ -396,6 +396,11 @@ def test_wrongly_typed_config_exits_cleanly(tmp_path, capsys, config, message):
     (["solve", "--branching", ",2"], "--branching takes comma-separated integers, got ',2'"),
     (["sweep", "--param", "R", "--values", "0,,1"],
      "--values takes comma-separated numbers, got '0,,1'"),
+    # a negative seed is refused before any tree or questionnaire is drawn
+    (["gen-tree", "--seed", "-3"], "tree_seed must be nonnegative, got -3"),
+    (["solve", "--tree-seed", "-1"], "tree_seed must be nonnegative, got -1"),
+    (["solve", "--model", "pro_pc", "--seeds", "-1"], "seeds[0] must be nonnegative, got -1"),
+    (["solve", "--model", "pro_kan", "--seeds", "0,-1"], "seeds[1] must be nonnegative, got -1"),
 ])
 def test_bad_flag_values_exit_cleanly(monkeypatch, capsys, tmp_path, argv, message):
     # a refused step must not reach the search grid

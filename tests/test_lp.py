@@ -382,36 +382,9 @@ def test_accessors_follow_every_addition_and_the_cost_setter():
     assert lp.rhs.tolist() == [1.0, 2.0, 3.0] and lp.relations.tolist() == [">=", "=", "<="]
 
 
-def test_a_left_out_column_prices_in_and_the_answer_is_the_whole_lps():
-    # max x0 + 2 x1 + 0.5 x2 over x0 + x1 + x2 <= 1 and x0 - x1 >= -2:
-    # without x1 the optimum is x0 = 1, and x1 prices in under its row duals
-    lp = LinearProgram("max", name="priced")
-    lp.add_vars(3, "x", obj=[1.0, 2.0, 0.5])
-    lp.add_rows([0, 3, 5], [0, 1, 2, 0, 1], [1.0, 1.0, 1.0, 1.0, -1.0], ["<=", ">="],
-                [1.0, -2.0], ["cap", "tilt"])
-    session = HighsSession(lp)
-    session.load(-lp.objective, skip=[1, 2])
-    assert session.cols.tolist() == [0]
-    assert session.run().tolist() == [1.0]
-    reduced = session.reduced_costs(np.array([1, 2]))
-    assert reduced.tolist() == [-1.0, 0.5]  # HiGHS minimizes -2 x1 - 0.5 x2
-    session.add(np.array([1]))
-    x = session.run()
-    assert session.cols.tolist() == [0, 1] and x.tolist() == [0.0, 1.0]
-    assert session.runs == 2 and session.iterations >= 1
-    # x2 stays out: it reads 0, and the answer is the whole LP's
-    priced = session.answer(x, session.reduced_costs(np.array([2])))
-    whole = lp.solve()
-    assert priced.x.tolist() == whole.x.tolist() == [0.0, 1.0, 0.0]
-    assert priced.objective == whole.objective == 2.0
-    assert priced.duals.tolist() == whole.duals.tolist()
-    assert priced.dual_objective == whole.dual_objective == 2.0
-
-
 def _basis_program():
-    """min x3 - x0 - 2 x1 + 0.5 x2 + x4 with x1 bounded above only, x2 free
-    and x3, in the last row, first: left out, the loaded columns' statuses
-    shift.  The ``=`` row is second, so the layout moves it last."""
+    """min x3 - x0 - 2 x1 + 0.5 x2 + x4 with x1 bounded above only and x2
+    free.  The ``=`` row is second, so the layout moves it last."""
     lp = LinearProgram("min", name="based")
     lp.add_vars(5, ["x3", "x0", "x1", "x2", "x4"], lb=[0.0, 0.0, -math.inf, -math.inf, 0.0],
                 ub=[math.inf, 4.0, 3.0, math.inf, math.inf], obj=[1.0, -1.0, -2.0, 0.5, 1.0])
@@ -423,19 +396,19 @@ def _basis_program():
 
 def test_a_basis_read_back_restarts_a_fresh_load_at_the_optimum():
     lp = _basis_program()
-    first = HighsSession(lp)
-    first.load(lp.objective, skip=[0])
+    first = HighsSession(lp, presolve=False)  # so the run takes simplex iterations
+    first.load(lp.objective)
     x = first.run()
     assert first.iterations > 0
     cols, rows = first.basis()
     assert cols.dtype == rows.dtype == np.int8
-    # in program order: x3 left out reads LOWER, where it sits; the flipped
-    # '>=' row "floor" binds at HiGHS's upper bound, "pin" at its one value
-    assert cols.tolist() == [LOWER, BASIC, BASIC, BASIC, LOWER]
+    # in program order: x0 at its upper bound; the flipped '>=' row "floor"
+    # binds at HiGHS's upper bound, "pin" at its one value
+    assert cols.tolist() == [BASIC, UPPER, BASIC, BASIC, LOWER]
     assert rows.tolist() == [UPPER, LOWER, BASIC, UPPER]
     again = HighsSession(lp)
-    again.load(lp.objective, skip=[0], basis=(cols, rows))
-    assert again.run().tolist() == x.tolist() == [2.5, 2.0, 0.5, 0.0]
+    again.load(lp.objective, basis=(cols, rows))
+    assert again.run().tolist() == x.tolist() == [1.5, 4.0, 2.0, -1.0, 0.0]
     assert again.runs == 1 and again.iterations == 0
 
 

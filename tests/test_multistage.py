@@ -2125,7 +2125,7 @@ def test_assembly_dualizes_each_shape_once_and_its_stacked_answers_once(monkeypa
     assert calls == ["worst-case"] * 6 + ["answers"] * 4
 
 
-# ------------------------------------------------------------- priced solves
+# ------------------------------------------------------------ answer columns
 
 def _tree_sessions(monkeypatch):
     """Every HiGHS session that runs a tree-wide LP, in order of first run."""
@@ -2148,29 +2148,41 @@ def _asked_problem():
     return experiment.build_investment_consumption(tree, config)
 
 
-def test_answer_columns_are_priced_in_and_the_rest_load_in_full(monkeypatch):
-    problem = _asked_problem()
-    answers = multistage_module._answer_columns(_assemble_holistic(problem)[2])
-    sessions = _tree_sessions(monkeypatch)
-    solve_holistic(problem)
-    [session] = sessions
-    # some answers enter, not all, over more than one HiGHS run
-    loaded = np.isin(answers, session.cols).sum()
-    assert 0 < loaded < answers.size
-    assert session.runs > 1 and session.iterations > 0
-    # a tree without answers loads every column and runs once
-    sessions.clear()
-    solve_holistic(random_ball_problem(np.random.default_rng(3))[0])
-    [session] = sessions
-    assert session.cols is None and session.runs == 1
+def _answers(big):
+    """The answer columns of the tree LP ``big``: the duals of its nodes'
+    ``pc[k]`` rows."""
+    return np.flatnonzero([".y_pc[" in name for name in big.var_names])
 
 
-def test_a_priced_solve_stopped_early_is_refused(monkeypatch):
+def test_a_questionnaire_tree_lp_loads_whole_and_runs_once(monkeypatch):
     problem = _asked_problem()
-    # nothing prices in after the first run, so binding answers stay out; x
-    # is still feasible and the restricted duals close the gap
-    monkeypatch.setattr(lp_module.HighsSession, "reduced_costs",
-                        lambda self, cols: np.zeros(cols.size))
+    pol, session, (cols, _), _ = _started(monkeypatch, problem)
+    big = session._lp
+    answers = _answers(big)
+    assert answers.size == sum(len(problem.ambiguity.for_node(s))
+                               for s in problem.tree.nonleaf_ids())
+    assert session.highs.getNumCol() == big.num_vars
+    assert session.runs == 1 and session.iterations > 0
+    # every answer column starts at its lower bound 0, and some bind
+    assert np.all(cols[answers] == lp_module.LOWER)
+    assert np.any(pol._tree_solve.x[answers] > 0.0)
+
+
+def test_a_tree_solve_that_leaves_a_binding_answer_out_is_refused(monkeypatch):
+    problem = _asked_problem()
+    # the tree LP is loaded with its answer columns capped at 0, so binding
+    # answers stay out; x is still feasible and the restricted duals close
+    # the gap, but they price an answer column in
+    layout = lp_module.RowLayout
+
+    def capped(lp):
+        laid = layout(lp)
+        if lp.name == "tree":
+            laid.upper = laid.upper.copy()
+            laid.upper[_answers(lp)] = 0.0
+        return laid
+
+    monkeypatch.setattr(lp_module, "RowLayout", capped)
     with pytest.raises(RuntimeError,
                        match=r"^holistic solve: column n\d+\.y_pc\[\d+\] has reduced cost "):
         solve_holistic(problem)
@@ -2191,10 +2203,8 @@ def test_answers_that_alone_empty_a_set_are_named(monkeypatch):
     with pytest.raises(InfeasibleProblemError, match="^ambiguity set at node 1 is empty$") as err:
         solve_holistic(problem)
     assert err.value.node == 1
-    # without its answer the set is not empty: the first run ends optimal,
-    # and the tree LP turns unbounded only once that answer prices in
     [session] = sessions
-    assert session.runs == 2 and session.status is LpStatus.UNBOUNDED
+    assert session.status is LpStatus.UNBOUNDED
 
 
 def _unboxed(problem, kinds):
@@ -2291,18 +2301,18 @@ def test_every_block_starts_from_its_shapes_solved_basis(monkeypatch, make):
             for s in tree.nonleaf_ids()}
     assert len(shapes) == len(set(keys.values())) and all(b is not None for b in shapes)
     basis = dict(zip(dict.fromkeys(keys.values()), shapes))
-    blocks = pol._tree_solve.blocks
-    for s, nb in blocks.items():
+    answers = []
+    for s, nb in pol._tree_solve.blocks.items():
         shape_cols, shape_rows = basis[keys[s]]
         assert np.array_equal(cols[nb.cols[:shape_cols.size]], shape_cols)
         assert np.array_equal(rows[nb.rows], shape_rows)
+        answers.append(nb.cols[shape_cols.size:])  # a questionnaire block's last columns
     # decisions nonbasic at their box's lower ends, constraint rows basic
     decisions = np.concatenate(list(pol._tree_solve.xvar.values()))
     assert np.all(cols[decisions] == lp_module.LOWER)
     assert np.all(rows[:len(problem.constraints)] == lp_module.BASIC)
-    # one basic entry per row of the tree LP
-    answers = multistage_module._answer_columns(blocks)
-    assert np.all(cols[answers] == lp_module.LOWER)
+    # answer columns at their lower bound 0; one basic entry per row
+    assert np.all(cols[np.concatenate(answers)] == lp_module.LOWER)
     assert np.count_nonzero(cols == lp_module.BASIC) + np.count_nonzero(
         rows == lp_module.BASIC) == rows.size
 

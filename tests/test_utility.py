@@ -163,6 +163,14 @@ def test_closed_forms_refuse_non_finite_parameters(make, message):
         make()
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0), (1.0, 0.0), (0.5, 0.5),
+                                  (-math.inf, 1.0), (0.0, math.inf)])
+def test_a_grid_needs_finite_ends_in_increasing_order(a, b):
+    with pytest.raises(ValueError, match=r"^a grid needs finite ends a < b, got "):
+        uniform_grid(a, b, 3)
+    assert uniform_grid(0.0, 1.0, 3).tolist() == [0.0, 0.5, 1.0]
+
+
 def test_projection_is_interpolation():
     exp = ClosedFormUtility.exponential(3.0)
     grid = uniform_grid(0.0, 1.0, 9)

@@ -186,8 +186,7 @@ class KantorovichBallSpec:
     def nominal_on(self, grid):
         """The nominal utility on ``grid``: itself when its breakpoints are
         the grid (to 1e-9), otherwise its projection onto the grid.  It is
-        found once per grid and shared, since utilities are read-only; two
-        threads filling the same grid at once store equal utilities."""
+        found once per grid and shared, since utilities are read-only."""
         y = np.asarray(grid, dtype=float)
         key = y.tobytes()
         on = self._on.get(key)

@@ -4,32 +4,27 @@ Every reformulation in this package (metric computations, one-stage worst
 cases, scenario-tree programs) bottoms out in a sparse LP assembled from
 blocks of rows in CSR form, kept as given until the solver needs the matrix.
 Every program reaches HiGHS dual simplex through scipy's HiGHS binding and
-one loader, :meth:`HighsSession.load`, which lays the rows out, sets the
-options as ``scipy.optimize.linprog`` does for ``method="highs-ds"``, so a
-solve with the defaults returns linprog's answer bit for bit, and hands
-HiGHS the model in one call to the array overload of ``passModel`` (checked
-on scipy 1.17.1 with HiGHS 1.12.0).  Tree-wide holistic LPs
-are solved with ``presolve=False``, which is linprog's option of that name:
-on them HiGHS's presolve costs more time than it saves.  Those whose tree
-carries a Kantorovich ball at every node are also priced with Devex
-(``devex=True``, linprog's ``simplex_dual_edge_weight_strategy="devex"``),
-which takes fewer HiGHS seconds on them than its default dual steepest
-edge; on questionnaire trees it takes more.  A tree LP is loaded whole
-and run once, from a basis stitched from its node blocks
-(``multistage._start_basis``).  HiGHS handles free variables
-and equality rows natively and is bit-stable for a fixed input.
+one loader, :meth:`HighsSession.load`, which lays the rows out
+(:class:`RowLayout`), sets the options as ``scipy.optimize.linprog`` does
+for ``method="highs-ds"``, so a solve with the defaults returns linprog's
+answer bit for bit, and hands HiGHS the model in one call to the array
+overload of ``passModel`` (checked on scipy 1.17.1 with HiGHS 1.12.0).
+Tree-wide holistic LPs are solved with ``presolve=False``, and those whose
+tree carries a Kantorovich ball at every node are priced with Devex
+(``devex=True``); ``multistage._solve_big`` says why.  A tree LP is loaded
+whole and run once, from a basis stitched from its node blocks
+(``multistage._start_basis``).  Node LPs that differ only in costs and
+right-hand sides are solved as one chain: :meth:`HighsSession.restamp`
+writes the next node's into the loaded model, and the next run starts from
+the last basis.  HiGHS handles free variables and equality rows natively
+and is bit-stable for a fixed input.
 
-:meth:`LinearProgram.solve` reads back ``x``, row duals and the dual
-objective (:meth:`HighsSession.answer`).  The package no longer reads that
-dual objective itself: a tree-wide answer's certificate recomputes the gap
-from ``x`` and the duals (``multistage._pair_value``).  Every run vets
-HiGHS's ``x`` with one post-solve check and classifies its end in the
-session; after an infeasible run the session names conflicting rows
-through HiGHS's IIS.  Reward certification solves each of its few range
-LPs cold in a session of its own (``multistage._reward_extreme``).  The
-loader's row layout (:class:`RowLayout`) depends on the matrix and
-relations alone, so programs that differ only in costs and right-hand
-sides load from one.
+Every run vets HiGHS's ``x`` with one post-solve check and classifies its
+end in the session; after an infeasible run the session names conflicting
+rows through HiGHS's IIS.  :meth:`HighsSession.answer` reads ``x`` and the
+row duals back, and every answer the package uses, tree-wide, per node or
+a reward range, is certified from that pair by one rule,
+:func:`_pair_value`.
 
 The module also provides a mechanical dualizer.  Several published dual
 formulations in this problem family carry typographical sign slips, so
@@ -69,6 +64,11 @@ GEQ = ">="
 _RELS = (LEQ, EQ, GEQ)
 
 DEFAULT_TOL = 1e-8
+# strong-duality gap allowed on a certified pair, relative to 1 + |objective|
+_GAP_TOL = 1e-7
+# how far the x of a certified pair may stray from its rows and bounds, and
+# its duals from their signs
+_RESIDUAL_TOL = 1e-7
 
 
 class LpStatus(enum.Enum):
@@ -369,8 +369,7 @@ class RowLayout:
     layout: the ``<=`` rows and the negated ``>=`` rows in program order,
     then the ``=`` rows.  HiGHS row ``k`` is program row ``order[k]`` times
     ``flip[k]``, an equality where ``eq[k]``; ``matrix`` holds the rows so
-    laid out, in CSC form.  Costs and right-hand sides are not part of it, so
-    programs that differ only in those share one layout."""
+    laid out, in CSC form.  Costs and right-hand sides are not part of it."""
 
     def __init__(self, lp):
         rels = lp.relations
@@ -389,12 +388,11 @@ class HighsSession:
 
     :meth:`load` and :meth:`run` are the one path into HiGHS, for the cold
     solves of :meth:`LinearProgram.solve` too, and :meth:`run` classifies
-    each end; :meth:`answer` reads an optimal run back as the program's
-    :class:`LpSolution`, and :meth:`conflict` names an infeasible one's
-    rows.  Only :meth:`answer` reads the program's own costs.  The program
-    must not gain rows or variables while the session is in use.
-    ``layout`` is the program's :class:`RowLayout`; without it each load
-    lays the rows out anew and keeps only ``order`` and ``flip``.
+    each end; :meth:`restamp` changes a loaded model's costs and right-hand
+    sides for a warm re-run.  :meth:`answer` reads an optimal run back as
+    the program's :class:`LpSolution`, and :meth:`conflict` names an
+    infeasible one's rows.  Only :meth:`answer` reads the program's own
+    costs.  The program must not gain rows or variables in a session.
     ``presolve`` is linprog's option of that name, on by default;
     ``devex`` sets linprog's ``simplex_dual_edge_weight_strategy`` to
     ``"devex"`` instead of leaving HiGHS's own choice.  ``runs`` and
@@ -402,8 +400,8 @@ class HighsSession:
     iterations.
     """
 
-    def __init__(self, lp, tol=DEFAULT_TOL, layout=None, presolve=True, devex=False):
-        self._lp, self._tol, self._layout = lp, tol, layout
+    def __init__(self, lp, tol=DEFAULT_TOL, presolve=True, devex=False):
+        self._lp, self._tol = lp, tol
         self._options = _OPTIONS + (("presolve", "on" if presolve else "off"),)
         if devex:
             self._options += (("simplex_dual_edge_weight_strategy", _DEVEX),)
@@ -421,11 +419,10 @@ class HighsSession:
         lp = self._lp
         rhs = lp.rhs if rhs is None else rhs
         _require_finite(lp, cost, rhs, lp.row_matrix())
-        layout = RowLayout(lp) if self._layout is None else self._layout
-        self.order, self.flip = layout.order, layout.flip
+        layout = RowLayout(lp)
+        self.order, self.flip, self.cost = layout.order, layout.flip, cost
         rhs = layout.flip * rhs[layout.order]
-        self.row_lower = np.where(layout.eq, rhs, -math.inf)
-        self.row_upper = rhs
+        self.row_lower, self.row_upper = np.where(layout.eq, rhs, -math.inf), rhs
         self.lower, self.upper, A = layout.lower, layout.upper, layout.matrix
         self.highs = _Highs()
         for name, value in self._options + (("primal_feasibility_tolerance", self._tol),
@@ -448,6 +445,18 @@ class HighsSession:
                 start.row_status = [_BASIS[k] for k in rows[self.order].tolist()]
             if self.highs.setBasis(start) == HighsStatus.kError:
                 raise ValueError(f"LP {lp.name or '<unnamed>'}: HiGHS refused the start basis")
+
+    def restamp(self, cost, rhs):
+        """Write the costs ``cost`` and right-hand sides ``rhs`` into the
+        loaded model, where they differ from the last ones; the next
+        :meth:`run` starts from the last run's basis."""
+        _require_finite(self._lp, cost, rhs, self._lp.row_matrix())
+        cols = np.flatnonzero(cost != self.cost).astype(np.int32)
+        self.highs.changeColsCost(cols.size, cols, cost[cols])
+        rhs, eq = self.flip * rhs[self.order], self.row_lower > -math.inf
+        for k in np.flatnonzero(rhs != self.row_upper).tolist():
+            self.highs.changeRowBounds(k, rhs[k] if eq[k] else -math.inf, rhs[k])
+        self.cost, self.row_lower, self.row_upper = cost, np.where(eq, rhs, -math.inf), rhs
 
     def basis(self):
         """The last run's basis: the HiGHS status codes (``LOWER``,
@@ -516,6 +525,76 @@ class HighsSession:
         iis = HighsIis()
         self.highs.getIis(iis)
         return np.sort(self.order[np.asarray(iis.row_index, dtype=np.int64)])
+
+
+# ---------------------------------------------------------------- certificate
+def _row_violations(ax, rels, rhs):
+    """How far each row activity ``ax`` misses its relation and right-hand
+    side (negative when slack)."""
+    return np.where(rels == "<=", ax - rhs, np.where(rels == ">=", rhs - ax, np.abs(ax - rhs)))
+
+
+def _pair_value(sense, cost, x, lower, upper, off, y, rels, rhs, reduced,
+                row_name=str, var_name=str):
+    """``(cost'x, None)`` if the candidate primal point ``x`` of an LP of
+    sense ``sense`` and the candidate row duals ``y`` pass three checks,
+    else ``(None, why)``: the check failed and the row or column (named by
+    ``row_name`` or ``var_name``) where it fails worst.  ``off`` is each
+    row's violation by ``x`` (see :func:`_row_violations`), ``reduced`` the
+    reduced costs ``cost - A'y``, and ``rels``, ``rhs``, ``lower`` and
+    ``upper`` the LP's.
+
+    * ``x`` meets the rows and bounds within ``_RESIDUAL_TOL``;
+    * the duals have their relations' signs, and no reduced cost points past
+      an infinite bound, both within ``_RESIDUAL_TOL``.  A maximization
+      needs a ``<=`` row's dual >= 0, a ``>=`` row's <= 0, a reduced cost
+      <= 0 below an infinite upper bound and >= 0 above an infinite lower
+      one; a minimization the reverse of each;
+    * the primal and dual values differ by at most ``_GAP_TOL * (1 + |value|)``.
+      The dual value is ``b'y`` plus each column's reduced cost times the
+      bound it prices (``x`` where that bound is infinite): by weak duality,
+      a bound on the optimum.  The gap sums ``y_i (a_i x - b_i)`` and
+      ``r_j (x_j - priced_j)``; its largest term is named.
+    """
+    m = off.size
+
+    def where(k):  # k indexes the rows, then the columns, repeated
+        return f"row {row_name(k)}" if k < m else f"column {var_name((k - m) % x.size)}"
+
+    sign = 1.0 if sense == "max" else -1.0
+    primal = np.concatenate([off, lower - x, x - upper])
+    worst = np.max(primal, initial=0.0)
+    if not worst <= _RESIDUAL_TOL:
+        return None, f"x violates a row or bound by {worst:.3g} at {where(np.argmax(primal))}"
+    dual = np.concatenate([sign * np.where(rels == "<=", -y, np.where(rels == ">=", y, 0.0)),
+                           np.where(upper == math.inf, sign * reduced, -math.inf),
+                           np.where(lower == -math.inf, -sign * reduced, -math.inf)])
+    worst = np.max(dual, initial=0.0)
+    if not worst <= _RESIDUAL_TOL:
+        k = int(np.argmax(dual))
+        if k < m:
+            return None, f"row {row_name(k)} ({rels[k]}) has dual {y[k]:.3g} of the wrong sign"
+        r = reduced[(k - m) % x.size]
+        return None, f"{where(k)} has reduced cost {r:.3g} {'>' if r > 0 else '<'} 0"
+    value = float(cost @ x)
+    priced = np.where(sign * reduced > 0.0, upper, lower)
+    priced = np.where(np.isfinite(priced), priced, x)
+    dual_value = float(rhs @ y) + float(reduced @ priced)
+    gap = abs(value - dual_value)
+    if not gap <= _GAP_TOL * (1.0 + abs(value)):
+        terms = np.abs(np.concatenate([y * off, reduced * (x - priced)]))
+        return None, (f"primal objective {value!r} and dual objective {dual_value!r} differ "
+                      f"by {gap:.3g}, most at {where(np.argmax(terms))}")
+    return value, None
+
+
+def _program_pair_value(lp, cost, rhs, x, y):
+    """:func:`_pair_value` of the primal point ``x`` and row duals ``y`` of
+    the program ``lp`` with the costs ``cost`` and right-hand sides ``rhs``
+    in place of its own, naming its rows and columns."""
+    mat, rels = lp.row_matrix(), lp.relations
+    return _pair_value(lp.sense, cost, x, lp.lower, lp.upper, _row_violations(mat @ x, rels, rhs),
+                       y, rels, rhs, cost - mat.T @ y, lp.row_name, lp.var_name)
 
 
 # --------------------------------------------------------------------- duality

@@ -16,9 +16,6 @@ utilities are then read back from the row marginals of those blocks.
 
 import functools
 import math
-import os
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -34,7 +31,8 @@ from .ambiguity import (
     feasibility_check,
 )
 from .blocks import append_pairwise_rows
-from .lp import BASIC, HighsSession, LinearProgram, LpStatus, at_bound, dualize
+from .lp import (BASIC, HighsSession, LinearProgram, LpStatus, _pair_value, _program_pair_value,
+                 _row_violations, at_bound, dualize)
 from .utility import PiecewiseLinearUtility
 from .worst_case import (
     DOMAIN_TOL,
@@ -51,14 +49,8 @@ from .worst_case import (
 from .blocks import append_ball_membership  # noqa: F401
 from .utility import project  # noqa: F401
 
-# strong-duality gap allowed on a tree-wide LP or a certified pair, relative
-# to 1 + |objective|
-_GAP_TOL = 1e-7
 # how far a plan handed to the evaluator may stray from its bounds and rows
 _PLAN_TOL = 1e-7
-# how far the x of a tree-wide solve or a certified pair may stray from its
-# rows and bounds, and a certified pair's duals from their signs
-_RESIDUAL_TOL = 1e-7
 # the largest discrepancy a time-consistent plan may show at a subtree
 _CONSISTENT_TOL = 1e-6
 
@@ -325,15 +317,20 @@ class MultistageProblem:
 
     def _reward_extreme(self, lp, cols, coef, sign, node):
         """``sign * min(sign * coef . x[cols])`` over the decision set ``lp``,
-        solved cold.  An empty set is refused naming the rows of one conflict
-        and the last node they belong to."""
+        solved cold and certified by :func:`~prefrobust.lp._pair_value`; a
+        refused answer raises naming the reward's ``node``.  An empty set is
+        refused naming the rows of one conflict and the last node they
+        belong to."""
         cost = np.zeros(lp.num_vars)
         cost[cols] = sign * coef
         session = HighsSession(lp)
         session.load(cost)
         x = session.run()
         if x is not None:
-            return sign * float(cost @ x)
+            value, why = _program_pair_value(lp, cost, lp.rhs, x, session.answer(x).duals)
+            if why is not None:
+                raise RuntimeError(f"reward range at node {node}: {why}")
+            return sign * value
         if session.status is LpStatus.INFEASIBLE:
             rows = session.conflict()
             if not rows.size:
@@ -475,12 +472,6 @@ def _diagnose_and_raise(problem, message):
         if feasibility_check(spec, problem.grid) == "empty":
             raise InfeasibleProblemError(f"ambiguity set at node {s} is empty", node=s)
     raise InfeasibleProblemError(message)
-
-
-def _row_violations(ax, rels, rhs):
-    """How far each row activity ``ax`` misses its relation and right-hand
-    side (negative when slack)."""
-    return np.where(rels == "<=", ax - rhs, np.where(rels == ">=", rhs - ax, np.abs(ax - rhs)))
 
 
 def _solve_big(problem, big, xvar, label, blocks=None):
@@ -816,21 +807,18 @@ def _check_row(con, idx, lhs):
 
 def _nested_worst_cases(problem, decisions, kept=None):
     """The one-stage worst case under ``decisions`` of every non-leaf node,
-    which depends only on the node's decision, children and spec.
+    which depends only on the node's decision, children and spec, found on
+    the calling thread in node order; the first failure raises.
 
     With ``kept``, the certificate record of a tree solve of ``problem``
-    (see :func:`_certificate_data`), each node's outcomes are checked and
-    :func:`_node_certificate` tried, on the calling thread in node order.
-    The nodes it refuses, and without ``kept`` every node, are solved cold,
-    each in its own HiGHS instance as it would be on its own.  A node LP
-    (a :func:`node_primal`) that two or more of them share up to its costs
-    and right-hand sides is built once, with its HiGHS layout, before the
-    solves start, and each of its nodes stamps its own costs and right-hand
-    sides into it; a node of an LP of its own (a questionnaire with its own
-    answers) builds it in its own solve, so such LPs do not pile up.  The
-    cold solves run on one worker thread per usable core, since HiGHS lets
-    go of the interpreter lock while it runs; every node runs, and then the
-    first failure in node order is raised."""
+    (see :func:`_certificate_data`), a node's outcomes are checked and
+    :func:`_node_certificate` tried first.  The nodes it refuses, and
+    without ``kept`` every node, are solved: a node LP (a
+    :func:`node_primal`) is built once for the nodes that share it up to its
+    costs and right-hand sides, and they are solved as one warm chain in one
+    HiGHS instance (see :func:`~prefrobust.worst_case._worst_case_primal`),
+    dropped after its last node.  A questionnaire with answers of its own is
+    a chain of one."""
     tree, templates = problem.tree, {}
     specs = {s: problem.ambiguity.for_node(s) for s in tree.nonleaf_ids()}
     # ball and questionnaire nodes of one key share their LP: _template_key,
@@ -839,47 +827,32 @@ def _nested_worst_cases(problem, decisions, kept=None):
                 sp if isinstance(sp, PairwiseComparisonSpec) else None)
             for s, sp in specs.items()
             if isinstance(sp, (KantorovichBallSpec, PairwiseComparisonSpec))}
+    last = {key: s for s, key in keys.items()}
 
-    def template(s):
+    def template(s, dist):
         if keys[s] not in templates:
-            kids = tree.children[s]
-            templates[keys[s]] = node_primal([problem.rewards[i].offset for i in kids],
-                                             [tree.nodes[i].prob for i in kids], specs[s],
-                                             problem.grid)
+            templates[keys[s]] = node_primal(dist.support, dist.probs, specs[s], problem.grid)
         return templates[keys[s]]
 
-    def value(s, certify=False):
-        dist = _node_outcomes(problem, s, decisions)
+    def value(s):
+        dist, key = _node_outcomes(problem, s, decisions), keys.get(s)
         try:
-            if certify:  # outcomes the cold solve refuses are refused here too
+            if kept is not None:  # outcomes the solve refuses are refused here too
                 _check_outcomes(dist, problem.grid)
-                return _node_certificate(problem, s, dist, template(s), kept)
-            res = _node_worst_case(problem, s, dist, templates.get(keys.get(s)))
-        except ValueError as exc:  # the outcome checks do not know the node
-            raise ValueError(f"node {s}: {exc}") from exc
+                certified = _node_certificate(problem, s, dist, template(s, dist), kept)
+                if certified is not None:
+                    return certified
+            res = _node_worst_case(problem, s, dist, key and template(s, dist))
+        except (ValueError, RuntimeError) as exc:  # the node LPs do not know the node
+            raise type(exc)(f"node {s}: {exc}") from exc
+        finally:
+            if last.get(key) == s:
+                templates.pop(key, None)
         if res.status != "optimal":
             raise InfeasibleProblemError(f"worst case at node {s} is {res.status}", node=s)
         return res.value
 
-    wc = {s: value(s, certify=True) for s in specs} if kept is not None else {}
-    cold = [s for s in specs if wc.get(s) is None]
-    uses = Counter(keys[s] for s in cold if s in keys)
-    for s in cold:
-        if uses[keys.get(s)] > 1:
-            template(s).layout  # fill the shared cache before the threads read it
-    if cold:
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:  # no CPU affinity on this platform
-            cores = os.cpu_count() or 1
-        pool = ThreadPoolExecutor(min(cores, len(cold)))
-        try:
-            futures = [pool.submit(value, s) for s in cold]
-            wait(futures)
-        finally:  # after an interrupt, the items not started are dropped
-            pool.shutdown(cancel_futures=True)
-        wc.update((s, f.result()) for s, f in zip(cold, futures))
-    return wc
+    return {s: value(s) for s in specs}
 
 
 def evaluate_policy_worst_case(problem, decisions, mode="nested"):
@@ -887,9 +860,10 @@ def evaluate_policy_worst_case(problem, decisions, mode="nested"):
 
     ``nested`` re-minimizes at every node separately (each node may face its
     own adversary), which is the quantity the holistic solver maximizes under
-    per-node ambiguity.  Each node's one-stage LP is stamped from one
-    template per shape and solved cold in its own HiGHS instance, so its
-    value has the bits of that LP built and solved on its own.
+    per-node ambiguity.  Node LPs of one shape are solved as one warm
+    chain, and every node's answer is certified (see
+    :func:`_nested_worst_cases`); a value agrees with the node's LP solved
+    on its own to the certificate's gap, not to the bit.
     ``sequence_global`` forces one utility per stage across all that stage's
     nodes and minimizes over whole assignments; it is only available when
     every node shares one finite utility set, where the minimum splits by
@@ -1015,8 +989,8 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     that record is of ``problem`` itself (the same object), as one from
     :func:`solve_holistic` is.  A subtree's achieved value is the sum of its
     nodes' worst cases weighted by their probabilities given the subtree's
-    root, which is exactly what :func:`evaluate_policy_worst_case` returns
-    on the re-rooted problem.
+    root, which is what :func:`evaluate_policy_worst_case` returns on the
+    re-rooted problem, to the certificates' gap.
 
     Each subtree's optimum is certified from the same record by
     :func:`_subtree_certificate`, and the tree LP is not assembled again;
@@ -1030,11 +1004,10 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     and re-solves (required for ambiguity types they do not cover): it
     receives the re-rooted :class:`MultistageProblem` of every subtree and
     must return an object with a ``value`` attribute.  With it, every node
-    worst case is solved cold.
+    worst case is solved.
 
-    Each cold node worst case is the same computation on any thread, so the
-    report does not depend on the core count.  The subtrees run on the
-    calling thread in node order, and the first failing one raises.
+    Everything runs on the calling thread in node order, the node worst
+    cases first, and the first failure raises.
     """
     tree, decisions = problem.tree, policy.decisions
     _check_decisions(problem, decisions)
@@ -1067,60 +1040,6 @@ def check_time_consistency(problem, policy, subtree_solver=None):
     return TimeConsistencyReport([entry(s) for s in tree.nonleaf_ids()], _CONSISTENT_TOL)
 
 
-def _pair_value(sense, cost, x, lower, upper, off, y, rels, rhs, reduced,
-                row_name=str, var_name=str):
-    """``(cost'x, None)`` if the candidate primal point ``x`` of an LP of
-    sense ``sense`` and the candidate row duals ``y`` pass three checks,
-    else ``(None, why)``: the check failed and the row or column (named by
-    ``row_name`` or ``var_name``) where it fails worst.  ``off`` is each
-    row's violation by ``x`` (see :func:`_row_violations`), ``reduced`` the
-    reduced costs ``cost - A'y``, and ``rels``, ``rhs``, ``lower`` and
-    ``upper`` the LP's.
-
-    * ``x`` meets the rows and bounds within ``_RESIDUAL_TOL``;
-    * the duals have their relations' signs, and no reduced cost points past
-      an infinite bound, both within ``_RESIDUAL_TOL``.  A maximization
-      needs a ``<=`` row's dual >= 0, a ``>=`` row's <= 0, a reduced cost
-      <= 0 below an infinite upper bound and >= 0 above an infinite lower
-      one; a minimization the reverse of each;
-    * the primal and dual values differ by at most ``_GAP_TOL * (1 + |value|)``.
-      The dual value is ``b'y`` plus each column's reduced cost times the
-      bound it prices (``x`` where that bound is infinite): by weak duality,
-      a bound on the optimum.  The gap sums ``y_i (a_i x - b_i)`` and
-      ``r_j (x_j - priced_j)``; its largest term is named.
-    """
-    m = off.size
-
-    def where(k):  # k indexes the rows, then the columns, repeated
-        return f"row {row_name(k)}" if k < m else f"column {var_name((k - m) % x.size)}"
-
-    sign = 1.0 if sense == "max" else -1.0
-    primal = np.concatenate([off, lower - x, x - upper])
-    worst = np.max(primal, initial=0.0)
-    if not worst <= _RESIDUAL_TOL:
-        return None, f"x violates a row or bound by {worst:.3g} at {where(np.argmax(primal))}"
-    dual = np.concatenate([sign * np.where(rels == "<=", -y, np.where(rels == ">=", y, 0.0)),
-                           np.where(upper == math.inf, sign * reduced, -math.inf),
-                           np.where(lower == -math.inf, -sign * reduced, -math.inf)])
-    worst = np.max(dual, initial=0.0)
-    if not worst <= _RESIDUAL_TOL:
-        k = int(np.argmax(dual))
-        if k < m:
-            return None, f"row {row_name(k)} ({rels[k]}) has dual {y[k]:.3g} of the wrong sign"
-        r = reduced[(k - m) % x.size]
-        return None, f"{where(k)} has reduced cost {r:.3g} {'>' if r > 0 else '<'} 0"
-    value = float(cost @ x)
-    priced = np.where(sign * reduced > 0.0, upper, lower)
-    priced = np.where(np.isfinite(priced), priced, x)
-    dual_value = float(rhs @ y) + float(reduced @ priced)
-    gap = abs(value - dual_value)
-    if not gap <= _GAP_TOL * (1.0 + abs(value)):
-        terms = np.abs(np.concatenate([y * off, reduced * (x - priced)]))
-        return None, (f"primal objective {value!r} and dual objective {dual_value!r} differ "
-                      f"by {gap:.3g}, most at {where(np.argmax(terms))}")
-    return value, None
-
-
 def _certificate_data(big, x, y, **record):
     """The certificate record of the solve ``x``, ``y`` (row duals) of the
     tree LP ``big``: what every certificate reads of it (``x``, ``y``,
@@ -1144,13 +1063,11 @@ def _node_certificate(problem, s, dist, template, kept):
     LP, ``template`` stamped with ``dist``: a :func:`node_primal` built on
     its own, not the tree LP's rows, so the check does not rest on
     :func:`dualize`."""
-    lp, nb = template.lp, kept.blocks[s]
+    nb = kept.blocks[s]
     cost, rhs = template.stamped(dist.support, dist.probs, problem.ambiguity.for_node(s),
                                  problem.grid)
-    mat, rels = lp.row_matrix(), lp.relations
-    u, w = kept.y[nb.rows] / nb.prob, kept.x[nb.cols]
-    return _pair_value(lp.sense, cost, u, lp.lower, lp.upper,
-                       _row_violations(mat @ u, rels, rhs), w, rels, rhs, cost - mat.T @ w)[0]
+    return _program_pair_value(template.lp, cost, rhs, kept.y[nb.rows] / nb.prob,
+                               kept.x[nb.cols])[0]
 
 
 def _subtree_certificate(problem, kept, order, pu, decisions):

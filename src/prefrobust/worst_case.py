@@ -17,8 +17,7 @@ definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .blocks import (
     append_pairwise_rows,
     append_utility_block,
 )
-from .lp import HighsSession, LinearProgram, LpStatus, RowLayout, dualize
+from .lp import HighsSession, LinearProgram, LpStatus, _program_pair_value, dualize
 # ``project`` is used here only by perfbench/layers.py, which wraps this
 # module global by name.
 from .utility import PiecewiseLinearUtility, project  # noqa: F401
@@ -91,7 +90,8 @@ class NodeLP:
     radius is the right-hand side of row ``budget`` and its negated nominal
     slopes those of rows ``match``.  Everything else depends only on the
     grid, the child count, ``L``, ``L_tilde`` and (for questionnaires) the
-    answers."""
+    answers.  ``session`` holds the LP as the last node solved from it left
+    it in HiGHS (see :func:`_worst_case_primal`)."""
 
     lp: LinearProgram
     block: UtilityBlock
@@ -99,6 +99,7 @@ class NodeLP:
     fee: np.ndarray
     budget: int | None = None
     match: np.ndarray | None = None
+    session: HighsSession | None = field(default=None, repr=False, compare=False)
 
     def stamped(self, values, probs, spec, y):
         """The costs and right-hand sides of ``node_primal(values, probs,
@@ -113,13 +114,6 @@ class NodeLP:
             rhs[self.budget] = spec.radius
             rhs[self.match] = -spec.nominal_on(y).slopes
         return cost, rhs
-
-    @cached_property
-    def layout(self):
-        """The :class:`RowLayout` of this LP, shared by every node stamped
-        from it.  Made on first use: read it once before sharing the node
-        across threads."""
-        return RowLayout(self.lp)
 
 
 def node_primal(values, probs, spec, y):
@@ -146,19 +140,29 @@ def _utility_from(y, alpha_values):
 
 def _worst_case_primal(dist, spec, grid, template):
     """Stamp the node's data into ``template``, or into its own
-    :func:`node_primal`, and solve that LP cold in a fresh HiGHS instance."""
+    :func:`node_primal`, and solve that LP: warm from the last basis if the
+    template holds a session, else, or if that answer is not a certified
+    optimum, cold in a fresh HiGHS instance the template keeps.  A refused
+    cold answer raises."""
     y = _grid_for(spec, grid)
     _check_outcomes(dist, y)
     node = template or node_primal(dist.support, dist.probs, spec, y)
     cost, rhs = node.stamped(dist.support, dist.probs, spec, y)
-    session = HighsSession(node.lp, layout=node.layout)
-    session.load(cost, rhs)
-    x = session.run()
-    if session.status is LpStatus.INFEASIBLE:
-        return WorstCaseResult("infeasible")
-    if x is None:
-        raise RuntimeError(f"worst-case LP ended {session.status.value}: {session.message}")
-    return WorstCaseResult("optimal", float(cost @ x), _utility_from(y, x[node.block.alpha]))
+    for warm in (True, False)[node.session is None:]:
+        if warm:
+            node.session.restamp(cost, rhs)
+        else:
+            node.session = HighsSession(node.lp)
+            node.session.load(cost, rhs)
+        session, x = node.session, node.session.run()
+        why = f"ended {session.status.value}: {session.message}"
+        if x is not None:
+            value, why = _program_pair_value(node.lp, cost, rhs, x, session.answer(x).duals)
+            if why is None:
+                return WorstCaseResult("optimal", value, _utility_from(y, x[node.block.alpha]))
+        elif session.status is LpStatus.INFEASIBLE and not warm:
+            return WorstCaseResult("infeasible")
+    raise RuntimeError(f"worst-case LP: {why}")
 
 
 def worst_case_kantorovich_primal(dist, spec, grid=None, template=None):
@@ -166,8 +170,9 @@ def worst_case_kantorovich_primal(dist, spec, grid=None, template=None):
     :func:`node_primal` on ``grid``.  ``template``, a :class:`NodeLP` that
     :func:`node_primal` built on ``grid`` for a node with as many outcomes
     and a ball of the same ``L`` and ``L_tilde``, is stamped with this
-    node's data instead of building its LP anew; the answer is the same to
-    the bit."""
+    node's data instead of building its LP anew, and re-run warm from the
+    last node solved from it.  Every answer, warm or cold, is certified
+    against the node's LP by :func:`~prefrobust.lp._pair_value`."""
     return _worst_case_primal(dist, spec, grid, template)
 
 

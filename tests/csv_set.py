@@ -12,8 +12,12 @@ checkouts print byte-identical output exactly when
 
     diff <(python tests/csv_set.py) <(python tests/csv_set.py OTHER)
 
-prints nothing.  Not collected by pytest: the set takes about 11 s on two
-vCPUs.
+prints nothing.  The two ``eval`` commands score the committed plan
+``data/policy_3x3x3_pro_kan.tsv`` (this checkout's, whichever checkout
+runs), which ``Policy.export_table()`` wrote for the default ``pro_kan``
+solve on the 3,3,3 tree; ``eval`` prints 12 significant digits, so a nested
+worst-case value that moves past them shows here.  Not collected by
+pytest: the set takes about 11 s on two vCPUs.
 """
 
 import hashlib
@@ -22,6 +26,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+POLICY = str(Path(__file__).resolve().parent / "data" / "policy_3x3x3_pro_kan.tsv")
 COMMANDS = {
     "solve pro_kan 3,3": ["solve", "--branching", "3,3", "--model", "pro_kan",
                           "--seeds", "0,1"],
@@ -40,6 +45,10 @@ COMMANDS = {
                                  "--questionnaires", "200"],
     "solve pro_pc K=200 4,4,4,4": ["solve", "--branching", "4,4,4,4", "--model", "pro_pc",
                                    "--questionnaires", "200", "--seeds", "0,1"],
+    "eval pro_kan 3,3,3": ["eval", "--branching", "3,3,3", "--model", "pro_kan",
+                           "--policy", POLICY],
+    "eval pro_pc K=20 3,3,3": ["eval", "--branching", "3,3,3", "--model", "pro_pc",
+                               "--questionnaires", "20", "--policy", POLICY],
 }
 
 

@@ -13,8 +13,9 @@ node worst case from that solve, so running it with presolve on again,
 pricing it with HiGHS's default dual steepest edge instead of Devex, or
 starting it from another basis than the one stitched from its node shapes
 (``multistage._start_basis``), moves the entries.  The nested
-values are solved cold, apart from the tree solve, whose plan they score.
-To record them again after an intended change of the values, run from the
+values read nothing of the tree solve but the plan they score; they are
+solved as one warm chain per node LP (``multistage._nested_worst_cases``),
+so a change to the chain's order or restarts may move them.  To record them again after an intended change of the values, run from the
 repo root:
 
     PYTHONPATH=src python tests/test_tc_digests.py
